@@ -99,6 +99,26 @@ class TestSolve:
         assert doc["status"] == "converged"
         assert doc["config"]["sampling"]["tau"] == 2
 
+    def test_inconsistent_matrix_market_system(self, tmp_path, capsys):
+        mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        mmio.write_vector(tmp_path / "b.txt", [0.0, 1.0, 2.0])
+        code = run_cli("solve", "--matrix", str(tmp_path / "A.mtx"),
+                       "--rhs", str(tmp_path / "b.txt"), "--max-iters", "10")
+        assert code == 1
+        assert "InconsistentSystemError" in capsys.readouterr().err
+
+    def test_matrix_market_diagnostics_without_planted_solution(self, tmp_path):
+        system = generate_problem(GaussianNormalized(12, 6, seed=7))
+        mmio.write_matrix(tmp_path / "A.mtx", system.A)
+        mmio.write_vector(tmp_path / "b.txt", system.b)
+        out = tmp_path / "trace.csv"
+        run_cli("solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt"),
+                "--sampling", "uniform:3", "--max-iters", "20", "--diagnostics",
+                "--out", str(out))
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        dist = np.array([float(r[4]) for r in rows])
+        assert dist.size == len(rows) >= 2 and np.all(np.isfinite(dist))
+
 
 class TestAnalyze:
     def test_report_json(self, tmp_path):
