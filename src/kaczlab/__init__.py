@@ -5,7 +5,8 @@ sampling machinery (:mod:`kaczlab.sampling`), stepsize policies and the
 Chebyshev toolkit (:mod:`kaczlab.stepsize`), the iteration loop and
 Monte-Carlo engine (:mod:`kaczlab.solver`), conditioning analysis
 (:mod:`kaczlab.analysis`), problem generators (:mod:`kaczlab.problems`),
-and the command-line harness (:mod:`kaczlab.cli`).
+the JSON kind registries (:mod:`kaczlab.kinds`), and the command-line
+harness (:mod:`kaczlab.cli`).
 """
 
 from .analysis import (

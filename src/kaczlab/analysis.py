@@ -108,7 +108,7 @@ def build_conditioning_report(
     lam_block, mode = block_lambda_max(system, spec, budget=budget, seed=seed)
     W = build_W(system, spec)
     spec_W = sym_eigenvalues(W)
-    gram = sym_eigenvalues(system.A @ system.A.T)
+    gram = system.gram_spectrum
     return ConditioningReport(
         rows=system.m,
         cols=system.n,

@@ -3,13 +3,15 @@ compare empirical decay against predicted rates, and emit machine-readable
 outputs.
 
 Subcommands: ``solve``, ``analyze``, ``experiment``, ``paving``.  The
-environment variable ``KACZLAB_SEED`` overrides the configured solver seed.
+environment variable ``KACZLAB_SEED`` overrides the configured solver seed
+everywhere it is used: block draws, paving, sampled lambda_max^block.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -25,7 +27,7 @@ from .analysis import (
     predict_rates,
 )
 from .errors import ConfigMismatchError, KaczlabError
-from .linalg import RANK_TOL, LinearSystem, normalize_rows, sym_eigenvalues
+from .linalg import RANK_TOL, LinearSystem, normalize_rows
 from .problems import generate_problem, parse_recipe, recipe_from_dict
 from .sampling import (
     SamplingSpec,
@@ -35,24 +37,27 @@ from .sampling import (
     full_batch,
     partition_spec,
     paving_to_json,
+    sampling_from_dict,
 )
 from .solver import (
     CONVERGED,
     MAX_ITERS,
     STALLED,
-    Adaptive,
-    ChebyshevPD,
-    ChebyshevSingular,
-    ClassicConstant,
-    ExtrapolatedConstant,
     SolverConfig,
-    sampling_from_dict,
-    stepsize_from_dict,
     config_from_dict,
     run_monte_carlo,
     run_solver,
 )
-from .stepsize import row_norm_sq_weights, uniform_weights
+from .stepsize import (
+    STEPSIZE_KINDS,
+    WEIGHT_KINDS,
+    Adaptive,
+    ChebyshevPD,
+    ClassicConstant,
+    ExtrapolatedConstant,
+    stepsize_from_dict,
+    weights_from_dict,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -105,42 +110,69 @@ def build_sampling(text: str, system: LinearSystem, seed: int, probs: str = "uni
     return partition_spec(blocks)
 
 
-def _build_weights(kind: str, spec: SamplingSpec, system: LinearSystem):
-    if kind == "uniform":
-        return uniform_weights(spec)
-    if kind == "rownormsq":
-        return row_norm_sq_weights(spec, system)
-    raise KaczlabError(f"unknown weight scheme {kind!r}")
+def _plan_entry(args) -> dict:
+    """The experiment-plan entry that ``solve``'s flags describe."""
+    fields = {f.name for f in dataclasses.fields(STEPSIZE_KINDS[args.stepsize])}
+    flags = {"alpha": args.alpha, "delta": args.delta}
+    return {
+        "method": args.method,
+        "sampling": args.sampling,
+        "partition_probs": args.partition_probs,
+        "weights": args.weights,
+        "stepsize": {"kind": args.stepsize} | {k: v for k, v in flags.items() if k in fields},
+        "max_iters": args.max_iters,
+        "residual_tol": args.residual_tol,
+        "seed": args.seed,
+    }
 
 
-def _gram_spectrum(system: LinearSystem):
-    return sym_eigenvalues(system.A @ system.A.T)
+def _positive_lambda_min(system: LinearSystem) -> float:
+    gram = system.gram_spectrum
+    if gram.lambda_min <= RANK_TOL * gram.lambda_max:
+        raise ConfigMismatchError(
+            "chebyshev-pd requires lambda_min(A A^T) > 0; use chebyshev-singular"
+        )
+    return gram.lambda_min
 
 
-def _build_stepsize(args, system: LinearSystem, spec: SamplingSpec, weights):
-    kind = args.stepsize
-    if kind == "classic":
-        return ClassicConstant(args.alpha)
-    if kind == "constant-extrapolated":
-        lam, _ = block_lambda_max(system, spec, budget=args.budget, seed=args.seed)
-        return ExtrapolatedConstant(lambda_max_block=lam, delta=args.delta)
-    if kind == "adaptive":
-        return Adaptive(delta=args.delta)
-    if kind in ("chebyshev-pd", "chebyshev-singular"):
-        gram = _gram_spectrum(system)
-        if kind == "chebyshev-pd":
-            if gram.lambda_min <= RANK_TOL * gram.lambda_max:
-                raise ConfigMismatchError(
-                    "chebyshev-pd requires lambda_min(A A^T) > 0; use chebyshev-singular"
-                )
-            return ChebyshevPD(
-                horizon=args.max_iters,
-                lambda_min=gram.lambda_min,
-                lambda_max=gram.lambda_max,
-                m=system.m,
-            )
-        return ChebyshevSingular(horizon=args.max_iters, lambda_max=gram.lambda_max, m=system.m)
-    raise KaczlabError(f"unknown stepsize {kind!r}")
+def _resolve_config(doc: dict, system: LinearSystem, budget: int, diagnostics: bool) -> SolverConfig:
+    """Build the SolverConfig of an experiment-plan entry (``solve``'s flags
+    become one too).
+
+    The sampling is a ``build_sampling`` string or a JSON dict, the weights
+    a weight kind name.  Stepsize fields the entry leaves out are derived
+    from the system, computing only what the policy's kind needs.
+    ``KACZLAB_SEED`` overrides the entry's seed.
+    """
+    seed = _env_seed(int(doc.get("seed", 0)))
+    sampling = doc["sampling"]
+    if isinstance(sampling, str):
+        spec = build_sampling(sampling, system, seed, probs=doc.get("partition_probs", "uniform"))
+    else:
+        spec = sampling_from_dict(sampling)
+    max_iters = int(doc["max_iters"])
+    derived = {
+        "lambda_max_block": lambda: block_lambda_max(system, spec, budget=budget, seed=seed)[0],
+        "lambda_min": lambda: _positive_lambda_min(system),
+        "lambda_max": lambda: system.gram_spectrum.lambda_max,
+        "m": lambda: system.m,
+        "horizon": lambda: max_iters,
+    }
+    step = doc["stepsize"]
+    if isinstance(step, dict) and step.get("kind") in STEPSIZE_KINDS:
+        fields = dataclasses.fields(STEPSIZE_KINDS[step["kind"]])
+        step = step | {f.name: derived[f.name]() for f in fields
+                       if f.name in derived and f.name not in step}
+    return SolverConfig(
+        method=doc["method"],
+        sampling=spec,
+        weights=weights_from_dict({"kind": doc.get("weights", "uniform")}, spec, system),
+        stepsize=stepsize_from_dict(step),
+        max_iters=max_iters,
+        residual_tol=doc.get("residual_tol"),
+        seed=seed,
+        diagnostics=diagnostics,
+    )
 
 
 def _typical_block_size(spec: SamplingSpec) -> float:
@@ -161,20 +193,7 @@ def cmd_solve(args) -> int:
         doc["seed"] = _env_seed(int(doc.get("seed", 0)))
         config = config_from_dict(doc, system)
     else:
-        seed = _env_seed(args.seed)
-        spec = build_sampling(args.sampling, system, seed, probs=args.partition_probs)
-        weights = _build_weights(args.weights, spec, system)
-        policy = _build_stepsize(args, system, spec, weights)
-        config = SolverConfig(
-            method=args.method,
-            sampling=spec,
-            weights=weights,
-            stepsize=policy,
-            max_iters=args.max_iters,
-            residual_tol=args.residual_tol,
-            seed=seed,
-            diagnostics=args.diagnostics,
-        )
+        config = _resolve_config(_plan_entry(args), system, args.budget, args.diagnostics)
     trace = run_solver(config, system)
     if args.out:
         trace.to_csv(args.out)
@@ -193,7 +212,7 @@ def cmd_analyze(args) -> int:
     system = _load_system(args)
     seed = _env_seed(args.seed)
     spec = build_sampling(args.sampling, system, seed, probs=args.partition_probs)
-    weights = _build_weights(args.weights, spec, system)
+    weights = weights_from_dict({"kind": args.weights}, spec, system)
     report = build_conditioning_report(system, spec, budget=args.budget, seed=seed)
     rates = predict_rates(report, weights, args.delta, _typical_block_size(spec))
 
@@ -268,41 +287,6 @@ def _theory_factor(config: SolverConfig, system: LinearSystem, budget: int) -> f
     return 1.0
 
 
-def _resolve_experiment_config(doc: dict, system: LinearSystem, budget: int) -> SolverConfig:
-    seed = _env_seed(int(doc.get("seed", 0)))
-    sampling = doc["sampling"]
-    if isinstance(sampling, str):
-        spec = build_sampling(sampling, system, seed, probs=doc.get("partition_probs", "uniform"))
-    else:
-        spec = sampling_from_dict(sampling)
-    weights = _build_weights(doc.get("weights", "uniform"), spec, system)
-    step = dict(doc["stepsize"])
-    kind = step["kind"]
-    max_iters = int(doc["max_iters"])
-    if kind == "constant-extrapolated" and "lambda_max_block" not in step:
-        lam, _ = block_lambda_max(system, spec, budget=budget, seed=seed)
-        step["lambda_max_block"] = lam
-    if kind in ("chebyshev-pd", "chebyshev-singular"):
-        gram = _gram_spectrum(system)
-        step.setdefault("horizon", max_iters)
-        step.setdefault("m", system.m)
-        step.setdefault("lambda_max", gram.lambda_max)
-        if kind == "chebyshev-pd":
-            if gram.lambda_min <= RANK_TOL * gram.lambda_max:
-                raise ConfigMismatchError("chebyshev-pd requires lambda_min(A A^T) > 0")
-            step.setdefault("lambda_min", gram.lambda_min)
-    return SolverConfig(
-        method=doc["method"],
-        sampling=spec,
-        weights=weights,
-        stepsize=stepsize_from_dict(step),
-        max_iters=max_iters,
-        residual_tol=doc.get("residual_tol"),
-        seed=seed,
-        diagnostics=True,
-    )
-
-
 def cmd_experiment(args) -> int:
     plan = json.loads(Path(args.plan).read_text())
     recipe = plan["recipe"]
@@ -319,7 +303,7 @@ def cmd_experiment(args) -> int:
     summary = {"trials": trials, "configs": []}
     for idx, doc in enumerate(plan["configs"]):
         name = doc.get("name", f"config{idx}")
-        config = _resolve_experiment_config(doc, system, budget)
+        config = _resolve_config(doc, system, budget, diagnostics=True)
         factor = _theory_factor(config, system, budget)
         if trials == 1:
             trace = run_solver(config, system)
@@ -370,6 +354,10 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+# Explicit weights need per-row values, which only a JSON config carries.
+_WEIGHT_CHOICES = [kind for kind in WEIGHT_KINDS if kind != "explicit"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kaczlab",
                                      description="Randomized block Kaczmarz toolkit")
@@ -382,10 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampling", default="uniform:1",
                    help="uniform:T | partition:S | paving:L | full")
     p.add_argument("--partition-probs", default="uniform", choices=["uniform", "frobenius"])
-    p.add_argument("--weights", default="uniform", choices=["uniform", "rownormsq"])
-    p.add_argument("--stepsize", default="classic",
-                   choices=["classic", "constant-extrapolated", "adaptive",
-                            "chebyshev-pd", "chebyshev-singular"])
+    p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)
+    p.add_argument("--stepsize", default="classic", choices=list(STEPSIZE_KINDS))
     p.add_argument("--alpha", type=float, default=1.0, help="classic stepsize")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--max-iters", type=int, default=1000)
@@ -402,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--sampling", default="uniform:1")
     p.add_argument("--partition-probs", default="uniform", choices=["uniform", "frobenius"])
-    p.add_argument("--weights", default="uniform", choices=["uniform", "rownormsq"])
+    p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--paving", type=int, default=None,

@@ -23,6 +23,9 @@ from .errors import (
 RANK_TOL = 1e-10
 # Rows with norm below this are rejected as zero rows.
 ZERO_ROW_TOL = 1e-14
+# b counts as outside range(A) when ||A A^+ b - b|| exceeds this times
+# 1 + ||b||.
+CONSISTENCY_TOL = 1e-6
 
 
 def as_matrix(A) -> np.ndarray:
@@ -50,7 +53,9 @@ class LinearSystem:
 
     ``planted_solution`` is an optional known solution (problem generators
     always store one); ``normalized`` asserts every row of A has unit norm.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads.  What
+    depends only on the system (row norms, the spectrum of A A^T, the
+    solution projector) is computed on first use and cached.
     """
 
     A: np.ndarray
@@ -91,6 +96,16 @@ class LinearSystem:
     @cached_property
     def row_norms_sq(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.A, self.A)
+
+    @cached_property
+    def gram_spectrum(self) -> SpectralSummary:
+        """Eigenvalues of A A^T."""
+        return sym_eigenvalues(self.A @ self.A.T)
+
+    @cached_property
+    def projector(self) -> SolutionProjector:
+        """Raises :class:`InconsistentSystemError` when b is outside range(A)."""
+        return SolutionProjector(self)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x - self.b
@@ -196,7 +211,7 @@ class SolutionProjector:
         self._pinv = np.linalg.pinv(system.A, rcond=RANK_TOL)
         # ||A A^+ b - b|| > tol means b is not in range(A).
         gap = np.linalg.norm(system.A @ (self._pinv @ system.b) - system.b)
-        if gap > 1e-6 * (1.0 + np.linalg.norm(system.b)):
+        if gap > CONSISTENCY_TOL * (1.0 + np.linalg.norm(system.b)):
             raise InconsistentSystemError(f"system residual floor {gap:.3e}")
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -214,8 +229,4 @@ def project_onto_solution_set(system: LinearSystem, x) -> np.ndarray:
     Raises :class:`InconsistentSystemError` when b is (numerically) outside
     range(A).
     """
-    x = as_vector(x, system.n)
-    z = x - least_squares_min_norm(system.A, system.A @ x - system.b)
-    if np.linalg.norm(system.A @ z - system.b) > 1e-6 * (1.0 + np.linalg.norm(system.b)):
-        raise InconsistentSystemError("right-hand side is not in range(A)")
-    return z
+    return system.projector.project(as_vector(x, system.n))

@@ -9,27 +9,31 @@ aligned blocks.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadDimensionsError
+from .kinds import Kind, from_kind_dict, registry
 from .linalg import LinearSystem
 from .sampling import Partition, partition_spec
 
 
 @dataclass(frozen=True)
-class GaussianNormalized:
+class GaussianNormalized(Kind):
+    kind = "gaussian"
     m: int
     n: int
     seed: int = 0
 
 
 @dataclass(frozen=True)
-class RankDeficient:
+class RankDeficient(Kind):
     """A = U diag(s) V^T with ``rank`` nonzero singular values, rows then
     normalized; lambda_min(A A^T) = 0 whenever m > rank."""
 
+    kind = "rank-deficient"
     m: int
     n: int
     rank: int
@@ -37,10 +41,11 @@ class RankDeficient:
 
 
 @dataclass(frozen=True)
-class CoherentRows:
+class CoherentRows(Kind):
     """Unit rows interpolated toward a common direction; coherence = 1
     collapses the matrix to rank one (squared spectral norm = m)."""
 
+    kind = "coherent"
     m: int
     n: int
     coherence: float
@@ -48,10 +53,11 @@ class CoherentRows:
 
 
 @dataclass(frozen=True)
-class OrthonormalBlocks:
+class OrthonormalBlocks(Kind):
     """Stacked blocks of ``block_size`` orthonormal rows; under the aligned
     partition every block Gram is the identity, so lambda_max^block = 1."""
 
+    kind = "orthoblocks"
     m: int
     n: int
     block_size: int
@@ -59,6 +65,7 @@ class OrthonormalBlocks:
 
 
 ProblemRecipe = GaussianNormalized | RankDeficient | CoherentRows | OrthonormalBlocks
+RECIPE_KINDS = registry(GaussianNormalized, RankDeficient, CoherentRows, OrthonormalBlocks)
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -131,39 +138,16 @@ def parse_recipe(text: str, seed: int = 0) -> ProblemRecipe:
         m, n = (int(t) for t in parts[1].split("x"))
     except (IndexError, ValueError) as exc:
         raise ValueError(f"cannot parse recipe {text!r}: expected kind:MxN[:param]") from exc
-    if kind == "gaussian":
-        return GaussianNormalized(m, n, seed)
-    if kind == "rank-deficient":
-        return RankDeficient(m, n, int(parts[2]), seed)
-    if kind == "coherent":
-        return CoherentRows(m, n, float(parts[2]), seed)
-    if kind == "orthoblocks":
-        return OrthonormalBlocks(m, n, int(parts[2]), seed)
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    # The optional param fills the field between n and seed.
+    cls = RECIPE_KINDS.get(kind)
+    params = [f.name for f in dataclasses.fields(cls)][2:-1] if cls else []
+    doc = {"kind": kind, "m": m, "n": n, "seed": seed} | dict(zip(params, parts[2:]))
+    return recipe_from_dict(doc)
 
 
 def recipe_to_dict(recipe: ProblemRecipe) -> dict:
-    doc = {"m": recipe.m, "n": recipe.n, "seed": recipe.seed}
-    if isinstance(recipe, GaussianNormalized):
-        doc["kind"] = "gaussian"
-    elif isinstance(recipe, RankDeficient):
-        doc |= {"kind": "rank-deficient", "rank": recipe.rank}
-    elif isinstance(recipe, CoherentRows):
-        doc |= {"kind": "coherent", "coherence": recipe.coherence}
-    else:
-        doc |= {"kind": "orthoblocks", "block_size": recipe.block_size}
-    return doc
+    return recipe.to_dict()
 
 
 def recipe_from_dict(doc: dict) -> ProblemRecipe:
-    kind = doc["kind"]
-    m, n, seed = int(doc["m"]), int(doc["n"]), int(doc.get("seed", 0))
-    if kind == "gaussian":
-        return GaussianNormalized(m, n, seed)
-    if kind == "rank-deficient":
-        return RankDeficient(m, n, int(doc["rank"]), seed)
-    if kind == "coherent":
-        return CoherentRows(m, n, float(doc["coherence"]), seed)
-    if kind == "orthoblocks":
-        return OrthonormalBlocks(m, n, int(doc["block_size"]), seed)
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    return from_kind_dict(RECIPE_KINDS, doc, "recipe")

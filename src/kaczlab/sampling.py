@@ -15,6 +15,7 @@ from math import comb
 import numpy as np
 
 from .errors import BadBlockCountError, TooLargeError
+from .kinds import Kind, from_kind_dict, registry
 from .linalg import LinearSystem
 
 # Exhaustive enumeration is refused above this many supports.
@@ -22,9 +23,10 @@ ENUMERATION_CAP = 10**5
 
 
 @dataclass(frozen=True)
-class UniformSubset:
+class UniformSubset(Kind):
     """Uniform sampling of a size-``tau`` subset of the m row indices."""
 
+    kind = "uniform"
     m: int
     tau: int
 
@@ -34,10 +36,11 @@ class UniformSubset:
 
 
 @dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(Kind):
     """A partition of [m] into disjoint blocks, block l drawn with
     probability ``probs[l]``."""
 
+    kind = "partition"
     blocks: tuple[tuple[int, ...], ...]
     probs: np.ndarray
 
@@ -79,6 +82,11 @@ class Partition:
 
 
 SamplingSpec = UniformSubset | Partition
+SAMPLING_KINDS = registry(UniformSubset, Partition)
+
+
+def sampling_from_dict(doc: dict) -> SamplingSpec:
+    return from_kind_dict(SAMPLING_KINDS, doc, "sampling")
 
 
 def partition_spec(blocks, probs=None) -> Partition:

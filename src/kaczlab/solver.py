@@ -14,24 +14,17 @@ import numpy as np
 from .errors import ConfigMismatchError, ZeroRowError
 from .linalg import LinearSystem, SolutionProjector, least_squares_min_norm
 from .sampling import (
-    Partition,
     SamplingSpec,
     UniformSubset,
     sample_block,
+    sampling_from_dict,
 )
 from .stepsize import (
-    Adaptive,
-    ChebyshevPD,
-    ChebyshevSingular,
-    ClassicConstant,
-    ExtrapolatedConstant,
     StepsizePolicy,
     WeightScheme,
     adaptive_alpha,
-    constant_extrapolated_alpha,
-    explicit_weights,
-    row_norm_sq_weights,
-    uniform_weights,
+    stepsize_from_dict,
+    weights_from_dict,
 )
 
 # An adaptive run is declared stalled after this many consecutive skips.
@@ -219,17 +212,6 @@ def _supports_are_singletons(spec: SamplingSpec) -> bool:
     return all(len(blk) == 1 for blk in spec.blocks)
 
 
-def _resolve_schedule(config: SolverConfig):
-    policy = config.stepsize
-    if isinstance(policy, (ChebyshevPD, ChebyshevSingular)):
-        if config.max_iters != policy.horizon:
-            raise ConfigMismatchError(
-                f"Chebyshev schedule has horizon {policy.horizon} but max_iters={config.max_iters}"
-            )
-        return policy.schedule()
-    return None
-
-
 def run_solver(
     config: SolverConfig,
     system: LinearSystem,
@@ -248,28 +230,18 @@ def run_solver(
         )
     if config.method == BASIC and not _supports_are_singletons(config.sampling):
         raise ConfigMismatchError("basic method requires |J| = 1 sampling")
-    if config.method == BLOCK_PROJECTION and isinstance(config.stepsize, Adaptive):
+    alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
+    if config.method == BLOCK_PROJECTION and alphas is None:
         raise ConfigMismatchError("adaptive stepsize applies to the averaged update only")
-    schedule = _resolve_schedule(config)
 
-    if config.diagnostics and projector is None:
-        projector = SolutionProjector(system)
-    if system.planted_solution is None and projector is None:
-        # Consistency probe: raises InconsistentSystemError for bad systems.
-        SolutionProjector(system)
+    if projector is None and (config.diagnostics or system.planted_solution is None):
+        # Building the projector also raises InconsistentSystemError when b
+        # lies outside range(A).
+        projector = system.projector
 
     tol = config.residual_tol
     if tol is None:
         tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
-
-    policy = config.stepsize
-    alpha_const: float | None = None
-    if isinstance(policy, ClassicConstant):
-        alpha_const = policy.alpha
-    elif isinstance(policy, ExtrapolatedConstant):
-        alpha_const = constant_extrapolated_alpha(
-            config.weights, policy.lambda_max_block, policy.delta
-        )
 
     rng = np.random.default_rng(config.seed)
     x = np.zeros(system.n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -297,10 +269,10 @@ def run_solver(
         skipped = False
         alpha: float | None
 
-        if isinstance(policy, Adaptive):
+        if alphas is None:
             w = config.weights.realized(system, J)
             residuals = system.A[J] @ x - system.b[J]
-            step = adaptive_alpha(system.A[J], residuals, w, policy.delta)
+            step = adaptive_alpha(system.A[J], residuals, w, config.stepsize.delta)
             if step is None:
                 skipped = True
                 alpha = None
@@ -308,7 +280,7 @@ def run_solver(
                 alpha = step.alpha
                 x = x - step.alpha * step.direction
         else:
-            alpha = alpha_const if schedule is None else float(schedule.alphas[k - 1])
+            alpha = float(alphas[k - 1])
             if config.method == BASIC:
                 i = int(J[0])
                 x = basic_kaczmarz_step(x, system.A[i], system.b[i], alpha)
@@ -377,7 +349,6 @@ def run_monte_carlo(
     aggregate per-iteration means and standard errors."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    projector = SolutionProjector(system) if config.diagnostics else None
     length = config.max_iters + 1
 
     dists = [] if config.diagnostics else None
@@ -386,7 +357,7 @@ def run_monte_carlo(
     hits = []
     for t in range(trials):
         cfg = dataclasses.replace(config, seed=split_seed(config.seed, t))
-        trace = run_solver(cfg, system, x0=x0, projector=projector)
+        trace = run_solver(cfg, system, x0=x0)
         residuals.append(_padded(trace.residual_norms(), length))
         hits.append(trace.events[-1].k if trace.status == CONVERGED else -1)
         if dists is not None:
@@ -419,105 +390,12 @@ def run_monte_carlo(
 # JSON config mirror
 # ---------------------------------------------------------------------------
 
-def _sampling_to_dict(spec: SamplingSpec) -> dict:
-    if isinstance(spec, UniformSubset):
-        return {"kind": "uniform", "m": spec.m, "tau": spec.tau}
-    return {
-        "kind": "partition",
-        "blocks": [list(blk) for blk in spec.blocks],
-        "probs": spec.probs.tolist(),
-    }
-
-
-def sampling_from_dict(doc: dict) -> SamplingSpec:
-    if doc["kind"] == "uniform":
-        return UniformSubset(int(doc["m"]), int(doc["tau"]))
-    if doc["kind"] == "partition":
-        return Partition(
-            tuple(tuple(int(i) for i in blk) for blk in doc["blocks"]),
-            np.asarray(doc["probs"], dtype=float),
-        )
-    raise ValueError(f"unknown sampling kind {doc['kind']!r}")
-
-
-def _weights_from_dict(doc: dict, spec: SamplingSpec, system: LinearSystem) -> WeightScheme:
-    kind = doc["kind"]
-    if kind == "uniform":
-        return uniform_weights(spec)
-    if kind == "rownormsq":
-        return row_norm_sq_weights(spec, system)
-    if kind == "explicit":
-        return explicit_weights(np.asarray(doc["values"], dtype=float), spec)
-    raise ValueError(f"unknown weight kind {kind!r}")
-
-
-def _stepsize_to_dict(policy: StepsizePolicy) -> dict:
-    if isinstance(policy, ClassicConstant):
-        return {"kind": "classic", "alpha": policy.alpha}
-    if isinstance(policy, ExtrapolatedConstant):
-        return {
-            "kind": "constant-extrapolated",
-            "delta": policy.delta,
-            "lambda_max_block": policy.lambda_max_block,
-        }
-    if isinstance(policy, Adaptive):
-        return {"kind": "adaptive", "delta": policy.delta}
-    if isinstance(policy, ChebyshevPD):
-        return {
-            "kind": "chebyshev-pd",
-            "horizon": policy.horizon,
-            "lambda_min": policy.lambda_min,
-            "lambda_max": policy.lambda_max,
-            "m": policy.m,
-            "kappa": None if policy.kappa is None else list(policy.kappa),
-        }
-    return {
-        "kind": "chebyshev-singular",
-        "horizon": policy.horizon,
-        "lambda_max": policy.lambda_max,
-        "m": policy.m,
-        "kappa": None if policy.kappa is None else list(policy.kappa),
-    }
-
-
-def stepsize_from_dict(doc: dict) -> StepsizePolicy:
-    kind = doc["kind"]
-    if kind == "classic":
-        return ClassicConstant(float(doc.get("alpha", 1.0)))
-    if kind == "constant-extrapolated":
-        return ExtrapolatedConstant(
-            lambda_max_block=float(doc["lambda_max_block"]),
-            delta=float(doc.get("delta", 1.0)),
-        )
-    if kind == "adaptive":
-        return Adaptive(float(doc.get("delta", 1.0)))
-    if kind == "chebyshev-pd":
-        kappa = doc.get("kappa")
-        return ChebyshevPD(
-            horizon=int(doc["horizon"]),
-            lambda_min=float(doc["lambda_min"]),
-            lambda_max=float(doc["lambda_max"]),
-            m=int(doc["m"]),
-            kappa=None if kappa is None else tuple(int(j) for j in kappa),
-        )
-    if kind == "chebyshev-singular":
-        kappa = doc.get("kappa")
-        return ChebyshevSingular(
-            horizon=int(doc["horizon"]),
-            lambda_max=float(doc["lambda_max"]),
-            m=int(doc["m"]),
-            kappa=None if kappa is None else tuple(int(j) for j in kappa),
-        )
-    raise ValueError(f"unknown stepsize kind {kind!r}")
-
-
 def config_to_dict(config: SolverConfig) -> dict:
     return {
         "method": config.method,
-        "sampling": _sampling_to_dict(config.sampling),
-        "weights": {"kind": config.weights.kind}
-        | ({"values": config.weights.base.tolist()} if config.weights.kind == "explicit" else {}),
-        "stepsize": _stepsize_to_dict(config.stepsize),
+        "sampling": config.sampling.to_dict(),
+        "weights": config.weights.to_dict(),
+        "stepsize": config.stepsize.to_dict(),
         "max_iters": config.max_iters,
         "residual_tol": config.residual_tol,
         "seed": config.seed,
@@ -533,7 +411,7 @@ def config_from_dict(doc: dict, system: LinearSystem) -> SolverConfig:
     return SolverConfig(
         method=doc["method"],
         sampling=spec,
-        weights=_weights_from_dict(doc["weights"], spec, system),
+        weights=weights_from_dict(doc["weights"], spec, system),
         stepsize=stepsize_from_dict(doc["stepsize"]),
         max_iters=int(doc["max_iters"]),
         residual_tol=None if doc.get("residual_tol") is None else float(doc["residual_tol"]),

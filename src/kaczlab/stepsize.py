@@ -17,8 +17,10 @@ import numpy as np
 from .errors import (
     BadIntervalError,
     BadSpectrumError,
+    ConfigMismatchError,
     NonPositiveConditioningError,
 )
+from .kinds import Kind, from_kind_dict, registry
 from .linalg import LinearSystem
 from .sampling import Partition, SamplingSpec
 
@@ -114,6 +116,9 @@ class WeightScheme:
             w = self.base[J]
         return w / w.sum()
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind} | ({} if self.base is None else {"values": self.base.tolist()})
+
 
 def _bounds_from_base(base: np.ndarray, spec: SamplingSpec) -> tuple[float, float]:
     """Exact extremes of base[i]/sum(base[J]) over sampleable (i, J)."""
@@ -154,6 +159,19 @@ def explicit_weights(values, spec: SamplingSpec) -> WeightScheme:
         raise ValueError("explicit weights must be positive, one per row")
     lo, hi = _bounds_from_base(values, spec)
     return WeightScheme("explicit", lo, hi, base=values)
+
+
+# Each weight kind's builder from (spec, system, **its JSON fields).
+WEIGHT_KINDS = {
+    "uniform": lambda spec, system: uniform_weights(spec),
+    "rownormsq": row_norm_sq_weights,
+    "explicit": lambda spec, system, values: explicit_weights(values, spec),
+}
+
+
+def weights_from_dict(doc: dict, spec: SamplingSpec, system: LinearSystem) -> WeightScheme:
+    """The weight bounds depend on the sampling spec and the system."""
+    return from_kind_dict(WEIGHT_KINDS, doc, "weight", spec, system)
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +354,31 @@ def chebyshev_schedule_singular(lambda_max: float, m: int, k: int, kappa) -> Che
 
 # ---------------------------------------------------------------------------
 # Stepsize policies (immutable solver parameters)
+#
+# ``stepsizes(weights, max_iters)`` gives the stepsize of every iteration of
+# a run, or None when each one is computed from the drawn block.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClassicConstant:
+class ClassicConstant(Kind):
     """Fixed relaxation alpha in (0, 2)."""
 
+    kind = "classic"
     alpha: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"classic stepsize must lie in (0, 2), got {self.alpha}")
 
+    def stepsizes(self, weights: WeightScheme, max_iters: int) -> np.ndarray:
+        return np.broadcast_to(self.alpha, max_iters)
+
 
 @dataclass(frozen=True)
-class ExtrapolatedConstant:
+class ExtrapolatedConstant(Kind):
     """alpha = (2 - delta) omega_min / (omega_max^2 lambda_max_block)."""
 
+    kind = "constant-extrapolated"
     lambda_max_block: float
     delta: float = 1.0
 
@@ -362,26 +388,64 @@ class ExtrapolatedConstant:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
 
+    def stepsizes(self, weights: WeightScheme, max_iters: int) -> np.ndarray:
+        alpha = constant_extrapolated_alpha(weights, self.lambda_max_block, self.delta)
+        return np.broadcast_to(alpha, max_iters)
+
 
 @dataclass(frozen=True)
-class Adaptive:
+class Adaptive(Kind):
     """alpha_k = (2 - delta) L_k with L_k computed from the drawn block."""
 
+    kind = "adaptive"
     delta: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
 
+    def stepsizes(self, weights: WeightScheme, max_iters: int) -> None:
+        return None
 
-@dataclass(frozen=True)
-class ChebyshevPD:
-    """Chebyshev schedule for lambda_min(A A^T) > 0.
 
-    ``kappa=None`` selects the numerically stable greedy ordering; pass an
-    explicit permutation (e.g. ``identity_permutation(k)``) to override.
+class _RootSchedule(Kind):
+    """A fixed-horizon Chebyshev root schedule; subclasses build it from
+    their spectrum with ``_schedule(kappa)``.
+
+    ``kappa=None`` selects the numerically stable bit-reversal ordering;
+    pass an explicit permutation (e.g. ``identity_permutation(k)``) to
+    override.
     """
 
+    def _check_order(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        if self.kappa is not None:
+            object.__setattr__(
+                self, "kappa", tuple(int(j) for j in _check_permutation(self.kappa, self.horizon))
+            )
+
+    def schedule(self) -> ChebyshevSchedule:
+        kappa = (
+            stable_permutation(self.horizon)
+            if self.kappa is None
+            else np.asarray(self.kappa, dtype=int)
+        )
+        return self._schedule(kappa)
+
+    def stepsizes(self, weights: WeightScheme, max_iters: int) -> np.ndarray:
+        if max_iters != self.horizon:
+            raise ConfigMismatchError(
+                f"Chebyshev schedule has horizon {self.horizon} but max_iters={max_iters}"
+            )
+        return self.schedule().alphas
+
+
+@dataclass(frozen=True)
+class ChebyshevPD(_RootSchedule):
+    """Chebyshev schedule for lambda_min(A A^T) > 0."""
+
+    kind = "chebyshev-pd"
     horizon: int
     lambda_min: float
     lambda_max: float
@@ -393,26 +457,17 @@ class ChebyshevPD:
             raise BadSpectrumError(
                 f"need 0 < lambda_min <= lambda_max, got {self.lambda_min}, {self.lambda_max}"
             )
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.kappa is not None:
-            object.__setattr__(
-                self, "kappa", tuple(int(j) for j in _check_permutation(self.kappa, self.horizon))
-            )
+        self._check_order()
 
-    def schedule(self) -> ChebyshevSchedule:
-        kappa = (
-            stable_permutation(self.horizon)
-            if self.kappa is None
-            else np.asarray(self.kappa, dtype=int)
-        )
+    def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_pd(self.lambda_min, self.lambda_max, self.m, self.horizon, kappa)
 
 
 @dataclass(frozen=True)
-class ChebyshevSingular:
+class ChebyshevSingular(_RootSchedule):
     """Chebyshev schedule for lambda_min(A A^T) = 0 (rank-deficient A A^T)."""
 
+    kind = "chebyshev-singular"
     horizon: int
     lambda_max: float
     m: int
@@ -421,20 +476,15 @@ class ChebyshevSingular:
     def __post_init__(self):
         if self.lambda_max <= 0:
             raise BadSpectrumError(f"need lambda_max > 0, got {self.lambda_max}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.kappa is not None:
-            object.__setattr__(
-                self, "kappa", tuple(int(j) for j in _check_permutation(self.kappa, self.horizon))
-            )
+        self._check_order()
 
-    def schedule(self) -> ChebyshevSchedule:
-        kappa = (
-            stable_permutation(self.horizon)
-            if self.kappa is None
-            else np.asarray(self.kappa, dtype=int)
-        )
+    def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_singular(self.lambda_max, self.m, self.horizon, kappa)
 
 
 StepsizePolicy = ClassicConstant | ExtrapolatedConstant | Adaptive | ChebyshevPD | ChebyshevSingular
+STEPSIZE_KINDS = registry(ClassicConstant, ExtrapolatedConstant, Adaptive, ChebyshevPD, ChebyshevSingular)
+
+
+def stepsize_from_dict(doc: dict) -> StepsizePolicy:
+    return from_kind_dict(STEPSIZE_KINDS, doc, "stepsize")

@@ -63,17 +63,21 @@ class TestSolve:
         assert outs[0] == outs[1]
 
     def test_env_seed_overrides(self, tmp_path, monkeypatch):
-        def solve(seed, name):
+        def solve(seed, name, *flags):
             out = tmp_path / name
             run_cli(
                 "solve", "--recipe", "gaussian:12x6", "--recipe-seed", "4",
                 "--sampling", "uniform:2", "--max-iters", "30",
-                "--seed", seed, "--out", str(out),
+                "--seed", seed, "--out", str(out), *flags,
             )
             return out.read_bytes()
 
         monkeypatch.setenv("KACZLAB_SEED", "77")
-        assert solve("1", "a.csv") == solve("2", "b.csv")
+        # C(400, 8) exceeds the enumeration cap, so lambda_max^block is sampled.
+        sampled_lambda = ["--recipe", "gaussian:400x50", "--sampling", "uniform:8",
+                          "--stepsize", "constant-extrapolated", "--budget", "50"]
+        for flags in ([], sampled_lambda):
+            assert solve("1", "a.csv", *flags) == solve("2", "b.csv", *flags)
 
     def test_matrix_market_input_and_config_file(self, tmp_path):
         system = generate_problem(GaussianNormalized(8, 4, seed=5))
@@ -118,6 +122,43 @@ class TestSolve:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         dist = np.array([float(r[4]) for r in rows])
         assert dist.size == len(rows) >= 2 and np.all(np.isfinite(dist))
+
+
+MALFORMED = [
+    pytest.param("stepsize", {"kind": "newton"}, id="unknown-kind"),
+    pytest.param("stepsize", {"alpha": 1.0}, id="no-kind"),
+    pytest.param("stepsize", {"kind": "classic", "alpha": 1.0, "beta": 2.0}, id="unknown-field"),
+    pytest.param("sampling", {"kind": "uniform", "m": 8, "tau": 2, "replace": False},
+                 id="unknown-sampling-field"),
+    pytest.param("sampling", {"kind": "uniform", "m": 8}, id="missing-field"),
+    pytest.param("sampling", {"kind": "partition", "blocks": [[0, 1, 2, 3], [4, 5, 6, 7]]},
+                 id="missing-partition-field"),
+]
+
+
+@pytest.mark.parametrize("source", ["config", "plan"])
+@pytest.mark.parametrize("key,value", MALFORMED)
+def test_malformed_kind_dict_is_an_error_line(source, key, value, tmp_path, capsys):
+    entry = {
+        "method": "rbk",
+        "sampling": {"kind": "uniform", "m": 8, "tau": 2},
+        "weights": {"kind": "uniform"},
+        "stepsize": {"kind": "classic", "alpha": 1.0},
+        "max_iters": 5,
+        key: value,
+    }
+    path = tmp_path / "in.json"
+    if source == "config":
+        path.write_text(json.dumps(entry))
+        code = run_cli("solve", "--recipe", "gaussian:8x4", "--config", str(path))
+    else:
+        entry["weights"] = "uniform"
+        path.write_text(json.dumps({"recipe": "gaussian:8x4", "configs": [entry],
+                                    "outputs": {"dir": str(tmp_path / "out")}}))
+        code = run_cli("experiment", str(path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and key in err
 
 
 class TestAnalyze:
