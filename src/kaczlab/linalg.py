@@ -105,7 +105,10 @@ class LinearSystem:
     @cached_property
     def projector(self) -> SolutionProjector:
         """Raises :class:`InconsistentSystemError` when b is outside range(A)."""
-        return SolutionProjector(self)
+        # Built on a cache-free system sharing A and b: a projector holding
+        # this system would form a reference cycle, which keeps A and the
+        # pseudoinverse alive until the cycle collector runs.
+        return SolutionProjector(LinearSystem(self.A, self.b))
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x - self.b
