@@ -2,7 +2,7 @@
 
 A sampling spec, stepsize policy or weight scheme names its JSON ``kind``
 and writes its own JSON dict.  Each union keeps one registry, kind name to
-class (or builder), which reads the dicts back and supplies the CLI's
+class (or factory), which reads the dicts back and supplies the CLI's
 choices.
 """
 

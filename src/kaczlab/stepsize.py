@@ -161,7 +161,7 @@ def explicit_weights(values, spec: SamplingSpec) -> WeightScheme:
     return WeightScheme("explicit", lo, hi, base=values)
 
 
-# Each weight kind's builder from (spec, system, **its JSON fields).
+# Each weight kind's factory, called as (spec, system, **its JSON fields).
 WEIGHT_KINDS = {
     "uniform": lambda spec, system: uniform_weights(spec),
     "rownormsq": row_norm_sq_weights,
