@@ -147,6 +147,42 @@ def test_run_monte_carlo_golden():
     assert digest == "9a1bf1c5ba478a24"
 
 
+def test_run_monte_carlo_padded_golden():
+    # residual_tol > 0: trials stop at different k (or never), so every
+    # series is padded with its terminal value before averaging.
+    spec = UniformSubset(10, 2)
+    config = SolverConfig(
+        RBK, spec, uniform_weights(spec), Adaptive(0.9), max_iters=40,
+        residual_tol=0.1, seed=11, trace_level=FULL_ITERATES, diagnostics=True,
+    )
+    mc = run_monte_carlo(config, WIDE, trials=5)
+    assert sorted(set(mc.hit_iteration.tolist())) == [-1, 31, 34, 40]
+    digest = _digest(
+        mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(), mc.mean_iterate.tobytes(),
+        mc.stderr_iterate.tobytes(), mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes(),
+    )
+    assert digest == "7566119bc95cc433"
+
+
+def test_trace_json_golden(tmp_path):
+    # Rows 2 and 3 only touch coordinates the solution leaves at zero, so
+    # their block is satisfied at x0 = 0 for the whole run and every draw of
+    # it is a skipped adaptive step.
+    A = np.array([[1.0, 0.5, 0.0, 0.0], [0.3, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.2], [0.0, 0.0, 0.4, 1.0]])
+    x_star = np.array([1.0, -2.0, 0.0, 0.0])
+    system = LinearSystem(A, A @ x_star, planted_solution=x_star)
+    spec = partition_spec([(0, 1), (2, 3)])
+    config = SolverConfig(
+        RBK, spec, uniform_weights(spec), Adaptive(0.8), max_iters=12,
+        residual_tol=0.0, seed=3, trace_level=FULL_ITERATES, diagnostics=True,
+    )
+    trace = run_solver(config, system)
+    assert any(e.skipped for e in trace.events)
+    trace.to_json(tmp_path / "trace.json")
+    assert _digest((tmp_path / "trace.json").read_bytes()) == "5ffc69b2e46c6489"
+
+
 EXPERIMENT_PLANS = {
     "tall": {
         "recipe": "gaussian:30x12",
@@ -179,9 +215,27 @@ EXPERIMENT_PLANS = {
              "residual_tol": 0.0, "seed": 9},
         ],
     },
+    # One trial that stops before max_iters: its CSV rows are padded.
+    "padded": {
+        "recipe": "gaussian:12x5",
+        "recipe_seed": 13,
+        "trials": 1,
+        "configs": [
+            {"name": "adaptive", "method": "rbk", "sampling": "uniform:3",
+             "stepsize": {"kind": "adaptive"}, "max_iters": 200, "residual_tol": 1e-6,
+             "seed": 2},
+            {"name": "basic", "method": "basic", "sampling": "uniform:1",
+             "stepsize": {"kind": "classic", "alpha": 1.0}, "max_iters": 300,
+             "residual_tol": 1e-4, "seed": 3},
+        ],
+    },
 }
 
-EXPERIMENT_GOLDEN = {"tall": "64cf9f67670d4076", "wide": "797f4f23b2fdca8f"}
+EXPERIMENT_GOLDEN = {
+    "tall": "64cf9f67670d4076",
+    "wide": "797f4f23b2fdca8f",
+    "padded": "87f277d5fcbc2bb8",
+}
 
 
 @pytest.mark.parametrize("plan_name", sorted(EXPERIMENT_PLANS))
