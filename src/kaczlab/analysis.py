@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MissingSpectrumError, NotNormalizedError
-from .linalg import LinearSystem, spectral_norm_sq, sym_eigenvalues
+from .linalg import LinearSystem, sym_eigenvalues
 from .sampling import (
     ENUMERATION_CAP,
     Partition,
@@ -117,7 +117,7 @@ def build_conditioning_report(
         lambda_max_block_samples=budget if mode == MONTE_CARLO else None,
         W=W,
         lambda_min_nz_W=spec_W.lambda_min_nz,
-        spectral_sq=spectral_norm_sq(system.A),
+        spectral_sq=gram.lambda_max,
         frobenius_sq=float(np.sum(system.row_norms_sq)),
         lambda_min_AAt=max(gram.lambda_min, 0.0),
         lambda_max_AAt=gram.lambda_max,

@@ -45,6 +45,7 @@ from .solver import (
     STALLED,
     SolverConfig,
     config_from_dict,
+    pad_to,
     run_monte_carlo,
     run_solver,
 )
@@ -199,8 +200,7 @@ def cmd_solve(args) -> int:
         trace.to_csv(args.out)
     if args.json_out:
         trace.to_json(args.json_out)
-    final = trace.events[-1]
-    print(f"{trace.status}: k={final.k} residual={final.residual_norm:.6e}")
+    print(f"{trace.status}: k={trace.iterations} residual={trace.residual[-1]:.6e}")
     return _STATUS_EXIT[trace.status]
 
 
@@ -307,11 +307,9 @@ def cmd_experiment(args) -> int:
         factor = _theory_factor(config, system, budget)
         if trials == 1:
             trace = run_solver(config, system)
-            length = config.max_iters + 1
-            dist = trace.dist_sq_series()
-            dist = np.concatenate([dist, np.repeat(dist[-1], length - dist.size)])
-            mean, stderr = dist, np.zeros(length)
-            hits = [trace.events[-1].k if trace.status == CONVERGED else -1]
+            mean = pad_to(trace.dist_sq, config.max_iters + 1)
+            stderr = np.zeros(mean.size)
+            hits = [trace.iterations if trace.status == CONVERGED else -1]
         else:
             mc = run_monte_carlo(config, system, trials)
             mean, stderr = mc.mean_dist_sq, mc.stderr_dist_sq

@@ -161,10 +161,10 @@ def normalize_rows(system: LinearSystem) -> tuple[LinearSystem, RowScaling]:
     return out, RowScaling(norms)
 
 
-def sym_eigenvalues(S, rank_tolerance: float = RANK_TOL) -> SpectralSummary:
+def sym_eigenvalues(S) -> SpectralSummary:
     """All eigenvalues of a symmetric matrix S.
 
-    ``rank_estimate`` counts eigenvalues exceeding ``rank_tolerance *
+    ``rank_estimate`` counts eigenvalues exceeding ``RANK_TOL *
     lambda_max`` (intended for PSD Gram matrices); ``lambda_min_nz`` is the
     smallest such eigenvalue, or 0.0 when none qualifies.
     """
@@ -177,7 +177,7 @@ def sym_eigenvalues(S, rank_tolerance: float = RANK_TOL) -> SpectralSummary:
         raise NotSymmetricError(f"relative asymmetry {asym / max(1.0, scale):.3e}")
     eig = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]  # descending
     lam_max = float(eig[0])
-    nonzero = eig[eig > rank_tolerance * lam_max] if lam_max > 0 else eig[:0]
+    nonzero = eig[eig > RANK_TOL * lam_max] if lam_max > 0 else eig[:0]
     return SpectralSummary(
         eigenvalues=eig,
         lambda_max=lam_max,

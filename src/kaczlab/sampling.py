@@ -123,18 +123,16 @@ def sample_block(spec: SamplingSpec, rng: np.random.Generator) -> np.ndarray:
 def membership_probability(spec: SamplingSpec, i: int) -> float:
     """p_i = P(i in J): tau/m for uniform subsets, the probability of the
     unique block containing i for partitions."""
-    if isinstance(spec, UniformSubset):
-        if not 0 <= i < spec.m:
-            raise IndexError(f"row index {i} out of range for m={spec.m}")
-        return spec.tau / spec.m
     if not 0 <= i < spec.m:
         raise IndexError(f"row index {i} out of range for m={spec.m}")
-    return float(spec.probs[spec._block_of[i]])
+    return float(membership_probabilities(spec)[i])
 
 
 def membership_probabilities(spec: SamplingSpec) -> np.ndarray:
-    m = spec.m
-    return np.array([membership_probability(spec, i) for i in range(m)])
+    """All m membership probabilities p_i at once."""
+    if isinstance(spec, UniformSubset):
+        return np.full(spec.m, spec.tau / spec.m)
+    return spec.probs[spec._block_of]
 
 
 def support_count(spec: SamplingSpec) -> int:

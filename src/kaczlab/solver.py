@@ -7,12 +7,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigMismatchError, ZeroRowError
-from .linalg import LinearSystem, SolutionProjector, least_squares_min_norm
+from .linalg import LinearSystem, SolutionProjector, as_vector, least_squares_min_norm
 from .sampling import (
     SamplingSpec,
     UniformSubset,
@@ -150,19 +152,50 @@ class IterationEvent:
 
 @dataclass(frozen=True)
 class SolverTrace:
+    """One run as columns with one entry per iteration k = 0..K: ``alpha``
+    (NaN at k = 0 and on skipped adaptive steps), ``residual`` (||A x^k -
+    b||), ``dist_sq`` (NaN unless diagnostics are on), ``blocks`` (None at
+    k = 0), and ``iterates``, a (K + 1, n) array at trace level
+    ``iterates`` (else None)."""
+
     config: SolverConfig
-    events: list[IterationEvent]
     status: str
     final_x: np.ndarray
+    alpha: np.ndarray
+    residual: np.ndarray
+    dist_sq: np.ndarray
+    blocks: list[np.ndarray | None]
+    iterates: np.ndarray | None
+
+    @property
+    def iterations(self) -> int:
+        return self.residual.size - 1
+
+    @cached_property
+    def events(self) -> list[IterationEvent]:
+        """The columns as one IterationEvent per k, built on first access."""
+        columns = zip(self.alpha.tolist(), self.residual.tolist(), self.dist_sq.tolist())
+        return [
+            IterationEvent(
+                k=k,
+                block=self.blocks[k],
+                alpha=None if math.isnan(alpha) else alpha,
+                skipped=k > 0 and math.isnan(alpha),
+                residual_norm=res,
+                dist_sq=dist if self.config.diagnostics else None,
+                iterate=None if self.iterates is None else self.iterates[k],
+            )
+            for k, (alpha, res, dist) in enumerate(columns)
+        ]
 
     def residual_norms(self) -> np.ndarray:
-        return np.array([e.residual_norm for e in self.events])
+        return self.residual
 
     def dist_sq_series(self) -> np.ndarray:
-        return np.array([np.nan if e.dist_sq is None else e.dist_sq for e in self.events])
+        return self.dist_sq
 
     def alphas(self) -> list[float | None]:
-        return [e.alpha for e in self.events[1:]]
+        return [None if math.isnan(a) else a for a in self.alpha[1:].tolist()]
 
     def to_csv(self, path) -> None:
         """Columns: k, block_size, alpha, residual_norm, dist_sq.
@@ -186,15 +219,9 @@ class SolverTrace:
             "status": self.status,
             "final_x": self.final_x.tolist(),
             "events": [
-                {
-                    "k": e.k,
-                    "block": None if e.block is None else [int(i) for i in e.block],
-                    "alpha": e.alpha,
-                    "skipped": e.skipped,
-                    "residual_norm": e.residual_norm,
-                    "dist_sq": e.dist_sq,
-                    "iterate": None if e.iterate is None else e.iterate.tolist(),
-                }
+                {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
+                | {"block": None if e.block is None else e.block.tolist(),
+                   "iterate": None if e.iterate is None else e.iterate.tolist()}
                 for e in self.events
             ],
         }
@@ -222,7 +249,8 @@ def run_solver(
     max_iters is hit.
 
     Runs are bit-reproducible for a fixed seed.  Adaptive runs record skip
-    events and stall after STALL_LIMIT consecutive skips.
+    events and stall after STALL_LIMIT consecutive skips.  ``x0`` must be a
+    finite vector of length n (``ValueError`` otherwise).
     """
     if config.sampling.m != system.m:
         raise ConfigMismatchError(
@@ -244,43 +272,29 @@ def run_solver(
         tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
 
     rng = np.random.default_rng(config.seed)
-    x = np.zeros(system.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    keep_iterates = config.trace_level == FULL_ITERATES
+    x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n).copy()
+    # The columns, one entry per k.  No step updates x in place, so the
+    # iterates column can hold each x^k itself.
+    alpha_col, residual, blocks = [np.nan], [system.residual_norm(x)], [None]
+    dist = [projector.dist_sq(x)] if config.diagnostics else None
+    iterates = [x] if config.trace_level == FULL_ITERATES else None
 
-    def snapshot(k, block, alpha, skipped, res):
-        return IterationEvent(
-            k=k,
-            block=block,
-            alpha=alpha,
-            skipped=skipped,
-            residual_norm=res,
-            dist_sq=projector.dist_sq(x) if config.diagnostics else None,
-            iterate=x.copy() if keep_iterates else None,
-        )
-
-    events = [snapshot(0, None, None, False, system.residual_norm(x))]
-    if events[0].residual_norm <= tol:
-        return SolverTrace(config, events, CONVERGED, x.copy())
-
-    status = MAX_ITERS
     consecutive_skips = 0
-    for k in range(1, config.max_iters + 1):
+    # "not <= tol" rather than "> tol": a NaN residual runs on to max_iters.
+    while (not residual[-1] <= tol and len(residual) <= config.max_iters
+           and consecutive_skips < STALL_LIMIT):
         J = sample_block(config.sampling, rng)
         skipped = False
-        alpha: float | None
-
         if alphas is None:
             w = config.weights.realized(system, J)
             residuals = system.A[J] @ x - system.b[J]
             step = adaptive_alpha(system.A[J], residuals, w, config.stepsize.delta)
-            if step is None:
-                skipped = True
-                alpha = None
-            else:
+            skipped = step is None
+            if not skipped:
                 alpha = step.alpha
                 x = x - step.alpha * step.direction
         else:
-            alpha = float(alphas[k - 1])
+            alpha = float(alphas[len(residual) - 1])
             if config.method == BASIC:
                 i = int(J[0])
                 x = basic_kaczmarz_step(x, system.A[i], system.b[i], alpha)
@@ -290,21 +304,27 @@ def run_solver(
             else:
                 x = block_projection_step(x, system, J, alpha)
 
-        events.append(snapshot(k, J, alpha, skipped, system.residual_norm(x)))
+        blocks.append(J)
+        alpha_col.append(np.nan if skipped else alpha)
+        residual.append(system.residual_norm(x))
+        if dist is not None:
+            dist.append(projector.dist_sq(x))
+        if iterates is not None:
+            iterates.append(x)
+        consecutive_skips = consecutive_skips + 1 if skipped else 0
 
-        if skipped:
-            consecutive_skips += 1
-            if consecutive_skips >= STALL_LIMIT:
-                status = STALLED
-                break
-        else:
-            consecutive_skips = 0
-
-        if events[-1].residual_norm <= tol:
-            status = CONVERGED
-            break
-
-    return SolverTrace(config, events, status, x.copy())
+    if residual[-1] <= tol:
+        status = CONVERGED
+    else:
+        status = STALLED if consecutive_skips >= STALL_LIMIT else MAX_ITERS
+    return SolverTrace(
+        config, status, x.copy(),
+        alpha=np.array(alpha_col),
+        residual=np.array(residual),
+        dist_sq=np.full(len(residual), np.nan) if dist is None else np.array(dist),
+        blocks=blocks,
+        iterates=None if iterates is None else np.stack(iterates),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,58 +352,40 @@ class MonteCarloSummary:
     hit_iteration: np.ndarray  # per trial: first k at tolerance, -1 if never
 
 
-def _padded(series: np.ndarray, length: int) -> np.ndarray:
-    if series.shape[0] == length:
-        return series
-    pad = np.repeat(series[-1:], length - series.shape[0], axis=0)
-    return np.concatenate([series, pad], axis=0)
+def pad_to(series: np.ndarray, length: int) -> np.ndarray:
+    """``series`` with its last entry repeated up to ``length`` entries."""
+    return np.concatenate([series, np.repeat(series[-1:], length - len(series), axis=0)])
 
 
-def run_monte_carlo(
-    config: SolverConfig,
-    system: LinearSystem,
-    trials: int,
-    x0: np.ndarray | None = None,
-) -> MonteCarloSummary:
+def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> MonteCarloSummary:
     """Run ``trials`` independent solves with seeds split(seed, t) and
     aggregate per-iteration means and standard errors."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    length = config.max_iters + 1
-
-    dists = [] if config.diagnostics else None
-    iterates = [] if config.trace_level == FULL_ITERATES else None
-    residuals = []
+    # The trace columns to aggregate, each padded to max_iters + 1 per trial.
+    columns = {"residual": [], "dist_sq": [], "iterates": []}
+    if not config.diagnostics:
+        del columns["dist_sq"]
+    if config.trace_level != FULL_ITERATES:
+        del columns["iterates"]
     hits = []
     for t in range(trials):
-        cfg = dataclasses.replace(config, seed=split_seed(config.seed, t))
-        trace = run_solver(cfg, system, x0=x0)
-        residuals.append(_padded(trace.residual_norms(), length))
-        hits.append(trace.events[-1].k if trace.status == CONVERGED else -1)
-        if dists is not None:
-            dists.append(_padded(trace.dist_sq_series(), length))
-        if iterates is not None:
-            iterates.append(_padded(np.stack([e.iterate for e in trace.events]), length))
+        trace = run_solver(dataclasses.replace(config, seed=split_seed(config.seed, t)), system)
+        hits.append(trace.iterations if trace.status == CONVERGED else -1)
+        for name, rows in columns.items():
+            rows.append(pad_to(getattr(trace, name), config.max_iters + 1))
 
-    residuals = np.stack(residuals)
-    out = {
-        "trials": trials,
-        "mean_dist_sq": None,
-        "stderr_dist_sq": None,
-        "mean_iterate": None,
-        "stderr_iterate": None,
-        "mean_residual_norm": residuals.mean(axis=0),
-        "hit_iteration": np.asarray(hits, dtype=int),
-    }
-    if dists is not None:
-        d = np.stack(dists)
-        out["mean_dist_sq"] = d.mean(axis=0)
-        out["stderr_dist_sq"] = d.std(axis=0, ddof=1) / np.sqrt(trials)
-    if iterates is not None:
-        it = np.stack(iterates)
-        out["mean_iterate"] = it.mean(axis=0)
-        out["stderr_iterate"] = it.std(axis=0, ddof=1) / np.sqrt(trials)
-    return MonteCarloSummary(**out)
+    stats = {}
+    for name, rows in columns.items():
+        stacked = np.stack(rows)
+        stats[name] = stacked.mean(axis=0), stacked.std(axis=0, ddof=1) / np.sqrt(trials)
+    return MonteCarloSummary(
+        trials,
+        *stats.get("dist_sq", (None, None)),
+        *stats.get("iterates", (None, None)),
+        mean_residual_norm=stats["residual"][0],
+        hit_iteration=np.asarray(hits, dtype=int),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +393,8 @@ def run_monte_carlo(
 # ---------------------------------------------------------------------------
 
 def config_to_dict(config: SolverConfig) -> dict:
-    return {
-        "method": config.method,
-        "sampling": config.sampling.to_dict(),
-        "weights": config.weights.to_dict(),
-        "stepsize": config.stepsize.to_dict(),
-        "max_iters": config.max_iters,
-        "residual_tol": config.residual_tol,
-        "seed": config.seed,
-        "trace_level": config.trace_level,
-        "diagnostics": config.diagnostics,
-    }
+    doc = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    return doc | {key: doc[key].to_dict() for key in ("sampling", "weights", "stepsize")}
 
 
 def config_from_dict(doc: dict, system: LinearSystem) -> SolverConfig:

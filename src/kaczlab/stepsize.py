@@ -19,6 +19,7 @@ from .errors import (
     BadSpectrumError,
     ConfigMismatchError,
     NonPositiveConditioningError,
+    ZeroRowError,
 )
 from .kinds import Kind, from_kind_dict, registry
 from .linalg import LinearSystem
@@ -215,6 +216,7 @@ def adaptive_alpha(
     d = sum_i omega_bar_i r_i a_i, returns L = (sum_i omega_bar_i r_i^2) /
     ||d||^2 and alpha = (2 - delta) L.  Returns ``None`` (skip: no step can
     make progress) when all residuals vanish or ||d||^2 < DIRECTION_EPS.
+    A zero row raises :class:`ZeroRowError` with its position in the block.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
@@ -226,8 +228,11 @@ def adaptive_alpha(
     d = np.zeros(block_rows.shape[1])
     numer = 0.0
     # Fixed ascending-row accumulation keeps replays bit-identical.
-    for a, r, w in zip(block_rows, residuals, weights):
-        wbar = w / (a @ a)
+    for pos, (a, r, w) in enumerate(zip(block_rows, residuals, weights)):
+        nrm = a @ a
+        if nrm < 1e-28:
+            raise ZeroRowError(pos)
+        wbar = w / nrm
         numer += wbar * r * r
         d += (wbar * r) * a
     dnorm_sq = float(d @ d)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kaczlab.errors import ConfigMismatchError
+from kaczlab.errors import ConfigMismatchError, ZeroRowError
 from kaczlab.linalg import LinearSystem
 from kaczlab.problems import GaussianNormalized, OrthonormalBlocks, generate_problem
 from kaczlab.sampling import (
@@ -395,3 +395,30 @@ def test_orthonormal_blocks_aligned_partition_one_step_per_block():
     x = np.random.default_rng(30).standard_normal(8)
     out = rbk_step(x, system, J, np.full(4, 0.25), alpha=4.0)
     assert np.linalg.norm(system.A[J] @ out - system.b[J]) <= 1e-10
+
+
+@pytest.mark.parametrize("method,policy", [
+    (BASIC, ClassicConstant(1.0)),
+    (RBK, ClassicConstant(1.0)),
+    (RBK, Adaptive(1.0)),
+], ids=["basic-classic", "rbk-classic", "rbk-adaptive"])
+def test_zero_row_draw_raises(method, policy):
+    # Row 2 is zero and b_2 = 0, so the system stays consistent; every
+    # kernel must refuse the row instead of dividing by its zero norm.
+    A = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    x_star = np.array([1.0, -1.0, 2.0])
+    system = LinearSystem(A, A @ x_star, planted_solution=x_star)
+    spec = UniformSubset(4, 1 if method == BASIC else 2)
+    config = SolverConfig(method, spec, uniform_weights(spec), policy, max_iters=50, seed=4)
+    with pytest.raises(ZeroRowError):
+        run_solver(config, system)
+
+
+@pytest.mark.parametrize("x0", [np.full(3, np.nan), np.array([0.0, np.inf, 0.0]), np.zeros(2)],
+                         ids=["nan", "inf", "short"])
+def test_bad_x0_is_rejected(x0):
+    system = normalized_system(5, 3, seed=30)
+    spec = UniformSubset(5, 1)
+    config = SolverConfig(BASIC, spec, uniform_weights(spec), ClassicConstant(1.0), max_iters=5)
+    with pytest.raises(ValueError):
+        run_solver(config, system, x0=x0)
