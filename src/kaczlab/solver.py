@@ -169,6 +169,7 @@ class SolverTrace:
 
     @property
     def iterations(self) -> int:
+        """K, the number of iterations run."""
         return self.residual.size - 1
 
     @cached_property
