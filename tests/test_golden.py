@@ -16,7 +16,7 @@ import pytest
 
 from kaczlab.cli import main
 from kaczlab.linalg import LinearSystem, sym_eigenvalues
-from kaczlab.sampling import UniformSubset, partition_spec
+from kaczlab.sampling import UniformSubset, build_random_paving, partition_spec
 from kaczlab.solver import (
     BASIC,
     BLOCK_PROJECTION,
@@ -181,6 +181,51 @@ def test_trace_json_golden(tmp_path):
     assert any(e.skipped for e in trace.events)
     trace.to_json(tmp_path / "trace.json")
     assert _digest((tmp_path / "trace.json").read_bytes()) == "5ffc69b2e46c6489"
+
+
+def _one_column_system():
+    rng = np.random.default_rng(9)
+    A = rng.uniform(0.5, 2.0, size=(12, 1)) * rng.choice([-1.0, 1.0], size=(12, 1))
+    return LinearSystem(A, A @ np.array([0.7]), planted_solution=np.array([0.7]))
+
+
+def _wide_block_case(name):
+    """Blocks of 8 rows and more, where a sum over a block's rows is longer
+    than numpy's pairwise-summation unroll, and a one-column system."""
+    system, spec, policy, weights = {
+        "adaptive-tau12": (TALL, UniformSubset(50, 12), Adaptive(0.8), "rownormsq"),
+        "constant-tau16": (TALL, UniformSubset(50, 16), ExtrapolatedConstant(6.0, 0.5), "rownormsq"),
+        "adaptive-paving-9-8": (TALL, build_random_paving(5, 50, 6).to_spec(), Adaptive(), "uniform"),
+        "one-column-tau9": (_one_column_system(), UniformSubset(12, 9), ClassicConstant(1.5), "uniform"),
+        "one-column-adaptive": (_one_column_system(), UniformSubset(12, 9), Adaptive(0.9), "rownormsq"),
+    }[name]
+    scheme = row_norm_sq_weights(spec, system) if weights == "rownormsq" else uniform_weights(spec)
+    config = SolverConfig(RBK, spec, scheme, policy, max_iters=40, residual_tol=0.0, seed=23,
+                          diagnostics=True)
+    return config, system
+
+
+WIDE_BLOCK_GOLDEN = {
+    "adaptive-tau12": "c0314d0724db2685",
+    "constant-tau16": "3179a42f3af52fba",
+    "adaptive-paving-9-8": "832ff23c429b1583",
+    "one-column-tau9": "208512bfdc612629",
+    "one-column-adaptive": "62bdbff73b288cb1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_BLOCK_GOLDEN))
+def test_wide_block_golden(name):
+    config, system = _wide_block_case(name)
+    assert trace_digest(run_solver(config, system)) == WIDE_BLOCK_GOLDEN[name]
+
+
+def test_run_monte_carlo_wide_block_golden():
+    config, system = _wide_block_case("adaptive-tau12")
+    mc = run_monte_carlo(config, system, trials=3)
+    digest = _digest(mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(),
+                     mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes())
+    assert digest == "14cdcc42866b50bb"
 
 
 EXPERIMENT_PLANS = {
