@@ -9,6 +9,7 @@ row-diversity condition.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -21,7 +22,6 @@ from .sampling import (
     Partition,
     Paving,
     SamplingSpec,
-    enumerate_supports,
     membership_probabilities,
     support_count,
 )
@@ -32,11 +32,27 @@ PARTITION_MAX = "partition-max"
 MONTE_CARLO = "monte-carlo-estimate"
 
 
-def _support_lambda_max(system: LinearSystem, J: np.ndarray) -> float:
-    """lambda_max(A_J^T diag(1/||a_i||^2) A_J) via the smaller Gram."""
-    B = system.A[J] / np.sqrt(system.row_norms_sq[J])[:, None]
-    G = B @ B.T if len(J) <= system.n else B.T @ B
-    return float(np.linalg.eigvalsh(G)[-1])
+# Supports per stacked eigensolve, at most; fewer where their rows would
+# take more than SUPPORT_CHUNK_BYTES.  Bounds the stack's memory.
+SUPPORT_CHUNK = 1024
+SUPPORT_CHUNK_BYTES = 1 << 18
+
+
+def _supports_lambda_max(system: LinearSystem, supports: np.ndarray) -> np.ndarray:
+    """lambda_max(A_J^T diag(1/||a_i||^2) A_J) for each row J of the (S,
+    tau) array ``supports``, via the smaller Gram; chunks of supports per
+    stacked ``eigvalsh``, each value with the bits of a one-support call."""
+    values = np.empty(len(supports))
+    row_bytes = supports.shape[1] * system.n * system.A.itemsize
+    chunk = max(1, min(SUPPORT_CHUNK, SUPPORT_CHUNK_BYTES // row_bytes))
+    for start in range(0, len(supports), chunk):
+        J = supports[start:start + chunk]
+        B = system.A[J]
+        B /= np.sqrt(system.row_norms_sq[J])[..., None]
+        Bt = B.transpose(0, 2, 1)
+        G = B @ Bt if J.shape[1] <= system.n else Bt @ B
+        values[start:start + len(J)] = np.linalg.eigvalsh(G)[:, -1]
+    return values
 
 
 def block_lambda_max(
@@ -53,17 +69,21 @@ def block_lambda_max(
     sampled supports is reported (a lower bound, flagged by its mode).
     """
     if isinstance(spec, Partition):
-        val = max(_support_lambda_max(system, np.asarray(blk)) for blk in spec.blocks)
-        return val, PARTITION_MAX
+        sizes = sorted({len(blk) for blk in spec.blocks})
+        val = max(
+            _supports_lambda_max(system, np.array([b for b in spec.blocks if len(b) == size])).max()
+            for size in sizes
+        )
+        return float(val), PARTITION_MAX
     if support_count(spec) <= ENUMERATION_CAP:
-        val = max(_support_lambda_max(system, J) for J, _ in enumerate_supports(spec))
-        return val, EXACT_ENUMERATION
+        combos = itertools.combinations(range(spec.m), spec.tau)
+        chunks = iter(lambda: list(itertools.islice(combos, SUPPORT_CHUNK)), [])
+        val = max(_supports_lambda_max(system, np.array(chunk)).max() for chunk in chunks)
+        return float(val), EXACT_ENUMERATION
     rng = np.random.default_rng(seed)
-    val = 0.0
-    for _ in range(budget):
-        J = rng.choice(spec.m, size=spec.tau, replace=False)
-        val = max(val, _support_lambda_max(system, J))
-    return val, MONTE_CARLO
+    supports = np.array([rng.choice(spec.m, size=spec.tau, replace=False) for _ in range(budget)])
+    val = _supports_lambda_max(system, supports).max() if budget else 0.0
+    return float(max(val, 0.0)), MONTE_CARLO
 
 
 def build_W(system: LinearSystem, spec: SamplingSpec) -> np.ndarray:
@@ -105,7 +125,16 @@ def build_conditioning_report(
     budget: int = 1000,
     seed: int = 0,
 ) -> ConditioningReport:
-    lam_block, mode = block_lambda_max(system, spec, budget=budget, seed=seed)
+    block = block_lambda_max(system, spec, budget=budget, seed=seed)
+    return conditioning_report(system, spec, block, budget)
+
+
+def conditioning_report(
+    system: LinearSystem, spec: SamplingSpec, block: tuple[float, str], budget: int
+) -> ConditioningReport:
+    """The report for a lambda_max^block already computed: ``block`` is
+    ``block_lambda_max``'s (value, mode) at this ``budget``."""
+    lam_block, mode = block
     W = build_W(system, spec)
     spec_W = sym_eigenvalues(W)
     gram = system.gram_spectrum

@@ -23,9 +23,25 @@ from .errors import (
 RANK_TOL = 1e-10
 # Rows with norm below this are rejected as zero rows.
 ZERO_ROW_TOL = 1e-14
+# The iteration kernels refuse a drawn row whose squared norm is below this.
+ZERO_ROW_NORM_SQ = 1e-28
 # b counts as outside range(A) when ||A A^+ b - b|| exceeds this times
 # 1 + ||b||.
 CONSISTENCY_TOL = 1e-6
+
+
+def block_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over axis 1 in index order: the bits of ``s = 0.0`` then
+    ``s += t`` for each t along the axis.  Overwrites ``terms``.
+
+    ``np.add.reduce`` sums pairwise when the summed axis ends up innermost
+    (a 2-d stack, or rows of length 1); ``accumulate`` adds in sequence for
+    every shape, and ``+ 0.0`` gives the +0.0 that starting from 0.0 leaves
+    where every term is -0.0.
+    """
+    if terms.shape[1] > 1:
+        np.add.accumulate(terms, axis=1, out=terms)
+    return terms[:, -1] + 0.0
 
 
 def as_matrix(A) -> np.ndarray:
@@ -111,7 +127,9 @@ class LinearSystem:
         return SolutionProjector(LinearSystem(self.A, self.b))
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x - self.b
+        """A x - b; for a stack of iterates (..., n), one gemv per iterate
+        (``np.matvec``), each with the bits of ``A @ x - b``."""
+        return np.matvec(self.A, x) - self.b
 
     def residual_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.residual(x)))
@@ -222,8 +240,13 @@ class SolutionProjector:
 
     def dist_sq(self, x: np.ndarray) -> float:
         """||x - Pi_X(x)||^2."""
-        d = self._pinv @ (self.system.A @ x - self.system.b)
-        return float(d @ d)
+        return float(self.residual_dist_sq(self.system.residual(x)))
+
+    def residual_dist_sq(self, r: np.ndarray) -> np.ndarray:
+        """||A^+ r||^2 per residual r = A x - b in a stack (..., m): the
+        squared distance of each x to the solution set."""
+        d = np.matvec(self._pinv, r)
+        return np.vecdot(d, d)
 
 
 def project_onto_solution_set(system: LinearSystem, x) -> np.ndarray:

@@ -120,6 +120,82 @@ def sample_block(spec: SamplingSpec, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(spec.blocks[l], dtype=int)
 
 
+# Steps of draws a BlockStream makes at once where it can draw ahead.
+DRAW_AHEAD = 256
+
+
+class BlockStream:
+    """The blocks ``sample_block`` would draw from each of several
+    generators, one per trial, drawn for all trials in lockstep.
+
+    ``next()`` makes every live trial's next draw with the values and the
+    generator use of ``sample_block``.  Uniform tau > 1 subsets take one
+    ``choice(replace=False)`` call per trial and step.  For tau = 1 and for
+    partitions one call with ``size=c`` gives the same values as c scalar
+    calls, so those draws are made up to ``DRAW_AHEAD`` steps ahead (never
+    past ``steps``); the generators serve nothing else, so drawing ahead of
+    a trial that stops early changes nothing it returns.
+    """
+
+    def __init__(self, spec: SamplingSpec, rngs, steps: int):
+        self.spec = spec
+        self.rngs = list(rngs)
+        self._steps_left = steps
+        self._ahead = np.empty((len(self.rngs), 0), dtype=int)
+        self._at = 0
+        self._subsets = isinstance(spec, UniformSubset) and spec.tau > 1
+        if isinstance(spec, Partition):
+            sizes = np.array([len(blk) for blk in spec.blocks])
+            rows = np.zeros((spec.ell, sizes.max()), dtype=int)
+            for l, blk in enumerate(spec.blocks):
+                rows[l, :len(blk)] = blk
+            self._rows, self._sizes = rows, sizes
+            self._ragged = bool(np.any(sizes != sizes[0]))
+
+    def next(self) -> np.ndarray:
+        """One draw per live trial: (L, tau) sorted rows for uniform specs,
+        (L,) block indices for partitions."""
+        spec = self.spec
+        if self._subsets:
+            J = np.stack([rng.choice(spec.m, size=spec.tau, replace=False) for rng in self.rngs])
+            J.sort(axis=1)
+            return J
+        if self._at == self._ahead.shape[1]:
+            count = min(DRAW_AHEAD, self._steps_left)
+            self._steps_left -= count
+            if isinstance(spec, UniformSubset):
+                # (L, count, 1): each step's draw is an (L, 1) array of rows.
+                drawn = [rng.integers(spec.m, size=(count, 1)) for rng in self.rngs]
+            else:
+                drawn = [rng.choice(spec.ell, size=count, p=spec.probs) for rng in self.rngs]
+            self._ahead, self._at = np.stack(drawn), 0
+        self._at += 1
+        return self._ahead[:, self._at - 1]
+
+    def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        """The drawn rows as (trials, J) pairs, J of shape (L_g, tau_g), one
+        pair per block size among the draws; trials None means all."""
+        if not isinstance(self.spec, Partition):
+            return [(None, draw)]
+        J = self._rows[draw]
+        if not self._ragged:
+            return [(None, J)]
+        sizes = self._sizes[draw]
+        return [(np.flatnonzero(sizes == size), J[sizes == size, :size])
+                for size in np.unique(sizes)]
+
+    def block(self, drawn) -> np.ndarray:
+        """The rows of one trial's draw (a row of ``next()``'s result)."""
+        if isinstance(self.spec, Partition):
+            return np.asarray(self.spec.blocks[int(drawn)], dtype=int)
+        return drawn
+
+    def keep(self, live: np.ndarray) -> None:
+        """Drop the trials where the boolean mask ``live`` is False."""
+        self.rngs = [rng for rng, keep in zip(self.rngs, live) if keep]
+        self._ahead = self._ahead[live]
+
+
 def membership_probability(spec: SamplingSpec, i: int) -> float:
     """p_i = P(i in J): tau/m for uniform subsets, the probability of the
     unique block containing i for partitions."""

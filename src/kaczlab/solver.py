@@ -1,6 +1,10 @@
-"""Iteration kernels (basic, averaged-block, block-projection), the run
-loop with tracing and stopping rules, and the Monte-Carlo engine used to
-verify convergence rates in expectation."""
+"""Solver configuration and run records, the run entry points, and the
+Monte-Carlo harness used to verify convergence rates in expectation.
+
+``run_solver`` and ``run_monte_carlo`` are the one-trial and the T-trial
+case of the lockstep engine (:mod:`kaczlab.engine`); the iteration kernels
+live in :mod:`kaczlab.kernels`.
+"""
 
 from __future__ import annotations
 
@@ -13,97 +17,44 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigMismatchError, ZeroRowError
-from .linalg import LinearSystem, SolutionProjector, as_vector, least_squares_min_norm
-from .sampling import (
-    SamplingSpec,
-    UniformSubset,
-    sample_block,
-    sampling_from_dict,
+from .engine import (
+    CONVERGED,
+    FULL_ITERATES,
+    MAX_ITERS,
+    NORMS_ONLY,
+    STALL_LIMIT,
+    STALLED,
+    Trials,
 )
+from .errors import ConfigMismatchError
+from .kernels import (
+    BASIC,
+    BLOCK_PROJECTION,
+    RBK,
+    basic_kaczmarz_step,
+    block_projection_step,
+    rbk_step,
+)
+from .linalg import LinearSystem, SolutionProjector
+from .sampling import SamplingSpec, sampling_from_dict
 from .stepsize import (
     StepsizePolicy,
     WeightScheme,
-    adaptive_alpha,
     stepsize_from_dict,
     weights_from_dict,
 )
 
-# An adaptive run is declared stalled after this many consecutive skips.
-STALL_LIMIT = 100
-
-CONVERGED = "converged"
-MAX_ITERS = "max-iters"
-STALLED = "stalled"
-
-
-# ---------------------------------------------------------------------------
-# Single-step kernels
-# ---------------------------------------------------------------------------
-
-def basic_kaczmarz_step(x: np.ndarray, row: np.ndarray, b_i: float, alpha: float) -> np.ndarray:
-    """x - alpha * ((row.x - b_i) / ||row||^2) * row.
-
-    alpha = 1 projects exactly onto the row's hyperplane; alpha = 2 reflects.
-    """
-    nrm = float(row @ row)
-    if nrm < 1e-28:
-        raise ZeroRowError(0)
-    d = ((row @ x - b_i) / nrm) * row
-    return x - alpha * d
-
-
-def rbk_step(
-    x: np.ndarray,
-    system: LinearSystem,
-    J: np.ndarray,
-    weights: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Averaged-projection update over the block J.
-
-    Per-row terms are reduced in ascending row-index order so replays are
-    bit-reproducible regardless of how callers parallelize row work.
-    """
-    J = np.asarray(J, dtype=int)
-    weights = np.asarray(weights, dtype=float)
-    order = np.argsort(J, kind="stable")
-    A, b = system.A, system.b
-    d = np.zeros(system.n)
-    for idx in order:
-        i = J[idx]
-        a = A[i]
-        # Same norm computation as basic_kaczmarz_step, so a singleton block
-        # reproduces the basic update bit for bit.
-        nrm = float(a @ a)
-        if nrm < 1e-28:
-            raise ZeroRowError(int(i))
-        d += ((weights[idx] * (a @ x - b[i])) / nrm) * a
-    return x - alpha * d
-
-
-def block_projection_step(
-    x: np.ndarray, system: LinearSystem, J: np.ndarray, alpha: float = 1.0
-) -> np.ndarray:
-    """x - alpha * A_J^+ (A_J x - b_J); with alpha = 1 this solves the
-    whole block exactly (up to rank deficiency)."""
-    J = np.asarray(J, dtype=int)
-    A_J = system.A[J]
-    r = A_J @ x - system.b[J]
-    return x - alpha * least_squares_min_norm(A_J, r)
+__all__ = [
+    "BASIC", "BLOCK_PROJECTION", "CONVERGED", "FULL_ITERATES", "MAX_ITERS", "NORMS_ONLY", "RBK",
+    "STALLED", "STALL_LIMIT", "IterationEvent", "MonteCarloSummary", "SolverConfig",
+    "SolverTrace", "basic_kaczmarz_step", "block_projection_step", "config_from_dict",
+    "config_to_dict", "pad_to", "rbk_step", "run_monte_carlo", "run_solver", "split_seed",
+]
 
 
 # ---------------------------------------------------------------------------
 # Configuration / trace records
 # ---------------------------------------------------------------------------
-
-BASIC = "basic"
-RBK = "rbk"
-BLOCK_PROJECTION = "block-projection"
-
-NORMS_ONLY = "norms"
-FULL_ITERATES = "iterates"
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -231,14 +182,8 @@ class SolverTrace:
 
 
 # ---------------------------------------------------------------------------
-# Run loop
+# Runs
 # ---------------------------------------------------------------------------
-
-def _supports_are_singletons(spec: SamplingSpec) -> bool:
-    if isinstance(spec, UniformSubset):
-        return spec.tau == 1
-    return all(len(blk) == 1 for blk in spec.blocks)
-
 
 def run_solver(
     config: SolverConfig,
@@ -247,89 +192,32 @@ def run_solver(
     projector: SolutionProjector | None = None,
 ) -> SolverTrace:
     """Iterate the configured method until the residual tolerance or
-    max_iters is hit.
+    max_iters is hit: the engine with one trial.
 
     Runs are bit-reproducible for a fixed seed.  Adaptive runs record skip
     events and stall after STALL_LIMIT consecutive skips.  ``x0`` must be a
     finite vector of length n (``ValueError`` otherwise).
     """
-    if config.sampling.m != system.m:
-        raise ConfigMismatchError(
-            f"sampling spec covers {config.sampling.m} rows but the system has {system.m}"
-        )
-    if config.method == BASIC and not _supports_are_singletons(config.sampling):
-        raise ConfigMismatchError("basic method requires |J| = 1 sampling")
-    alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
-    if config.method == BLOCK_PROJECTION and alphas is None:
-        raise ConfigMismatchError("adaptive stepsize applies to the averaged update only")
-
-    if projector is None and (config.diagnostics or system.planted_solution is None):
-        # Building the projector also raises InconsistentSystemError when b
-        # lies outside range(A).
-        projector = system.projector
-
-    tol = config.residual_tol
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
-
-    rng = np.random.default_rng(config.seed)
-    x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n).copy()
-    # The columns, one entry per k.  No step updates x in place, so the
-    # iterates column can hold each x^k itself.
-    alpha_col, residual, blocks = [np.nan], [system.residual_norm(x)], [None]
-    dist = [projector.dist_sq(x)] if config.diagnostics else None
-    iterates = [x] if config.trace_level == FULL_ITERATES else None
-
-    consecutive_skips = 0
-    # "not <= tol" rather than "> tol": a NaN residual runs on to max_iters.
-    while (not residual[-1] <= tol and len(residual) <= config.max_iters
-           and consecutive_skips < STALL_LIMIT):
-        J = sample_block(config.sampling, rng)
-        skipped = False
-        if alphas is None:
-            w = config.weights.realized(system, J)
-            residuals = system.A[J] @ x - system.b[J]
-            step = adaptive_alpha(system.A[J], residuals, w, config.stepsize.delta)
-            skipped = step is None
-            if not skipped:
-                alpha = step.alpha
-                x = x - step.alpha * step.direction
-        else:
-            alpha = float(alphas[len(residual) - 1])
-            if config.method == BASIC:
-                i = int(J[0])
-                x = basic_kaczmarz_step(x, system.A[i], system.b[i], alpha)
-            elif config.method == RBK:
-                w = config.weights.realized(system, J)
-                x = rbk_step(x, system, J, w, alpha)
-            else:
-                x = block_projection_step(x, system, J, alpha)
-
-        blocks.append(J)
-        alpha_col.append(np.nan if skipped else alpha)
-        residual.append(system.residual_norm(x))
-        if dist is not None:
-            dist.append(projector.dist_sq(x))
-        if iterates is not None:
-            iterates.append(x)
-        consecutive_skips = consecutive_skips + 1 if skipped else 0
-
-    if residual[-1] <= tol:
-        status = CONVERGED
+    run = Trials(config, system, [config.seed], x0, projector, keep_blocks=True)
+    K = run.iterations[0]
+    if run.alphas is None:
+        alpha = run.column("alpha", K + 1)[0]
     else:
-        status = STALLED if consecutive_skips >= STALL_LIMIT else MAX_ITERS
+        alpha = np.concatenate([[np.nan], run.alphas[:K]])
     return SolverTrace(
-        config, status, x.copy(),
-        alpha=np.array(alpha_col),
-        residual=np.array(residual),
-        dist_sq=np.full(len(residual), np.nan) if dist is None else np.array(dist),
-        blocks=blocks,
-        iterates=None if iterates is None else np.stack(iterates),
+        config, run.status[0], run.final_x[0].copy(),
+        alpha=alpha,
+        residual=run.column("residual", K + 1)[0],
+        dist_sq=(run.column("dist_sq", K + 1)[0] if config.diagnostics
+                 else np.full(K + 1, np.nan)),
+        blocks=run.blocks(),
+        iterates=(run.column("iterates", K + 1)[0]
+                  if config.trace_level == FULL_ITERATES else None),
     )
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo expectation engine
+# Monte-Carlo harness
 # ---------------------------------------------------------------------------
 
 def split_seed(seed: int, index: int) -> int:
@@ -359,27 +247,18 @@ def pad_to(series: np.ndarray, length: int) -> np.ndarray:
 
 
 def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> MonteCarloSummary:
-    """Run ``trials`` independent solves with seeds split(seed, t) and
-    aggregate per-iteration means and standard errors."""
+    """Run ``trials`` independent solves with seeds split(seed, t) in
+    lockstep and aggregate per-iteration means and standard errors.  Trial
+    t has the bits of ``run_solver`` at seed split(seed, t)."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    # The trace columns to aggregate, each padded to max_iters + 1 per trial.
-    columns = {"residual": [], "dist_sq": [], "iterates": []}
-    if not config.diagnostics:
-        del columns["dist_sq"]
-    if config.trace_level != FULL_ITERATES:
-        del columns["iterates"]
-    hits = []
-    for t in range(trials):
-        trace = run_solver(dataclasses.replace(config, seed=split_seed(config.seed, t)), system)
-        hits.append(trace.iterations if trace.status == CONVERGED else -1)
-        for name, rows in columns.items():
-            rows.append(pad_to(getattr(trace, name), config.max_iters + 1))
-
+    run = Trials(config, system, [split_seed(config.seed, t) for t in range(trials)])
     stats = {}
-    for name, rows in columns.items():
-        stacked = np.stack(rows)
-        stats[name] = stacked.mean(axis=0), stacked.std(axis=0, ddof=1) / np.sqrt(trials)
+    for name in ("residual", "dist_sq", "iterates"):
+        if name in run.columns:
+            stacked = run.column(name, config.max_iters + 1)
+            stats[name] = stacked.mean(axis=0), stacked.std(axis=0, ddof=1) / np.sqrt(trials)
+    hits = [k if status == CONVERGED else -1 for k, status in zip(run.iterations, run.status)]
     return MonteCarloSummary(
         trials,
         *stats.get("dist_sq", (None, None)),

@@ -22,7 +22,7 @@ from .errors import (
     ZeroRowError,
 )
 from .kinds import Kind, from_kind_dict, registry
-from .linalg import LinearSystem
+from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, block_sum
 from .sampling import Partition, SamplingSpec
 
 # Squared direction norms below this make an adaptive step degenerate.
@@ -108,14 +108,16 @@ class WeightScheme:
         return hash((self.kind, self.omega_min, self.omega_max))
 
     def realized(self, system: LinearSystem, J: np.ndarray) -> np.ndarray:
-        """Weights for the rows of block J, in the order of J."""
+        """Weights for the rows of block J, in the order of J; for a stack of
+        equal-size blocks (..., tau), per block."""
+        J = np.asarray(J)
         if self.kind == "uniform":
-            return np.full(len(J), 1.0 / len(J))
+            return np.full(J.shape, 1.0 / J.shape[-1])
         if self.kind == "rownormsq":
             w = system.row_norms_sq[J]
         else:
             w = self.base[J]
-        return w / w.sum()
+        return w / w.sum(axis=-1, keepdims=True)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind} | ({} if self.base is None else {"values": self.base.tolist()})
@@ -220,26 +222,40 @@ def adaptive_alpha(
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    block_rows = np.asarray(block_rows, dtype=float)
+    block_rows = np.array(block_rows, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if not np.any(residuals):
         return None
-    d = np.zeros(block_rows.shape[1])
-    numer = 0.0
-    # Fixed ascending-row accumulation keeps replays bit-identical.
-    for pos, (a, r, w) in enumerate(zip(block_rows, residuals, weights)):
-        nrm = a @ a
-        if nrm < 1e-28:
-            raise ZeroRowError(pos)
-        wbar = w / nrm
-        numer += wbar * r * r
-        d += (wbar * r) * a
-    dnorm_sq = float(d @ d)
-    if dnorm_sq < DIRECTION_EPS:
+    norms = np.vecdot(block_rows, block_rows)
+    zero = np.flatnonzero(norms < ZERO_ROW_NORM_SQ)
+    if zero.size:
+        raise ZeroRowError(int(zero[0]))
+    L, d, moved = adaptive_steps(block_rows[None], residuals[None], weights[None], norms[None])
+    if not moved[0]:
         return None
-    L = numer / dnorm_sq
-    return AdaptiveStep(alpha=(2.0 - delta) * L, L=L, direction=d)
+    return AdaptiveStep(alpha=(2.0 - delta) * L[0], L=L[0], direction=d[0])
+
+
+def adaptive_steps(
+    block_rows: np.ndarray, residuals: np.ndarray, weights: np.ndarray, norms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``adaptive_alpha``'s L and direction for a stack of blocks.
+
+    Takes (T, tau, n) rows with their (T, tau) residuals, weights (or one
+    scalar weight for all) and squared norms (none zero); returns (L, d,
+    moved): L is NaN where the block's step is skipped (``moved`` False).
+    The sums over a block run in row order, so each block gets the bits of
+    a one-block call.  Overwrites ``block_rows`` with the terms of d.
+    """
+    scaled = (weights / norms) * residuals
+    numer = block_sum(scaled * residuals)
+    d = block_sum(np.multiply(scaled[..., None], block_rows, out=block_rows))
+    dnorm_sq = np.vecdot(d, d)
+    # All-zero residuals give d = 0, so this also skips them.
+    moved = ~(dnorm_sq < DIRECTION_EPS)
+    L = np.divide(numer, dnorm_sq, out=np.full(moved.shape, np.nan), where=moved)
+    return L, d, moved
 
 
 # ---------------------------------------------------------------------------

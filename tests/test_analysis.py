@@ -92,6 +92,44 @@ class TestBlockLambdaMax:
         assert v1 == pytest.approx(v2, rel=1e-10)
 
 
+def _one_support_lambda_max(system, J):
+    """One support at a time, the reference for the stacked evaluation."""
+    B = system.A[J] / np.sqrt(system.row_norms_sq[J])[:, None]
+    G = B @ B.T if len(J) <= system.n else B.T @ B
+    return float(np.linalg.eigvalsh(G)[-1])
+
+
+@pytest.mark.parametrize("case", ["exact-chunked", "tau-above-n", "ragged-partition", "sampled"])
+def test_stacked_block_lambda_max_matches_one_support_loop(case, monkeypatch):
+    system = _spread_rows_system(30, 12, seed=5)
+    if case == "exact-chunked":  # C(30, 3) = 4060 supports: several chunks
+        spec = UniformSubset(30, 3)
+        supports = [J for J, _ in enumerate_supports(spec)]
+    elif case == "tau-above-n":
+        system = _spread_rows_system(16, 3, seed=6)
+        spec = UniformSubset(16, 5)
+        supports = [J for J, _ in enumerate_supports(spec)]
+    elif case == "ragged-partition":
+        spec = build_random_paving(2, 30, 7).to_spec()  # blocks of 5 and 4 rows
+        supports = [np.asarray(blk) for blk in spec.blocks]
+    else:
+        monkeypatch.setattr(analysis, "ENUMERATION_CAP", 10)
+        spec = UniformSubset(30, 4)
+        rng = np.random.default_rng(9)
+        supports = [rng.choice(30, size=4, replace=False) for _ in range(300)]
+    val, _ = block_lambda_max(system, spec, budget=300, seed=9)
+    expected = max(_one_support_lambda_max(system, J) for J in supports)
+    if case == "sampled":
+        expected = max(expected, 0.0)
+    assert val == expected
+
+
+def _spread_rows_system(m, n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, size=(m, 1))
+    return LinearSystem(A, A @ rng.standard_normal(n))
+
+
 class TestBuildW:
     def test_identity_tau_one(self):
         system = LinearSystem(np.eye(2), np.ones(2), normalized=True)

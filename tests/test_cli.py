@@ -268,6 +268,36 @@ class TestExperiment:
         factor = summary["configs"][-1]["theory_factor"]
         np.testing.assert_allclose(theory[1:], theory[:-1] * factor, rtol=1e-12)
 
+    def test_block_lambda_computed_once_per_config(self, tmp_path, monkeypatch):
+        # The constant-extrapolated stepsize and the theory factor use the
+        # same lambda_max^block (same spec, budget and seed): one evaluation.
+        import kaczlab.analysis
+        import kaczlab.cli
+
+        calls = []
+        original = kaczlab.analysis.block_lambda_max
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kaczlab.analysis, "block_lambda_max", counted)
+        monkeypatch.setattr(kaczlab.cli, "block_lambda_max", counted)
+        plan = {
+            "recipe": "gaussian:12x5", "trials": 2, "budget": 20,
+            "outputs": {"dir": str(tmp_path / "out")},
+            "configs": [
+                {"name": "constant", "method": "rbk", "sampling": "uniform:3",
+                 "stepsize": {"kind": "constant-extrapolated"}, "max_iters": 5},
+                {"name": "adaptive", "method": "rbk", "sampling": "partition:3",
+                 "stepsize": {"kind": "adaptive"}, "max_iters": 5},
+            ],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run_cli("experiment", str(plan_path)) == 0
+        assert len(calls) == 2
+
     def test_single_trial_zero_stderr(self, tmp_path):
         plan = {
             "recipe": "gaussian:6x6",

@@ -8,6 +8,8 @@ import pytest
 from kaczlab.errors import BadBlockCountError, TooLargeError
 from kaczlab.linalg import LinearSystem
 from kaczlab.sampling import (
+    DRAW_AHEAD,
+    BlockStream,
     Partition,
     UniformSubset,
     build_random_paving,
@@ -197,3 +199,31 @@ def test_full_batch_is_single_block():
     spec = full_batch(4)
     assert spec.blocks == (tuple(range(4)),)
     assert membership_probability(spec, 2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    UniformSubset(9, 1),
+    UniformSubset(9, 3),
+    partition_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8)], [0.5, 0.2, 0.3]),
+], ids=["tau1", "tau3", "ragged-partition"])
+def test_block_stream_replays_sample_block(spec):
+    # Three trials drawn in lockstep, past one draw-ahead chunk, with trial 1
+    # leaving the stack half-way: every draw is the one sample_block makes
+    # from that trial's own generator.
+    steps = DRAW_AHEAD + 40
+    seeds = [11, 12, 13]
+    refs = [np.random.default_rng(seed) for seed in seeds]
+    stream = BlockStream(spec, [np.random.default_rng(seed) for seed in seeds], steps)
+    live = [0, 1, 2]
+    for k in range(steps):
+        if k == steps // 2:
+            stream.keep(np.array([True, False, True]))
+            live = [0, 2]
+        draw = stream.next()
+        for pos, t in enumerate(live):
+            assert np.array_equal(stream.block(draw[pos]), sample_block(spec, refs[t]))
+        rows = {}
+        for trials, J in stream.groups(draw):
+            for pos, j in zip(range(len(live)) if trials is None else trials, J):
+                rows[pos] = j
+        assert all(np.array_equal(rows[pos], stream.block(draw[pos])) for pos in range(len(live)))

@@ -10,6 +10,7 @@ from kaczlab.problems import GaussianNormalized, OrthonormalBlocks, generate_pro
 from kaczlab.sampling import (
     Partition,
     UniformSubset,
+    build_random_paving,
     enumerate_supports,
     full_batch,
     partition_spec,
@@ -26,6 +27,7 @@ from kaczlab.solver import (
     block_projection_step,
     config_from_dict,
     config_to_dict,
+    pad_to,
     rbk_step,
     run_monte_carlo,
     run_solver,
@@ -34,8 +36,10 @@ from kaczlab.solver import (
 from kaczlab.stepsize import (
     Adaptive,
     ChebyshevPD,
+    ChebyshevSingular,
     ClassicConstant,
     ExtrapolatedConstant,
+    adaptive_alpha,
     row_norm_sq_weights,
     uniform_weights,
 )
@@ -105,6 +109,18 @@ class TestRbkStep:
         a = rbk_step(x, system, np.array([0, 2, 4]), w, alpha=1.0)
         b = rbk_step(x, system, np.array([4, 0, 2]), np.array([0.5, 0.2, 0.3]), alpha=1.0)
         assert np.array_equal(a, b)
+
+
+def test_step_entry_points_leave_their_inputs_unchanged():
+    # The stacked kernels write their terms into the gathered rows; the
+    # one-block entry points must gather or copy, never write into A.
+    system = normalized_system(6, 4, seed=31)
+    A = system.A.copy()
+    x = np.random.default_rng(32).standard_normal(4)
+    basic_kaczmarz_step(x, system.A[2], system.b[2], 1.0)
+    rbk_step(x, system, np.array([3, 1]), np.array([0.5, 0.5]), 1.3)
+    adaptive_alpha(system.A[:2], np.array([0.4, -0.2]), np.array([0.5, 0.5]))
+    assert np.array_equal(system.A, A)
 
 
 class TestBlockProjectionStep:
@@ -410,8 +426,12 @@ def test_zero_row_draw_raises(method, policy):
     system = LinearSystem(A, A @ x_star, planted_solution=x_star)
     spec = UniformSubset(4, 1 if method == BASIC else 2)
     config = SolverConfig(method, spec, uniform_weights(spec), policy, max_iters=50, seed=4)
-    with pytest.raises(ZeroRowError):
+    with pytest.raises(ZeroRowError) as single:
         run_solver(config, system)
+    with pytest.raises(ZeroRowError) as batched:
+        run_monte_carlo(config, system, trials=3)
+    # The error names the row of A, not its position in the block.
+    assert single.value.row == batched.value.row == 2
 
 
 @pytest.mark.parametrize("x0", [np.full(3, np.nan), np.array([0.0, np.inf, 0.0]), np.zeros(2)],
@@ -422,3 +442,119 @@ def test_bad_x0_is_rejected(x0):
     config = SolverConfig(BASIC, spec, uniform_weights(spec), ClassicConstant(1.0), max_iters=5)
     with pytest.raises(ValueError):
         run_solver(config, system, x0=x0)
+
+
+# ---------------------------------------------------------------------------
+# Trials run in lockstep replay serial runs bit for bit
+# ---------------------------------------------------------------------------
+
+def _spread_rows(m, n, seed):
+    """Consistent system with row norms spread over [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    A *= rng.uniform(0.5, 2.0, size=m)[:, None] / np.linalg.norm(A, axis=1)[:, None]
+    x = rng.standard_normal(n)
+    return LinearSystem(A, A @ x, planted_solution=x)
+
+
+_TALL = _spread_rows(30, 12, seed=40)  # A A^T singular
+_WIDE = _spread_rows(8, 16, seed=41)  # A A^T positive definite
+_HORIZON = 25
+_SPECS = {
+    "uniform1": UniformSubset(30, 1),
+    "uniform3": UniformSubset(30, 3),
+    "partition": partition_spec([range(i, i + 5) for i in range(0, 30, 5)]),
+    "ragged": build_random_paving(3, 30, 7).to_spec(),  # blocks of 5 and 4 rows
+}
+
+
+def _policy(kind):
+    if kind == "classic":
+        return ClassicConstant(1.2)
+    if kind == "constant-extrapolated":
+        return ExtrapolatedConstant(2.5, delta=0.5)
+    if kind == "adaptive":
+        return Adaptive(0.8)
+    gram = np.linalg.eigvalsh(_WIDE.A @ _WIDE.A.T)
+    if kind == "chebyshev-pd":
+        return ChebyshevPD(_HORIZON, gram[0], gram[-1], _WIDE.m)
+    gram = np.linalg.eigvalsh(_TALL.A @ _TALL.A.T)
+    return ChebyshevSingular(_HORIZON, gram[-1], _TALL.m)
+
+
+def _case(method, spec_name, kind, weights="uniform", tol=0.0):
+    system = _WIDE if kind == "chebyshev-pd" else _TALL
+    spec = _SPECS[spec_name]
+    if system is _WIDE:
+        spec = UniformSubset(8, 1) if spec_name == "uniform1" else partition_spec([range(4), range(4, 8)])
+    scheme = row_norm_sq_weights(spec, system) if weights == "rownormsq" else uniform_weights(spec)
+    config = SolverConfig(method, spec, scheme, _policy(kind), max_iters=_HORIZON, residual_tol=tol,
+                          seed=7, trace_level=FULL_ITERATES, diagnostics=True)
+    return config, system
+
+
+_KINDS = ["classic", "constant-extrapolated", "adaptive", "chebyshev-pd", "chebyshev-singular"]
+_LOCKSTEP_CASES = {
+    **{f"basic-{kind}": (BASIC, "uniform1", kind) for kind in _KINDS},
+    **{f"rbk-{kind}": (RBK, "uniform3", kind, "rownormsq") for kind in _KINDS},
+    **{f"blockproj-{kind}": (BLOCK_PROJECTION, "partition", kind)
+       for kind in _KINDS if kind != "adaptive"},
+    "rbk-tau1": (RBK, "uniform1", "classic"),
+    "rbk-partition": (RBK, "partition", "constant-extrapolated", "rownormsq"),
+    "rbk-ragged": (RBK, "ragged", "classic", "rownormsq"),
+    "adaptive-ragged": (RBK, "ragged", "adaptive"),
+    "blockproj-ragged": (BLOCK_PROJECTION, "ragged", "classic"),
+    # Trials stop at different k: the stack shrinks mid-run.
+    "rbk-tolerance": (RBK, "uniform3", "constant-extrapolated", "uniform", 1.0),
+    "adaptive-tolerance": (RBK, "ragged", "adaptive", "rownormsq", 0.7),
+}
+
+
+def _serial_summary(config, system, trials):
+    """run_monte_carlo's statistics from T separate run_solver calls."""
+    traces = [run_solver(dataclasses.replace(config, seed=split_seed(config.seed, t)), system)
+              for t in range(trials)]
+    fields = []
+    for name in ("dist_sq", "iterates", "residual"):
+        stacked = np.stack([pad_to(getattr(trace, name), config.max_iters + 1) for trace in traces])
+        fields += [stacked.mean(axis=0), stacked.std(axis=0, ddof=1) / np.sqrt(trials)]
+    hits = [trace.iterations if trace.status == CONVERGED else -1 for trace in traces]
+    return fields[:5] + [np.asarray(hits, dtype=int)], traces
+
+
+def _assert_lockstep_matches_serial(config, system, trials=4):
+    mc = run_monte_carlo(config, system, trials)
+    expected, traces = _serial_summary(config, system, trials)
+    got = [mc.mean_dist_sq, mc.stderr_dist_sq, mc.mean_iterate, mc.stderr_iterate,
+           mc.mean_residual_norm, mc.hit_iteration]
+    for name, a, b in zip(["mean_dist_sq", "stderr_dist_sq", "mean_iterate", "stderr_iterate",
+                           "mean_residual_norm", "hit_iteration"], got, expected):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return mc, traces
+
+
+@pytest.mark.parametrize("case", sorted(_LOCKSTEP_CASES))
+def test_lockstep_trials_match_serial_runs(case):
+    config, system = _case(*_LOCKSTEP_CASES[case])
+    mc, _ = _assert_lockstep_matches_serial(config, system)
+    if case.endswith("tolerance"):
+        assert len(set(mc.hit_iteration.tolist())) > 1
+
+
+def test_lockstep_skips_and_stalls_match_serial_runs():
+    # Block (2, 3) is satisfied at x0 = 0 for the whole run, so each of its
+    # draws is a skipped adaptive step.
+    A = np.array([[1.0, 0.5, 0.0, 0.0], [0.3, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.2], [0.0, 0.0, 0.4, 1.0]])
+    x_star = np.array([1.0, -2.0, 0.0, 0.0])
+    system = LinearSystem(A, A @ x_star, planted_solution=x_star)
+    spec = partition_spec([(0, 1), (2, 3)])
+    config = SolverConfig(RBK, spec, uniform_weights(spec), Adaptive(0.8), max_iters=30,
+                          residual_tol=0.0, seed=3, trace_level=FULL_ITERATES, diagnostics=True)
+    _, traces = _assert_lockstep_matches_serial(config, system, trials=5)
+    assert any(e.skipped for trace in traces for e in trace.events)
+    # Only the satisfied block is ever drawn: every trial stalls at k = 100.
+    stall = dataclasses.replace(config, sampling=Partition(((0, 1), (2, 3)), np.array([0.0, 1.0])),
+                                max_iters=300)
+    _, traces = _assert_lockstep_matches_serial(stall, system, trials=3)
+    assert [(trace.status, trace.iterations) for trace in traces] == [(STALLED, 100)] * 3
