@@ -2,8 +2,10 @@
 
 The package splits into the dense kernel (:mod:`kaczlab.linalg`), the row
 sampling machinery (:mod:`kaczlab.sampling`), stepsize policies and the
-Chebyshev toolkit (:mod:`kaczlab.stepsize`), the iteration loop and
-Monte-Carlo engine (:mod:`kaczlab.solver`), conditioning analysis
+Chebyshev toolkit (:mod:`kaczlab.stepsize`), the iteration kernels
+(:mod:`kaczlab.kernels`), the lockstep engine that runs one or many trials
+(:mod:`kaczlab.engine`), solver configuration, run records and the
+Monte-Carlo harness (:mod:`kaczlab.solver`), conditioning analysis
 (:mod:`kaczlab.analysis`), problem generators (:mod:`kaczlab.problems`),
 the JSON kind registries (:mod:`kaczlab.kinds`), and the command-line
 harness (:mod:`kaczlab.cli`).
