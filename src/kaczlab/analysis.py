@@ -38,21 +38,22 @@ SUPPORT_CHUNK = 1024
 SUPPORT_CHUNK_BYTES = 1 << 18
 
 
-def _supports_lambda_max(system: LinearSystem, supports: np.ndarray) -> np.ndarray:
-    """lambda_max(A_J^T diag(1/||a_i||^2) A_J) for each row J of the (S,
-    tau) array ``supports``, via the smaller Gram; chunks of supports per
-    stacked ``eigvalsh``, each value with the bits of a one-support call."""
-    values = np.empty(len(supports))
-    row_bytes = supports.shape[1] * system.n * system.A.itemsize
-    chunk = max(1, min(SUPPORT_CHUNK, SUPPORT_CHUNK_BYTES // row_bytes))
-    for start in range(0, len(supports), chunk):
-        J = supports[start:start + chunk]
+def _supports_lambda_max(system: LinearSystem, supports, tau: int) -> float:
+    """The largest lambda_max(A_J^T diag(1/||a_i||^2) A_J) over ``supports``,
+    an iterable of tau-row index sequences, via the smaller Gram.  One
+    stacked ``eigvalsh`` per chunk of supports; each value has the bits of
+    a one-support call."""
+    chunk = max(1, min(SUPPORT_CHUNK, SUPPORT_CHUNK_BYTES // (tau * system.n * system.A.itemsize)))
+    supports = iter(supports)
+    val = -math.inf
+    while J := list(itertools.islice(supports, chunk)):
+        J = np.array(J)
         B = system.A[J]
         B /= np.sqrt(system.row_norms_sq[J])[..., None]
         Bt = B.transpose(0, 2, 1)
-        G = B @ Bt if J.shape[1] <= system.n else Bt @ B
-        values[start:start + len(J)] = np.linalg.eigvalsh(G)[:, -1]
-    return values
+        G = B @ Bt if tau <= system.n else Bt @ B
+        val = max(val, float(np.linalg.eigvalsh(G)[:, -1].max()))
+    return val
 
 
 def block_lambda_max(
@@ -70,20 +71,26 @@ def block_lambda_max(
     """
     if isinstance(spec, Partition):
         sizes = sorted({len(blk) for blk in spec.blocks})
-        val = max(
-            _supports_lambda_max(system, np.array([b for b in spec.blocks if len(b) == size])).max()
-            for size in sizes
-        )
-        return float(val), PARTITION_MAX
+        val = max(_supports_lambda_max(system, (b for b in spec.blocks if len(b) == size), size)
+                  for size in sizes)
+        return val, PARTITION_MAX
     if support_count(spec) <= ENUMERATION_CAP:
         combos = itertools.combinations(range(spec.m), spec.tau)
-        chunks = iter(lambda: list(itertools.islice(combos, SUPPORT_CHUNK)), [])
-        val = max(_supports_lambda_max(system, np.array(chunk)).max() for chunk in chunks)
-        return float(val), EXACT_ENUMERATION
+        return _supports_lambda_max(system, combos, spec.tau), EXACT_ENUMERATION
     rng = np.random.default_rng(seed)
-    supports = np.array([rng.choice(spec.m, size=spec.tau, replace=False) for _ in range(budget)])
-    val = _supports_lambda_max(system, supports).max() if budget else 0.0
-    return float(max(val, 0.0)), MONTE_CARLO
+    supports = (rng.choice(spec.m, size=spec.tau, replace=False) for _ in range(budget))
+    return max(_supports_lambda_max(system, supports, spec.tau), 0.0), MONTE_CARLO
+
+
+def cached_block_lambda_max(
+    system: LinearSystem, spec: SamplingSpec, budget: int = 1000, seed: int = 0
+) -> tuple[float, str]:
+    """``block_lambda_max``, evaluated once per system, spec, budget and
+    seed: the value is kept in the system's cache."""
+    key = ("block_lambda_max", spec, budget, seed)
+    if key not in system.cache:
+        system.cache[key] = block_lambda_max(system, spec, budget=budget, seed=seed)
+    return system.cache[key]
 
 
 def build_W(system: LinearSystem, spec: SamplingSpec) -> np.ndarray:
@@ -125,16 +132,7 @@ def build_conditioning_report(
     budget: int = 1000,
     seed: int = 0,
 ) -> ConditioningReport:
-    block = block_lambda_max(system, spec, budget=budget, seed=seed)
-    return conditioning_report(system, spec, block, budget)
-
-
-def conditioning_report(
-    system: LinearSystem, spec: SamplingSpec, block: tuple[float, str], budget: int
-) -> ConditioningReport:
-    """The report for a lambda_max^block already computed: ``block`` is
-    ``block_lambda_max``'s (value, mode) at this ``budget``."""
-    lam_block, mode = block
+    lam_block, mode = cached_block_lambda_max(system, spec, budget, seed)
     W = build_W(system, spec)
     spec_W = sym_eigenvalues(W)
     gram = system.gram_spectrum

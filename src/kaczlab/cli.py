@@ -21,9 +21,8 @@ import numpy as np
 
 from . import mmio
 from .analysis import (
-    block_lambda_max,
     build_conditioning_report,
-    conditioning_report,
+    cached_block_lambda_max,
     paving_quality,
     predict_rates,
 )
@@ -137,17 +136,14 @@ def _positive_lambda_min(system: LinearSystem) -> float:
     return gram.lambda_min
 
 
-def _resolve_config(
-    doc: dict, system: LinearSystem, budget: int, diagnostics: bool
-) -> tuple[SolverConfig, tuple[float, str] | None]:
+def _resolve_config(doc: dict, system: LinearSystem, budget: int, diagnostics: bool) -> SolverConfig:
     """Build the SolverConfig of an experiment-plan entry (``solve``'s flags
     become one too).
 
     The sampling is a ``build_sampling`` string or a JSON dict, the weights
     a weight kind name.  Stepsize fields the entry leaves out are derived
     from the system, computing only what the policy's kind needs.
-    ``KACZLAB_SEED`` overrides the entry's seed.  Also returns
-    ``block_lambda_max``'s (value, mode) when it was derived, else None.
+    ``KACZLAB_SEED`` overrides the entry's seed.
     """
     seed = _env_seed(int(doc.get("seed", 0)))
     sampling = doc["sampling"]
@@ -156,14 +152,8 @@ def _resolve_config(
     else:
         spec = sampling_from_dict(sampling)
     max_iters = int(doc["max_iters"])
-    block = []
-
-    def lambda_max_block():
-        block.append(block_lambda_max(system, spec, budget=budget, seed=seed))
-        return block[0][0]
-
     derived = {
-        "lambda_max_block": lambda_max_block,
+        "lambda_max_block": lambda: cached_block_lambda_max(system, spec, budget, seed)[0],
         "lambda_min": lambda: _positive_lambda_min(system),
         "lambda_max": lambda: system.gram_spectrum.lambda_max,
         "m": lambda: system.m,
@@ -174,7 +164,7 @@ def _resolve_config(
         fields = dataclasses.fields(STEPSIZE_KINDS[step["kind"]])
         step = step | {f.name: derived[f.name]() for f in fields
                        if f.name in derived and f.name not in step}
-    config = SolverConfig(
+    return SolverConfig(
         method=doc["method"],
         sampling=spec,
         weights=weights_from_dict({"kind": doc.get("weights", "uniform")}, spec, system),
@@ -184,7 +174,6 @@ def _resolve_config(
         seed=seed,
         diagnostics=diagnostics,
     )
-    return config, (block[0] if block else None)
 
 
 def _typical_block_size(spec: SamplingSpec) -> float:
@@ -205,7 +194,7 @@ def cmd_solve(args) -> int:
         doc["seed"] = _env_seed(int(doc.get("seed", 0)))
         config = config_from_dict(doc, system)
     else:
-        config, _ = _resolve_config(_plan_entry(args), system, args.budget, args.diagnostics)
+        config = _resolve_config(_plan_entry(args), system, args.budget, args.diagnostics)
     trace = run_solver(config, system)
     if args.out:
         trace.to_csv(args.out)
@@ -278,17 +267,12 @@ def cmd_paving(args) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def _theory_factor(config: SolverConfig, system: LinearSystem, budget: int,
-                   block: tuple[float, str] | None) -> float:
+def _theory_factor(config: SolverConfig, system: LinearSystem, budget: int) -> float:
     """Per-iteration contraction factor of the theorem matching the config;
     1.0 when no theorem applies.  Chebyshev rows use the squared factor of
-    the weak (expected-iterate) criterion and are informational only.
-    ``block`` is lambda_max^block as ``_resolve_config`` derived it (None:
-    compute it)."""
+    the weak (expected-iterate) criterion and are informational only."""
     policy = config.stepsize
-    if block is None:
-        block = block_lambda_max(system, config.sampling, budget=budget, seed=config.seed)
-    report = conditioning_report(system, config.sampling, block, budget)
+    report = build_conditioning_report(system, config.sampling, budget=budget, seed=config.seed)
     rates = predict_rates(report, config.weights, getattr(policy, "delta", 1.0),
                           _typical_block_size(config.sampling))
     if isinstance(policy, ClassicConstant):
@@ -319,8 +303,8 @@ def cmd_experiment(args) -> int:
     summary = {"trials": trials, "configs": []}
     for idx, doc in enumerate(plan["configs"]):
         name = doc.get("name", f"config{idx}")
-        config, block = _resolve_config(doc, system, budget, diagnostics=True)
-        factor = _theory_factor(config, system, budget, block)
+        config = _resolve_config(doc, system, budget, diagnostics=True)
+        factor = _theory_factor(config, system, budget)
         if trials == 1:
             trace = run_solver(config, system)
             mean = pad_to(trace.dist_sq, config.max_iters + 1)

@@ -3,16 +3,29 @@ together on a (T, n) array of iterates, each trial drawing its blocks from
 its own seed.  ``run_solver`` is its one-trial case and ``run_monte_carlo``
 its T-trial case (see :mod:`kaczlab.solver`); every trial has the bits of a
 run on its own (see :mod:`kaczlab.kernels` for the stacked forms).
+
+A run of one trial keeps its iterate as an (n,) vector, so that per-trial
+values are numpy scalars and a one-row step can use ``row_step``.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigMismatchError
-from .kernels import BASIC, BLOCK_PROJECTION, averaged_update, block_projection_step, check_rows
+from .errors import ConfigMismatchError, ZeroRowError
+from .kernels import (
+    BASIC,
+    BLOCK_PROJECTION,
+    RBK,
+    averaged_update,
+    block_projection_step,
+    check_rows,
+    row_step,
+)
 from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, SolutionProjector, as_vector
 from .sampling import BlockStream, SamplingSpec, UniformSubset
 from .stepsize import adaptive_steps
@@ -41,19 +54,37 @@ def _supports_are_singletons(spec: SamplingSpec) -> bool:
     return all(len(blk) == 1 for blk in spec.blocks)
 
 
+def square_threshold(tol: float) -> float:
+    """The largest s with sqrt(s) <= tol.  sqrt rounds correctly, so it is
+    monotone, and ``s <= square_threshold(tol)`` is ``sqrt(s) <= tol``
+    without taking the root (both False for a NaN s)."""
+    tol = float(tol)
+    if not tol < math.inf:
+        return tol
+    s = tol * tol
+    while s > 0.0 and math.sqrt(s) > tol:
+        s = math.nextafter(s, 0.0)
+    while math.sqrt(math.nextafter(s, math.inf)) <= tol:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
 class _Column:
     """One per-step series: each step's values over the trials then live,
-    kept as (start step, trials, (steps, L, ...) array) parts.  Steps are
-    appended to ``pending`` and folded into a part by ``fold``."""
+    kept as (start step, trials, (steps, L, *shape) array) parts, shape
+    being a trial's value shape.  Steps are appended to ``pending`` (without
+    the L axis in a run of one trial) and folded into a part by ``fold``."""
 
-    def __init__(self, trials: np.ndarray):
-        self.parts, self.pending, self.start, self.trials = [], [], 0, trials
+    def __init__(self, trials: np.ndarray, shape: tuple):
+        self.parts, self.pending, self.start = [], [], 0
+        self.trials, self.shape = trials, shape
 
     def fold(self, trials: np.ndarray | None = None) -> None:
         """Close the current part; with ``trials``, later steps hold for
         those trials."""
         if self.pending:
-            self.parts.append((self.start, self.trials, np.array(self.pending)))
+            values = np.array(self.pending).reshape(len(self.pending), len(self.trials), *self.shape)
+            self.parts.append((self.start, self.trials, values))
             self.start += len(self.pending)
             self.pending.clear()
         if trials is not None:
@@ -64,12 +95,13 @@ class Trials:
     """T runs of one configuration advanced in lockstep, trial t drawing its
     blocks from ``seeds[t]``; a trial that stops leaves the stack.
 
-    Each step appends to every column (``residual``; ``dist_sq`` with
-    diagnostics; ``alpha`` of adaptive runs; ``iterates`` at trace level
-    ``iterates``) one array over the trials then live.  After the run,
-    ``iterations``, ``status`` and ``final_x`` hold each trial's K, status
-    and x^K, and ``column`` gives a column over all trials; with
-    ``keep_blocks``, ``blocks`` gives a one-trial run's drawn blocks.
+    Each step appends to every column (``residual_sq``, the squared
+    residual norm; ``dist_sq`` with diagnostics; ``alpha`` of adaptive runs;
+    ``iterates`` at trace level ``iterates``) the values of the trials then
+    live.  After the run, ``iterations``, ``status`` and ``final_x`` hold
+    each trial's K, status and x^K, and ``column`` gives a column over all
+    trials.  For a run of one trial ``series`` gives a column and, with
+    ``keep_blocks``, ``blocks`` the drawn blocks.
     """
 
     def __init__(self, config: SolverConfig, system: LinearSystem, seeds,
@@ -79,7 +111,8 @@ class Trials:
             raise ConfigMismatchError(
                 f"sampling spec covers {config.sampling.m} rows but the system has {system.m}"
             )
-        if config.method == BASIC and not _supports_are_singletons(config.sampling):
+        singletons = _supports_are_singletons(config.sampling)
+        if config.method == BASIC and not singletons:
             raise ConfigMismatchError("basic method requires |J| = 1 sampling")
         self.alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
         if config.method == BLOCK_PROJECTION and self.alphas is None:
@@ -90,68 +123,86 @@ class Trials:
             projector = system.projector
         self.config, self.system, self.projector = config, system, projector
         tol = config.residual_tol
-        self.tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b))) if tol is None else tol
-        self.norms = np.vecdot(system.A, system.A)
-        self.has_zero_rows = bool(self.norms.min() < ZERO_ROW_NORM_SQ)
+        if tol is None:
+            tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
+        self.tol_sq = square_threshold(tol)
+        self.norms = system.row_dots
         self.uniform_weights = config.weights.kind == "uniform"
 
         x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n)
         self.T = T = len(seeds)
+        self.single = T == 1
+        # One trial with one-row blocks of weight 1 steps through row_step.
+        self.row_steps = (self.single and singletons and self.alphas is not None
+                          and (config.method == BASIC or (config.method == RBK and self.uniform_weights)))
         self.stream = BlockStream(config.sampling, map(np.random.default_rng, seeds),
                                   config.max_iters)
         self.iterations = [0] * T
         self.status = [MAX_ITERS] * T
         self.final_x = [None] * T
-        # Each step's draws (from k = 1), for ``blocks``.
-        self.drawn = _Column(np.arange(T)) if keep_blocks else None
-        names = ["residual"]
+        # Each step's draws (from k = 1), for ``blocks``: sorted rows of
+        # uniform subsets, block indices of partitions.
+        draw_shape = (config.sampling.tau,) if isinstance(config.sampling, UniformSubset) else ()
+        self.drawn = _Column(np.arange(T), draw_shape) if keep_blocks else None
+        shapes = {"residual_sq": ()}
         if config.diagnostics:
-            names.append("dist_sq")
+            shapes["dist_sq"] = ()
         if self.alphas is None:
-            names.append("alpha")
+            shapes["alpha"] = ()
         if config.trace_level == FULL_ITERATES:
-            names.append("iterates")
-        self.columns = {name: _Column(np.arange(T)) for name in names}
-        self._run(np.repeat(x[None], T, axis=0))
+            shapes["iterates"] = (system.n,)
+        self.columns = {name: _Column(np.arange(T), shape) for name, shape in shapes.items()}
+        self._run(x if self.single else np.repeat(x[None], T, axis=0))
+
+    @cached_property
+    def has_zero_rows(self) -> bool:
+        return bool(self.norms.min() < ZERO_ROW_NORM_SQ)
+
+    def _finish(self, t: int, k: int, x: np.ndarray, s, skips) -> None:
+        self.iterations[t], self.final_x[t] = k, x
+        if s <= self.tol_sq:
+            self.status[t] = CONVERGED
+        elif skips is not None and skips >= STALL_LIMIT:
+            self.status[t] = STALLED
 
     def _run(self, X: np.ndarray) -> None:
         system, projector, stream = self.system, self.projector, self.stream
-        max_iters, tol, alphas = self.config.max_iters, self.tol, self.alphas
+        A, b = system.A, system.b
+        max_iters, tol_sq, alphas, single = self.config.max_iters, self.tol_sq, self.alphas, self.single
         columns = [*self.columns.values(), *([] if self.drawn is None else [self.drawn])]
-        residual, dist_sq, alpha_col, iterates = (
+        residual_sq, dist_sq, alpha_col, iterates = (
             self.columns[name].pending if name in self.columns else None
-            for name in ("residual", "dist_sq", "alpha", "iterates"))
+            for name in ("residual_sq", "dist_sq", "alpha", "iterates"))
         drawn = None if self.drawn is None else self.drawn.pending
         live = list(range(self.T))
         # Consecutive skips per live trial; None while no trial is skipping.
         skips = None
-        alpha = None if alpha_col is None else np.full(self.T, np.nan)
+        alpha = None if alpha_col is None else (math.nan if single else np.full(self.T, np.nan))
         k = 0
         while True:
             R = system.residual(X)
-            res = np.sqrt(np.vecdot(R, R))
-            residual.append(res)
+            s = np.vecdot(R, R)
+            residual_sq.append(s)
             if dist_sq is not None:
                 dist_sq.append(projector.residual_dist_sq(R))
             if alpha_col is not None:
                 alpha_col.append(alpha)
             if iterates is not None:
                 iterates.append(X)
-            # "<= tol" stops, so a NaN residual runs on to max_iters.
-            stop = res <= tol
+            # "<=" stops, so a NaN residual runs on to max_iters.
+            stop = s <= tol_sq
             if skips is not None:
                 stop |= skips >= STALL_LIMIT
-            if k == max_iters or np.count_nonzero(stop):
+            if k == max_iters or (stop if single else stop.any()):
+                if single:
+                    self._finish(0, k, X, s, skips)
+                    return
                 go = []
                 for i, (t, halt) in enumerate(zip(live, stop.tolist())):
-                    if not (halt or k == max_iters):
+                    if halt or k == max_iters:
+                        self._finish(t, k, X[i], s[i], None if skips is None else skips[i])
+                    else:
                         go.append(i)
-                        continue
-                    self.iterations[t], self.final_x[t] = k, X[i]
-                    if res[i] <= tol:
-                        self.status[t] = CONVERGED
-                    elif skips is not None and skips[i] >= STALL_LIMIT:
-                        self.status[t] = STALLED
                 if not go:
                     return
                 live = [live[i] for i in go]
@@ -160,7 +211,7 @@ class Trials:
                 stream.keep(~stop)
                 for column in columns:
                     column.fold(np.array(live))
-            elif len(residual) == FOLD:
+            elif len(residual_sq) == FOLD:
                 for column in columns:
                     column.fold()
             k += 1
@@ -173,6 +224,13 @@ class Trials:
                     skips = None
                 else:
                     skips = np.where(moved, 0, 1 if skips is None else skips + 1)
+            elif self.row_steps:
+                # One trial, one group: its block is the one row i.
+                ((_, J),) = stream.groups(draw)
+                i = J[0]
+                if self.norms[i] < ZERO_ROW_NORM_SQ:
+                    raise ZeroRowError(int(i))
+                X = row_step(X, A[i], b[i], self.norms[i], None, alphas[k - 1])
             else:
                 X = self._step(X, draw, alphas[k - 1])
 
@@ -182,8 +240,9 @@ class Trials:
         for sel, J in self.stream.groups(draw):
             Xg = X if sel is None else X[sel]
             if config.method == BLOCK_PROJECTION:
-                new = np.stack([block_projection_step(x, system, j, alpha)
-                                for x, j in zip(Xg, J)])
+                new = (block_projection_step(Xg, system, J, alpha) if self.single
+                       else np.stack([block_projection_step(x, system, j, alpha)
+                                      for x, j in zip(Xg, J)]))
             else:
                 # ``take`` gathers the drawn rows with less overhead than
                 # fancy indexing.
@@ -202,7 +261,7 @@ class Trials:
     def _weights(self, J: np.ndarray) -> np.ndarray | float | None:
         """The realized weights of the blocks J, or a scalar standing for
         all of them; None for weight 1 (the basic step, one-row blocks)."""
-        tau = J.shape[1]
+        tau = J.shape[-1]
         if self.config.method == BASIC or (self.uniform_weights and tau == 1):
             return None
         if self.uniform_weights:
@@ -223,16 +282,16 @@ class Trials:
             if self.has_zero_rows:
                 # A block whose residuals all vanish is skipped before its
                 # rows are looked at.
-                active = np.any(residuals, axis=1)
+                active = np.any(residuals, axis=-1)
                 check_rows(J[active], norms[active])
                 norms = np.where(norms < ZERO_ROW_NORM_SQ, 1.0, norms)
             weights = self._weights(J)
             L, d, moved = adaptive_steps(AJ, residuals, 1.0 if weights is None else weights, norms)
             alpha = (2.0 - delta) * L
-            new = Xg - alpha[:, None] * d
-            skipped = np.count_nonzero(moved) < len(moved)
+            new = Xg - alpha[..., None] * d
+            skipped = not moved.all()
             if skipped:
-                new = np.where(moved[:, None], new, Xg)
+                new = np.where(moved[..., None], new, Xg)
             if sel is None:
                 return new, alpha, moved if skipped else None
             parts.append((sel, new, alpha, moved))
@@ -246,13 +305,19 @@ class Trials:
         entries past its last step repeat its last value."""
         column = self.columns[name]
         column.fold()
-        out = np.empty((self.T, width) + column.parts[0][2].shape[2:])
+        out = np.empty((self.T, width) + column.shape)
         for start, trials, values in column.parts:
             out[trials, start:start + len(values)] = np.swapaxes(values, 0, 1)
         for t, k in enumerate(self.iterations):
             if k + 1 < width:
                 out[t, k + 1:] = out[t, k]
         return out
+
+    def series(self, name: str) -> np.ndarray:
+        """One column of a one-trial run: its K + 1 values."""
+        column = self.columns[name]
+        column.fold()
+        return np.concatenate([values[:, 0] for _, _, values in column.parts])
 
     def blocks(self) -> list[np.ndarray | None]:
         """The drawn blocks of a one-trial run, None at k = 0."""

@@ -30,18 +30,19 @@ ZERO_ROW_NORM_SQ = 1e-28
 CONSISTENCY_TOL = 1e-6
 
 
-def block_sum(terms: np.ndarray) -> np.ndarray:
-    """The sum over axis 1 in index order: the bits of ``s = 0.0`` then
-    ``s += t`` for each t along the axis.  Overwrites ``terms``.
+def block_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """The sum over the (negative) ``axis`` in index order: the bits of
+    ``s = 0.0`` then ``s += t`` for each t along the axis.  Overwrites
+    ``terms``.
 
     ``np.add.reduce`` sums pairwise when the summed axis ends up innermost
     (a 2-d stack, or rows of length 1); ``accumulate`` adds in sequence for
     every shape, and ``+ 0.0`` gives the +0.0 that starting from 0.0 leaves
     where every term is -0.0.
     """
-    if terms.shape[1] > 1:
-        np.add.accumulate(terms, axis=1, out=terms)
-    return terms[:, -1] + 0.0
+    if terms.shape[axis] > 1:
+        np.add.accumulate(terms, axis=axis, out=terms)
+    return terms[(..., -1) + (slice(None),) * (-1 - axis)] + 0.0
 
 
 def as_matrix(A) -> np.ndarray:
@@ -112,6 +113,17 @@ class LinearSystem:
     @cached_property
     def row_norms_sq(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.A, self.A)
+
+    @cached_property
+    def row_dots(self) -> np.ndarray:
+        """Each ||a_i||^2 as the ddot a_i . a_i, the norms the iteration
+        kernels divide by (``row_norms_sq``'s einsum can round differently)."""
+        return np.vecdot(self.A, self.A)
+
+    @cached_property
+    def cache(self) -> dict:
+        """Values other modules derive from the system, by key."""
+        return {}
 
     @cached_property
     def gram_spectrum(self) -> SpectralSummary:

@@ -134,17 +134,20 @@ class BlockStream:
     partitions one call with ``size=c`` gives the same values as c scalar
     calls, so those draws are made up to ``DRAW_AHEAD`` steps ahead (never
     past ``steps``); the generators serve nothing else, so drawing ahead of
-    a trial that stops early changes nothing it returns.
+    a trial that stops early changes nothing it returns.  A draw has a
+    leading trial axis, except in a stream of one generator.
     """
 
     def __init__(self, spec: SamplingSpec, rngs, steps: int):
         self.spec = spec
         self.rngs = list(rngs)
+        self.single = len(self.rngs) == 1
         self._steps_left = steps
-        self._ahead = np.empty((len(self.rngs), 0), dtype=int)
-        self._at = 0
+        # Draws made ahead, step-major: (steps, [trials,] ...).
+        self._ahead, self._at = (), 0
         self._subsets = isinstance(spec, UniformSubset) and spec.tau > 1
-        if isinstance(spec, Partition):
+        self._partition = isinstance(spec, Partition)
+        if self._partition:
             sizes = np.array([len(blk) for blk in spec.blocks])
             rows = np.zeros((spec.ell, sizes.max()), dtype=int)
             for l, blk in enumerate(spec.blocks):
@@ -154,46 +157,51 @@ class BlockStream:
 
     def next(self) -> np.ndarray:
         """One draw per live trial: (L, tau) sorted rows for uniform specs,
-        (L,) block indices for partitions."""
+        (L,) block indices for partitions (no L axis for one generator)."""
         spec = self.spec
         if self._subsets:
             J = np.stack([rng.choice(spec.m, size=spec.tau, replace=False) for rng in self.rngs])
-            J.sort(axis=1)
-            return J
-        if self._at == self._ahead.shape[1]:
+            J.sort(axis=-1)
+            return J[0] if self.single else J
+        if self._at == len(self._ahead):
             count = min(DRAW_AHEAD, self._steps_left)
             self._steps_left -= count
-            if isinstance(spec, UniformSubset):
-                # (L, count, 1): each step's draw is an (L, 1) array of rows.
-                drawn = [rng.integers(spec.m, size=(count, 1)) for rng in self.rngs]
-            else:
+            if self._partition:
                 drawn = [rng.choice(spec.ell, size=count, p=spec.probs) for rng in self.rngs]
-            self._ahead, self._at = np.stack(drawn), 0
+            else:
+                # Each step's draw is a one-row block.
+                drawn = [rng.integers(spec.m, size=(count, 1)) for rng in self.rngs]
+            self._ahead = drawn[0] if self.single else np.stack(drawn, axis=1)
+            self._at = 0
         self._at += 1
-        return self._ahead[:, self._at - 1]
+        return self._ahead[self._at - 1]
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
-        """The drawn rows as (trials, J) pairs, J of shape (L_g, tau_g), one
-        pair per block size among the draws; trials None means all."""
-        if not isinstance(self.spec, Partition):
+        """The drawn rows as (trials, J) pairs, J of shape (L_g, tau_g) (no
+        L_g axis for one generator), one pair per block size among the
+        draws; trials None means all."""
+        if not self._partition:
             return [(None, draw)]
         J = self._rows[draw]
         if not self._ragged:
             return [(None, J)]
         sizes = self._sizes[draw]
+        if self.single:
+            return [(None, J[:sizes])]
         return [(np.flatnonzero(sizes == size), J[sizes == size, :size])
                 for size in np.unique(sizes)]
 
     def block(self, drawn) -> np.ndarray:
-        """The rows of one trial's draw (a row of ``next()``'s result)."""
-        if isinstance(self.spec, Partition):
+        """The rows of one trial's draw."""
+        if self._partition:
             return np.asarray(self.spec.blocks[int(drawn)], dtype=int)
         return drawn
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the trials where the boolean mask ``live`` is False."""
         self.rngs = [rng for rng, keep in zip(self.rngs, live) if keep]
-        self._ahead = self._ahead[live]
+        if len(self._ahead):
+            self._ahead = self._ahead[:, live]
 
 
 def membership_probability(spec: SamplingSpec, i: int) -> float:

@@ -200,19 +200,14 @@ def run_solver(
     """
     run = Trials(config, system, [config.seed], x0, projector, keep_blocks=True)
     K = run.iterations[0]
-    if run.alphas is None:
-        alpha = run.column("alpha", K + 1)[0]
-    else:
-        alpha = np.concatenate([[np.nan], run.alphas[:K]])
     return SolverTrace(
         config, run.status[0], run.final_x[0].copy(),
-        alpha=alpha,
-        residual=run.column("residual", K + 1)[0],
-        dist_sq=(run.column("dist_sq", K + 1)[0] if config.diagnostics
-                 else np.full(K + 1, np.nan)),
+        alpha=(run.series("alpha") if run.alphas is None
+               else np.concatenate([[np.nan], run.alphas[:K]])),
+        residual=np.sqrt(run.series("residual_sq")),
+        dist_sq=run.series("dist_sq") if config.diagnostics else np.full(K + 1, np.nan),
         blocks=run.blocks(),
-        iterates=(run.column("iterates", K + 1)[0]
-                  if config.trace_level == FULL_ITERATES else None),
+        iterates=run.series("iterates") if config.trace_level == FULL_ITERATES else None,
     )
 
 
@@ -254,16 +249,18 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
         raise ValueError("need at least 2 trials")
     run = Trials(config, system, [split_seed(config.seed, t) for t in range(trials)])
     stats = {}
-    for name in ("residual", "dist_sq", "iterates"):
+    for name in ("residual_sq", "dist_sq", "iterates"):
         if name in run.columns:
             stacked = run.column(name, config.max_iters + 1)
+            if name == "residual_sq":
+                stacked = np.sqrt(stacked)
             stats[name] = stacked.mean(axis=0), stacked.std(axis=0, ddof=1) / np.sqrt(trials)
     hits = [k if status == CONVERGED else -1 for k, status in zip(run.iterations, run.status)]
     return MonteCarloSummary(
         trials,
         *stats.get("dist_sq", (None, None)),
         *stats.get("iterates", (None, None)),
-        mean_residual_norm=stats["residual"][0],
+        mean_residual_norm=stats["residual_sq"][0],
         hit_iteration=np.asarray(hits, dtype=int),
     )
 

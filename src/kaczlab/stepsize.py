@@ -231,26 +231,27 @@ def adaptive_alpha(
     zero = np.flatnonzero(norms < ZERO_ROW_NORM_SQ)
     if zero.size:
         raise ZeroRowError(int(zero[0]))
-    L, d, moved = adaptive_steps(block_rows[None], residuals[None], weights[None], norms[None])
-    if not moved[0]:
+    L, d, moved = adaptive_steps(block_rows, residuals, weights, norms)
+    if not moved:
         return None
-    return AdaptiveStep(alpha=(2.0 - delta) * L[0], L=L[0], direction=d[0])
+    return AdaptiveStep(alpha=(2.0 - delta) * float(L), L=float(L), direction=d)
 
 
 def adaptive_steps(
     block_rows: np.ndarray, residuals: np.ndarray, weights: np.ndarray, norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``adaptive_alpha``'s L and direction for a stack of blocks.
+    """``adaptive_alpha``'s L and direction for one block or a stack of them.
 
-    Takes (T, tau, n) rows with their (T, tau) residuals, weights (or one
-    scalar weight for all) and squared norms (none zero); returns (L, d,
+    Takes (..., tau, n) rows with their (..., tau) residuals, weights (or
+    one scalar weight for all) and squared norms (none zero); returns (L, d,
     moved): L is NaN where the block's step is skipped (``moved`` False).
-    The sums over a block run in row order, so each block gets the bits of
-    a one-block call.  Overwrites ``block_rows`` with the terms of d.
+    The sums over a block run in row order, so each block of a stack gets
+    the bits of a one-block call.  Overwrites ``block_rows`` with the terms
+    of d.
     """
     scaled = (weights / norms) * residuals
-    numer = block_sum(scaled * residuals)
-    d = block_sum(np.multiply(scaled[..., None], block_rows, out=block_rows))
+    numer = block_sum(scaled * residuals, axis=-1)
+    d = block_sum(np.multiply(scaled[..., None], block_rows, out=block_rows), axis=-2)
     dnorm_sq = np.vecdot(d, d)
     # All-zero residuals give d = 0, so this also skips them.
     moved = ~(dnorm_sq < DIRECTION_EPS)

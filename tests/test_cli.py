@@ -272,7 +272,6 @@ class TestExperiment:
         # The constant-extrapolated stepsize and the theory factor use the
         # same lambda_max^block (same spec, budget and seed): one evaluation.
         import kaczlab.analysis
-        import kaczlab.cli
 
         calls = []
         original = kaczlab.analysis.block_lambda_max
@@ -282,7 +281,6 @@ class TestExperiment:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(kaczlab.analysis, "block_lambda_max", counted)
-        monkeypatch.setattr(kaczlab.cli, "block_lambda_max", counted)
         plan = {
             "recipe": "gaussian:12x5", "trials": 2, "budget": 20,
             "outputs": {"dir": str(tmp_path / "out")},

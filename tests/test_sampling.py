@@ -227,3 +227,22 @@ def test_block_stream_replays_sample_block(spec):
             for pos, j in zip(range(len(live)) if trials is None else trials, J):
                 rows[pos] = j
         assert all(np.array_equal(rows[pos], stream.block(draw[pos])) for pos in range(len(live)))
+
+
+@pytest.mark.parametrize("spec", [
+    UniformSubset(9, 1),
+    UniformSubset(9, 3),
+    partition_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8)], [0.5, 0.2, 0.3]),
+], ids=["tau1", "tau3", "ragged-partition"])
+def test_one_generator_stream_draws_without_trial_axis(spec):
+    # A one-trial run's stream: each draw, and its one group, is that
+    # trial's draw alone, past one draw-ahead chunk.
+    steps = DRAW_AHEAD + 40
+    ref = np.random.default_rng(21)
+    stream = BlockStream(spec, [np.random.default_rng(21)], steps)
+    for _ in range(steps):
+        draw = stream.next()
+        J = sample_block(spec, ref)
+        assert np.array_equal(stream.block(draw), J)
+        ((trials, rows),) = stream.groups(draw)
+        assert trials is None and np.array_equal(rows, J)

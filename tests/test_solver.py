@@ -15,6 +15,7 @@ from kaczlab.sampling import (
     full_batch,
     partition_spec,
 )
+from kaczlab.engine import square_threshold
 from kaczlab.solver import (
     BASIC,
     BLOCK_PROJECTION,
@@ -558,3 +559,17 @@ def test_lockstep_skips_and_stalls_match_serial_runs():
                                 max_iters=300)
     _, traces = _assert_lockstep_matches_serial(stall, system, trials=3)
     assert [(trace.status, trace.iterations) for trace in traces] == [(STALLED, 100)] * 3
+
+
+def test_square_threshold_tests_the_rooted_residual():
+    # Runs compare squared residual norms with square_threshold(tol); that
+    # must decide as sqrt(s) <= tol does, for every s near the boundary.
+    rng = np.random.default_rng(50)
+    tols = [0.0, 1e-300, 1e-160, 1e-8, 0.3, 1.0, 7.5, 1e150, 1e200, np.inf,
+            *rng.uniform(0.0, 10.0, size=200), *10.0 ** rng.uniform(-170, 170, size=200)]
+    for tol in tols:
+        s0 = square_threshold(tol)
+        with np.errstate(over="ignore"):
+            near = [s0, np.nextafter(s0, np.inf), np.nextafter(s0, 0.0), tol * tol, np.inf, np.nan]
+        for s in near:
+            assert (s <= s0) == (np.sqrt(s) <= tol), (tol, s)
