@@ -35,6 +35,7 @@ from .sampling import (
     build_random_paving,
     frobenius_partition,
     full_batch,
+    mean_block_size,
     partition_spec,
     paving_to_json,
     sampling_from_dict,
@@ -45,6 +46,7 @@ from .solver import (
     STALLED,
     SolverConfig,
     config_from_dict,
+    number_field,
     pad_to,
     run_monte_carlo,
     run_solver,
@@ -66,6 +68,9 @@ EXIT_MAX_ITERS = 2
 EXIT_STALLED = 3
 
 _STATUS_EXIT = {CONVERGED: EXIT_OK, MAX_ITERS: EXIT_MAX_ITERS, STALLED: EXIT_STALLED}
+
+# Block probabilities of a partition sampling: 1/ell, or ||A_J||_F^2 / ||A||_F^2.
+PARTITION_PROBS = ("uniform", "frobenius")
 
 
 def _env_seed(seed: int) -> int:
@@ -90,6 +95,9 @@ def _load_system(args) -> LinearSystem:
 def build_sampling(text: str, system: LinearSystem, seed: int, probs: str = "uniform") -> SamplingSpec:
     """Parse ``uniform:T``, ``partition:S`` (contiguous blocks of about S
     rows), ``paving:L`` (seeded random paving into L blocks), or ``full``."""
+    if probs not in PARTITION_PROBS:
+        raise ValueError(f"partition_probs must be one of {', '.join(PARTITION_PROBS)}, "
+                         f"got {probs!r}")
     m = system.m
     kind, _, param = text.partition(":")
     if kind == "uniform":
@@ -145,13 +153,13 @@ def _resolve_config(doc: dict, system: LinearSystem, budget: int, diagnostics: b
     from the system, computing only what the policy's kind needs.
     ``KACZLAB_SEED`` overrides the entry's seed.
     """
-    seed = _env_seed(int(doc.get("seed", 0)))
+    seed = _env_seed(number_field(doc, "seed", int, 0))
     sampling = doc["sampling"]
     if isinstance(sampling, str):
         spec = build_sampling(sampling, system, seed, probs=doc.get("partition_probs", "uniform"))
     else:
         spec = sampling_from_dict(sampling)
-    max_iters = int(doc["max_iters"])
+    max_iters = number_field(doc, "max_iters", int)
     derived = {
         "lambda_max_block": lambda: cached_block_lambda_max(system, spec, budget, seed)[0],
         "lambda_min": lambda: _positive_lambda_min(system),
@@ -170,17 +178,11 @@ def _resolve_config(doc: dict, system: LinearSystem, budget: int, diagnostics: b
         weights=weights_from_dict({"kind": doc.get("weights", "uniform")}, spec, system),
         stepsize=stepsize_from_dict(step),
         max_iters=max_iters,
-        residual_tol=doc.get("residual_tol"),
+        residual_tol=(None if doc.get("residual_tol") is None
+                      else number_field(doc, "residual_tol", float)),
         seed=seed,
         diagnostics=diagnostics,
     )
-
-
-def _typical_block_size(spec: SamplingSpec) -> float:
-    if isinstance(spec, UniformSubset):
-        return float(spec.tau)
-    sizes = [len(blk) for blk in spec.blocks]
-    return float(sizes[0]) if len(set(sizes)) == 1 else float(np.mean(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def cmd_solve(args) -> int:
     system = _load_system(args)
     if args.config:
         doc = json.loads(Path(args.config).read_text())
-        doc["seed"] = _env_seed(int(doc.get("seed", 0)))
+        doc["seed"] = _env_seed(number_field(doc, "seed", int, 0))
         config = config_from_dict(doc, system)
     else:
         config = _resolve_config(_plan_entry(args), system, args.budget, args.diagnostics)
@@ -214,7 +216,7 @@ def cmd_analyze(args) -> int:
     spec = build_sampling(args.sampling, system, seed, probs=args.partition_probs)
     weights = weights_from_dict({"kind": args.weights}, spec, system)
     report = build_conditioning_report(system, spec, budget=args.budget, seed=seed)
-    rates = predict_rates(report, weights, args.delta, _typical_block_size(spec))
+    rates = predict_rates(report, weights, args.delta, mean_block_size(spec))
 
     doc = {"conditioning": report.to_dict(), "rates": rates.to_dict()}
     rows = [
@@ -274,7 +276,7 @@ def _theory_factor(config: SolverConfig, system: LinearSystem, budget: int) -> f
     policy = config.stepsize
     report = build_conditioning_report(system, config.sampling, budget=budget, seed=config.seed)
     rates = predict_rates(report, config.weights, getattr(policy, "delta", 1.0),
-                          _typical_block_size(config.sampling))
+                          mean_block_size(config.sampling))
     if isinstance(policy, ClassicConstant):
         a = policy.alpha
         return 1.0 - a * (2.0 - a) * report.lambda_min_nz_AAt / report.frobenius_sq
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="rbk", choices=["basic", "rbk", "block-projection"])
     p.add_argument("--sampling", default="uniform:1",
                    help="uniform:T | partition:S | paving:L | full")
-    p.add_argument("--partition-probs", default="uniform", choices=["uniform", "frobenius"])
+    p.add_argument("--partition-probs", default="uniform", choices=PARTITION_PROBS)
     p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)
     p.add_argument("--stepsize", default="classic", choices=list(STEPSIZE_KINDS))
     p.add_argument("--alpha", type=float, default=1.0, help="classic stepsize")
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="conditioning report and rate predictions")
     _add_system_args(p)
     p.add_argument("--sampling", default="uniform:1")
-    p.add_argument("--partition-probs", default="uniform", choices=["uniform", "frobenius"])
+    p.add_argument("--partition-probs", default="uniform", choices=PARTITION_PROBS)
     p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--budget", type=int, default=1000)

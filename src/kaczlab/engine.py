@@ -6,6 +6,12 @@ run on its own (see :mod:`kaczlab.kernels` for the stacked forms).
 
 A run of one trial keeps its iterate as an (n,) vector, so that per-trial
 values are numpy scalars and a one-row step can use ``row_step``.
+
+A run records each per-step series as one list with an entry per step.
+While every trial is live an entry is the step's values over the stack;
+once some trial has left, it is a copy of the previous entry with the live
+trials' values written in, so a stopped trial carries its last value
+forward and the list stacks into (K + 1, T, ...) as it stands.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .kernels import (
     row_step,
 )
 from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, SolutionProjector, as_vector
-from .sampling import BlockStream, SamplingSpec, UniformSubset
+from .sampling import BlockStream, mean_block_size
 from .stepsize import adaptive_steps
 
 if TYPE_CHECKING:
@@ -43,15 +49,10 @@ CONVERGED = "converged"
 MAX_ITERS = "max-iters"
 STALLED = "stalled"
 
-# Steps a column collects before folding them into one array: a small
-# array per step costs several times its values in memory.
-FOLD = 256
 
-
-def _supports_are_singletons(spec: SamplingSpec) -> bool:
-    if isinstance(spec, UniformSubset):
-        return spec.tau == 1
-    return all(len(blk) == 1 for blk in spec.blocks)
+def pad_to(series: np.ndarray, length: int) -> np.ndarray:
+    """``series`` with its last entry repeated up to ``length`` entries."""
+    return np.concatenate([series, np.repeat(series[-1:], length - len(series), axis=0)])
 
 
 def square_threshold(tol: float) -> float:
@@ -69,39 +70,18 @@ def square_threshold(tol: float) -> float:
     return s
 
 
-class _Column:
-    """One per-step series: each step's values over the trials then live,
-    kept as (start step, trials, (steps, L, *shape) array) parts, shape
-    being a trial's value shape.  Steps are appended to ``pending`` (without
-    the L axis in a run of one trial) and folded into a part by ``fold``."""
-
-    def __init__(self, trials: np.ndarray, shape: tuple):
-        self.parts, self.pending, self.start = [], [], 0
-        self.trials, self.shape = trials, shape
-
-    def fold(self, trials: np.ndarray | None = None) -> None:
-        """Close the current part; with ``trials``, later steps hold for
-        those trials."""
-        if self.pending:
-            values = np.array(self.pending).reshape(len(self.pending), len(self.trials), *self.shape)
-            self.parts.append((self.start, self.trials, values))
-            self.start += len(self.pending)
-            self.pending.clear()
-        if trials is not None:
-            self.trials = trials
-
-
 class Trials:
     """T runs of one configuration advanced in lockstep, trial t drawing its
     blocks from ``seeds[t]``; a trial that stops leaves the stack.
 
-    Each step appends to every column (``residual_sq``, the squared
-    residual norm; ``dist_sq`` with diagnostics; ``alpha`` of adaptive runs;
-    ``iterates`` at trace level ``iterates``) the values of the trials then
-    live.  After the run, ``iterations``, ``status`` and ``final_x`` hold
-    each trial's K, status and x^K, and ``column`` gives a column over all
-    trials.  For a run of one trial ``series`` gives a column and, with
-    ``keep_blocks``, ``blocks`` the drawn blocks.
+    Each step appends one entry to every column (``residual_sq``, the
+    squared residual norm; ``dist_sq`` with diagnostics; ``alpha`` of
+    adaptive runs; ``iterates`` at trace level ``iterates``): the values of
+    all trials, a trial that has stopped keeping its last value.  After the
+    run, ``iterations``, ``status`` and ``final_x`` hold each trial's K,
+    status and x^K, ``series`` gives a column as recorded and ``column`` a
+    padded one.  With ``keep_blocks``, ``blocks`` gives the drawn blocks of
+    a run of one trial.
     """
 
     def __init__(self, config: SolverConfig, system: LinearSystem, seeds,
@@ -111,7 +91,7 @@ class Trials:
             raise ConfigMismatchError(
                 f"sampling spec covers {config.sampling.m} rows but the system has {system.m}"
             )
-        singletons = _supports_are_singletons(config.sampling)
+        singletons = mean_block_size(config.sampling) == 1.0
         if config.method == BASIC and not singletons:
             raise ConfigMismatchError("basic method requires |J| = 1 sampling")
         self.alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
@@ -140,18 +120,15 @@ class Trials:
         self.iterations = [0] * T
         self.status = [MAX_ITERS] * T
         self.final_x = [None] * T
-        # Each step's draws (from k = 1), for ``blocks``: sorted rows of
-        # uniform subsets, block indices of partitions.
-        draw_shape = (config.sampling.tau,) if isinstance(config.sampling, UniformSubset) else ()
-        self.drawn = _Column(np.arange(T), draw_shape) if keep_blocks else None
-        shapes = {"residual_sq": ()}
+        # Each step's draws (from k = 1), for ``blocks``.
+        self.drawn = [] if keep_blocks else None
+        self.columns = {"residual_sq": []}
         if config.diagnostics:
-            shapes["dist_sq"] = ()
+            self.columns["dist_sq"] = []
         if self.alphas is None:
-            shapes["alpha"] = ()
+            self.columns["alpha"] = []
         if config.trace_level == FULL_ITERATES:
-            shapes["iterates"] = (system.n,)
-        self.columns = {name: _Column(np.arange(T), shape) for name, shape in shapes.items()}
+            self.columns["iterates"] = []
         self._run(x if self.single else np.repeat(x[None], T, axis=0))
 
     @cached_property
@@ -169,12 +146,19 @@ class Trials:
         system, projector, stream = self.system, self.projector, self.stream
         A, b = system.A, system.b
         max_iters, tol_sq, alphas, single = self.config.max_iters, self.tol_sq, self.alphas, self.single
-        columns = [*self.columns.values(), *([] if self.drawn is None else [self.drawn])]
         residual_sq, dist_sq, alpha_col, iterates = (
-            self.columns[name].pending if name in self.columns else None
-            for name in ("residual_sq", "dist_sq", "alpha", "iterates"))
-        drawn = None if self.drawn is None else self.drawn.pending
+            self.columns.get(name) for name in ("residual_sq", "dist_sq", "alpha", "iterates"))
+        drawn = self.drawn
         live = list(range(self.T))
+        # Appends a step's values to a column: as they are while every
+        # trial is live, then written over a copy of the previous entry.
+        record = list.append
+
+        def carry(column: list, values) -> None:
+            row = column[-1].copy()
+            row[rows] = values
+            column.append(row)
+
         # Consecutive skips per live trial; None while no trial is skipping.
         skips = None
         alpha = None if alpha_col is None else (math.nan if single else np.full(self.T, np.nan))
@@ -182,13 +166,13 @@ class Trials:
         while True:
             R = system.residual(X)
             s = np.vecdot(R, R)
-            residual_sq.append(s)
+            record(residual_sq, s)
             if dist_sq is not None:
-                dist_sq.append(projector.residual_dist_sq(R))
+                record(dist_sq, projector.residual_dist_sq(R))
             if alpha_col is not None:
-                alpha_col.append(alpha)
+                record(alpha_col, alpha)
             if iterates is not None:
-                iterates.append(X)
+                record(iterates, X)
             # "<=" stops, so a NaN residual runs on to max_iters.
             stop = s <= tol_sq
             if skips is not None:
@@ -209,11 +193,7 @@ class Trials:
                 X = X[go]
                 skips = None if skips is None else skips[go]
                 stream.keep(~stop)
-                for column in columns:
-                    column.fold(np.array(live))
-            elif len(residual_sq) == FOLD:
-                for column in columns:
-                    column.fold()
+                rows, record = np.array(live), carry
             k += 1
             draw = stream.next()
             if drawn is not None:
@@ -303,24 +283,13 @@ class Trials:
     def column(self, name: str, width: int) -> np.ndarray:
         """One column as a C-contiguous (T, width, ...) stack; a trial's
         entries past its last step repeat its last value."""
-        column = self.columns[name]
-        column.fold()
-        out = np.empty((self.T, width) + column.shape)
-        for start, trials, values in column.parts:
-            out[trials, start:start + len(values)] = np.swapaxes(values, 0, 1)
-        for t, k in enumerate(self.iterations):
-            if k + 1 < width:
-                out[t, k + 1:] = out[t, k]
-        return out
+        return np.ascontiguousarray(np.swapaxes(pad_to(self.series(name), width), 0, 1))
 
     def series(self, name: str) -> np.ndarray:
-        """One column of a one-trial run: its K + 1 values."""
-        column = self.columns[name]
-        column.fold()
-        return np.concatenate([values[:, 0] for _, _, values in column.parts])
+        """One column as recorded: (K + 1, ...) for a run of one trial,
+        (K + 1, T, ...) for T trials, K being the largest of theirs."""
+        return np.array(self.columns[name])
 
     def blocks(self) -> list[np.ndarray | None]:
         """The drawn blocks of a one-trial run, None at k = 0."""
-        self.drawn.fold()
-        return [None] + [self.stream.block(draw[0])
-                         for _, _, draws in self.drawn.parts for draw in draws]
+        return [None] + [self.stream.block(draw) for draw in self.drawn]

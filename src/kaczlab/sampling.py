@@ -219,6 +219,15 @@ def membership_probabilities(spec: SamplingSpec) -> np.ndarray:
     return spec.probs[spec._block_of]
 
 
+def mean_block_size(spec: SamplingSpec) -> float:
+    """The mean size of a drawn block: tau for uniform subsets, the mean
+    over the blocks of a partition, exactly 1.0 only when every block is
+    one row."""
+    if isinstance(spec, UniformSubset):
+        return float(spec.tau)
+    return float(np.mean([len(blk) for blk in spec.blocks]))
+
+
 def support_count(spec: SamplingSpec) -> int:
     if isinstance(spec, UniformSubset):
         return comb(spec.m, spec.tau)

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +26,7 @@ from .engine import (
     STALL_LIMIT,
     STALLED,
     Trials,
+    pad_to,
 )
 from .errors import ConfigMismatchError
 from .kernels import (
@@ -48,7 +50,8 @@ __all__ = [
     "BASIC", "BLOCK_PROJECTION", "CONVERGED", "FULL_ITERATES", "MAX_ITERS", "NORMS_ONLY", "RBK",
     "STALLED", "STALL_LIMIT", "IterationEvent", "MonteCarloSummary", "SolverConfig",
     "SolverTrace", "basic_kaczmarz_step", "block_projection_step", "config_from_dict",
-    "config_to_dict", "pad_to", "rbk_step", "run_monte_carlo", "run_solver", "split_seed",
+    "config_to_dict", "number_field", "pad_to", "rbk_step", "run_monte_carlo", "run_solver",
+    "split_seed",
 ]
 
 
@@ -83,7 +86,7 @@ class SolverConfig:
             raise ConfigMismatchError(f"unknown trace level {self.trace_level!r}")
         if self.max_iters < 1:
             raise ConfigMismatchError("max_iters must be at least 1")
-        if self.residual_tol is not None and self.residual_tol < 0:
+        if self.residual_tol is not None and not self.residual_tol >= 0:
             raise ConfigMismatchError("residual_tol must be nonnegative")
 
 
@@ -236,11 +239,6 @@ class MonteCarloSummary:
     hit_iteration: np.ndarray  # per trial: first k at tolerance, -1 if never
 
 
-def pad_to(series: np.ndarray, length: int) -> np.ndarray:
-    """``series`` with its last entry repeated up to ``length`` entries."""
-    return np.concatenate([series, np.repeat(series[-1:], length - len(series), axis=0)])
-
-
 def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> MonteCarloSummary:
     """Run ``trials`` independent solves with seeds split(seed, t) in
     lockstep and aggregate per-iteration means and standard errors.  Trial
@@ -274,6 +272,17 @@ def config_to_dict(config: SolverConfig) -> dict:
     return doc | {key: doc[key].to_dict() for key in ("sampling", "weights", "stepsize")}
 
 
+def number_field(doc: dict, name: str, kind: type, default=None):
+    """``doc[name]`` (``default`` when absent) as ``kind``, int or float.
+    A value that is not a number of that kind (a bool, a string, None)
+    raises ValueError naming the field."""
+    value = doc.get(name, default)
+    numeric = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def config_from_dict(doc: dict, system: LinearSystem) -> SolverConfig:
     """Rebuild a SolverConfig from its JSON mirror.  The system is needed
     to recompute weight bounds."""
@@ -283,9 +292,10 @@ def config_from_dict(doc: dict, system: LinearSystem) -> SolverConfig:
         sampling=spec,
         weights=weights_from_dict(doc["weights"], spec, system),
         stepsize=stepsize_from_dict(doc["stepsize"]),
-        max_iters=int(doc["max_iters"]),
-        residual_tol=None if doc.get("residual_tol") is None else float(doc["residual_tol"]),
-        seed=int(doc.get("seed", 0)),
+        max_iters=number_field(doc, "max_iters", int),
+        residual_tol=(None if doc.get("residual_tol") is None
+                      else number_field(doc, "residual_tol", float)),
+        seed=number_field(doc, "seed", int, 0),
         trace_level=doc.get("trace_level", NORMS_ONLY),
         diagnostics=bool(doc.get("diagnostics", False)),
     )

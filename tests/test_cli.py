@@ -42,6 +42,11 @@ class TestSolve:
         assert code == 1
         assert "ConfigMismatch" in capsys.readouterr().err
 
+    def test_nan_residual_tol_is_an_error(self, capsys):
+        code = run_cli("solve", "--recipe", "gaussian:8x4", "--residual-tol", "nan")
+        assert code == 1
+        assert "residual_tol" in capsys.readouterr().err
+
     def test_max_iters_exit_code(self, tmp_path):
         code = run_cli(
             "solve", "--recipe", "gaussian:20x10", "--sampling", "uniform:1",
@@ -133,6 +138,11 @@ MALFORMED = [
     pytest.param("sampling", {"kind": "uniform", "m": 8}, id="missing-field"),
     pytest.param("sampling", {"kind": "partition", "blocks": [[0, 1, 2, 3], [4, 5, 6, 7]]},
                  id="missing-partition-field"),
+    pytest.param("residual_tol", "1e-6", id="string-tol"),
+    pytest.param("residual_tol", [1], id="list-tol"),
+    pytest.param("seed", None, id="null-seed"),
+    pytest.param("seed", 1.5, id="fractional-seed"),
+    pytest.param("max_iters", None, id="null-max-iters"),
 ]
 
 
@@ -295,6 +305,19 @@ class TestExperiment:
         plan_path.write_text(json.dumps(plan))
         assert run_cli("experiment", str(plan_path)) == 0
         assert len(calls) == 2
+
+    def test_unknown_partition_probs_is_an_error(self, tmp_path, capsys):
+        plan = {
+            "recipe": "gaussian:8x4",
+            "outputs": {"dir": str(tmp_path / "out")},
+            "configs": [{"method": "rbk", "sampling": "partition:2", "partition_probs": "frobenious",
+                         "stepsize": {"kind": "classic", "alpha": 1.0}, "max_iters": 5}],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run_cli("experiment", str(plan_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "frobenious" in err
 
     def test_single_trial_zero_stderr(self, tmp_path):
         plan = {

@@ -16,6 +16,7 @@ from kaczlab.sampling import (
     enumerate_supports,
     frobenius_partition,
     full_batch,
+    mean_block_size,
     membership_probability,
     partition_spec,
     paving_from_json,
@@ -101,6 +102,14 @@ class TestMembershipProbability:
             membership_probability(UniformSubset(4, 2), 4)
         with pytest.raises(IndexError):
             membership_probability(partition_spec([(0, 1)]), -1)
+
+
+def test_mean_block_size():
+    assert mean_block_size(UniformSubset(9, 1)) == 1.0
+    assert mean_block_size(UniformSubset(9, 4)) == 4.0
+    assert mean_block_size(partition_spec([(i,) for i in range(5)])) == 1.0
+    assert mean_block_size(partition_spec([(0,), (1,), (2, 3)])) == 4 / 3
+    assert mean_block_size(full_batch(6)) == 6.0
 
 
 class TestEnumerateSupports:

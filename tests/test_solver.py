@@ -8,6 +8,7 @@ from kaczlab.errors import ConfigMismatchError, ZeroRowError
 from kaczlab.linalg import LinearSystem
 from kaczlab.problems import GaussianNormalized, OrthonormalBlocks, generate_problem
 from kaczlab.sampling import (
+    DRAW_AHEAD,
     Partition,
     UniformSubset,
     build_random_paving,
@@ -233,6 +234,14 @@ class TestRunSolver:
         )
         with pytest.raises(ConfigMismatchError):
             run_solver(config, system)
+
+    def test_residual_tol_must_be_a_nonnegative_number(self):
+        spec = UniformSubset(4, 1)
+        args = (BASIC, spec, uniform_weights(spec), ClassicConstant(1.0))
+        for tol in (-1e-3, np.nan):
+            with pytest.raises(ConfigMismatchError):
+                SolverConfig(*args, max_iters=5, residual_tol=tol)
+        assert SolverConfig(*args, max_iters=5, residual_tol=np.inf).residual_tol == np.inf
 
     def test_adaptive_stalls_on_satisfied_block(self):
         # The only block ever drawn is already solved at x0, so every step
@@ -483,13 +492,13 @@ def _policy(kind):
     return ChebyshevSingular(_HORIZON, gram[-1], _TALL.m)
 
 
-def _case(method, spec_name, kind, weights="uniform", tol=0.0):
+def _case(method, spec_name, kind, weights="uniform", tol=0.0, max_iters=_HORIZON):
     system = _WIDE if kind == "chebyshev-pd" else _TALL
     spec = _SPECS[spec_name]
     if system is _WIDE:
         spec = UniformSubset(8, 1) if spec_name == "uniform1" else partition_spec([range(4), range(4, 8)])
     scheme = row_norm_sq_weights(spec, system) if weights == "rownormsq" else uniform_weights(spec)
-    config = SolverConfig(method, spec, scheme, _policy(kind), max_iters=_HORIZON, residual_tol=tol,
+    config = SolverConfig(method, spec, scheme, _policy(kind), max_iters=max_iters, residual_tol=tol,
                           seed=7, trace_level=FULL_ITERATES, diagnostics=True)
     return config, system
 
@@ -508,6 +517,9 @@ _LOCKSTEP_CASES = {
     # Trials stop at different k: the stack shrinks mid-run.
     "rbk-tolerance": (RBK, "uniform3", "constant-extrapolated", "uniform", 1.0),
     "adaptive-tolerance": (RBK, "ragged", "adaptive", "rownormsq", 0.7),
+    # Trials stop on both sides of step DRAW_AHEAD, where draws are refilled.
+    "rbk-long-tolerance": (RBK, "uniform1", "classic", "uniform", 1e-2, 600),
+    "adaptive-long-tolerance": (RBK, "ragged", "adaptive", "rownormsq", 3e-5, 600),
 }
 
 
@@ -540,6 +552,8 @@ def test_lockstep_trials_match_serial_runs(case):
     mc, _ = _assert_lockstep_matches_serial(config, system)
     if case.endswith("tolerance"):
         assert len(set(mc.hit_iteration.tolist())) > 1
+    if "long" in case:
+        assert 0 <= mc.hit_iteration.min() < DRAW_AHEAD < mc.hit_iteration.max()
 
 
 def test_lockstep_skips_and_stalls_match_serial_runs():
