@@ -293,14 +293,14 @@ def cmd_experiment(args) -> int:
     plan = json.loads(Path(args.plan).read_text())
     recipe = plan["recipe"]
     if isinstance(recipe, str):
-        recipe = parse_recipe(recipe, seed=int(plan.get("recipe_seed", 0)))
+        recipe = parse_recipe(recipe, seed=number_field(plan, "recipe_seed", int, 0))
     else:
         recipe = recipe_from_dict(recipe)
     system = generate_problem(recipe)
-    trials = int(plan.get("trials", 1))
+    trials = number_field(plan, "trials", int, 1)
     outdir = Path(args.outdir or plan.get("outputs", {}).get("dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    budget = int(plan.get("budget", 1000))
+    budget = number_field(plan, "budget", int, 1000)
 
     summary = {"trials": trials, "configs": []}
     for idx, doc in enumerate(plan["configs"]):

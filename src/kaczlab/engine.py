@@ -1,11 +1,13 @@
 """The lockstep engine: T runs of one solver configuration advanced
 together on a (T, n) array of iterates, each trial drawing its blocks from
 its own seed.  ``run_solver`` is its one-trial case and ``run_monte_carlo``
-its T-trial case (see :mod:`kaczlab.solver`); every trial has the bits of a
-run on its own (see :mod:`kaczlab.kernels` for the stacked forms).
+its T-trial case (see :mod:`kaczlab.solver`).  It draws, groups, records
+and stops the trials; each group's step is a kernel of
+:mod:`kaczlab.kernels`, whose stacked forms give every trial the bits of a
+run on its own.
 
 A run of one trial keeps its iterate as an (n,) vector, so that per-trial
-values are numpy scalars and a one-row step can use ``row_step``.
+values are numpy scalars and a one-row step can use ``row_step`` inline.
 
 A run records each per-step series as one list with an entry per step.
 While every trial is live an entry is the step's values over the stack;
@@ -26,15 +28,13 @@ from .errors import ConfigMismatchError, ZeroRowError
 from .kernels import (
     BASIC,
     BLOCK_PROJECTION,
-    RBK,
-    averaged_update,
+    adaptive_step,
+    averaged_step,
     block_projection_step,
-    check_rows,
     row_step,
 )
-from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, SolutionProjector, as_vector
+from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, as_vector
 from .sampling import BlockStream, mean_block_size
-from .stepsize import adaptive_steps
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -80,13 +80,11 @@ class Trials:
     all trials, a trial that has stopped keeping its last value.  After the
     run, ``iterations``, ``status`` and ``final_x`` hold each trial's K,
     status and x^K, ``series`` gives a column as recorded and ``column`` a
-    padded one.  With ``keep_blocks``, ``blocks`` gives the drawn blocks of
-    a run of one trial.
+    padded one; ``blocks`` gives the drawn blocks of a run of one trial.
     """
 
     def __init__(self, config: SolverConfig, system: LinearSystem, seeds,
-                 x0: np.ndarray | None = None, projector: SolutionProjector | None = None,
-                 keep_blocks: bool = False):
+                 x0: np.ndarray | None = None):
         if config.sampling.m != system.m:
             raise ConfigMismatchError(
                 f"sampling spec covers {config.sampling.m} rows but the system has {system.m}"
@@ -97,11 +95,11 @@ class Trials:
         self.alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
         if config.method == BLOCK_PROJECTION and self.alphas is None:
             raise ConfigMismatchError("adaptive stepsize applies to the averaged update only")
-        if projector is None and (config.diagnostics or system.planted_solution is None):
-            # Building the projector also raises InconsistentSystemError when b
-            # lies outside range(A).
-            projector = system.projector
-        self.config, self.system, self.projector = config, system, projector
+        self.config, self.system = config, system
+        # Building the projector also raises InconsistentSystemError when b
+        # lies outside range(A).
+        self.projector = (system.projector if config.diagnostics or system.planted_solution is None
+                          else None)
         tol = config.residual_tol
         if tol is None:
             tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
@@ -112,16 +110,16 @@ class Trials:
         x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n)
         self.T = T = len(seeds)
         self.single = T == 1
-        # One trial with one-row blocks of weight 1 steps through row_step.
+        # One trial with one-row blocks (each of weight 1) steps through row_step.
         self.row_steps = (self.single and singletons and self.alphas is not None
-                          and (config.method == BASIC or (config.method == RBK and self.uniform_weights)))
+                          and config.method != BLOCK_PROJECTION)
         self.stream = BlockStream(config.sampling, map(np.random.default_rng, seeds),
                                   config.max_iters)
         self.iterations = [0] * T
         self.status = [MAX_ITERS] * T
         self.final_x = [None] * T
-        # Each step's draws (from k = 1), for ``blocks``.
-        self.drawn = [] if keep_blocks else None
+        # A one-trial run's draws (from k = 1), for ``blocks``.
+        self.drawn = [] if self.single else None
         self.columns = {"residual_sq": []}
         if config.diagnostics:
             self.columns["dist_sq"] = []
@@ -220,17 +218,9 @@ class Trials:
         for sel, J in self.stream.groups(draw):
             Xg = X if sel is None else X[sel]
             if config.method == BLOCK_PROJECTION:
-                new = (block_projection_step(Xg, system, J, alpha) if self.single
-                       else np.stack([block_projection_step(x, system, j, alpha)
-                                      for x, j in zip(Xg, J)]))
+                new = block_projection_step(Xg, system, J, alpha)
             else:
-                # ``take`` gathers the drawn rows with less overhead than
-                # fancy indexing.
-                norms = self.norms.take(J)
-                if self.has_zero_rows:
-                    check_rows(J, norms)
-                new = averaged_update(Xg, system.A.take(J, axis=0), system.b.take(J), norms,
-                                      self._weights(J), alpha)
+                new = averaged_step(Xg, system, J, self._weights(J), alpha, self.has_zero_rows)
             if sel is None:
                 return new
             if out is None:
@@ -240,40 +230,29 @@ class Trials:
 
     def _weights(self, J: np.ndarray) -> np.ndarray | float | None:
         """The realized weights of the blocks J, or a scalar standing for
-        all of them; None for weight 1 (the basic step, one-row blocks)."""
+        all of them; None for weight 1: one-row blocks (every block of the
+        basic method), whose realized weight is exactly 1.0."""
         tau = J.shape[-1]
-        if self.config.method == BASIC or (self.uniform_weights and tau == 1):
+        if tau == 1:
             return None
         if self.uniform_weights:
             return 1.0 / tau
+        if self.has_zero_rows:
+            # A block of zero rows has no weights (0/0); the kernels refuse it.
+            with np.errstate(invalid="ignore"):
+                return self.config.weights.realized(self.system, J)
         return self.config.weights.realized(self.system, J)
 
     def _adaptive_step(self, X: np.ndarray, draw: np.ndarray):
-        """(iterates, alpha, moved): alpha is NaN where a block's step is
-        skipped (moved False) and the iterate stays; moved is None when no
-        step is skipped."""
-        system, delta = self.system, self.config.stepsize.delta
+        """(iterates, alpha, moved) as ``adaptive_step`` gives them; moved is
+        None when no step is skipped."""
         parts = []
         for sel, J in self.stream.groups(draw):
-            Xg, AJ = (X if sel is None else X[sel]), system.A.take(J, axis=0)
-            # One gemv per block, like A_J @ x.
-            residuals = np.matvec(AJ, Xg) - system.b.take(J)
-            norms = self.norms.take(J)
-            if self.has_zero_rows:
-                # A block whose residuals all vanish is skipped before its
-                # rows are looked at.
-                active = np.any(residuals, axis=-1)
-                check_rows(J[active], norms[active])
-                norms = np.where(norms < ZERO_ROW_NORM_SQ, 1.0, norms)
-            weights = self._weights(J)
-            L, d, moved = adaptive_steps(AJ, residuals, 1.0 if weights is None else weights, norms)
-            alpha = (2.0 - delta) * L
-            new = Xg - alpha[..., None] * d
-            skipped = not moved.all()
-            if skipped:
-                new = np.where(moved[..., None], new, Xg)
+            new, alpha, moved = adaptive_step(X if sel is None else X[sel], self.system, J,
+                                              self._weights(J), self.config.stepsize.delta,
+                                              self.has_zero_rows)
             if sel is None:
-                return new, alpha, moved if skipped else None
+                return new, alpha, (None if moved.all() else moved)
             parts.append((sel, new, alpha, moved))
         out, alpha, moved = np.empty_like(X), np.empty(len(X)), np.empty(len(X), dtype=bool)
         for sel, *values in parts:

@@ -1,8 +1,9 @@
-"""The iteration kernels: the averaged-projection update that the basic
-and the block (RBK) methods share, its one-row form, its one-block entry
-points, and the block-projection step.
+"""The iteration kernels: each method's whole step on a drawn block of
+rows.  ``averaged_step`` is the averaged projection that the basic and the
+block (RBK) methods share, ``adaptive_step`` the same update with the
+adaptive stepsize, and ``block_projection_step`` the exact projection.
 
-The averaged update works on one trial or on a stack of trials: X is
+The averaged steps work on one trial or on a stack of trials: X is
 (..., n), each trial's drawn block J (..., tau), its rows AJ = A[J]
 (..., tau, n).  Every stacked form gives each trial the bits of the
 one-trial computation, so T trials in lockstep replay T serial runs:
@@ -29,11 +30,29 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroRowError
-from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, block_sum, least_squares_min_norm
+from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, least_squares_min_norm
 
 BASIC = "basic"
 RBK = "rbk"
 BLOCK_PROJECTION = "block-projection"
+
+# Squared direction norms below this make an adaptive step degenerate.
+DIRECTION_EPS = 1e-28
+
+
+def block_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """The sum over the (negative) ``axis`` in index order: the bits of
+    ``s = 0.0`` then ``s += t`` for each t along the axis.  Overwrites
+    ``terms``.
+
+    ``np.add.reduce`` sums pairwise when the summed axis ends up innermost
+    (a 2-d stack, or rows of length 1); ``accumulate`` adds in sequence for
+    every shape, and ``+ 0.0`` gives the +0.0 that starting from 0.0 leaves
+    where every term is -0.0.
+    """
+    if terms.shape[axis] > 1:
+        np.add.accumulate(terms, axis=axis, out=terms)
+    return terms[(..., -1) + (slice(None),) * (-1 - axis)] + 0.0
 
 
 def check_rows(J: np.ndarray, norms: np.ndarray) -> None:
@@ -42,20 +61,76 @@ def check_rows(J: np.ndarray, norms: np.ndarray) -> None:
         raise ZeroRowError(int(J[norms < ZERO_ROW_NORM_SQ][0]))
 
 
-def averaged_update(X, AJ, bJ, norms, weights, alpha) -> np.ndarray:
-    """x - alpha * sum_i ((w_i (a_i . x - b_i)) / ||a_i||^2) a_i per trial;
-    ``weights=None`` is weight 1 (the basic step).  Overwrites the gathered
-    rows ``AJ`` with the terms of the sum."""
-    r = np.vecdot(AJ, X[..., None, :]) - bJ
+def row_step(x: np.ndarray, a: np.ndarray, b_i, norm, weight, alpha) -> np.ndarray:
+    """``averaged_step`` for one trial x (n,) and the one-row block a, in
+    scalar arithmetic with the same bits."""
+    r = a.dot(x) - b_i
+    return x - alpha * (((r if weight is None else weight * r) / norm) * a + 0.0)
+
+
+def averaged_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, alpha,
+                  check: bool = True) -> np.ndarray:
+    """x - alpha * sum_i ((w_i (a_i . x - b_i)) / ||a_i||^2) a_i for the
+    iterates X (..., n) and their sorted blocks J (..., tau), by ``row_step``
+    for one trial and one row.  ``weights`` are (..., tau), one scalar for
+    all, or None for weight 1.  A drawn zero row raises ZeroRowError;
+    ``check=False`` skips that test."""
+    if X.ndim == 1 and J.size == 1:
+        i = J[0]
+        if check and system.row_dots[i] < ZERO_ROW_NORM_SQ:
+            raise ZeroRowError(int(i))
+        w = weights if weights is None or isinstance(weights, float) else weights[0]
+        return row_step(X, system.A[i], system.b[i], system.row_dots[i], w, alpha)
+    norms, AJ = system.row_dots.take(J), system.A.take(J, axis=0)
+    if check:
+        check_rows(J, norms)
+    r = np.vecdot(AJ, X[..., None, :]) - system.b.take(J)
     coef = (r if weights is None else weights * r) / norms
     return X - alpha * block_sum(np.multiply(coef[..., None], AJ, out=AJ), axis=-2)
 
 
-def row_step(x: np.ndarray, a: np.ndarray, b_i, norm, weight, alpha) -> np.ndarray:
-    """``averaged_update`` for one trial x (n,) and the one-row block a, in
-    scalar arithmetic with the same bits."""
-    r = a.dot(x) - b_i
-    return x - alpha * (((r if weight is None else weight * r) / norm) * a + 0.0)
+def adaptive_steps(
+    block_rows: np.ndarray, residuals: np.ndarray, weights, norms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``stepsize.adaptive_alpha``'s L and direction for one block or a stack.
+
+    Takes (..., tau, n) rows with their (..., tau) residuals, weights (or one
+    scalar weight for all) and squared norms (none zero); returns (L, d,
+    moved): L is NaN where the block's step is skipped (``moved`` False).
+    The sums over a block run in row order, so each block of a stack gets
+    the bits of a one-block call.  Overwrites ``block_rows`` with the terms
+    of d.
+    """
+    scaled = (weights / norms) * residuals
+    numer = block_sum(scaled * residuals, axis=-1)
+    d = block_sum(np.multiply(scaled[..., None], block_rows, out=block_rows), axis=-2)
+    dnorm_sq = np.vecdot(d, d)
+    # All-zero residuals give d = 0, so this also skips them.
+    moved = ~(dnorm_sq < DIRECTION_EPS)
+    L = np.divide(numer, dnorm_sq, out=np.full(moved.shape, np.nan), where=moved)
+    return L, d, moved
+
+
+def adaptive_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, delta: float,
+                  check: bool = True):
+    """(iterates, alpha, moved): ``averaged_step`` with alpha = (2 - delta) L
+    (see ``adaptive_steps``).  Where a block's step is skipped alpha is NaN
+    and the iterate stays.  A block whose residuals all vanish is skipped
+    before its rows are looked at, so only the others raise ZeroRowError."""
+    AJ = system.A.take(J, axis=0)
+    # One gemv per block, like A_J @ x.
+    residuals = np.matvec(AJ, X) - system.b.take(J)
+    norms = system.row_dots.take(J)
+    if check:
+        active = np.any(residuals, axis=-1)
+        check_rows(J[active], norms[active])
+        norms = np.where(norms < ZERO_ROW_NORM_SQ, 1.0, norms)
+    L, d, moved = adaptive_steps(AJ, residuals, 1.0 if weights is None else weights, norms)
+    alpha = (2.0 - delta) * L
+    new = X - alpha[..., None] * d
+    if not moved.all():
+        new = np.where(moved[..., None], new, X)
+    return new, alpha, moved
 
 
 def basic_kaczmarz_step(x: np.ndarray, row: np.ndarray, b_i: float, alpha: float) -> np.ndarray:
@@ -82,25 +157,20 @@ def rbk_step(
     bit-reproducible regardless of how callers parallelize row work.
     """
     J, weights = np.asarray(J, dtype=int), np.asarray(weights, dtype=float)
-    if J.size == 1:
-        i, norm = J[0], system.row_dots[J[0]]
-        if norm < ZERO_ROW_NORM_SQ:
-            raise ZeroRowError(int(i))
-        return row_step(np.asarray(x, dtype=float), system.A[i], system.b[i], norm, weights[0], alpha)
     order = J.argsort(kind="stable")
-    J, weights = J.take(order), weights.take(order)
-    norms = system.row_dots.take(J)
-    check_rows(J, norms)
-    return averaged_update(np.asarray(x, dtype=float), system.A.take(J, axis=0),
-                           system.b.take(J), norms, weights, alpha)
+    return averaged_step(np.asarray(x, dtype=float), system, J.take(order), weights.take(order),
+                         alpha)
 
 
 def block_projection_step(
     x: np.ndarray, system: LinearSystem, J: np.ndarray, alpha: float = 1.0
 ) -> np.ndarray:
     """x - alpha * A_J^+ (A_J x - b_J); with alpha = 1 this solves the
-    whole block exactly (up to rank deficiency)."""
+    whole block exactly (up to rank deficiency).  A stack of iterates (T, n)
+    with blocks (T, tau) steps one trial at a time."""
     J = np.asarray(J, dtype=int)
+    if J.ndim > 1:
+        return np.stack([block_projection_step(x_t, system, J_t, alpha) for x_t, J_t in zip(x, J)])
     A_J = system.A[J]
     r = A_J @ x - system.b[J]
     return x - alpha * least_squares_min_norm(A_J, r)

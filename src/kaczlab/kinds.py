@@ -9,6 +9,7 @@ choices.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing
 from typing import ClassVar
 
@@ -39,12 +40,23 @@ def registry(*classes: type[Kind]) -> dict[str, type[Kind]]:
     return {cls.kind: cls for cls in classes}
 
 
+def number_field(doc: dict, name: str, kind: type, default=None):
+    """``doc[name]`` (``default`` when absent) as ``kind``, int or float.
+    A value that is not a number of that kind (a bool, a string, None, a
+    fractional number for an int) raises ValueError naming the field."""
+    value = doc.get(name, default)
+    numeric = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def from_kind_dict(kinds: dict, doc: dict, what: str, *args):
     """``kinds[doc["kind"]](*args, **other fields of doc)``.
 
-    Fields annotated ``int`` or ``float`` are coerced.  A doc that is not a
-    dict, an unknown kind, an unknown or missing field, or a value of the
-    wrong type raises ``ValueError``.
+    Fields annotated ``int`` or ``float`` are read with ``number_field``.
+    A doc that is not a dict, an unknown kind, an unknown or missing field,
+    or a value of the wrong type raises ``ValueError``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a {what} must be a JSON object, got {doc!r}")
@@ -55,7 +67,8 @@ def from_kind_dict(kinds: dict, doc: dict, what: str, *args):
     make = kinds[kind]
     hints = typing.get_type_hints(make) if isinstance(make, type) else {}
     try:
-        fields = {k: hints[k](v) if hints.get(k) in (int, float) else v for k, v in fields.items()}
+        fields = {k: number_field(fields, k, hints[k]) if hints.get(k) in (int, float) else v
+                  for k, v in fields.items()}
         return make(*args, **fields)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} kind {kind!r}: {exc}") from exc

@@ -30,21 +30,6 @@ ZERO_ROW_NORM_SQ = 1e-28
 CONSISTENCY_TOL = 1e-6
 
 
-def block_sum(terms: np.ndarray, axis: int) -> np.ndarray:
-    """The sum over the (negative) ``axis`` in index order: the bits of
-    ``s = 0.0`` then ``s += t`` for each t along the axis.  Overwrites
-    ``terms``.
-
-    ``np.add.reduce`` sums pairwise when the summed axis ends up innermost
-    (a 2-d stack, or rows of length 1); ``accumulate`` adds in sequence for
-    every shape, and ``+ 0.0`` gives the +0.0 that starting from 0.0 leaves
-    where every term is -0.0.
-    """
-    if terms.shape[axis] > 1:
-        np.add.accumulate(terms, axis=axis, out=terms)
-    return terms[(..., -1) + (slice(None),) * (-1 - axis)] + 0.0
-
-
 def as_matrix(A) -> np.ndarray:
     """Coerce to a 2-d float64 array and reject non-finite entries."""
     A = np.asarray(A, dtype=float)

@@ -10,6 +10,7 @@ aligned blocks.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,15 +135,16 @@ def parse_recipe(text: str, seed: int = 0) -> ProblemRecipe:
     """
     parts = text.split(":")
     kind = parts[0].lower()
-    try:
-        m, n = (int(t) for t in parts[1].split("x"))
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"cannot parse recipe {text!r}: expected kind:MxN[:param]") from exc
-    # The optional param fills the field between n and seed.
+    # The optional param fills the field between n and seed, read as its type.
     cls = RECIPE_KINDS.get(kind)
     params = [f.name for f in dataclasses.fields(cls)][2:-1] if cls else []
-    doc = {"kind": kind, "m": m, "n": n, "seed": seed} | dict(zip(params, parts[2:]))
-    return recipe_from_dict(doc)
+    hints = typing.get_type_hints(cls) if cls else {}
+    try:
+        m, n = (int(t) for t in parts[1].split("x"))
+        doc = {name: hints[name](t) for name, t in zip(params, parts[2:])}
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"cannot parse recipe {text!r}: expected kind:MxN[:param]") from exc
+    return recipe_from_dict({"kind": kind, "m": m, "n": n, "seed": seed} | doc)
 
 
 def recipe_to_dict(recipe: ProblemRecipe) -> dict:

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +36,8 @@ from .kernels import (
     block_projection_step,
     rbk_step,
 )
-from .linalg import LinearSystem, SolutionProjector
+from .kinds import number_field
+from .linalg import LinearSystem
 from .sampling import SamplingSpec, sampling_from_dict
 from .stepsize import (
     StepsizePolicy,
@@ -188,12 +188,8 @@ class SolverTrace:
 # Runs
 # ---------------------------------------------------------------------------
 
-def run_solver(
-    config: SolverConfig,
-    system: LinearSystem,
-    x0: np.ndarray | None = None,
-    projector: SolutionProjector | None = None,
-) -> SolverTrace:
+def run_solver(config: SolverConfig, system: LinearSystem,
+               x0: np.ndarray | None = None) -> SolverTrace:
     """Iterate the configured method until the residual tolerance or
     max_iters is hit: the engine with one trial.
 
@@ -201,7 +197,7 @@ def run_solver(
     events and stall after STALL_LIMIT consecutive skips.  ``x0`` must be a
     finite vector of length n (``ValueError`` otherwise).
     """
-    run = Trials(config, system, [config.seed], x0, projector, keep_blocks=True)
+    run = Trials(config, system, [config.seed], x0)
     K = run.iterations[0]
     return SolverTrace(
         config, run.status[0], run.final_x[0].copy(),
@@ -237,6 +233,7 @@ class MonteCarloSummary:
     stderr_iterate: np.ndarray | None
     mean_residual_norm: np.ndarray
     hit_iteration: np.ndarray  # per trial: first k at tolerance, -1 if never
+    final_x: np.ndarray  # (trials, n): each trial's last iterate
 
 
 def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> MonteCarloSummary:
@@ -260,6 +257,7 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
         *stats.get("iterates", (None, None)),
         mean_residual_norm=stats["residual_sq"][0],
         hit_iteration=np.asarray(hits, dtype=int),
+        final_x=np.stack(run.final_x),
     )
 
 
@@ -270,17 +268,6 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
 def config_to_dict(config: SolverConfig) -> dict:
     doc = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     return doc | {key: doc[key].to_dict() for key in ("sampling", "weights", "stepsize")}
-
-
-def number_field(doc: dict, name: str, kind: type, default=None):
-    """``doc[name]`` (``default`` when absent) as ``kind``, int or float.
-    A value that is not a number of that kind (a bool, a string, None)
-    raises ValueError naming the field."""
-    value = doc.get(name, default)
-    numeric = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, numeric):
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
 
 
 def config_from_dict(doc: dict, system: LinearSystem) -> SolverConfig:

@@ -19,14 +19,11 @@ from .errors import (
     BadSpectrumError,
     ConfigMismatchError,
     NonPositiveConditioningError,
-    ZeroRowError,
 )
+from .kernels import adaptive_steps, check_rows
 from .kinds import Kind, from_kind_dict, registry
-from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, block_sum
+from .linalg import LinearSystem
 from .sampling import Partition, SamplingSpec
-
-# Squared direction norms below this make an adaptive step degenerate.
-DIRECTION_EPS = 1e-28
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +214,9 @@ def adaptive_alpha(
     With omega_bar_i = omega_i / ||a_i||^2 and direction
     d = sum_i omega_bar_i r_i a_i, returns L = (sum_i omega_bar_i r_i^2) /
     ||d||^2 and alpha = (2 - delta) L.  Returns ``None`` (skip: no step can
-    make progress) when all residuals vanish or ||d||^2 < DIRECTION_EPS.
-    A zero row raises :class:`ZeroRowError` with its position in the block.
+    make progress) when all residuals vanish or ||d||^2 < DIRECTION_EPS
+    (:mod:`kaczlab.kernels`).  A zero row raises :class:`ZeroRowError` with
+    its position in the block.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
@@ -228,35 +226,11 @@ def adaptive_alpha(
     if not np.any(residuals):
         return None
     norms = np.vecdot(block_rows, block_rows)
-    zero = np.flatnonzero(norms < ZERO_ROW_NORM_SQ)
-    if zero.size:
-        raise ZeroRowError(int(zero[0]))
+    check_rows(np.arange(norms.size), norms)
     L, d, moved = adaptive_steps(block_rows, residuals, weights, norms)
     if not moved:
         return None
     return AdaptiveStep(alpha=(2.0 - delta) * float(L), L=float(L), direction=d)
-
-
-def adaptive_steps(
-    block_rows: np.ndarray, residuals: np.ndarray, weights: np.ndarray, norms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``adaptive_alpha``'s L and direction for one block or a stack of them.
-
-    Takes (..., tau, n) rows with their (..., tau) residuals, weights (or
-    one scalar weight for all) and squared norms (none zero); returns (L, d,
-    moved): L is NaN where the block's step is skipped (``moved`` False).
-    The sums over a block run in row order, so each block of a stack gets
-    the bits of a one-block call.  Overwrites ``block_rows`` with the terms
-    of d.
-    """
-    scaled = (weights / norms) * residuals
-    numer = block_sum(scaled * residuals, axis=-1)
-    d = block_sum(np.multiply(scaled[..., None], block_rows, out=block_rows), axis=-2)
-    dnorm_sq = np.vecdot(d, d)
-    # All-zero residuals give d = 0, so this also skips them.
-    moved = ~(dnorm_sq < DIRECTION_EPS)
-    L = np.divide(numer, dnorm_sq, out=np.full(moved.shape, np.nan), where=moved)
-    return L, d, moved
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +406,20 @@ class Adaptive(Kind):
 
 class _RootSchedule(Kind):
     """A fixed-horizon Chebyshev root schedule; subclasses build it from
-    their spectrum with ``_schedule(kappa)``.
+    their spectrum with ``_schedule(kappa)``, which checks the spectrum, the
+    horizon and kappa.  A policy builds its schedule once, on construction,
+    so a bad one is refused there and every run reuses its stepsizes.
 
     ``kappa=None`` selects the numerically stable bit-reversal ordering;
     pass an explicit permutation (e.g. ``identity_permutation(k)``) to
     override.
     """
 
-    def _check_order(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+    def __post_init__(self):
         if self.kappa is not None:
-            object.__setattr__(
-                self, "kappa", tuple(int(j) for j in _check_permutation(self.kappa, self.horizon))
-            )
+            object.__setattr__(self, "kappa", tuple(np.asarray(self.kappa, dtype=int).tolist()))
+        # Every run shares these stepsizes: a read-only view, like ClassicConstant's.
+        object.__setattr__(self, "_alphas", np.broadcast_to(self.schedule().alphas, self.horizon))
 
     def schedule(self) -> ChebyshevSchedule:
         kappa = (
@@ -460,7 +434,7 @@ class _RootSchedule(Kind):
             raise ConfigMismatchError(
                 f"Chebyshev schedule has horizon {self.horizon} but max_iters={max_iters}"
             )
-        return self.schedule().alphas
+        return self._alphas
 
 
 @dataclass(frozen=True)
@@ -473,13 +447,6 @@ class ChebyshevPD(_RootSchedule):
     lambda_max: float
     m: int
     kappa: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.lambda_min <= self.lambda_max):
-            raise BadSpectrumError(
-                f"need 0 < lambda_min <= lambda_max, got {self.lambda_min}, {self.lambda_max}"
-            )
-        self._check_order()
 
     def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_pd(self.lambda_min, self.lambda_max, self.m, self.horizon, kappa)
@@ -494,11 +461,6 @@ class ChebyshevSingular(_RootSchedule):
     lambda_max: float
     m: int
     kappa: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.lambda_max <= 0:
-            raise BadSpectrumError(f"need lambda_max > 0, got {self.lambda_max}")
-        self._check_order()
 
     def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_singular(self.lambda_max, self.m, self.horizon, kappa)

@@ -136,6 +136,8 @@ MALFORMED = [
     pytest.param("sampling", {"kind": "uniform", "m": 8, "tau": 2, "replace": False},
                  id="unknown-sampling-field"),
     pytest.param("sampling", {"kind": "uniform", "m": 8}, id="missing-field"),
+    pytest.param("sampling", {"kind": "uniform", "m": 8, "tau": 2.7}, id="fractional-tau"),
+    pytest.param("stepsize", {"kind": "classic", "alpha": "1.0"}, id="string-alpha"),
     pytest.param("sampling", {"kind": "partition", "blocks": [[0, 1, 2, 3], [4, 5, 6, 7]]},
                  id="missing-partition-field"),
     pytest.param("residual_tol", "1e-6", id="string-tol"),
@@ -318,6 +320,26 @@ class TestExperiment:
         assert run_cli("experiment", str(plan_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and "frobenious" in err
+
+    @pytest.mark.parametrize("field,fields", [
+        ("trials", {"trials": 2.9}),
+        ("budget", {"budget": "50"}),
+        ("recipe_seed", {"recipe_seed": True}),
+        ("m", {"recipe": {"kind": "gaussian", "m": "20", "n": 10}}),
+        ("n", {"recipe": {"kind": "gaussian", "m": 20, "n": 10.9}}),
+    ], ids=["fractional-trials", "string-budget", "bool-recipe-seed", "string-m", "fractional-n"])
+    def test_plan_numbers_are_strict(self, field, fields, tmp_path, capsys):
+        plan = {
+            "recipe": "gaussian:8x4",
+            "outputs": {"dir": str(tmp_path / "out")},
+            "configs": [{"method": "rbk", "sampling": "uniform:2",
+                         "stepsize": {"kind": "classic", "alpha": 1.0}, "max_iters": 5}],
+        } | fields
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run_cli("experiment", str(plan_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and f"{field} must be" in err
 
     def test_single_trial_zero_stderr(self, tmp_path):
         plan = {

@@ -444,6 +444,22 @@ def test_zero_row_draw_raises(method, policy):
     assert single.value.row == batched.value.row == 2
 
 
+def test_zero_row_block_with_row_norm_weights_raises():
+    # Rows 1 and 2 are zero, so block (1, 2), drawn first at seed 1, has no
+    # row-norm weights (0/0): the run refuses it without a RuntimeWarning.
+    A = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    x_star = np.array([1.0, -1.0, 2.0])
+    system = LinearSystem(A, A @ x_star, planted_solution=x_star)
+    spec = UniformSubset(4, 2)
+    config = SolverConfig(RBK, spec, row_norm_sq_weights(spec, system), ClassicConstant(1.0),
+                          max_iters=50, seed=1)
+    with pytest.raises(ZeroRowError) as single:
+        run_solver(config, system)
+    assert single.value.row == 1
+    with pytest.raises(ZeroRowError):
+        run_monte_carlo(config, system, trials=3)
+
+
 @pytest.mark.parametrize("x0", [np.full(3, np.nan), np.array([0.0, np.inf, 0.0]), np.zeros(2)],
                          ids=["nan", "inf", "short"])
 def test_bad_x0_is_rejected(x0):
@@ -510,6 +526,7 @@ _LOCKSTEP_CASES = {
     **{f"blockproj-{kind}": (BLOCK_PROJECTION, "partition", kind)
        for kind in _KINDS if kind != "adaptive"},
     "rbk-tau1": (RBK, "uniform1", "classic"),
+    "rbk-tau1-rownormsq": (RBK, "uniform1", "classic", "rownormsq"),
     "rbk-partition": (RBK, "partition", "constant-extrapolated", "rownormsq"),
     "rbk-ragged": (RBK, "ragged", "classic", "rownormsq"),
     "adaptive-ragged": (RBK, "ragged", "adaptive"),
@@ -539,9 +556,10 @@ def _assert_lockstep_matches_serial(config, system, trials=4):
     mc = run_monte_carlo(config, system, trials)
     expected, traces = _serial_summary(config, system, trials)
     got = [mc.mean_dist_sq, mc.stderr_dist_sq, mc.mean_iterate, mc.stderr_iterate,
-           mc.mean_residual_norm, mc.hit_iteration]
+           mc.mean_residual_norm, mc.hit_iteration, mc.final_x]
+    expected.append(np.stack([trace.final_x for trace in traces]))
     for name, a, b in zip(["mean_dist_sq", "stderr_dist_sq", "mean_iterate", "stderr_iterate",
-                           "mean_residual_norm", "hit_iteration"], got, expected):
+                           "mean_residual_norm", "hit_iteration", "final_x"], got, expected):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     return mc, traces
 
