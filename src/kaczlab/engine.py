@@ -19,7 +19,6 @@ forward and the list stacks into (K + 1, T, ...) as it stands.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -129,10 +128,6 @@ class Trials:
             self.columns["iterates"] = []
         self._run(x if self.single else np.repeat(x[None], T, axis=0))
 
-    @cached_property
-    def has_zero_rows(self) -> bool:
-        return bool(self.norms.min() < ZERO_ROW_NORM_SQ)
-
     def _finish(self, t: int, k: int, x: np.ndarray, s, skips) -> None:
         self.iterations[t], self.final_x[t] = k, x
         if s <= self.tol_sq:
@@ -220,7 +215,7 @@ class Trials:
             if config.method == BLOCK_PROJECTION:
                 new = block_projection_step(Xg, system, J, alpha)
             else:
-                new = averaged_step(Xg, system, J, self._weights(J), alpha, self.has_zero_rows)
+                new = averaged_step(Xg, system, J, self._weights(J), alpha)
             if sel is None:
                 return new
             if out is None:
@@ -237,8 +232,9 @@ class Trials:
             return None
         if self.uniform_weights:
             return 1.0 / tau
-        if self.has_zero_rows:
-            # A block of zero rows has no weights (0/0); the kernels refuse it.
+        if self.system.has_zero_rows:
+            # A block of zero rows has no weights (0/0); the kernels refuse
+            # it, or skip it when its residuals all vanish.
             with np.errstate(invalid="ignore"):
                 return self.config.weights.realized(self.system, J)
         return self.config.weights.realized(self.system, J)
@@ -249,8 +245,7 @@ class Trials:
         parts = []
         for sel, J in self.stream.groups(draw):
             new, alpha, moved = adaptive_step(X if sel is None else X[sel], self.system, J,
-                                              self._weights(J), self.config.stepsize.delta,
-                                              self.has_zero_rows)
+                                              self._weights(J), self.config.stepsize.delta)
             if sel is None:
                 return new, alpha, (None if moved.all() else moved)
             parts.append((sel, new, alpha, moved))

@@ -68,21 +68,20 @@ def row_step(x: np.ndarray, a: np.ndarray, b_i, norm, weight, alpha) -> np.ndarr
     return x - alpha * (((r if weight is None else weight * r) / norm) * a + 0.0)
 
 
-def averaged_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, alpha,
-                  check: bool = True) -> np.ndarray:
+def averaged_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights,
+                  alpha) -> np.ndarray:
     """x - alpha * sum_i ((w_i (a_i . x - b_i)) / ||a_i||^2) a_i for the
     iterates X (..., n) and their sorted blocks J (..., tau), by ``row_step``
     for one trial and one row.  ``weights`` are (..., tau), one scalar for
-    all, or None for weight 1.  A drawn zero row raises ZeroRowError;
-    ``check=False`` skips that test."""
+    all, or None for weight 1.  A drawn zero row raises ZeroRowError."""
     if X.ndim == 1 and J.size == 1:
         i = J[0]
-        if check and system.row_dots[i] < ZERO_ROW_NORM_SQ:
+        if system.row_dots[i] < ZERO_ROW_NORM_SQ:
             raise ZeroRowError(int(i))
         w = weights if weights is None or isinstance(weights, float) else weights[0]
         return row_step(X, system.A[i], system.b[i], system.row_dots[i], w, alpha)
     norms, AJ = system.row_dots.take(J), system.A.take(J, axis=0)
-    if check:
+    if system.has_zero_rows:
         check_rows(J, norms)
     r = np.vecdot(AJ, X[..., None, :]) - system.b.take(J)
     coef = (r if weights is None else weights * r) / norms
@@ -111,21 +110,23 @@ def adaptive_steps(
     return L, d, moved
 
 
-def adaptive_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, delta: float,
-                  check: bool = True):
+def adaptive_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, delta: float):
     """(iterates, alpha, moved): ``averaged_step`` with alpha = (2 - delta) L
     (see ``adaptive_steps``).  Where a block's step is skipped alpha is NaN
     and the iterate stays.  A block whose residuals all vanish is skipped
-    before its rows are looked at, so only the others raise ZeroRowError."""
+    before its rows (or their weights, 0/0 on a block of zero rows) are
+    looked at, so only the others raise ZeroRowError."""
     AJ = system.A.take(J, axis=0)
     # One gemv per block, like A_J @ x.
     residuals = np.matvec(AJ, X) - system.b.take(J)
     norms = system.row_dots.take(J)
-    if check:
+    if system.has_zero_rows:
         active = np.any(residuals, axis=-1)
         check_rows(J[active], norms[active])
         norms = np.where(norms < ZERO_ROW_NORM_SQ, 1.0, norms)
     L, d, moved = adaptive_steps(AJ, residuals, 1.0 if weights is None else weights, norms)
+    if system.has_zero_rows:
+        moved &= active
     alpha = (2.0 - delta) * L
     new = X - alpha[..., None] * d
     if not moved.all():
@@ -157,9 +158,10 @@ def rbk_step(
     bit-reproducible regardless of how callers parallelize row work.
     """
     J, weights = np.asarray(J, dtype=int), np.asarray(weights, dtype=float)
-    order = J.argsort(kind="stable")
-    return averaged_step(np.asarray(x, dtype=float), system, J.take(order), weights.take(order),
-                         alpha)
+    if J.size > 1:
+        order = J.argsort(kind="stable")
+        J, weights = J.take(order), weights.take(order)
+    return averaged_step(np.asarray(x, dtype=float), system, J, weights, alpha)
 
 
 def block_projection_step(

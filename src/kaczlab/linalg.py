@@ -106,6 +106,11 @@ class LinearSystem:
         return np.vecdot(self.A, self.A)
 
     @cached_property
+    def has_zero_rows(self) -> bool:
+        """Whether some row is zero (``row_dots`` below ZERO_ROW_NORM_SQ)."""
+        return bool(self.row_dots.min() < ZERO_ROW_NORM_SQ)
+
+    @cached_property
     def cache(self) -> dict:
         """Values other modules derive from the system, by key."""
         return {}

@@ -238,10 +238,11 @@ def adaptive_alpha(
 # ---------------------------------------------------------------------------
 
 def _check_permutation(kappa, k: int) -> np.ndarray:
-    kappa = np.asarray(kappa, dtype=int)
-    if sorted(kappa.tolist()) != list(range(k)):
-        raise ValueError(f"kappa must be a permutation of 0..{k - 1}")
-    return kappa
+    """``kappa`` as an int array; a non-integer entry is refused, not truncated."""
+    kappa = np.asarray(kappa)
+    if kappa.dtype.kind not in "iu" or sorted(kappa.tolist()) != list(range(k)):
+        raise ValueError(f"kappa must be a permutation of 0..{k - 1}, got {kappa.tolist()!r}")
+    return kappa.astype(int)
 
 
 def identity_permutation(k: int) -> np.ndarray:
@@ -309,7 +310,7 @@ class ChebyshevSchedule:
             alphas=np.asarray(doc["alphas"], dtype=float),
             ell=float(doc["ell"]),
             u=float(doc["u"]),
-            kappa=np.asarray(doc["kappa"], dtype=int),
+            kappa=_check_permutation(doc["kappa"], len(doc["alphas"])),
         )
 
 
@@ -416,17 +417,14 @@ class _RootSchedule(Kind):
     """
 
     def __post_init__(self):
+        schedule = self.schedule()
         if self.kappa is not None:
-            object.__setattr__(self, "kappa", tuple(np.asarray(self.kappa, dtype=int).tolist()))
+            object.__setattr__(self, "kappa", tuple(schedule.kappa.tolist()))
         # Every run shares these stepsizes: a read-only view, like ClassicConstant's.
-        object.__setattr__(self, "_alphas", np.broadcast_to(self.schedule().alphas, self.horizon))
+        object.__setattr__(self, "_alphas", np.broadcast_to(schedule.alphas, self.horizon))
 
     def schedule(self) -> ChebyshevSchedule:
-        kappa = (
-            stable_permutation(self.horizon)
-            if self.kappa is None
-            else np.asarray(self.kappa, dtype=int)
-        )
+        kappa = stable_permutation(self.horizon) if self.kappa is None else self.kappa
         return self._schedule(kappa)
 
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> np.ndarray:

@@ -138,6 +138,9 @@ MALFORMED = [
     pytest.param("sampling", {"kind": "uniform", "m": 8}, id="missing-field"),
     pytest.param("sampling", {"kind": "uniform", "m": 8, "tau": 2.7}, id="fractional-tau"),
     pytest.param("stepsize", {"kind": "classic", "alpha": "1.0"}, id="string-alpha"),
+    pytest.param("stepsize", {"kind": "chebyshev-pd", "horizon": 5, "lambda_min": 0.5,
+                              "lambda_max": 2.0, "m": 8, "kappa": [0.9, 1.2, 2, 3, 4]},
+                 id="fractional-kappa"),
     pytest.param("sampling", {"kind": "partition", "blocks": [[0, 1, 2, 3], [4, 5, 6, 7]]},
                  id="missing-partition-field"),
     pytest.param("residual_tol", "1e-6", id="string-tol"),

@@ -458,6 +458,12 @@ def test_zero_row_block_with_row_norm_weights_raises():
     assert single.value.row == 1
     with pytest.raises(ZeroRowError):
         run_monte_carlo(config, system, trials=3)
+    # The block's residuals are all zero (b_1 = b_2 = 0), so an adaptive
+    # step skips it and keeps the iterate.
+    trace = run_solver(dataclasses.replace(config, stepsize=Adaptive(1.0), max_iters=1), system)
+    np.testing.assert_array_equal(trace.blocks[1], [1, 2])
+    assert trace.events[1].skipped
+    np.testing.assert_array_equal(trace.final_x, np.zeros(3))
 
 
 @pytest.mark.parametrize("x0", [np.full(3, np.nan), np.array([0.0, np.inf, 0.0]), np.zeros(2)],
