@@ -2,7 +2,9 @@
 compare empirical decay against predicted rates, and emit machine-readable
 outputs.
 
-Subcommands: ``solve``, ``analyze``, ``experiment``, ``paving``.  The
+Subcommands: ``solve``, ``analyze``, ``experiment``, ``paving``.  ``solve
+--config`` files, plan entries and ``solve``'s flags (made into a plan
+entry) are one document schema, read by ``config_from_dict``.  The
 environment variable ``KACZLAB_SEED`` overrides the configured solver seed
 everywhere it is used: block draws, paving, sampled lambda_max^block.
 """
@@ -20,25 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import mmio
-from .analysis import (
-    build_conditioning_report,
-    cached_block_lambda_max,
-    paving_quality,
-    predict_rates,
-)
-from .errors import ConfigMismatchError, KaczlabError
-from .linalg import RANK_TOL, LinearSystem, normalize_rows
+from .analysis import build_conditioning_report, paving_quality, predict_rates
+from .errors import KaczlabError
+from .linalg import LinearSystem, normalize_rows
 from .problems import generate_problem, parse_recipe, recipe_from_dict
 from .sampling import (
-    SamplingSpec,
-    UniformSubset,
+    PARTITION_PROBS,
     build_random_paving,
-    frobenius_partition,
-    full_batch,
+    build_sampling,
     mean_block_size,
-    partition_spec,
     paving_to_json,
-    sampling_from_dict,
 )
 from .solver import (
     CONVERGED,
@@ -58,7 +51,6 @@ from .stepsize import (
     ChebyshevPD,
     ClassicConstant,
     ExtrapolatedConstant,
-    stepsize_from_dict,
     weights_from_dict,
 )
 
@@ -69,13 +61,16 @@ EXIT_STALLED = 3
 
 _STATUS_EXIT = {CONVERGED: EXIT_OK, MAX_ITERS: EXIT_MAX_ITERS, STALLED: EXIT_STALLED}
 
-# Block probabilities of a partition sampling: 1/ell, or ||A_J||_F^2 / ||A||_F^2.
-PARTITION_PROBS = ("uniform", "frobenius")
-
 
 def _env_seed(seed: int) -> int:
     env = os.environ.get("KACZLAB_SEED")
     return int(env) if env else seed
+
+
+def _with_env_seed(doc):
+    """``doc`` with ``KACZLAB_SEED``, when set, as its seed."""
+    env = os.environ.get("KACZLAB_SEED")
+    return doc | {"seed": int(env)} if env and isinstance(doc, dict) else doc
 
 
 def _load_system(args) -> LinearSystem:
@@ -92,33 +87,6 @@ def _load_system(args) -> LinearSystem:
     return system
 
 
-def build_sampling(text: str, system: LinearSystem, seed: int, probs: str = "uniform") -> SamplingSpec:
-    """Parse ``uniform:T``, ``partition:S`` (contiguous blocks of about S
-    rows), ``paving:L`` (seeded random paving into L blocks), or ``full``."""
-    if probs not in PARTITION_PROBS:
-        raise ValueError(f"partition_probs must be one of {', '.join(PARTITION_PROBS)}, "
-                         f"got {probs!r}")
-    m = system.m
-    kind, _, param = text.partition(":")
-    if kind == "uniform":
-        return UniformSubset(m, int(param))
-    if kind == "partition":
-        size = int(param)
-        if size < 1 or size > m:
-            raise KaczlabError(f"partition block size {size} out of range")
-        groups = np.array_split(np.arange(m), max(1, round(m / size)))
-        blocks = [tuple(int(i) for i in g) for g in groups]
-    elif kind == "paving":
-        blocks = build_random_paving(seed, m, int(param)).blocks
-    elif kind == "full":
-        return full_batch(m)
-    else:
-        raise KaczlabError(f"unknown sampling spec {text!r}")
-    if probs == "frobenius":
-        return frobenius_partition(system, blocks)
-    return partition_spec(blocks)
-
-
 def _plan_entry(args) -> dict:
     """The experiment-plan entry that ``solve``'s flags describe."""
     fields = {f.name for f in dataclasses.fields(STEPSIZE_KINDS[args.stepsize])}
@@ -132,57 +100,8 @@ def _plan_entry(args) -> dict:
         "max_iters": args.max_iters,
         "residual_tol": args.residual_tol,
         "seed": args.seed,
+        "diagnostics": args.diagnostics,
     }
-
-
-def _positive_lambda_min(system: LinearSystem) -> float:
-    gram = system.gram_spectrum
-    if gram.lambda_min <= RANK_TOL * gram.lambda_max:
-        raise ConfigMismatchError(
-            "chebyshev-pd requires lambda_min(A A^T) > 0; use chebyshev-singular"
-        )
-    return gram.lambda_min
-
-
-def _resolve_config(doc: dict, system: LinearSystem, budget: int, diagnostics: bool) -> SolverConfig:
-    """Build the SolverConfig of an experiment-plan entry (``solve``'s flags
-    become one too).
-
-    The sampling is a ``build_sampling`` string or a JSON dict, the weights
-    a weight kind name.  Stepsize fields the entry leaves out are derived
-    from the system, computing only what the policy's kind needs.
-    ``KACZLAB_SEED`` overrides the entry's seed.
-    """
-    seed = _env_seed(number_field(doc, "seed", int, 0))
-    sampling = doc["sampling"]
-    if isinstance(sampling, str):
-        spec = build_sampling(sampling, system, seed, probs=doc.get("partition_probs", "uniform"))
-    else:
-        spec = sampling_from_dict(sampling)
-    max_iters = number_field(doc, "max_iters", int)
-    derived = {
-        "lambda_max_block": lambda: cached_block_lambda_max(system, spec, budget, seed)[0],
-        "lambda_min": lambda: _positive_lambda_min(system),
-        "lambda_max": lambda: system.gram_spectrum.lambda_max,
-        "m": lambda: system.m,
-        "horizon": lambda: max_iters,
-    }
-    step = doc["stepsize"]
-    if isinstance(step, dict) and step.get("kind") in STEPSIZE_KINDS:
-        fields = dataclasses.fields(STEPSIZE_KINDS[step["kind"]])
-        step = step | {f.name: derived[f.name]() for f in fields
-                       if f.name in derived and f.name not in step}
-    return SolverConfig(
-        method=doc["method"],
-        sampling=spec,
-        weights=weights_from_dict({"kind": doc.get("weights", "uniform")}, spec, system),
-        stepsize=stepsize_from_dict(step),
-        max_iters=max_iters,
-        residual_tol=(None if doc.get("residual_tol") is None
-                      else number_field(doc, "residual_tol", float)),
-        seed=seed,
-        diagnostics=diagnostics,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +110,8 @@ def _resolve_config(doc: dict, system: LinearSystem, budget: int, diagnostics: b
 
 def cmd_solve(args) -> int:
     system = _load_system(args)
-    if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        doc["seed"] = _env_seed(number_field(doc, "seed", int, 0))
-        config = config_from_dict(doc, system)
-    else:
-        config = _resolve_config(_plan_entry(args), system, args.budget, args.diagnostics)
+    doc = json.loads(Path(args.config).read_text()) if args.config else _plan_entry(args)
+    config = config_from_dict(_with_env_seed(doc), system, args.budget)
     trace = run_solver(config, system)
     if args.out:
         trace.to_csv(args.out)
@@ -289,8 +204,23 @@ def _theory_factor(config: SolverConfig, system: LinearSystem, budget: int) -> f
     return 1.0
 
 
+def _entry_names(configs) -> list[str]:
+    """Each plan entry's CSV name: its ``name`` or ``config<index>``, a
+    plain file name that no other entry has."""
+    if not isinstance(configs, list) or not all(isinstance(doc, dict) for doc in configs):
+        raise ValueError(f"configs must be a JSON list of objects, got {configs!r}")
+    names = [doc.get("name", f"config{idx}") for idx, doc in enumerate(configs)]
+    for idx, name in enumerate(names):
+        if not isinstance(name, str) or Path(name).name != name or name in names[:idx]:
+            raise ValueError(f"name must be a plain file name used once, got {name!r}")
+    return names
+
+
 def cmd_experiment(args) -> int:
     plan = json.loads(Path(args.plan).read_text())
+    if not isinstance(plan, dict):
+        raise ValueError(f"an experiment plan must be a JSON object, got {plan!r}")
+    names = _entry_names(plan["configs"])
     recipe = plan["recipe"]
     if isinstance(recipe, str):
         recipe = parse_recipe(recipe, seed=number_field(plan, "recipe_seed", int, 0))
@@ -298,14 +228,17 @@ def cmd_experiment(args) -> int:
         recipe = recipe_from_dict(recipe)
     system = generate_problem(recipe)
     trials = number_field(plan, "trials", int, 1)
-    outdir = Path(args.outdir or plan.get("outputs", {}).get("dir", "."))
+    outputs = plan.get("outputs", {})
+    outdir = args.outdir or (outputs.get("dir", ".") if isinstance(outputs, dict) else None)
+    if not isinstance(outdir, str):
+        raise ValueError(f"outputs must be a JSON object with a string dir, got {outputs!r}")
+    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     budget = number_field(plan, "budget", int, 1000)
 
     summary = {"trials": trials, "configs": []}
-    for idx, doc in enumerate(plan["configs"]):
-        name = doc.get("name", f"config{idx}")
-        config = _resolve_config(doc, system, budget, diagnostics=True)
+    for name, doc in zip(names, plan["configs"]):
+        config = config_from_dict(_with_env_seed(doc) | {"diagnostics": True}, system, budget)
         factor = _theory_factor(config, system, budget)
         if trials == 1:
             trace = run_solver(config, system)
@@ -365,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one solver configuration")
     _add_system_args(p)
-    p.add_argument("--config", help="JSON file mirroring SolverConfig (overrides flags)")
+    p.add_argument("--config", help="JSON file in the plan-entry schema (overrides flags)")
     p.add_argument("--method", default="rbk", choices=["basic", "rbk", "block-projection"])
     p.add_argument("--sampling", default="uniform:1",
                    help="uniform:T | partition:S | paving:L | full")

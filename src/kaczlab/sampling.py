@@ -1,8 +1,9 @@
 """The probability space over row subsets.
 
 Two sampling laws are supported: uniform tau-subsets of [m], and a fixed
-partition of [m] drawn with per-block probabilities.  Small instances can
-be enumerated exhaustively, which the test oracles rely on.
+partition of [m] drawn with per-block probabilities, read from a JSON dict
+or a spec string such as ``uniform:4``.  Small instances can be enumerated
+exhaustively, which the test oracles rely on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BadBlockCountError, TooLargeError
+from .errors import BadBlockCountError, KaczlabError, TooLargeError
 from .kinds import Kind, from_kind_dict, registry
 from .linalg import LinearSystem
 
@@ -87,6 +88,37 @@ SAMPLING_KINDS = registry(UniformSubset, Partition)
 
 def sampling_from_dict(doc: dict) -> SamplingSpec:
     return from_kind_dict(SAMPLING_KINDS, doc, "sampling")
+
+
+# Block probabilities of a partition sampling: 1/ell, or ||A_J||_F^2 / ||A||_F^2.
+PARTITION_PROBS = ("uniform", "frobenius")
+
+
+def build_sampling(text: str, system: LinearSystem, seed: int, probs: str = "uniform") -> SamplingSpec:
+    """Parse ``uniform:T``, ``partition:S`` (contiguous blocks of about S
+    rows), ``paving:L`` (seeded random paving into L blocks), or ``full``."""
+    if probs not in PARTITION_PROBS:
+        raise ValueError(f"partition_probs must be one of {', '.join(PARTITION_PROBS)}, "
+                         f"got {probs!r}")
+    m = system.m
+    kind, _, param = text.partition(":")
+    if kind == "uniform":
+        return UniformSubset(m, int(param))
+    if kind == "partition":
+        size = int(param)
+        if size < 1 or size > m:
+            raise KaczlabError(f"partition block size {size} out of range")
+        groups = np.array_split(np.arange(m), max(1, round(m / size)))
+        blocks = [tuple(int(i) for i in g) for g in groups]
+    elif kind == "paving":
+        blocks = build_random_paving(seed, m, int(param)).blocks
+    elif kind == "full":
+        return full_batch(m)
+    else:
+        raise KaczlabError(f"unknown sampling spec {text!r}")
+    if probs == "frobenius":
+        return frobenius_partition(system, blocks)
+    return partition_spec(blocks)
 
 
 def partition_spec(blocks, probs=None) -> Partition:

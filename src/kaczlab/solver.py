@@ -3,7 +3,8 @@ Monte-Carlo harness used to verify convergence rates in expectation.
 
 ``run_solver`` and ``run_monte_carlo`` are the one-trial and the T-trial
 case of the lockstep engine (:mod:`kaczlab.engine`); the iteration kernels
-live in :mod:`kaczlab.kernels`.
+live in :mod:`kaczlab.kernels`.  ``config_from_dict`` reads every
+configuration document: ``config_to_dict``'s mirror and plan entries.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .analysis import cached_block_lambda_max
 from .engine import (
     CONVERGED,
     FULL_ITERATES,
@@ -37,9 +39,10 @@ from .kernels import (
     rbk_step,
 )
 from .kinds import number_field
-from .linalg import LinearSystem
-from .sampling import SamplingSpec, sampling_from_dict
+from .linalg import RANK_TOL, LinearSystem
+from .sampling import SamplingSpec, build_sampling, sampling_from_dict
 from .stepsize import (
+    STEPSIZE_KINDS,
     StepsizePolicy,
     WeightScheme,
     stepsize_from_dict,
@@ -126,22 +129,19 @@ class SolverTrace:
         """K, the number of iterations run."""
         return self.residual.size - 1
 
+    def rows(self):
+        """Yield each k's IterationEvent fields, the iterate left out."""
+        dist_sq = self.dist_sq.tolist() if self.config.diagnostics else [None] * len(self.blocks)
+        columns = zip(self.blocks, self.alpha.tolist(), self.residual.tolist(), dist_sq)
+        for k, (block, alpha, res, dist) in enumerate(columns):
+            nan = math.isnan(alpha)
+            yield k, block, None if nan else alpha, k > 0 and nan, res, dist
+
     @cached_property
     def events(self) -> list[IterationEvent]:
         """The columns as one IterationEvent per k, built on first access."""
-        columns = zip(self.alpha.tolist(), self.residual.tolist(), self.dist_sq.tolist())
-        return [
-            IterationEvent(
-                k=k,
-                block=self.blocks[k],
-                alpha=None if math.isnan(alpha) else alpha,
-                skipped=k > 0 and math.isnan(alpha),
-                residual_norm=res,
-                dist_sq=dist if self.config.diagnostics else None,
-                iterate=None if self.iterates is None else self.iterates[k],
-            )
-            for k, (alpha, res, dist) in enumerate(columns)
-        ]
+        iterates = [None] * len(self.blocks) if self.iterates is None else self.iterates
+        return [IterationEvent(*row, iterate=it) for row, it in zip(self.rows(), iterates)]
 
     def residual_norms(self) -> np.ndarray:
         return self.residual
@@ -162,11 +162,10 @@ class SolverTrace:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["k", "block_size", "alpha", "residual_norm", "dist_sq"])
-            for e in self.events:
-                alpha = "" if e.k == 0 else ("skip" if e.skipped else f"{e.alpha:.17g}")
-                dist = "" if e.dist_sq is None else f"{e.dist_sq:.17g}"
-                size = 0 if e.block is None else len(e.block)
-                w.writerow([e.k, size, alpha, f"{e.residual_norm:.17g}", dist])
+            for k, block, alpha, skipped, res, dist in self.rows():
+                w.writerow([k, 0 if block is None else len(block),
+                            "" if k == 0 else ("skip" if skipped else f"{alpha:.17g}"),
+                            f"{res:.17g}", "" if dist is None else f"{dist:.17g}"])
 
     def to_json(self, path) -> None:
         doc = {
@@ -174,10 +173,10 @@ class SolverTrace:
             "status": self.status,
             "final_x": self.final_x.tolist(),
             "events": [
-                {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
-                | {"block": None if e.block is None else e.block.tolist(),
-                   "iterate": None if e.iterate is None else e.iterate.tolist()}
-                for e in self.events
+                {"k": k, "block": None if block is None else block.tolist(), "alpha": alpha,
+                 "skipped": skipped, "residual_norm": res, "dist_sq": dist,
+                 "iterate": None if self.iterates is None else self.iterates[k].tolist()}
+                for k, block, alpha, skipped, res, dist in self.rows()
             ],
         }
         with open(path, "w") as fh:
@@ -270,19 +269,54 @@ def config_to_dict(config: SolverConfig) -> dict:
     return doc | {key: doc[key].to_dict() for key in ("sampling", "weights", "stepsize")}
 
 
-def config_from_dict(doc: dict, system: LinearSystem) -> SolverConfig:
-    """Rebuild a SolverConfig from its JSON mirror.  The system is needed
-    to recompute weight bounds."""
-    spec = sampling_from_dict(doc["sampling"])
+def _positive_lambda_min(system: LinearSystem) -> float:
+    gram = system.gram_spectrum
+    if gram.lambda_min <= RANK_TOL * gram.lambda_max:
+        raise ConfigMismatchError(
+            "chebyshev-pd requires lambda_min(A A^T) > 0; use chebyshev-singular"
+        )
+    return gram.lambda_min
+
+
+def config_from_dict(doc: dict, system: LinearSystem, budget: int = 1000) -> SolverConfig:
+    """The SolverConfig of a configuration document (schema in the README).
+    Stepsize fields it leaves out are derived from the system, a sampled
+    ``lambda_max_block`` from ``budget`` supports."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a solver configuration must be a JSON object, got {doc!r}")
+    seed = number_field(doc, "seed", int, 0)
+    sampling = doc["sampling"]
+    if isinstance(sampling, str):
+        spec = build_sampling(sampling, system, seed, probs=doc.get("partition_probs", "uniform"))
+    else:
+        spec = sampling_from_dict(sampling)
+    max_iters = number_field(doc, "max_iters", int)
+    derived = {
+        "lambda_max_block": lambda: cached_block_lambda_max(system, spec, budget, seed)[0],
+        "lambda_min": lambda: _positive_lambda_min(system),
+        "lambda_max": lambda: system.gram_spectrum.lambda_max,
+        "m": lambda: system.m,
+        "horizon": lambda: max_iters,
+    }
+    step = doc["stepsize"]
+    if isinstance(step, dict) and step.get("kind") in STEPSIZE_KINDS:
+        fields = dataclasses.fields(STEPSIZE_KINDS[step["kind"]])
+        step = step | {f.name: derived[f.name]() for f in fields
+                       if f.name in derived and f.name not in step}
+    weights = doc.get("weights", "uniform")
+    diagnostics = doc.get("diagnostics", False)
+    if not isinstance(diagnostics, bool):
+        raise ValueError(f"diagnostics must be true or false, got {diagnostics!r}")
     return SolverConfig(
         method=doc["method"],
         sampling=spec,
-        weights=weights_from_dict(doc["weights"], spec, system),
-        stepsize=stepsize_from_dict(doc["stepsize"]),
-        max_iters=number_field(doc, "max_iters", int),
+        weights=weights_from_dict({"kind": weights} if isinstance(weights, str) else weights,
+                                  spec, system),
+        stepsize=stepsize_from_dict(step),
+        max_iters=max_iters,
         residual_tol=(None if doc.get("residual_tol") is None
                       else number_field(doc, "residual_tol", float)),
-        seed=number_field(doc, "seed", int, 0),
+        seed=seed,
         trace_level=doc.get("trace_level", NORMS_ONLY),
-        diagnostics=bool(doc.get("diagnostics", False)),
+        diagnostics=diagnostics,
     )

@@ -128,6 +128,29 @@ class TestSolve:
         dist = np.array([float(r[4]) for r in rows])
         assert dist.size == len(rows) >= 2 and np.all(np.isfinite(dist))
 
+    def test_config_file_in_plan_entry_form_matches_flags(self, tmp_path):
+        # One schema: a --config file may use a plan entry's short forms.
+        config = {
+            "method": "rbk",
+            "sampling": "uniform:12",
+            "weights": "rownormsq",
+            "stepsize": {"kind": "constant-extrapolated", "delta": 0.7},
+            "max_iters": 60,
+            "seed": 5,
+            "diagnostics": True,
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        system = ["--recipe", "gaussian:40x10", "--recipe-seed", "3", "--budget", "50"]
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        run_cli("solve", *system, "--config", str(tmp_path / "config.json"),
+                "--out", str(from_file))
+        run_cli("solve", *system, "--method", "rbk", "--sampling", "uniform:12",
+                "--weights", "rownormsq", "--stepsize", "constant-extrapolated",
+                "--delta", "0.7", "--max-iters", "60", "--seed", "5", "--diagnostics",
+                "--out", str(from_flags))
+        assert len(from_file.read_text().splitlines()) > 2
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
 
 MALFORMED = [
     pytest.param("stepsize", {"kind": "newton"}, id="unknown-kind"),
@@ -174,6 +197,52 @@ def test_malformed_kind_dict_is_an_error_line(source, key, value, tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and key in err
+
+
+_ENTRY = {"method": "rbk", "sampling": "uniform:2",
+          "stepsize": {"kind": "classic", "alpha": 1.0}, "max_iters": 5}
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    pytest.param("experiment", [{"recipe": "gaussian:8x4", "configs": [_ENTRY]}], "plan",
+                 id="plan-list"),
+    pytest.param("experiment", {"recipe": "gaussian:8x4", "configs": ["a"]}, "configs",
+                 id="configs-of-strings"),
+    pytest.param("experiment", {"recipe": "gaussian:8x4", "configs": {"a": 1}}, "configs",
+                 id="configs-object"),
+    pytest.param("experiment", {"recipe": "gaussian:8x4", "configs": [_ENTRY], "outputs": "x"},
+                 "outputs", id="outputs-string"),
+    pytest.param("solve", [1, 2], "configuration", id="config-list"),
+    pytest.param("solve", _ENTRY | {"diagnostics": "false"}, "diagnostics",
+                 id="string-diagnostics"),
+])
+def test_malformed_document_is_an_error_line(command, doc, field, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    if command == "solve":
+        code = run_cli("solve", "--recipe", "gaussian:8x4", "--config", str(path))
+    else:
+        code = run_cli("experiment", str(path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and field in err
+
+
+@pytest.mark.parametrize("names", [["../../escape"], ["sub/dir"], ["/nonexistent/abs"], [["x"]],
+                                   ["a", "a"], [None, "config0"]],
+                         ids=["parent-path", "subdirectory", "absolute", "list", "duplicate",
+                              "duplicate-default"])
+def test_plan_entry_name_must_be_unique_plain_file_name(names, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    configs = [_ENTRY if name is None else _ENTRY | {"name": name} for name in names]
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"recipe": "gaussian:8x4", "configs": configs}))
+    assert run_cli("experiment", str(plan_path), "--outdir", str(outdir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: name")
+    assert not (tmp_path.parent / "escape.csv").exists()
+    assert not outdir.exists()
 
 
 class TestAnalyze:
@@ -367,3 +436,18 @@ class TestExperiment:
         lines = (tmp_path / "out" / "det.csv").read_text().strip().splitlines()
         stderrs = {line.split(",")[2] for line in lines[1:]}
         assert stderrs == {"0"}
+
+    def test_explicit_weights_dict(self, tmp_path):
+        plan = {
+            "recipe": "gaussian:8x4",
+            "trials": 2,
+            "outputs": {"dir": str(tmp_path / "out")},
+            "configs": [{"name": "explicit", "method": "rbk", "sampling": "partition:2",
+                         "weights": {"kind": "explicit", "values": [1, 2, 1, 2, 1, 2, 1, 2]},
+                         "stepsize": {"kind": "adaptive"}, "max_iters": 10}],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run_cli("experiment", str(plan_path)) == 0
+        lines = (tmp_path / "out" / "explicit.csv").read_text().strip().splitlines()
+        assert len(lines) == 12
