@@ -69,6 +69,8 @@ def block_lambda_max(
     C(m, tau) fits under the cap, otherwise the maximum over ``budget``
     sampled supports is reported (a lower bound, flagged by its mode).
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 sampled support, got {budget}")
     if isinstance(spec, Partition):
         sizes = sorted({len(blk) for blk in spec.blocks})
         val = max(_supports_lambda_max(system, (b for b in spec.blocks if len(b) == size), size)

@@ -28,6 +28,7 @@ from .linalg import LinearSystem, normalize_rows
 from .problems import generate_problem, parse_recipe, recipe_from_dict
 from .sampling import (
     PARTITION_PROBS,
+    SAMPLING_FORMS,
     build_random_paving,
     build_sampling,
     mean_block_size,
@@ -62,15 +63,20 @@ EXIT_STALLED = 3
 _STATUS_EXIT = {CONVERGED: EXIT_OK, MAX_ITERS: EXIT_MAX_ITERS, STALLED: EXIT_STALLED}
 
 
-def _env_seed(seed: int) -> int:
+def _env_seed(seed):
+    """``KACZLAB_SEED`` when set and not empty, else ``seed``."""
     env = os.environ.get("KACZLAB_SEED")
-    return int(env) if env else seed
+    if not env:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"KACZLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _with_env_seed(doc):
     """``doc`` with ``KACZLAB_SEED``, when set, as its seed."""
-    env = os.environ.get("KACZLAB_SEED")
-    return doc | {"seed": int(env)} if env and isinstance(doc, dict) else doc
+    return doc | {"seed": _env_seed(doc.get("seed", 0))} if isinstance(doc, dict) else doc
 
 
 def _load_system(args) -> LinearSystem:
@@ -300,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--config", help="JSON file in the plan-entry schema (overrides flags)")
     p.add_argument("--method", default="rbk", choices=["basic", "rbk", "block-projection"])
-    p.add_argument("--sampling", default="uniform:1",
-                   help="uniform:T | partition:S | paving:L | full")
+    p.add_argument("--sampling", default="uniform:1", help=SAMPLING_FORMS)
     p.add_argument("--partition-probs", default="uniform", choices=PARTITION_PROBS)
     p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)
     p.add_argument("--stepsize", default="classic", choices=list(STEPSIZE_KINDS))

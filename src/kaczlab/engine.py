@@ -2,12 +2,13 @@
 together on a (T, n) array of iterates, each trial drawing its blocks from
 its own seed.  ``run_solver`` is its one-trial case and ``run_monte_carlo``
 its T-trial case (see :mod:`kaczlab.solver`).  It draws, groups, records
-and stops the trials; each group's step is a kernel of
-:mod:`kaczlab.kernels`, whose stacked forms give every trial the bits of a
-run on its own.
+and stops the trials; ``Trials._step`` hands each group of trials to the
+method's kernel of :mod:`kaczlab.kernels`, whose stacked forms give every
+trial the bits of a run on its own.
 
 A run of one trial keeps its iterate as an (n,) vector, so that per-trial
-values are numpy scalars and a one-row step can use ``row_step`` inline.
+values are numpy scalars and ``averaged_step`` takes a one-row block in
+scalar arithmetic.
 
 A run records each per-step series as one list with an entry per step.
 While every trial is live an entry is the step's values over the stack;
@@ -23,17 +24,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigMismatchError, ZeroRowError
-from .kernels import (
-    BASIC,
-    BLOCK_PROJECTION,
-    adaptive_step,
-    averaged_step,
-    block_projection_step,
-    row_step,
-)
-from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, as_vector
-from .sampling import BlockStream, mean_block_size
+from .errors import ConfigMismatchError
+from .kernels import BASIC, BLOCK_PROJECTION, adaptive_step, averaged_step, block_projection_step
+from .linalg import LinearSystem, as_vector
+from .sampling import BlockStream, check_covers, mean_block_size
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -84,12 +78,8 @@ class Trials:
 
     def __init__(self, config: SolverConfig, system: LinearSystem, seeds,
                  x0: np.ndarray | None = None):
-        if config.sampling.m != system.m:
-            raise ConfigMismatchError(
-                f"sampling spec covers {config.sampling.m} rows but the system has {system.m}"
-            )
-        singletons = mean_block_size(config.sampling) == 1.0
-        if config.method == BASIC and not singletons:
+        check_covers(config.sampling, system)
+        if config.method == BASIC and mean_block_size(config.sampling) != 1.0:
             raise ConfigMismatchError("basic method requires |J| = 1 sampling")
         self.alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
         if config.method == BLOCK_PROJECTION and self.alphas is None:
@@ -103,15 +93,11 @@ class Trials:
         if tol is None:
             tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
         self.tol_sq = square_threshold(tol)
-        self.norms = system.row_dots
         self.uniform_weights = config.weights.kind == "uniform"
 
         x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n)
         self.T = T = len(seeds)
         self.single = T == 1
-        # One trial with one-row blocks (each of weight 1) steps through row_step.
-        self.row_steps = (self.single and singletons and self.alphas is not None
-                          and config.method != BLOCK_PROJECTION)
         self.stream = BlockStream(config.sampling, map(np.random.default_rng, seeds),
                                   config.max_iters)
         self.iterations = [0] * T
@@ -137,7 +123,6 @@ class Trials:
 
     def _run(self, X: np.ndarray) -> None:
         system, projector, stream = self.system, self.projector, self.stream
-        A, b = system.A, system.b
         max_iters, tol_sq, alphas, single = self.config.max_iters, self.tol_sq, self.alphas, self.single
         residual_sq, dist_sq, alpha_col, iterates = (
             self.columns.get(name) for name in ("residual_sq", "dist_sq", "alpha", "iterates"))
@@ -191,37 +176,35 @@ class Trials:
             draw = stream.next()
             if drawn is not None:
                 drawn.append(draw)
-            if alphas is None:
-                X, alpha, moved = self._adaptive_step(X, draw)
-                if moved is None:
-                    skips = None
-                else:
-                    skips = np.where(moved, 0, 1 if skips is None else skips + 1)
-            elif self.row_steps:
-                # One trial, one group: its block is the one row i.
-                ((_, J),) = stream.groups(draw)
-                i = J[0]
-                if self.norms[i] < ZERO_ROW_NORM_SQ:
-                    raise ZeroRowError(int(i))
-                X = row_step(X, A[i], b[i], self.norms[i], None, alphas[k - 1])
-            else:
-                X = self._step(X, draw, alphas[k - 1])
+            X, alpha, moved = self._step(X, draw, None if alphas is None else alphas[k - 1])
+            skips = None if moved is None else np.where(moved, 0, 1 if skips is None else skips + 1)
 
-    def _step(self, X: np.ndarray, draw: np.ndarray, alpha: float) -> np.ndarray:
+    def _step(self, X: np.ndarray, draw: np.ndarray, alpha):
+        """(iterates, alpha, moved) after every trial's step on its drawn
+        block.  With ``alpha`` None the step is adaptive, and alpha and
+        moved are ``adaptive_step``'s; otherwise alpha is the one given.
+        moved is None when no step is skipped."""
         config, system = self.config, self.system
         out = None
         for sel, J in self.stream.groups(draw):
             Xg = X if sel is None else X[sel]
-            if config.method == BLOCK_PROJECTION:
+            step_alpha, moved = alpha, None
+            if alpha is None:
+                new, step_alpha, moved = adaptive_step(Xg, system, J, self._weights(J),
+                                                       config.stepsize.delta)
+            elif config.method == BLOCK_PROJECTION:
                 new = block_projection_step(Xg, system, J, alpha)
             else:
                 new = averaged_step(Xg, system, J, self._weights(J), alpha)
             if sel is None:
-                return new
+                return new, step_alpha, (None if moved is None or moved.all() else moved)
             if out is None:
-                out = np.empty_like(X)
-            out[sel] = new
-        return out
+                out, alphas = np.empty_like(X), np.empty(len(X))
+                all_moved = np.ones(len(X), dtype=bool)
+            out[sel], alphas[sel] = new, step_alpha
+            if moved is not None:
+                all_moved[sel] = moved
+        return out, alphas, (None if all_moved.all() else all_moved)
 
     def _weights(self, J: np.ndarray) -> np.ndarray | float | None:
         """The realized weights of the blocks J, or a scalar standing for
@@ -238,21 +221,6 @@ class Trials:
             with np.errstate(invalid="ignore"):
                 return self.config.weights.realized(self.system, J)
         return self.config.weights.realized(self.system, J)
-
-    def _adaptive_step(self, X: np.ndarray, draw: np.ndarray):
-        """(iterates, alpha, moved) as ``adaptive_step`` gives them; moved is
-        None when no step is skipped."""
-        parts = []
-        for sel, J in self.stream.groups(draw):
-            new, alpha, moved = adaptive_step(X if sel is None else X[sel], self.system, J,
-                                              self._weights(J), self.config.stepsize.delta)
-            if sel is None:
-                return new, alpha, (None if moved.all() else moved)
-            parts.append((sel, new, alpha, moved))
-        out, alpha, moved = np.empty_like(X), np.empty(len(X)), np.empty(len(X), dtype=bool)
-        for sel, *values in parts:
-            out[sel], alpha[sel], moved[sel] = values
-        return out, alpha, (None if moved.all() else moved)
 
     def column(self, name: str, width: int) -> np.ndarray:
         """One column as a C-contiguous (T, width, ...) stack; a trial's

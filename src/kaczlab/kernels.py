@@ -19,10 +19,11 @@ one-trial computation, so T trials in lockstep replay T serial runs:
 - means and standard errors over trials are taken over C-contiguous
   (T, K + 1) stacks (a transposed stack sums in another order).
 
-``row_step`` is the one-trial, one-row case with scalar arithmetic: on a
-20-column system a ufunc call on a one-element array costs several times
-the arithmetic, and a run of one trial with one-row blocks is mostly such
-calls.
+``averaged_step`` takes one trial's (n,) iterate and a one-row block in
+scalar arithmetic (``row_step``): on a 20-column system a ufunc call on a
+one-element array costs several times the arithmetic, and a run of one
+trial with one-row blocks is mostly such calls.  The engine reaches that
+form only through ``averaged_step``.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ def averaged_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights,
     all, or None for weight 1.  A drawn zero row raises ZeroRowError."""
     if X.ndim == 1 and J.size == 1:
         i = J[0]
-        if system.row_dots[i] < ZERO_ROW_NORM_SQ:
+        norm = system.row_dots[i]
+        if norm < ZERO_ROW_NORM_SQ:
             raise ZeroRowError(int(i))
         w = weights if weights is None or isinstance(weights, float) else weights[0]
-        return row_step(X, system.A[i], system.b[i], system.row_dots[i], w, alpha)
+        return row_step(X, system.A[i], system.b[i], norm, w, alpha)
     norms, AJ = system.row_dots.take(J), system.A.take(J, axis=0)
     if system.has_zero_rows:
         check_rows(J, norms)

@@ -21,9 +21,8 @@ from .errors import (
 
 # Eigenvalues below RANK_TOL * lambda_max count as zero.
 RANK_TOL = 1e-10
-# Rows with norm below this are rejected as zero rows.
-ZERO_ROW_TOL = 1e-14
-# The iteration kernels refuse a drawn row whose squared norm is below this.
+# A row whose squared norm (``row_dots``) is below this is a zero row:
+# normalize_rows refuses it, and so do the iteration kernels once drawn.
 ZERO_ROW_NORM_SQ = 1e-28
 # b counts as outside range(A) when ||A A^+ b - b|| exceeds this times
 # 1 + ||b||.
@@ -167,12 +166,12 @@ def normalize_rows(system: LinearSystem) -> tuple[LinearSystem, RowScaling]:
     """Divide each row a_i and entry b_i by ||a_i||.
 
     The solution set is unchanged.  Raises :class:`ZeroRowError` for rows
-    with norm below ``ZERO_ROW_TOL``.
+    whose squared norm is below ``ZERO_ROW_NORM_SQ``.
     """
-    norms = np.linalg.norm(system.A, axis=1)
-    small = np.flatnonzero(norms < ZERO_ROW_TOL)
+    small = np.flatnonzero(system.row_dots < ZERO_ROW_NORM_SQ)
     if small.size:
         raise ZeroRowError(int(small[0]))
+    norms = np.linalg.norm(system.A, axis=1)
     A = system.A / norms[:, None]
     # Rescaling can leave norms a few ulps off 1; snap them exactly.
     A /= np.linalg.norm(A, axis=1)[:, None]

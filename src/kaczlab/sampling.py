@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BadBlockCountError, KaczlabError, TooLargeError
+from .errors import BadBlockCountError, ConfigMismatchError, KaczlabError, TooLargeError
 from .kinds import Kind, from_kind_dict, registry
 from .linalg import LinearSystem
 
@@ -90,8 +90,16 @@ def sampling_from_dict(doc: dict) -> SamplingSpec:
     return from_kind_dict(SAMPLING_KINDS, doc, "sampling")
 
 
+def check_covers(spec: SamplingSpec, system: LinearSystem) -> None:
+    """Raise ConfigMismatchError unless ``spec`` draws from the system's rows."""
+    if spec.m != system.m:
+        raise ConfigMismatchError(f"sampling spec covers {spec.m} rows but the system has {system.m}")
+
+
 # Block probabilities of a partition sampling: 1/ell, or ||A_J||_F^2 / ||A||_F^2.
 PARTITION_PROBS = ("uniform", "frobenius")
+# The sampling spec strings that ``build_sampling`` reads.
+SAMPLING_FORMS = "uniform:T | partition:S | paving:L | full"
 
 
 def build_sampling(text: str, system: LinearSystem, seed: int, probs: str = "uniform") -> SamplingSpec:
@@ -101,21 +109,24 @@ def build_sampling(text: str, system: LinearSystem, seed: int, probs: str = "uni
         raise ValueError(f"partition_probs must be one of {', '.join(PARTITION_PROBS)}, "
                          f"got {probs!r}")
     m = system.m
-    kind, _, param = text.partition(":")
-    if kind == "uniform":
-        return UniformSubset(m, int(param))
-    if kind == "partition":
-        size = int(param)
-        if size < 1 or size > m:
-            raise KaczlabError(f"partition block size {size} out of range")
-        groups = np.array_split(np.arange(m), max(1, round(m / size)))
-        blocks = [tuple(int(i) for i in g) for g in groups]
-    elif kind == "paving":
-        blocks = build_random_paving(seed, m, int(param)).blocks
-    elif kind == "full":
+    if text == "full":
         return full_batch(m)
+    kind, _, param = text.partition(":")
+    try:
+        param = int(param)
+    except ValueError:
+        param = None
+    if param is None or kind not in ("uniform", "partition", "paving"):
+        raise ValueError(f"sampling spec {text!r} is not one of {SAMPLING_FORMS}")
+    if kind == "uniform":
+        return UniformSubset(m, param)
+    if kind == "partition":
+        if param < 1 or param > m:
+            raise KaczlabError(f"partition block size {param} out of range")
+        groups = np.array_split(np.arange(m), max(1, round(m / param)))
+        blocks = [tuple(int(i) for i in g) for g in groups]
     else:
-        raise KaczlabError(f"unknown sampling spec {text!r}")
+        blocks = build_random_paving(seed, m, param).blocks
     if probs == "frobenius":
         return frobenius_partition(system, blocks)
     return partition_spec(blocks)

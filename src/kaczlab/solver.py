@@ -40,7 +40,7 @@ from .kernels import (
 )
 from .kinds import number_field
 from .linalg import RANK_TOL, LinearSystem
-from .sampling import SamplingSpec, build_sampling, sampling_from_dict
+from .sampling import SamplingSpec, build_sampling, check_covers, sampling_from_dict
 from .stepsize import (
     STEPSIZE_KINDS,
     StepsizePolicy,
@@ -290,6 +290,7 @@ def config_from_dict(doc: dict, system: LinearSystem, budget: int = 1000) -> Sol
         spec = build_sampling(sampling, system, seed, probs=doc.get("partition_probs", "uniform"))
     else:
         spec = sampling_from_dict(sampling)
+        check_covers(spec, system)
     max_iters = number_field(doc, "max_iters", int)
     derived = {
         "lambda_max_block": lambda: cached_block_lambda_max(system, spec, budget, seed)[0],

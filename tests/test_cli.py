@@ -245,6 +245,76 @@ def test_plan_entry_name_must_be_unique_plain_file_name(names, tmp_path, capsys)
     assert not outdir.exists()
 
 
+# C(40, 8) exceeds the enumeration cap, so lambda_max^block is sampled.
+_SAMPLED = ["--recipe", "gaussian:40x4", "--sampling", "uniform:8"]
+
+
+@pytest.mark.parametrize("source", ["plan", "solve", "analyze"])
+def test_budget_below_one_is_an_error_line(source, tmp_path, capsys):
+    if source == "plan":
+        entry = {"method": "rbk", "sampling": "uniform:8",
+                 "stepsize": {"kind": "constant-extrapolated"}, "max_iters": 5}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"recipe": "gaussian:40x4", "budget": 0, "configs": [entry],
+                                    "outputs": {"dir": str(tmp_path / "out")}}))
+        code = run_cli("experiment", str(path))
+    elif source == "solve":
+        code = run_cli("solve", *_SAMPLED, "--stepsize", "constant-extrapolated",
+                       "--budget", "-3")
+    else:
+        code = run_cli("analyze", *_SAMPLED, "--budget", "0")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: budget")
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_sampling_dict_of_other_row_count_is_an_error_line(command, tmp_path, capsys):
+    entry = {"method": "rbk", "sampling": {"kind": "uniform", "m": 5, "tau": 2},
+             "stepsize": {"kind": "constant-extrapolated"}, "max_iters": 5}
+    path = tmp_path / "in.json"
+    if command == "solve":
+        path.write_text(json.dumps(entry))
+        code = run_cli("solve", "--recipe", "gaussian:8x4", "--config", str(path))
+    else:
+        path.write_text(json.dumps({"recipe": "gaussian:8x4", "configs": [entry],
+                                    "outputs": {"dir": str(tmp_path / "out")}}))
+        code = run_cli("experiment", str(path))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ConfigMismatchError: sampling spec covers 5 rows but the system has 8\n")
+
+
+@pytest.mark.parametrize("spec", ["uniform", "uniform:abc", "paving:x", "partition:", "full:3"])
+def test_malformed_sampling_spec_is_an_error_line(spec, capsys):
+    code = run_cli("solve", "--recipe", "gaussian:8x4", "--sampling", spec, "--max-iters", "5")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:")
+    assert repr(spec) in err and "uniform:T | partition:S | paving:L | full" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["paving", "--rows", "10", "--blocks", "3"],
+    ["solve", "--recipe", "gaussian:8x4", "--sampling", "uniform:2", "--max-iters", "5"],
+], ids=["paving", "solve"])
+def test_non_integer_env_seed_is_an_error_line(argv, monkeypatch, capsys):
+    monkeypatch.setenv("KACZLAB_SEED", "abc")
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: KACZLAB_SEED") and "'abc'" in err
+
+
+def test_empty_env_seed_counts_as_unset(monkeypatch, capsys):
+    argv = ("paving", "--rows", "10", "--blocks", "3", "--seed", "4")
+    monkeypatch.delenv("KACZLAB_SEED", raising=False)
+    assert run_cli(*argv) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("KACZLAB_SEED", "")
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == unset
+
+
 class TestAnalyze:
     def test_report_json(self, tmp_path):
         out = tmp_path / "report.json"

@@ -67,6 +67,16 @@ class TestNormalizeRows:
             normalize_rows(bad)
         assert err.value.row == 0
 
+    def test_refuses_the_rows_the_kernels_refuse(self):
+        # ||a|| is just above 1e-14 but a . a is below 1e-28: the kernels'
+        # zero-row rule (``has_zero_rows``) is the one that applies.
+        A = np.array([[1.0, 0.0], [-1.7956986659246403e-15, 9.837452226120158e-15]])
+        system = LinearSystem(A, np.array([1.0, 0.0]))
+        assert system.has_zero_rows
+        with pytest.raises(ZeroRowError) as err:
+            normalize_rows(system)
+        assert err.value.row == 1
+
     def test_solution_set_preserved(self):
         system = random_system(7, 4, seed=0)
         normed, _ = normalize_rows(system)
