@@ -25,7 +25,7 @@ from .sampling import (
     membership_probabilities,
     support_count,
 )
-from .stepsize import WeightScheme
+from .stepsize import WeightScheme, check_delta
 
 EXACT_ENUMERATION = "exact-enumeration"
 PARTITION_MAX = "partition-max"
@@ -68,9 +68,11 @@ def block_lambda_max(
     Partitions are evaluated exactly; uniform specs are enumerated when
     C(m, tau) fits under the cap, otherwise the maximum over ``budget``
     sampled supports is reported (a lower bound, flagged by its mode).
+    A system with a zero row raises ZeroRowError.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sampled support, got {budget}")
+    system.check_nonzero_rows()
     if isinstance(spec, Partition):
         sizes = sorted({len(blk) for blk in spec.blocks})
         val = max(_supports_lambda_max(system, (b for b in spec.blocks if len(b) == size), size)
@@ -97,7 +99,9 @@ def cached_block_lambda_max(
 
 def build_W(system: LinearSystem, spec: SamplingSpec) -> np.ndarray:
     """W = A^T diag(p_i / ||a_i||^2) A, the expectation of the normalized
-    block Gram under the sampling law."""
+    block Gram under the sampling law.  A system with a zero row raises
+    ZeroRowError."""
+    system.check_nonzero_rows()
     p = membership_probabilities(spec)
     scaled = system.A * (p / system.row_norms_sq)[:, None]
     W = system.A.T @ scaled
@@ -184,6 +188,7 @@ def predict_rates(
     ``cheb_factor`` is (sqrt(u) - sqrt(l)) / (sqrt(u) + sqrt(l)) on the
     spectrum of A A^T and degrades to 1 when lambda_min = 0.
     """
+    check_delta(delta)
     needed = (
         report.lambda_max_block,
         report.lambda_min_nz_W,

@@ -84,6 +84,8 @@ class Trials:
         self.alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
         if config.method == BLOCK_PROJECTION and self.alphas is None:
             raise ConfigMismatchError("adaptive stepsize applies to the averaged update only")
+        if config.method != BLOCK_PROJECTION:
+            system.check_nonzero_rows()
         self.config, self.system = config, system
         # Building the projector also raises InconsistentSystemError when b
         # lies outside range(A).
@@ -215,11 +217,6 @@ class Trials:
             return None
         if self.uniform_weights:
             return 1.0 / tau
-        if self.system.has_zero_rows:
-            # A block of zero rows has no weights (0/0); the kernels refuse
-            # it, or skip it when its residuals all vanish.
-            with np.errstate(invalid="ignore"):
-                return self.config.weights.realized(self.system, J)
         return self.config.weights.realized(self.system, J)
 
     def column(self, name: str, width: int) -> np.ndarray:

@@ -50,7 +50,7 @@ class BadIntervalError(KaczlabError):
 
 
 class NonPositiveConditioningError(KaczlabError):
-    """Block conditioning parameter must be positive."""
+    """Block conditioning parameter must be positive and finite."""
 
 
 class MissingSpectrumError(KaczlabError):

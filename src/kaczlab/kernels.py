@@ -57,7 +57,8 @@ def block_sum(terms: np.ndarray, axis: int) -> np.ndarray:
 
 
 def check_rows(J: np.ndarray, norms: np.ndarray) -> None:
-    """Raise ZeroRowError naming the first zero row of A among the drawn."""
+    """The zero-row rule (``LinearSystem.check_nonzero_rows``) for the rows
+    J with squared norms ``norms``: ZeroRowError names the first zero one."""
     if norms.size and norms.min() < ZERO_ROW_NORM_SQ:
         raise ZeroRowError(int(J[norms < ZERO_ROW_NORM_SQ][0]))
 
@@ -74,19 +75,14 @@ def averaged_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights,
     """x - alpha * sum_i ((w_i (a_i . x - b_i)) / ||a_i||^2) a_i for the
     iterates X (..., n) and their sorted blocks J (..., tau), by ``row_step``
     for one trial and one row.  ``weights`` are (..., tau), one scalar for
-    all, or None for weight 1.  A drawn zero row raises ZeroRowError."""
+    all, or None for weight 1."""
     if X.ndim == 1 and J.size == 1:
         i = J[0]
-        norm = system.row_dots[i]
-        if norm < ZERO_ROW_NORM_SQ:
-            raise ZeroRowError(int(i))
         w = weights if weights is None or isinstance(weights, float) else weights[0]
-        return row_step(X, system.A[i], system.b[i], norm, w, alpha)
-    norms, AJ = system.row_dots.take(J), system.A.take(J, axis=0)
-    if system.has_zero_rows:
-        check_rows(J, norms)
+        return row_step(X, system.A[i], system.b[i], system.row_dots[i], w, alpha)
+    AJ = system.A.take(J, axis=0)
     r = np.vecdot(AJ, X[..., None, :]) - system.b.take(J)
-    coef = (r if weights is None else weights * r) / norms
+    coef = (r if weights is None else weights * r) / system.row_dots.take(J)
     return X - alpha * block_sum(np.multiply(coef[..., None], AJ, out=AJ), axis=-2)
 
 
@@ -115,20 +111,12 @@ def adaptive_steps(
 def adaptive_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, delta: float):
     """(iterates, alpha, moved): ``averaged_step`` with alpha = (2 - delta) L
     (see ``adaptive_steps``).  Where a block's step is skipped alpha is NaN
-    and the iterate stays.  A block whose residuals all vanish is skipped
-    before its rows (or their weights, 0/0 on a block of zero rows) are
-    looked at, so only the others raise ZeroRowError."""
+    and the iterate stays."""
     AJ = system.A.take(J, axis=0)
     # One gemv per block, like A_J @ x.
     residuals = np.matvec(AJ, X) - system.b.take(J)
-    norms = system.row_dots.take(J)
-    if system.has_zero_rows:
-        active = np.any(residuals, axis=-1)
-        check_rows(J[active], norms[active])
-        norms = np.where(norms < ZERO_ROW_NORM_SQ, 1.0, norms)
-    L, d, moved = adaptive_steps(AJ, residuals, 1.0 if weights is None else weights, norms)
-    if system.has_zero_rows:
-        moved &= active
+    L, d, moved = adaptive_steps(AJ, residuals, 1.0 if weights is None else weights,
+                                 system.row_dots.take(J))
     alpha = (2.0 - delta) * L
     new = X - alpha[..., None] * d
     if not moved.all():
@@ -163,6 +151,8 @@ def rbk_step(
     if J.size > 1:
         order = J.argsort(kind="stable")
         J, weights = J.take(order), weights.take(order)
+    if system.has_zero_rows:
+        check_rows(J, system.row_dots.take(J))
     return averaged_step(np.asarray(x, dtype=float), system, J, weights, alpha)
 
 

@@ -40,15 +40,19 @@ def registry(*classes: type[Kind]) -> dict[str, type[Kind]]:
     return {cls.kind: cls for cls in classes}
 
 
-def number_field(doc: dict, name: str, kind: type, default=None):
-    """``doc[name]`` (``default`` when absent) as ``kind``, int or float.
-    A value that is not a number of that kind (a bool, a string, None, a
-    fractional number for an int) raises ValueError naming the field."""
-    value = doc.get(name, default)
+def number(value, name: str, kind: type):
+    """``value`` of the field ``name`` as ``kind``, int or float.  A value
+    that is not a number of that kind (a bool, a string, None, a fractional
+    number for an int) raises ValueError naming the field."""
     numeric = numbers.Integral if kind is int else numbers.Real
     if isinstance(value, bool) or not isinstance(value, numeric):
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     return kind(value)
+
+
+def number_field(doc: dict, name: str, kind: type, default=None):
+    """``doc[name]`` (``default`` when absent) read by ``number``."""
+    return number(doc.get(name, default), name, kind)
 
 
 def from_kind_dict(kinds: dict, doc: dict, what: str, *args):

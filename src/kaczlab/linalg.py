@@ -21,8 +21,8 @@ from .errors import (
 
 # Eigenvalues below RANK_TOL * lambda_max count as zero.
 RANK_TOL = 1e-10
-# A row whose squared norm (``row_dots``) is below this is a zero row:
-# normalize_rows refuses it, and so do the iteration kernels once drawn.
+# A row whose squared norm (``row_dots``) is below this is a zero row
+# (``LinearSystem.check_nonzero_rows``).
 ZERO_ROW_NORM_SQ = 1e-28
 # b counts as outside range(A) when ||A A^+ b - b|| exceeds this times
 # 1 + ||b||.
@@ -109,6 +109,14 @@ class LinearSystem:
         """Whether some row is zero (``row_dots`` below ZERO_ROW_NORM_SQ)."""
         return bool(self.row_dots.min() < ZERO_ROW_NORM_SQ)
 
+    def check_nonzero_rows(self) -> None:
+        """The zero-row rule: raise ZeroRowError naming the first row whose
+        ``row_dots`` is below ZERO_ROW_NORM_SQ.  Whatever divides by the
+        row norms (row normalization, the averaged and adaptive steps,
+        lambda_max^block, W) checks it before it starts."""
+        if self.has_zero_rows:
+            raise ZeroRowError(int(np.argmax(self.row_dots < ZERO_ROW_NORM_SQ)))
+
     @cached_property
     def cache(self) -> dict:
         """Values other modules derive from the system, by key."""
@@ -165,12 +173,10 @@ class SpectralSummary:
 def normalize_rows(system: LinearSystem) -> tuple[LinearSystem, RowScaling]:
     """Divide each row a_i and entry b_i by ||a_i||.
 
-    The solution set is unchanged.  Raises :class:`ZeroRowError` for rows
-    whose squared norm is below ``ZERO_ROW_NORM_SQ``.
+    The solution set is unchanged.  A system with a zero row raises
+    :class:`ZeroRowError` (``LinearSystem.check_nonzero_rows``).
     """
-    small = np.flatnonzero(system.row_dots < ZERO_ROW_NORM_SQ)
-    if small.size:
-        raise ZeroRowError(int(small[0]))
+    system.check_nonzero_rows()
     norms = np.linalg.norm(system.A, axis=1)
     A = system.A / norms[:, None]
     # Rescaling can leave norms a few ulps off 1; snap them exactly.

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .errors import BadBlockCountError, ConfigMismatchError, KaczlabError, TooLargeError
-from .kinds import Kind, from_kind_dict, registry
+from .kinds import Kind, from_kind_dict, number, number_field, registry
 from .linalg import LinearSystem
 
 # Exhaustive enumeration is refused above this many supports.
@@ -62,8 +62,8 @@ class Partition(Kind):
         object.__setattr__(self, "probs", probs)
         if len(blocks) != probs.size:
             raise ValueError("one probability per block required")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
+            raise ValueError("probs must be nonnegative and sum to 1")
         flat = [i for blk in blocks for i in blk]
         m = len(flat)
         if sorted(flat) != list(range(m)):
@@ -337,6 +337,12 @@ def paving_to_json(paving: Paving) -> str:
 
 
 def paving_from_json(text: str) -> Paving:
+    """``paving_to_json``'s inverse.  Every number is read by
+    ``kinds.number``, and ``ell`` must be the number of blocks."""
     doc = json.loads(text)
-    blocks = tuple(tuple(int(i) - 1 for i in blk) for blk in doc["blocks"])
-    return Paving(blocks=blocks, ell=int(doc["ell"]), seed=int(doc["seed"]))
+    blocks = doc["blocks"]
+    ell = number_field(doc, "ell", int)
+    if ell != len(blocks):
+        raise ValueError(f"ell must be the number of blocks, {len(blocks)}, got {ell}")
+    return Paving(blocks=tuple(tuple(number(i, "blocks", int) - 1 for i in blk) for blk in blocks),
+                  ell=ell, seed=number_field(doc, "seed", int))

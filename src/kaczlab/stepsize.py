@@ -9,6 +9,7 @@ Chebyshev root schedules (positive-definite and singular spectra).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from .errors import (
     NonPositiveConditioningError,
 )
 from .kernels import adaptive_steps, check_rows
-from .kinds import Kind, from_kind_dict, registry
+from .kinds import Kind, from_kind_dict, number, number_field, registry
 from .linalg import LinearSystem
 from .sampling import Partition, SamplingSpec
 
@@ -155,8 +156,8 @@ def row_norm_sq_weights(spec: SamplingSpec, system: LinearSystem) -> WeightSchem
 
 def explicit_weights(values, spec: SamplingSpec) -> WeightScheme:
     values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size != spec.m or np.any(values <= 0):
-        raise ValueError("explicit weights must be positive, one per row")
+    if values.size != spec.m or not np.all((values > 0) & (values < math.inf)):
+        raise ValueError("explicit weight values must be positive and finite, one per row")
     lo, hi = _bounds_from_base(values, spec)
     return WeightScheme("explicit", lo, hi, base=values)
 
@@ -178,6 +179,13 @@ def weights_from_dict(doc: dict, spec: SamplingSpec, system: LinearSystem) -> We
 # Constant and adaptive extrapolated stepsizes
 # ---------------------------------------------------------------------------
 
+def check_delta(delta: float) -> None:
+    """ValueError unless 0 < delta <= 1 (so NaN too): the margin of the
+    factor 2 - delta in every extrapolated stepsize and rate formula."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+
+
 def constant_extrapolated_alpha(
     weights: WeightScheme, lambda_max_block: float, delta: float = 1.0
 ) -> float:
@@ -186,10 +194,9 @@ def constant_extrapolated_alpha(
     With uniform weights 1/tau this is (2 - delta) tau / lambda_max_block,
     i.e. an extrapolated stepsize whenever the blocks are well conditioned.
     """
-    if lambda_max_block <= 0:
+    if not 0.0 < lambda_max_block < math.inf:
         raise NonPositiveConditioningError(f"lambda_max_block={lambda_max_block}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    check_delta(delta)
     return (2.0 - delta) * weights.omega_min / (weights.omega_max**2 * lambda_max_block)
 
 
@@ -218,8 +225,7 @@ def adaptive_alpha(
     (:mod:`kaczlab.kernels`).  A zero row raises :class:`ZeroRowError` with
     its position in the block.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    check_delta(delta)
     block_rows = np.array(block_rows, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -305,12 +311,14 @@ class ChebyshevSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "ChebyshevSchedule":
+        """``to_json``'s inverse; every number is read by ``kinds.number``."""
         doc = json.loads(text)
+        alphas = [number(a, "alphas", float) for a in doc["alphas"]]
         return cls(
-            alphas=np.asarray(doc["alphas"], dtype=float),
-            ell=float(doc["ell"]),
-            u=float(doc["u"]),
-            kappa=_check_permutation(doc["kappa"], len(doc["alphas"])),
+            alphas=np.array(alphas, dtype=float),
+            ell=number_field(doc, "ell", float),
+            u=number_field(doc, "u", float),
+            kappa=_check_permutation(doc["kappa"], len(alphas)),
         )
 
 
@@ -324,8 +332,9 @@ def chebyshev_schedule_pd(
     polynomial mapped onto [lambda_min/m, lambda_max/m]; kappa fixes the
     visiting order.
     """
-    if not (0.0 < lambda_min <= lambda_max):
-        raise BadSpectrumError(f"need 0 < lambda_min <= lambda_max, got {lambda_min}, {lambda_max}")
+    if not 0.0 < lambda_min <= lambda_max < math.inf:
+        raise BadSpectrumError(
+            f"need 0 < lambda_min <= lambda_max < inf, got {lambda_min}, {lambda_max}")
     if k < 1:
         raise ValueError("horizon must be at least 1")
     kappa = _check_permutation(kappa, k)
@@ -338,8 +347,8 @@ def chebyshev_schedule_singular(lambda_max: float, m: int, k: int, kappa) -> Che
     """Stepsizes for a singular spectrum (lambda_min(A A^T) = 0), built from
     the degree-(k+1) Chebyshev roots with the root closest to -1 pinned at
     the origin of the interval [0, lambda_max/m]."""
-    if lambda_max <= 0:
-        raise BadSpectrumError(f"need lambda_max > 0, got {lambda_max}")
+    if not 0.0 < lambda_max < math.inf:
+        raise BadSpectrumError(f"need 0 < lambda_max < inf, got {lambda_max}")
     if k < 1:
         raise ValueError("horizon must be at least 1")
     kappa = _check_permutation(kappa, k)
@@ -380,10 +389,9 @@ class ExtrapolatedConstant(Kind):
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_max_block <= 0:
+        if not 0.0 < self.lambda_max_block < math.inf:
             raise NonPositiveConditioningError(f"lambda_max_block={self.lambda_max_block}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        check_delta(self.delta)
 
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> np.ndarray:
         alpha = constant_extrapolated_alpha(weights, self.lambda_max_block, self.delta)
@@ -398,8 +406,7 @@ class Adaptive(Kind):
     delta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        check_delta(self.delta)
 
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> None:
         return None

@@ -315,6 +315,56 @@ def test_empty_env_seed_counts_as_unset(monkeypatch, capsys):
     assert capsys.readouterr().out == unset
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--sampling", "uniform:2"],
+    ["solve", "--stepsize", "constant-extrapolated", "--sampling", "uniform:2"],
+    ["solve", "--method", "basic", "--sampling", "uniform:1"],
+], ids=["analyze", "derived-lambda-max-block", "basic"])
+def test_zero_row_system_is_an_error_line(argv, tmp_path, capsys):
+    mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 0.0]]))
+    mmio.write_vector(tmp_path / "b.txt", [1.0, 0.0])
+    system = ["--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")]
+    assert run_cli(argv[0], *system, *argv[1:]) == 1
+    assert capsys.readouterr().err == "error: ZeroRowError: row 1 has zero norm\n"
+    # Block projection takes the pseudoinverse of a block, zero rows and all.
+    assert run_cli("solve", *system, "--method", "block-projection", "--sampling", "full") == 0
+
+
+@pytest.mark.parametrize("delta", ["3", "0", "-1"])
+def test_delta_outside_unit_interval_is_an_error_line(delta, capsys):
+    code = run_cli("analyze", "--recipe", "gaussian:20x5", "--sampling", "uniform:2",
+                   "--delta", delta)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: delta must lie in (0, 1]")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key,value,field", [
+    pytest.param("stepsize", {"kind": "constant-extrapolated", "lambda_max_block": NAN},
+                 "lambda_max_block", id="nan-lambda-max-block"),
+    pytest.param("stepsize", {"kind": "constant-extrapolated", "lambda_max_block": INF},
+                 "lambda_max_block", id="inf-lambda-max-block"),
+    pytest.param("weights", {"kind": "explicit", "values": [NAN] + [1.0] * 9}, "values",
+                 id="nan-weight"),
+    pytest.param("stepsize", {"kind": "chebyshev-singular", "lambda_max": INF}, "lambda_max",
+                 id="inf-singular-lambda-max"),
+    pytest.param("stepsize", {"kind": "chebyshev-pd", "lambda_min": 0.5, "lambda_max": INF},
+                 "lambda_max", id="inf-pd-lambda-max"),
+    pytest.param("sampling", {"kind": "partition", "blocks": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]],
+                              "probs": [NAN, 0.5]}, "probs", id="nan-probs"),
+])
+def test_non_finite_field_is_an_error_line(key, value, field, tmp_path, capsys):
+    entry = {"method": "rbk", "sampling": {"kind": "uniform", "m": 10, "tau": 2},
+             "stepsize": {"kind": "classic", "alpha": 1.0}, "max_iters": 5, key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(entry))
+    assert run_cli("solve", "--recipe", "gaussian:10x4", "--config", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 class TestAnalyze:
     def test_report_json(self, tmp_path):
         out = tmp_path / "report.json"

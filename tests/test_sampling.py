@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 from math import comb
 
@@ -202,6 +203,19 @@ class TestPaving:
         doc = json.loads(text)
         flat = sorted(i for blk in doc["blocks"] for i in blk)
         assert flat == list(range(1, 10))
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"ell": 2.7, "seed": 1, "blocks": [[1, 2], [3]]}, "ell"),
+        ({"ell": "2", "seed": 1, "blocks": [[1, 2], [3]]}, "ell"),
+        ({"ell": 2, "seed": 1.5, "blocks": [[1, 2], [3]]}, "seed"),
+        ({"ell": 2, "seed": 1, "blocks": [[1.9, 2], [3]]}, "blocks"),
+        ({"ell": 2, "seed": 1, "blocks": [[True, 2], [3]]}, "blocks"),
+        ({"ell": 5, "seed": 1, "blocks": [[1, 2], [3]]}, "ell"),
+    ], ids=["fractional-ell", "string-ell", "fractional-seed", "fractional-row", "bool-row",
+            "ell-not-block-count"])
+    def test_json_numbers_are_strict(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            paving_from_json(json.dumps(doc))
 
 
 def test_full_batch_is_single_block():

@@ -423,18 +423,24 @@ def test_orthonormal_blocks_aligned_partition_one_step_per_block():
     assert np.linalg.norm(system.A[J] @ out - system.b[J]) <= 1e-10
 
 
-@pytest.mark.parametrize("method,policy", [
-    (BASIC, ClassicConstant(1.0)),
-    (RBK, ClassicConstant(1.0)),
-    (RBK, Adaptive(1.0)),
-], ids=["basic-classic", "rbk-classic", "rbk-adaptive"])
-def test_zero_row_draw_raises(method, policy):
-    # Row 2 is zero and b_2 = 0, so the system stays consistent; every
-    # kernel must refuse the row instead of dividing by its zero norm.
+def zero_row_system() -> LinearSystem:
+    """A consistent 4x3 system whose row 2 is zero (b_2 = 0)."""
     A = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     x_star = np.array([1.0, -1.0, 2.0])
-    system = LinearSystem(A, A @ x_star, planted_solution=x_star)
-    spec = UniformSubset(4, 1 if method == BASIC else 2)
+    return LinearSystem(A, A @ x_star, planted_solution=x_star)
+
+
+@pytest.mark.parametrize("method,policy,spec", [
+    (BASIC, ClassicConstant(1.0), UniformSubset(4, 1)),
+    (RBK, ClassicConstant(1.0), UniformSubset(4, 2)),
+    (RBK, Adaptive(1.0), UniformSubset(4, 2)),
+    # Block (2, 3) has probability 0, so no run ever draws row 2.
+    (RBK, ClassicConstant(1.0), partition_spec([(0, 1), (2, 3)], [1.0, 0.0])),
+], ids=["basic-classic", "rbk-classic", "rbk-adaptive", "rbk-never-drawn"])
+def test_zero_row_draw_raises(method, policy, spec):
+    # Row 2 is zero and b_2 = 0, so the system stays consistent; every run
+    # of the averaged methods refuses it, before its first step.
+    system = zero_row_system()
     config = SolverConfig(method, spec, uniform_weights(spec), policy, max_iters=50, seed=4)
     with pytest.raises(ZeroRowError) as single:
         run_solver(config, system)
@@ -458,12 +464,30 @@ def test_zero_row_block_with_row_norm_weights_raises():
     assert single.value.row == 1
     with pytest.raises(ZeroRowError):
         run_monte_carlo(config, system, trials=3)
-    # The block's residuals are all zero (b_1 = b_2 = 0), so an adaptive
-    # step skips it and keeps the iterate.
-    trace = run_solver(dataclasses.replace(config, stepsize=Adaptive(1.0), max_iters=1), system)
-    np.testing.assert_array_equal(trace.blocks[1], [1, 2])
-    assert trace.events[1].skipped
-    np.testing.assert_array_equal(trace.final_x, np.zeros(3))
+    # An adaptive run refuses the system as well, whatever it would draw.
+    with pytest.raises(ZeroRowError) as adaptive:
+        run_solver(dataclasses.replace(config, stepsize=Adaptive(1.0), max_iters=1), system)
+    assert adaptive.value.row == 1
+
+
+def test_block_projection_accepts_zero_rows():
+    # The pseudoinverse of a block handles a zero row: no zero-row rule.
+    system = zero_row_system()
+    spec = full_batch(4)
+    config = SolverConfig(BLOCK_PROJECTION, spec, uniform_weights(spec), ClassicConstant(1.0),
+                          max_iters=5)
+    trace = run_solver(config, system)
+    assert trace.status == CONVERGED and trace.iterations == 1
+    np.testing.assert_allclose(trace.final_x, system.planted_solution, atol=1e-12)
+
+
+@pytest.mark.parametrize("J", [[2], [3, 2], [0, 2, 3]])
+def test_rbk_step_refuses_a_zero_row_in_its_block(J):
+    system = zero_row_system()
+    weights = np.full(len(J), 1.0 / len(J))
+    with pytest.raises(ZeroRowError) as err:
+        rbk_step(np.zeros(3), system, np.array(J), weights, alpha=1.0)
+    assert err.value.row == 2
 
 
 @pytest.mark.parametrize("x0", [np.full(3, np.nan), np.array([0.0, np.inf, 0.0]), np.zeros(2)],

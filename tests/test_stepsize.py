@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -376,3 +377,11 @@ class TestPolicies:
         np.testing.assert_allclose(back.alphas, sched.alphas)
         np.testing.assert_array_equal(back.kappa, sched.kappa)
         assert (back.ell, back.u) == (sched.ell, sched.u)
+
+    @pytest.mark.parametrize("field,value", [
+        ("ell", "0.5"), ("u", True), ("alphas", ["1.0", 2.0, 3.0, 4.0, 5.0]),
+    ], ids=["string-ell", "bool-u", "string-alpha"])
+    def test_schedule_json_numbers_are_strict(self, field, value):
+        doc = json.loads(chebyshev_schedule_pd(0.5, 2.0, 4, 5, random_permutation(5, 2)).to_json())
+        with pytest.raises(ValueError, match=field):
+            ChebyshevSchedule.from_json(json.dumps(doc | {field: value}))
