@@ -25,9 +25,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigMismatchError
-from .kernels import BASIC, BLOCK_PROJECTION, adaptive_step, averaged_step, block_projection_step
+from .kernels import (
+    BASIC,
+    BLOCK_PROJECTION,
+    adaptive_step,
+    averaged_step,
+    block_pinvs,
+    block_projection_step,
+    factored_projection_step,
+)
 from .linalg import LinearSystem, as_vector
-from .sampling import BlockStream, check_covers, mean_block_size
+from .sampling import BlockStream, Partition, check_covers, mean_block_size
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -86,6 +94,12 @@ class Trials:
             raise ConfigMismatchError("adaptive stepsize applies to the averaged update only")
         if config.method != BLOCK_PROJECTION:
             system.check_nonzero_rows()
+        # Partition blocks recur, so block projection applies each block's
+        # pseudoinverse, built on the first run over the system and
+        # partition; uniform subsets do not recur and keep lstsq.
+        self.pinvs = (block_pinvs(system, config.sampling)
+                      if config.method == BLOCK_PROJECTION and isinstance(config.sampling, Partition)
+                      else None)
         self.config, self.system = config, system
         # Building the projector also raises InconsistentSystemError when b
         # lies outside range(A).
@@ -194,6 +208,9 @@ class Trials:
             if alpha is None:
                 new, step_alpha, moved = adaptive_step(Xg, system, J, self._weights(J),
                                                        config.stepsize.delta)
+            elif self.pinvs is not None:
+                pinv = self.pinvs.take(draw if sel is None else draw[sel], J.shape[-1])
+                new = factored_projection_step(Xg, system, J, pinv, alpha)
             elif config.method == BLOCK_PROJECTION:
                 new = block_projection_step(Xg, system, J, alpha)
             else:

@@ -1,7 +1,9 @@
 """The iteration kernels: each method's whole step on a drawn block of
 rows.  ``averaged_step`` is the averaged projection that the basic and the
 block (RBK) methods share, ``adaptive_step`` the same update with the
-adaptive stepsize, and ``block_projection_step`` the exact projection.
+adaptive stepsize, and ``block_projection_step`` the exact projection
+(``factored_projection_step`` for the blocks of a partition, whose
+pseudoinverses ``block_pinvs`` builds once per system).
 
 The averaged steps work on one trial or on a stack of trials: X is
 (..., n), each trial's drawn block J (..., tau), its rows AJ = A[J]
@@ -31,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroRowError
-from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, least_squares_min_norm
+from .linalg import RANK_TOL, ZERO_ROW_NORM_SQ, LinearSystem, least_squares_min_norm
 
 BASIC = "basic"
 RBK = "rbk"
@@ -160,11 +162,55 @@ def block_projection_step(
     x: np.ndarray, system: LinearSystem, J: np.ndarray, alpha: float = 1.0
 ) -> np.ndarray:
     """x - alpha * A_J^+ (A_J x - b_J); with alpha = 1 this solves the
-    whole block exactly (up to rank deficiency).  A stack of iterates (T, n)
-    with blocks (T, tau) steps one trial at a time."""
+    whole block exactly (up to rank deficiency).  A_J^+ is applied by
+    ``lstsq``; a stack of iterates (T, n) with blocks (T, tau) steps one
+    trial at a time."""
     J = np.asarray(J, dtype=int)
     if J.ndim > 1:
         return np.stack([block_projection_step(x_t, system, J_t, alpha) for x_t, J_t in zip(x, J)])
     A_J = system.A[J]
     r = A_J @ x - system.b[J]
     return x - alpha * least_squares_min_norm(A_J, r)
+
+
+class BlockPinvs:
+    """The pseudoinverse A_J^+ (n, tau_J) of every block of a partition,
+    stacked by block size: together they hold m * n floats.  The cutoff is
+    ``lstsq``'s, RANK_TOL * sigma_max, so a rank-deficient block or one with
+    a zero row projects as ``block_projection_step`` does, up to rounding."""
+
+    def __init__(self, system: LinearSystem, blocks):
+        sizes = np.array([len(blk) for blk in blocks])
+        # Block l's factor is self.stacks[sizes[l]][self.slot[l]].
+        self.slot = np.empty(len(blocks), dtype=int)
+        self.stacks = {}
+        for size in np.unique(sizes).tolist():
+            of_size = np.flatnonzero(sizes == size)
+            self.slot[of_size] = np.arange(of_size.size)
+            self.stacks[size] = np.stack([
+                np.linalg.pinv(system.A.take(blocks[l], axis=0), rcond=RANK_TOL)
+                for l in of_size.tolist()])
+
+    def take(self, drawn, size: int) -> np.ndarray:
+        """The factors of the drawn blocks ``drawn`` (...), all of ``size``
+        rows: (..., n, size)."""
+        return self.stacks[size][self.slot[drawn]]
+
+
+def block_pinvs(system: LinearSystem, spec) -> BlockPinvs:
+    """``BlockPinvs`` of the partition ``spec``, built once per system and
+    partition: they are kept in the system's cache."""
+    key = ("block_pinvs", spec)
+    if key not in system.cache:
+        system.cache[key] = BlockPinvs(system, spec.blocks)
+    return system.cache[key]
+
+
+def factored_projection_step(X: np.ndarray, system: LinearSystem, J: np.ndarray,
+                             pinv: np.ndarray, alpha) -> np.ndarray:
+    """``block_projection_step`` with each block's pseudoinverse given:
+    x - alpha * A_J^+ (A_J x - b_J) for the iterates X (..., n), their blocks
+    J (..., tau) and factors ``pinv`` (..., n, tau), one gemv per trial for
+    each product."""
+    r = np.matvec(system.A.take(J, axis=0), X) - system.b.take(J)
+    return X - alpha * np.matvec(pinv, r)
