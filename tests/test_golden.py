@@ -118,10 +118,10 @@ SOLVER_GOLDEN = {
     (RBK, "adaptive"): "c617e635eeb0c8fc",
     (RBK, "chebyshev-pd"): "c87ff750df6dcb92",
     (RBK, "chebyshev-singular"): "1e5f7238c14d027c",
-    (BLOCK_PROJECTION, "classic"): "1d337b93d3ef2795",
-    (BLOCK_PROJECTION, "constant-extrapolated"): "711daf643c1cb98e",
-    (BLOCK_PROJECTION, "chebyshev-pd"): "594b4659d3af54f7",
-    (BLOCK_PROJECTION, "chebyshev-singular"): "29fb5756c2814afa",
+    (BLOCK_PROJECTION, "classic"): "14b6289230fea343",
+    (BLOCK_PROJECTION, "constant-extrapolated"): "b42c0b200bfc9869",
+    (BLOCK_PROJECTION, "chebyshev-pd"): "88ed8b6582977ab0",
+    (BLOCK_PROJECTION, "chebyshev-singular"): "cd8e90e5114ea965",
 }
 
 
@@ -277,7 +277,7 @@ EXPERIMENT_PLANS = {
 }
 
 EXPERIMENT_GOLDEN = {
-    "tall": "64cf9f67670d4076",
+    "tall": "3725d04066108a19",
     "wide": "797f4f23b2fdca8f",
     "padded": "87f277d5fcbc2bb8",
 }
@@ -310,7 +310,7 @@ SOLVE_GOLDEN = {
     "constant-extrapolated": "610ed96c1024af65",
     "adaptive": "e7ad131d0218f078",
     "chebyshev-pd": "b0bff039e951fbd0",
-    "chebyshev-singular": "0c611187df138f1c",
+    "chebyshev-singular": "ffa0c3113078e177",
 }
 
 
