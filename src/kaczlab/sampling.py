@@ -39,7 +39,8 @@ class UniformSubset(Kind):
 @dataclass(frozen=True, eq=False)
 class Partition(Kind):
     """A partition of [m] into disjoint blocks, block l drawn with
-    probability ``probs[l]``."""
+    probability ``probs[l]``.  Each row index and probability is read by
+    ``kinds.number``."""
 
     kind = "partition"
     blocks: tuple[tuple[int, ...], ...]
@@ -56,9 +57,9 @@ class Partition(Kind):
         return hash((self.blocks, self.probs.tobytes()))
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in blk)) for blk in self.blocks)
+        blocks = tuple(tuple(sorted(number(i, "blocks", int) for i in blk)) for blk in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
+        probs = np.array([number(p, "probs", float) for p in self.probs])
         object.__setattr__(self, "probs", probs)
         if len(blocks) != probs.size:
             raise ValueError("one probability per block required")

@@ -149,13 +149,16 @@ def uniform_weights(spec: SamplingSpec) -> WeightScheme:
 
 
 def row_norm_sq_weights(spec: SamplingSpec, system: LinearSystem) -> WeightScheme:
-    """omega_i = ||a_i||^2 / sum_{j in J} ||a_j||^2."""
+    """omega_i = ||a_i||^2 / sum_{j in J} ||a_j||^2.  A system with a zero
+    row raises ZeroRowError."""
+    system.check_nonzero_rows()
     lo, hi = _bounds_from_base(system.row_norms_sq, spec)
     return WeightScheme("rownormsq", lo, hi)
 
 
 def explicit_weights(values, spec: SamplingSpec) -> WeightScheme:
-    values = np.asarray(values, dtype=float).reshape(-1)
+    """One base weight per row, each read by ``kinds.number``."""
+    values = np.array([number(v, "values", float) for v in values])
     if values.size != spec.m or not np.all((values > 0) & (values < math.inf)):
         raise ValueError("explicit weight values must be positive and finite, one per row")
     lo, hi = _bounds_from_base(values, spec)

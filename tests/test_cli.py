@@ -319,7 +319,8 @@ def test_empty_env_seed_counts_as_unset(monkeypatch, capsys):
     ["analyze", "--sampling", "uniform:2"],
     ["solve", "--stepsize", "constant-extrapolated", "--sampling", "uniform:2"],
     ["solve", "--method", "basic", "--sampling", "uniform:1"],
-], ids=["analyze", "derived-lambda-max-block", "basic"])
+    ["solve", "--method", "block-projection", "--weights", "rownormsq", "--sampling", "partition:1"],
+], ids=["analyze", "derived-lambda-max-block", "basic", "rownormsq-weights"])
 def test_zero_row_system_is_an_error_line(argv, tmp_path, capsys):
     mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 0.0]]))
     mmio.write_vector(tmp_path / "b.txt", [1.0, 0.0])

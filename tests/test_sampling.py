@@ -23,8 +23,10 @@ from kaczlab.sampling import (
     paving_from_json,
     paving_to_json,
     sample_block,
+    sampling_from_dict,
     support_count,
 )
+from kaczlab.stepsize import weights_from_dict
 
 
 class TestSpecValidation:
@@ -216,6 +218,29 @@ class TestPaving:
     def test_json_numbers_are_strict(self, doc, field):
         with pytest.raises(ValueError, match=field):
             paving_from_json(json.dumps(doc))
+
+
+_BLOCKS = [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"kind": "partition", "blocks": [[0.9, 1.7], [2, 3]], "probs": [0.5, 0.5]}, "blocks"),
+    ({"kind": "partition", "blocks": [[0, True], [2, 3]], "probs": [0.5, 0.5]}, "blocks"),
+    ({"kind": "partition", "blocks": [["0", 1], [2, 3]], "probs": [0.5, 0.5]}, "blocks"),
+    ({"kind": "partition", "blocks": _BLOCKS, "probs": ["0.5", 0.5]}, "probs"),
+    ({"kind": "partition", "blocks": _BLOCKS, "probs": [True, False]}, "probs"),
+    ({"kind": "explicit", "values": ["1", 1.0, 2.0, 3]}, "values"),
+    ({"kind": "explicit", "values": [1, True, 2.0, 3]}, "values"),
+], ids=["fractional-row", "bool-row", "string-row", "string-prob", "bool-probs",
+        "string-weight", "bool-weight"])
+def test_partition_and_explicit_weight_numbers_are_strict(doc, field):
+    A = np.arange(1.0, 9.0).reshape(4, 2)
+    system = LinearSystem(A, A @ np.ones(2))
+    with pytest.raises(ValueError, match=field):
+        if doc["kind"] == "partition":
+            sampling_from_dict(doc)
+        else:
+            weights_from_dict(doc, partition_spec(_BLOCKS), system)
 
 
 def test_full_batch_is_single_block():

@@ -17,6 +17,7 @@ from kaczlab.sampling import (
     partition_spec,
 )
 from kaczlab.engine import square_threshold
+from kaczlab.kernels import block_pinvs
 from kaczlab.solver import (
     BASIC,
     BLOCK_PROJECTION,
@@ -149,6 +150,37 @@ class TestBlockProjectionStep:
         J = np.array([0, 3])
         out = block_projection_step(np.zeros(5), system, J, alpha=1.0)
         assert np.linalg.norm(system.A[J] @ out - system.b[J]) <= 1e-8
+
+
+    def test_partition_factors_match_lstsq(self):
+        # Blocks: rows 0-3 with row 1 a copy of row 0 (rank deficient),
+        # rows 4-7 with row 5 zero, and the ragged three rows 8-10.
+        rng = np.random.default_rng(33)
+        A = rng.standard_normal((11, 6))
+        A[1], A[5] = A[0], 0.0
+        x_star = rng.standard_normal(6)
+        system = LinearSystem(A, A @ x_star, planted_solution=x_star)
+        blocks = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10)]
+        x0 = rng.standard_normal(6)
+        for l, blk in enumerate(blocks):
+            # The partition draws block l at every step.
+            spec = Partition(tuple(blocks), np.eye(3)[l])
+            config = SolverConfig(BLOCK_PROJECTION, spec, uniform_weights(spec),
+                                  ClassicConstant(0.9), max_iters=1, residual_tol=0.0)
+            out = run_solver(config, system, x0=x0).final_x
+            ref = block_projection_step(x0, system, np.array(blk), alpha=0.9)
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), blk
+        # The factors are built once per system and partition, and hold
+        # as many floats as A.
+        spec = partition_spec(blocks)
+        config = SolverConfig(BLOCK_PROJECTION, spec, uniform_weights(spec), ClassicConstant(1.0),
+                              max_iters=5, residual_tol=0.0)
+        run_solver(config, system)
+        pinvs = block_pinvs(system, spec)
+        run_monte_carlo(dataclasses.replace(config, sampling=partition_spec(blocks)), system, 3)
+        assert block_pinvs(system, partition_spec(blocks)) is pinvs
+        assert sum(key[1] == spec for key in system.cache if key[0] == "block_pinvs") == 1
+        assert sum(stack.size for stack in pinvs.stacks.values()) == system.m * system.n
 
 
 class TestRunSolver:
@@ -452,12 +484,16 @@ def test_zero_row_draw_raises(method, policy, spec):
 
 def test_zero_row_block_with_row_norm_weights_raises():
     # Rows 1 and 2 are zero, so block (1, 2), drawn first at seed 1, has no
-    # row-norm weights (0/0): the run refuses it without a RuntimeWarning.
+    # row-norm weights (0/0): the weights refuse the system, and so does a
+    # run, without a RuntimeWarning.
     A = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     x_star = np.array([1.0, -1.0, 2.0])
     system = LinearSystem(A, A @ x_star, planted_solution=x_star)
     spec = UniformSubset(4, 2)
-    config = SolverConfig(RBK, spec, row_norm_sq_weights(spec, system), ClassicConstant(1.0),
+    with pytest.raises(ZeroRowError) as weights:
+        row_norm_sq_weights(spec, system)
+    assert weights.value.row == 1
+    config = SolverConfig(RBK, spec, uniform_weights(spec), ClassicConstant(1.0),
                           max_iters=50, seed=1)
     with pytest.raises(ZeroRowError) as single:
         run_solver(config, system)
