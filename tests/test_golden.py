@@ -16,6 +16,7 @@ import pytest
 
 from kaczlab.cli import main
 from kaczlab.linalg import LinearSystem, sym_eigenvalues
+from kaczlab.problems import generate_problem, parse_recipe
 from kaczlab.sampling import UniformSubset, build_random_paving, partition_spec
 from kaczlab.solver import (
     BASIC,
@@ -323,3 +324,21 @@ def test_solve_cli_golden(kind, tmp_path, monkeypatch, capsys):
     # argparse keeps the last occurrence of a repeated flag.
     main(["solve", "--stepsize", kind, *flags, "--out", str(out)])
     assert _digest(out.read_bytes()) == SOLVE_GOLDEN[kind]
+
+
+# One instance of each recipe kind, coherent at two coherences: the bits of
+# A, b and the planted solution.
+RECIPE_GOLDEN = {
+    "gaussian:30x12": "d4dfd4c41b40d701",
+    "rank-deficient:30x20:10": "34a553262bbd1a18",
+    "coherent:40x10:0.4": "8c2967d09ecdf5bd",
+    "coherent:40x10:1.0": "6fc2b9b98517767c",
+    "orthoblocks:32x24:8": "503fad365f1efb49",
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPE_GOLDEN))
+def test_recipe_golden(recipe):
+    system = generate_problem(parse_recipe(recipe, seed=29))
+    digest = _digest(system.A.tobytes(), system.b.tobytes(), system.planted_solution.tobytes())
+    assert digest == RECIPE_GOLDEN[recipe]
