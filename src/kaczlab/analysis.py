@@ -12,24 +12,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import MissingSpectrumError, NotNormalizedError
 from .linalg import LinearSystem, sym_eigenvalues
-from .sampling import (
-    ENUMERATION_CAP,
-    Partition,
-    Paving,
-    SamplingSpec,
-    membership_probabilities,
-    support_count,
-)
-from .stepsize import WeightScheme, check_delta
+from .sampling import EXACT_ENUMERATION, MONTE_CARLO, PARTITION_MAX, Paving, SamplingSpec
 
-EXACT_ENUMERATION = "exact-enumeration"
-PARTITION_MAX = "partition-max"
-MONTE_CARLO = "monte-carlo-estimate"
+if TYPE_CHECKING:
+    from .stepsize import WeightScheme
 
 
 # Supports per stacked eigensolve, at most; fewer where their rows would
@@ -65,25 +57,16 @@ def block_lambda_max(
     """Worst-case largest eigenvalue of the normalized block Gram over the
     sampleable supports.
 
-    Partitions are evaluated exactly; uniform specs are enumerated when
-    C(m, tau) fits under the cap, otherwise the maximum over ``budget``
-    sampled supports is reported (a lower bound, flagged by its mode).
-    A system with a zero row raises ZeroRowError.
+    The spec's ``support_groups`` give the supports and the mode:
+    PARTITION_MAX for partitions, EXACT_ENUMERATION for uniform specs with
+    C(m, tau) under the cap, else MONTE_CARLO, the maximum over ``budget``
+    sampled supports (a lower bound).  A zero row raises ZeroRowError.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sampled support, got {budget}")
     system.check_nonzero_rows()
-    if isinstance(spec, Partition):
-        sizes = sorted({len(blk) for blk in spec.blocks})
-        val = max(_supports_lambda_max(system, (b for b in spec.blocks if len(b) == size), size)
-                  for size in sizes)
-        return val, PARTITION_MAX
-    if support_count(spec) <= ENUMERATION_CAP:
-        combos = itertools.combinations(range(spec.m), spec.tau)
-        return _supports_lambda_max(system, combos, spec.tau), EXACT_ENUMERATION
-    rng = np.random.default_rng(seed)
-    supports = (rng.choice(spec.m, size=spec.tau, replace=False) for _ in range(budget))
-    return max(_supports_lambda_max(system, supports, spec.tau), 0.0), MONTE_CARLO
+    groups, mode = spec.support_groups(budget, seed)
+    return max(_supports_lambda_max(system, supports, size) for size, supports in groups), mode
 
 
 def cached_block_lambda_max(
@@ -102,7 +85,7 @@ def build_W(system: LinearSystem, spec: SamplingSpec) -> np.ndarray:
     block Gram under the sampling law.  A system with a zero row raises
     ZeroRowError."""
     system.check_nonzero_rows()
-    p = membership_probabilities(spec)
+    p = spec.membership_probabilities()
     scaled = system.A * (p / system.row_norms_sq)[:, None]
     W = system.A.T @ scaled
     return 0.5 * (W + W.T)
@@ -156,6 +139,13 @@ def build_conditioning_report(
         lambda_max_AAt=gram.lambda_max,
         lambda_min_nz_AAt=gram.lambda_min_nz,
     )
+
+
+def check_delta(delta: float) -> None:
+    """ValueError unless 0 < delta <= 1 (so NaN too): the margin of the
+    factor 2 - delta in every extrapolated stepsize and rate formula."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
 
 @dataclass(frozen=True)

@@ -31,29 +31,19 @@ from .sampling import (
     SAMPLING_FORMS,
     build_random_paving,
     build_sampling,
-    mean_block_size,
     paving_to_json,
 )
 from .solver import (
     CONVERGED,
     MAX_ITERS,
     STALLED,
-    SolverConfig,
     config_from_dict,
     number_field,
     pad_to,
     run_monte_carlo,
     run_solver,
 )
-from .stepsize import (
-    STEPSIZE_KINDS,
-    WEIGHT_KINDS,
-    Adaptive,
-    ChebyshevPD,
-    ClassicConstant,
-    ExtrapolatedConstant,
-    weights_from_dict,
-)
+from .stepsize import STEPSIZE_KINDS, WEIGHT_KINDS, weights_from_dict
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -137,7 +127,7 @@ def cmd_analyze(args) -> int:
     spec = build_sampling(args.sampling, system, seed, probs=args.partition_probs)
     weights = weights_from_dict({"kind": args.weights}, spec, system)
     report = build_conditioning_report(system, spec, budget=args.budget, seed=seed)
-    rates = predict_rates(report, weights, args.delta, mean_block_size(spec))
+    rates = predict_rates(report, weights, args.delta, spec.mean_block_size())
 
     doc = {"conditioning": report.to_dict(), "rates": rates.to_dict()}
     rows = [
@@ -190,26 +180,6 @@ def cmd_paving(args) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def _theory_factor(config: SolverConfig, system: LinearSystem, budget: int) -> float:
-    """Per-iteration contraction factor of the theorem matching the config;
-    1.0 when no theorem applies.  Chebyshev rows use the squared factor of
-    the weak (expected-iterate) criterion and are informational only."""
-    policy = config.stepsize
-    report = build_conditioning_report(system, config.sampling, budget=budget, seed=config.seed)
-    rates = predict_rates(report, config.weights, getattr(policy, "delta", 1.0),
-                          mean_block_size(config.sampling))
-    if isinstance(policy, ClassicConstant):
-        a = policy.alpha
-        return 1.0 - a * (2.0 - a) * report.lambda_min_nz_AAt / report.frobenius_sq
-    if isinstance(policy, ExtrapolatedConstant):
-        return rates.rate_constant_stepsize
-    if isinstance(policy, Adaptive):
-        return rates.rate_adaptive
-    if isinstance(policy, ChebyshevPD):
-        return rates.cheb_factor**2
-    return 1.0
-
-
 def _entry_names(configs) -> list[str]:
     """Each plan entry's CSV name: its ``name`` or ``config<index>``, a
     plain file name that no other entry has."""
@@ -245,7 +215,10 @@ def cmd_experiment(args) -> int:
     summary = {"trials": trials, "configs": []}
     for name, doc in zip(names, plan["configs"]):
         config = config_from_dict(_with_env_seed(doc) | {"diagnostics": True}, system, budget)
-        factor = _theory_factor(config, system, budget)
+        report = build_conditioning_report(system, config.sampling, budget=budget,
+                                           seed=config.seed)
+        factor = config.stepsize.theory_factor(report, config.weights,
+                                               config.sampling.mean_block_size())
         if trials == 1:
             trace = run_solver(config, system)
             mean = pad_to(trace.dist_sq, config.max_iters + 1)

@@ -35,7 +35,7 @@ from .kernels import (
     factored_projection_step,
 )
 from .linalg import LinearSystem, as_vector
-from .sampling import BlockStream, Partition, check_covers, mean_block_size
+from .sampling import BlockStream, check_covers
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -87,18 +87,18 @@ class Trials:
     def __init__(self, config: SolverConfig, system: LinearSystem, seeds,
                  x0: np.ndarray | None = None):
         check_covers(config.sampling, system)
-        if config.method == BASIC and mean_block_size(config.sampling) != 1.0:
+        if config.method == BASIC and config.sampling.mean_block_size() != 1.0:
             raise ConfigMismatchError("basic method requires |J| = 1 sampling")
         self.alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
         if config.method == BLOCK_PROJECTION and self.alphas is None:
             raise ConfigMismatchError("adaptive stepsize applies to the averaged update only")
         if config.method != BLOCK_PROJECTION:
             system.check_nonzero_rows()
-        # Partition blocks recur, so block projection applies each block's
-        # pseudoinverse, built on the first run over the system and
-        # partition; uniform subsets do not recur and keep lstsq.
+        # Where blocks recur (partitions), block projection applies each
+        # block's pseudoinverse, built on the first run over the system and
+        # partition; blocks that do not recur (uniform subsets) keep lstsq.
         self.pinvs = (block_pinvs(system, config.sampling)
-                      if config.method == BLOCK_PROJECTION and isinstance(config.sampling, Partition)
+                      if config.method == BLOCK_PROJECTION and config.sampling.blocks_recur
                       else None)
         self.config, self.system = config, system
         # Building the projector also raises InconsistentSystemError when b

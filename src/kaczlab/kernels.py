@@ -199,9 +199,12 @@ class BlockPinvs:
 
 def block_pinvs(system: LinearSystem, spec) -> BlockPinvs:
     """``BlockPinvs`` of the partition ``spec``, built once per system and
-    partition: they are kept in the system's cache."""
+    partition: the system's cache keeps those of the latest partition, so
+    it holds m * n factor floats at most."""
     key = ("block_pinvs", spec)
     if key not in system.cache:
+        for old in [k for k in system.cache if k[0] == "block_pinvs"]:
+            del system.cache[old]
         system.cache[key] = BlockPinvs(system, spec.blocks)
     return system.cache[key]
 

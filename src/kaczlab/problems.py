@@ -21,12 +21,23 @@ from .linalg import LinearSystem
 from .sampling import Partition, partition_spec
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms < 1e-12):
+        raise BadDimensionsError("degenerate (near-zero) row produced; try another seed")
+    rows = rows / norms[:, None]
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
 @dataclass(frozen=True)
 class GaussianNormalized(Kind):
     kind = "gaussian"
     m: int
     n: int
     seed: int = 0
+
+    def matrix(self, rng: np.random.Generator) -> np.ndarray:
+        return _unit_rows(rng.standard_normal((self.m, self.n)))
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,15 @@ class RankDeficient(Kind):
     rank: int
     seed: int = 0
 
+    def matrix(self, rng: np.random.Generator) -> np.ndarray:
+        r = self.rank
+        if not 1 <= r <= min(self.m, self.n):
+            raise BadDimensionsError(f"rank must lie in 1..min(m, n), got {r}")
+        U, _ = np.linalg.qr(rng.standard_normal((self.m, r)))
+        V, _ = np.linalg.qr(rng.standard_normal((self.n, r)))
+        s = np.linspace(1.0, 2.0, r)
+        return _unit_rows((U * s) @ V.T)
+
 
 @dataclass(frozen=True)
 class CoherentRows(Kind):
@@ -51,6 +71,14 @@ class CoherentRows(Kind):
     n: int
     coherence: float
     seed: int = 0
+
+    def matrix(self, rng: np.random.Generator) -> np.ndarray:
+        c = self.coherence
+        if not 0.0 <= c <= 1.0:
+            raise BadDimensionsError(f"coherence must lie in [0, 1], got {c}")
+        v = _unit_rows(rng.standard_normal((1, self.n)))[0]
+        U = _unit_rows(rng.standard_normal((self.m, self.n)))
+        return _unit_rows((1.0 - c) * U + c * v)
 
 
 @dataclass(frozen=True)
@@ -64,56 +92,30 @@ class OrthonormalBlocks(Kind):
     block_size: int
     seed: int = 0
 
+    def matrix(self, rng: np.random.Generator) -> np.ndarray:
+        bs = self.block_size
+        if bs < 1 or self.m % bs != 0 or bs > self.n:
+            raise BadDimensionsError(
+                f"block_size must divide m and be <= n, got block_size={bs}, m={self.m}, n={self.n}"
+            )
+        blocks = []
+        for _ in range(self.m // bs):
+            Q, _ = np.linalg.qr(rng.standard_normal((self.n, bs)))
+            blocks.append(Q.T)
+        return np.vstack(blocks)
+
 
 ProblemRecipe = GaussianNormalized | RankDeficient | CoherentRows | OrthonormalBlocks
 RECIPE_KINDS = registry(GaussianNormalized, RankDeficient, CoherentRows, OrthonormalBlocks)
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms < 1e-12):
-        raise BadDimensionsError("degenerate (near-zero) row produced; try another seed")
-    rows = rows / norms[:, None]
-    return rows / np.linalg.norm(rows, axis=1)[:, None]
-
-
 def generate_problem(recipe: ProblemRecipe) -> LinearSystem:
-    """Deterministic in the recipe (seed included)."""
+    """The recipe's ``matrix`` and a planted solution, drawn in turn from
+    one generator seeded with the recipe's seed."""
     if recipe.m < 1 or recipe.n < 1:
         raise BadDimensionsError(f"bad dimensions m={recipe.m}, n={recipe.n}")
     rng = np.random.default_rng(recipe.seed)
-
-    if isinstance(recipe, GaussianNormalized):
-        A = _unit_rows(rng.standard_normal((recipe.m, recipe.n)))
-    elif isinstance(recipe, RankDeficient):
-        r = recipe.rank
-        if not 1 <= r <= min(recipe.m, recipe.n):
-            raise BadDimensionsError(f"rank must lie in 1..min(m, n), got {r}")
-        U, _ = np.linalg.qr(rng.standard_normal((recipe.m, r)))
-        V, _ = np.linalg.qr(rng.standard_normal((recipe.n, r)))
-        s = np.linspace(1.0, 2.0, r)
-        A = _unit_rows((U * s) @ V.T)
-    elif isinstance(recipe, CoherentRows):
-        c = recipe.coherence
-        if not 0.0 <= c <= 1.0:
-            raise BadDimensionsError(f"coherence must lie in [0, 1], got {c}")
-        v = _unit_rows(rng.standard_normal((1, recipe.n)))[0]
-        U = _unit_rows(rng.standard_normal((recipe.m, recipe.n)))
-        A = _unit_rows((1.0 - c) * U + c * v)
-    elif isinstance(recipe, OrthonormalBlocks):
-        bs = recipe.block_size
-        if bs < 1 or recipe.m % bs != 0 or bs > recipe.n:
-            raise BadDimensionsError(
-                f"block_size must divide m and be <= n, got block_size={bs}, m={recipe.m}, n={recipe.n}"
-            )
-        blocks = []
-        for _ in range(recipe.m // bs):
-            Q, _ = np.linalg.qr(rng.standard_normal((recipe.n, bs)))
-            blocks.append(Q.T)
-        A = np.vstack(blocks)
-    else:
-        raise BadDimensionsError(f"unknown recipe {recipe!r}")
-
+    A = recipe.matrix(rng)
     x_planted = rng.standard_normal(recipe.n)
     return LinearSystem(A, A @ x_planted, planted_solution=x_planted, normalized=True)
 

@@ -22,6 +22,12 @@ from .linalg import LinearSystem
 # Exhaustive enumeration is refused above this many supports.
 ENUMERATION_CAP = 10**5
 
+# How block_lambda_max's supports were chosen: all of them, every block of
+# a partition, or a sample (its maximum only a lower bound).
+EXACT_ENUMERATION = "exact-enumeration"
+PARTITION_MAX = "partition-max"
+MONTE_CARLO = "monte-carlo-estimate"
+
 
 @dataclass(frozen=True)
 class UniformSubset(Kind):
@@ -31,9 +37,74 @@ class UniformSubset(Kind):
     m: int
     tau: int
 
+    blocks_recur = False  # subsets of the m rows practically never repeat
+
     def __post_init__(self):
         if not (1 <= self.tau <= self.m):
             raise ValueError(f"need 1 <= tau <= m, got tau={self.tau}, m={self.m}")
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """``sample_block``: one support J as sorted row indices."""
+        if self.tau == 1:
+            return np.array([rng.integers(self.m)])
+        J = rng.choice(self.m, size=self.tau, replace=False)
+        J.sort()
+        return J
+
+    def draws(self, rngs, count: int) -> np.ndarray:
+        """``BlockStream``'s next draws, (steps, trials, tau): ``count`` steps
+        of one row, or one step of tau > 1 rows, which take one ``choice``
+        call per draw whether drawn ahead or not."""
+        if self.tau == 1:
+            return np.stack([rng.integers(self.m, size=(count, 1)) for rng in rngs], axis=1)
+        J = np.stack([rng.choice(self.m, size=self.tau, replace=False) for rng in rngs])
+        J.sort(axis=-1)
+        return J[None]
+
+    def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        return [(None, draw)]
+
+    def block(self, drawn: np.ndarray) -> np.ndarray:
+        return drawn
+
+    def membership_probabilities(self) -> np.ndarray:
+        return np.full(self.m, self.tau / self.m)
+
+    def mean_block_size(self) -> float:
+        return float(self.tau)
+
+    def support_count(self) -> int:
+        return comb(self.m, self.tau)
+
+    def enumerate_supports(self) -> list[tuple[np.ndarray, float]]:
+        total = self.support_count()
+        if total > ENUMERATION_CAP:
+            raise TooLargeError(f"C({self.m},{self.tau}) = {total} exceeds cap")
+        combos = itertools.combinations(range(self.m), self.tau)
+        return [(np.array(J, dtype=int), 1.0 / total) for J in combos]
+
+    def support_groups(self, budget: int, seed: int):
+        """The supports ``block_lambda_max`` maximizes over, as (size,
+        supports) pairs, and their mode: all C(m, tau) when they fit under
+        the cap, else ``budget`` drawn from ``seed`` (a lower bound)."""
+        if self.support_count() <= ENUMERATION_CAP:
+            combos = itertools.combinations(range(self.m), self.tau)
+            return [(self.tau, combos)], EXACT_ENUMERATION
+        rng = np.random.default_rng(seed)
+        supports = (rng.choice(self.m, size=self.tau, replace=False) for _ in range(budget))
+        return [(self.tau, supports)], MONTE_CARLO
+
+    def weight_bounds(self, base: np.ndarray) -> tuple[float, float]:
+        """Exact extremes of base[i]/sum(base[J]) over sampleable (i, J)."""
+        tau = self.tau
+        if tau == 1:
+            return 1.0, 1.0
+        s = np.sort(base)
+        # Smallest weight: lightest row packed with the tau-1 heaviest others;
+        # largest: heaviest row packed with the tau-1 lightest others.
+        lo = s[0] / (s[0] + s[-(tau - 1):].sum())
+        hi = s[-1] / (s[-1] + s[:tau - 1].sum())
+        return float(lo), float(hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +116,8 @@ class Partition(Kind):
     kind = "partition"
     blocks: tuple[tuple[int, ...], ...]
     probs: np.ndarray
+
+    blocks_recur = True  # the ell blocks are drawn again and again
 
     def __eq__(self, other):
         return (
@@ -65,14 +138,22 @@ class Partition(Kind):
             raise ValueError("one probability per block required")
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("probs must be nonnegative and sum to 1")
+        if not all(blocks):
+            raise ValueError("every block must hold at least one row")
         flat = [i for blk in blocks for i in blk]
         m = len(flat)
         if sorted(flat) != list(range(m)):
             raise ValueError("blocks must be disjoint and cover 0..m-1")
+        # Each row's block, and each block's rows padded to the longest.
+        sizes = np.array([len(blk) for blk in blocks])
         lookup = np.empty(m, dtype=int)
-        for l, blk in enumerate(blocks):
-            lookup[list(blk)] = l
+        lookup[flat] = np.repeat(np.arange(len(blocks)), sizes)
+        rows = np.zeros((len(blocks), sizes.max()), dtype=int)
+        rows[np.arange(sizes.max()) < sizes[:, None]] = flat
         object.__setattr__(self, "_block_of", lookup)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_ragged", bool(np.any(sizes != sizes[0])))
 
     @property
     def m(self) -> int:
@@ -81,6 +162,58 @@ class Partition(Kind):
     @property
     def ell(self) -> int:
         return len(self.blocks)
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """``sample_block``: the rows of one drawn block."""
+        return self.block(rng.choice(self.ell, p=self.probs))
+
+    def draws(self, rngs, count: int) -> np.ndarray:
+        """``BlockStream``'s next ``count`` draws, (steps, trials) block
+        indices: a call with ``size=count`` gives the values of ``count``."""
+        return np.stack([rng.choice(self.ell, size=count, p=self.probs) for rng in rngs], axis=1)
+
+    def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        """``BlockStream.groups`` of the block indices ``draw``: one group
+        per block size among them."""
+        J = self._rows[draw]
+        if not self._ragged:
+            return [(None, J)]
+        sizes = self._sizes[draw]
+        if sizes.ndim == 0:
+            return [(None, J[:sizes])]
+        return [(np.flatnonzero(sizes == size), J[sizes == size, :size])
+                for size in np.unique(sizes)]
+
+    def block(self, drawn) -> np.ndarray:
+        """The rows of the block with index ``drawn``."""
+        return np.asarray(self.blocks[int(drawn)], dtype=int)
+
+    def membership_probabilities(self) -> np.ndarray:
+        return self.probs[self._block_of]
+
+    def mean_block_size(self) -> float:
+        return float(np.mean(self._sizes))
+
+    def support_count(self) -> int:
+        return self.ell
+
+    def enumerate_supports(self) -> list[tuple[np.ndarray, float]]:
+        return [(self.block(l), float(p)) for l, p in enumerate(self.probs)]
+
+    def support_groups(self, budget: int, seed: int):
+        """Every block, by size; ``budget`` and ``seed`` are unused."""
+        groups = [(size, self._rows[self._sizes == size, :size])
+                  for size in np.unique(self._sizes).tolist()]
+        return groups, PARTITION_MAX
+
+    def weight_bounds(self, base: np.ndarray) -> tuple[float, float]:
+        """Exact extremes of base[i]/sum(base[J]) over sampleable (i, J)."""
+        lo, hi = np.inf, -np.inf
+        for blk in self.blocks:
+            w = base[list(blk)]
+            w = w / w.sum()
+            lo, hi = min(lo, w.min()), max(hi, w.max())
+        return float(lo), float(hi)
 
 
 SamplingSpec = UniformSubset | Partition
@@ -154,14 +287,7 @@ def full_batch(m: int) -> Partition:
 
 def sample_block(spec: SamplingSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw one support J, returned as sorted row indices."""
-    if isinstance(spec, UniformSubset):
-        if spec.tau == 1:
-            return np.array([rng.integers(spec.m)])
-        J = rng.choice(spec.m, size=spec.tau, replace=False)
-        J.sort()
-        return J
-    l = rng.choice(spec.ell, p=spec.probs)
-    return np.asarray(spec.blocks[l], dtype=int)
+    return spec.sample(rng)
 
 
 # Steps of draws a BlockStream makes at once where it can draw ahead.
@@ -173,13 +299,13 @@ class BlockStream:
     generators, one per trial, drawn for all trials in lockstep.
 
     ``next()`` makes every live trial's next draw with the values and the
-    generator use of ``sample_block``.  Uniform tau > 1 subsets take one
-    ``choice(replace=False)`` call per trial and step.  For tau = 1 and for
-    partitions one call with ``size=c`` gives the same values as c scalar
-    calls, so those draws are made up to ``DRAW_AHEAD`` steps ahead (never
-    past ``steps``); the generators serve nothing else, so drawing ahead of
-    a trial that stops early changes nothing it returns.  A draw has a
-    leading trial axis, except in a stream of one generator.
+    generator use of ``sample_block``, by the spec's ``draws`` up to
+    ``DRAW_AHEAD`` steps ahead (never past ``steps``); the generators serve
+    nothing else, so drawing ahead of a trial that stops early changes
+    nothing it returns.  A draw has a leading trial axis, except in a
+    stream of one generator.  The spec's ``groups(draw)`` gives the drawn
+    rows as (trials, J) pairs, J (L_g, tau_g) (no L_g axis for one
+    generator), one per block size, trials None meaning all.
     """
 
     def __init__(self, spec: SamplingSpec, rngs, steps: int):
@@ -189,57 +315,18 @@ class BlockStream:
         self._steps_left = steps
         # Draws made ahead, step-major: (steps, [trials,] ...).
         self._ahead, self._at = (), 0
-        self._subsets = isinstance(spec, UniformSubset) and spec.tau > 1
-        self._partition = isinstance(spec, Partition)
-        if self._partition:
-            sizes = np.array([len(blk) for blk in spec.blocks])
-            rows = np.zeros((spec.ell, sizes.max()), dtype=int)
-            for l, blk in enumerate(spec.blocks):
-                rows[l, :len(blk)] = blk
-            self._rows, self._sizes = rows, sizes
-            self._ragged = bool(np.any(sizes != sizes[0]))
+        self.groups, self.block = spec.groups, spec.block
 
     def next(self) -> np.ndarray:
         """One draw per live trial: (L, tau) sorted rows for uniform specs,
         (L,) block indices for partitions (no L axis for one generator)."""
-        spec = self.spec
-        if self._subsets:
-            J = np.stack([rng.choice(spec.m, size=spec.tau, replace=False) for rng in self.rngs])
-            J.sort(axis=-1)
-            return J[0] if self.single else J
         if self._at == len(self._ahead):
-            count = min(DRAW_AHEAD, self._steps_left)
-            self._steps_left -= count
-            if self._partition:
-                drawn = [rng.choice(spec.ell, size=count, p=spec.probs) for rng in self.rngs]
-            else:
-                # Each step's draw is a one-row block.
-                drawn = [rng.integers(spec.m, size=(count, 1)) for rng in self.rngs]
-            self._ahead = drawn[0] if self.single else np.stack(drawn, axis=1)
+            drawn = self.spec.draws(self.rngs, min(DRAW_AHEAD, self._steps_left))
+            self._steps_left -= len(drawn)
+            self._ahead = drawn[:, 0] if self.single else drawn
             self._at = 0
         self._at += 1
         return self._ahead[self._at - 1]
-
-    def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
-        """The drawn rows as (trials, J) pairs, J of shape (L_g, tau_g) (no
-        L_g axis for one generator), one pair per block size among the
-        draws; trials None means all."""
-        if not self._partition:
-            return [(None, draw)]
-        J = self._rows[draw]
-        if not self._ragged:
-            return [(None, J)]
-        sizes = self._sizes[draw]
-        if self.single:
-            return [(None, J[:sizes])]
-        return [(np.flatnonzero(sizes == size), J[sizes == size, :size])
-                for size in np.unique(sizes)]
-
-    def block(self, drawn) -> np.ndarray:
-        """The rows of one trial's draw."""
-        if self._partition:
-            return np.asarray(self.spec.blocks[int(drawn)], dtype=int)
-        return drawn
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the trials where the boolean mask ``live`` is False."""
@@ -253,29 +340,18 @@ def membership_probability(spec: SamplingSpec, i: int) -> float:
     unique block containing i for partitions."""
     if not 0 <= i < spec.m:
         raise IndexError(f"row index {i} out of range for m={spec.m}")
-    return float(membership_probabilities(spec)[i])
-
-
-def membership_probabilities(spec: SamplingSpec) -> np.ndarray:
-    """All m membership probabilities p_i at once."""
-    if isinstance(spec, UniformSubset):
-        return np.full(spec.m, spec.tau / spec.m)
-    return spec.probs[spec._block_of]
+    return float(spec.membership_probabilities()[i])
 
 
 def mean_block_size(spec: SamplingSpec) -> float:
     """The mean size of a drawn block: tau for uniform subsets, the mean
     over the blocks of a partition, exactly 1.0 only when every block is
     one row."""
-    if isinstance(spec, UniformSubset):
-        return float(spec.tau)
-    return float(np.mean([len(blk) for blk in spec.blocks]))
+    return spec.mean_block_size()
 
 
 def support_count(spec: SamplingSpec) -> int:
-    if isinstance(spec, UniformSubset):
-        return comb(spec.m, spec.tau)
-    return spec.ell
+    return spec.support_count()
 
 
 def enumerate_supports(spec: SamplingSpec) -> list[tuple[np.ndarray, float]]:
@@ -284,19 +360,7 @@ def enumerate_supports(spec: SamplingSpec) -> list[tuple[np.ndarray, float]]:
     Raises :class:`TooLargeError` when a uniform spec has more than
     ``ENUMERATION_CAP`` supports.  Partitions are always enumerable.
     """
-    if isinstance(spec, UniformSubset):
-        total = comb(spec.m, spec.tau)
-        if total > ENUMERATION_CAP:
-            raise TooLargeError(f"C({spec.m},{spec.tau}) = {total} exceeds cap")
-        p = 1.0 / total
-        return [
-            (np.array(J, dtype=int), p)
-            for J in itertools.combinations(range(spec.m), spec.tau)
-        ]
-    return [
-        (np.asarray(blk, dtype=int), float(p))
-        for blk, p in zip(spec.blocks, spec.probs)
-    ]
+    return spec.enumerate_supports()
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ from .errors import (
     ConfigMismatchError,
     NonPositiveConditioningError,
 )
+from .analysis import ConditioningReport, check_delta, predict_rates
 from .kernels import adaptive_steps, check_rows
 from .kinds import Kind, from_kind_dict, number, number_field, registry
 from .linalg import LinearSystem
-from .sampling import Partition, SamplingSpec
+from .sampling import SamplingSpec
 
 
 # ---------------------------------------------------------------------------
@@ -121,30 +122,9 @@ class WeightScheme:
         return {"kind": self.kind} | ({} if self.base is None else {"values": self.base.tolist()})
 
 
-def _bounds_from_base(base: np.ndarray, spec: SamplingSpec) -> tuple[float, float]:
-    """Exact extremes of base[i]/sum(base[J]) over sampleable (i, J)."""
-    if isinstance(spec, Partition):
-        lo, hi = np.inf, -np.inf
-        for blk in spec.blocks:
-            w = base[list(blk)]
-            w = w / w.sum()
-            lo, hi = min(lo, w.min()), max(hi, w.max())
-        return float(lo), float(hi)
-    tau = spec.tau
-    if tau == 1:
-        return 1.0, 1.0
-    s = np.sort(base)
-    # Smallest weight: lightest row packed with the tau-1 heaviest others;
-    # largest: heaviest row packed with the tau-1 lightest others.
-    lo = s[0] / (s[0] + s[-(tau - 1):].sum())
-    hi = s[-1] / (s[-1] + s[:tau - 1].sum())
-    return float(lo), float(hi)
-
-
 def uniform_weights(spec: SamplingSpec) -> WeightScheme:
     """omega_i = 1/|J|."""
-    m = spec.m
-    lo, hi = _bounds_from_base(np.ones(m), spec)
+    lo, hi = spec.weight_bounds(np.ones(spec.m))
     return WeightScheme("uniform", lo, hi)
 
 
@@ -152,7 +132,7 @@ def row_norm_sq_weights(spec: SamplingSpec, system: LinearSystem) -> WeightSchem
     """omega_i = ||a_i||^2 / sum_{j in J} ||a_j||^2.  A system with a zero
     row raises ZeroRowError."""
     system.check_nonzero_rows()
-    lo, hi = _bounds_from_base(system.row_norms_sq, spec)
+    lo, hi = spec.weight_bounds(system.row_norms_sq)
     return WeightScheme("rownormsq", lo, hi)
 
 
@@ -161,7 +141,7 @@ def explicit_weights(values, spec: SamplingSpec) -> WeightScheme:
     values = np.array([number(v, "values", float) for v in values])
     if values.size != spec.m or not np.all((values > 0) & (values < math.inf)):
         raise ValueError("explicit weight values must be positive and finite, one per row")
-    lo, hi = _bounds_from_base(values, spec)
+    lo, hi = spec.weight_bounds(values)
     return WeightScheme("explicit", lo, hi, base=values)
 
 
@@ -181,13 +161,6 @@ def weights_from_dict(doc: dict, spec: SamplingSpec, system: LinearSystem) -> We
 # ---------------------------------------------------------------------------
 # Constant and adaptive extrapolated stepsizes
 # ---------------------------------------------------------------------------
-
-def check_delta(delta: float) -> None:
-    """ValueError unless 0 < delta <= 1 (so NaN too): the margin of the
-    factor 2 - delta in every extrapolated stepsize and rate formula."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-
 
 def constant_extrapolated_alpha(
     weights: WeightScheme, lambda_max_block: float, delta: float = 1.0
@@ -366,6 +339,9 @@ def chebyshev_schedule_singular(lambda_max: float, m: int, k: int, kappa) -> Che
 #
 # ``stepsizes(weights, max_iters)`` gives the stepsize of every iteration of
 # a run, or None when each one is computed from the drawn block.
+# ``theory_factor(report, weights, tau)`` gives the per-iteration factor of
+# the policy's theorem from the conditioning report, the weights and the
+# mean block size tau; 1.0 when no theorem applies.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -381,6 +357,11 @@ class ClassicConstant(Kind):
 
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> np.ndarray:
         return np.broadcast_to(self.alpha, max_iters)
+
+    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
+        """1 - alpha (2 - alpha) lambda_min_nz(A A^T) / ||A||_F^2."""
+        a = self.alpha
+        return 1.0 - a * (2.0 - a) * report.lambda_min_nz_AAt / report.frobenius_sq
 
 
 @dataclass(frozen=True)
@@ -400,6 +381,9 @@ class ExtrapolatedConstant(Kind):
         alpha = constant_extrapolated_alpha(weights, self.lambda_max_block, self.delta)
         return np.broadcast_to(alpha, max_iters)
 
+    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
+        return predict_rates(report, weights, self.delta, tau).rate_constant_stepsize
+
 
 @dataclass(frozen=True)
 class Adaptive(Kind):
@@ -413,6 +397,9 @@ class Adaptive(Kind):
 
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> None:
         return None
+
+    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
+        return predict_rates(report, weights, self.delta, tau).rate_adaptive
 
 
 class _RootSchedule(Kind):
@@ -459,6 +446,11 @@ class ChebyshevPD(_RootSchedule):
     def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_pd(self.lambda_min, self.lambda_max, self.m, self.horizon, kappa)
 
+    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
+        """The squared Chebyshev factor of the weak (expected-iterate)
+        criterion: informational only."""
+        return predict_rates(report, weights, 1.0, tau).cheb_factor**2
+
 
 @dataclass(frozen=True)
 class ChebyshevSingular(_RootSchedule):
@@ -472,6 +464,9 @@ class ChebyshevSingular(_RootSchedule):
 
     def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_singular(self.lambda_max, self.m, self.horizon, kappa)
+
+    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
+        return 1.0
 
 
 StepsizePolicy = ClassicConstant | ExtrapolatedConstant | Adaptive | ChebyshevPD | ChebyshevSingular

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import kaczlab.analysis as analysis
+import kaczlab.sampling as sampling
 from kaczlab.analysis import (
     EXACT_ENUMERATION,
     MONTE_CARLO,
@@ -75,7 +75,7 @@ class TestBlockLambdaMax:
         system = generate_problem(GaussianNormalized(8, 5, seed=2))
         spec = UniformSubset(8, 3)
         exact, _ = block_lambda_max(system, spec)
-        monkeypatch.setattr(analysis, "ENUMERATION_CAP", 10)
+        monkeypatch.setattr(sampling, "ENUMERATION_CAP", 10)
         est, mode = block_lambda_max(system, spec, budget=25, seed=3)
         assert mode == MONTE_CARLO
         assert est <= exact + 1e-12
@@ -113,7 +113,7 @@ def test_stacked_block_lambda_max_matches_one_support_loop(case, monkeypatch):
         spec = build_random_paving(2, 30, 7).to_spec()  # blocks of 5 and 4 rows
         supports = [np.asarray(blk) for blk in spec.blocks]
     else:
-        monkeypatch.setattr(analysis, "ENUMERATION_CAP", 10)
+        monkeypatch.setattr(sampling, "ENUMERATION_CAP", 10)
         spec = UniformSubset(30, 4)
         rng = np.random.default_rng(9)
         supports = [rng.choice(30, size=4, replace=False) for _ in range(300)]

@@ -166,6 +166,8 @@ MALFORMED = [
                  id="fractional-kappa"),
     pytest.param("sampling", {"kind": "partition", "blocks": [[0, 1, 2, 3], [4, 5, 6, 7]]},
                  id="missing-partition-field"),
+    pytest.param("sampling", {"kind": "partition", "blocks": [list(range(8)), []],
+                              "probs": [0.5, 0.5]}, id="empty-partition-block"),
     pytest.param("residual_tol", "1e-6", id="string-tol"),
     pytest.param("residual_tol", [1], id="list-tol"),
     pytest.param("seed", None, id="null-seed"),

@@ -44,6 +44,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Partition(((0,), (1,)), np.array([0.6, 0.6]))
 
+    def test_partition_blocks_nonempty(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            Partition(((0, 1), ()), [0.5, 0.5])
+
 
 class TestSampleBlock:
     def test_full_support_degenerate(self):

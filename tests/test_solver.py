@@ -181,6 +181,14 @@ class TestBlockProjectionStep:
         assert block_pinvs(system, partition_spec(blocks)) is pinvs
         assert sum(key[1] == spec for key in system.cache if key[0] == "block_pinvs") == 1
         assert sum(stack.size for stack in pinvs.stacks.values()) == system.m * system.n
+        # A run over another partition replaces them: the cache keeps one
+        # partition's factors, m * n floats in all.
+        other = partition_spec([(0, 2, 4, 6, 8, 10), (1, 3, 5, 7, 9)])
+        run_solver(dataclasses.replace(config, sampling=other, weights=uniform_weights(other)),
+                   system)
+        cached = [value for key, value in system.cache.items() if key[0] == "block_pinvs"]
+        assert sum(stack.size for factors in cached
+                   for stack in factors.stacks.values()) == system.m * system.n
 
 
 class TestRunSolver:
