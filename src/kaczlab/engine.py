@@ -94,9 +94,8 @@ class Trials:
             raise ConfigMismatchError("adaptive stepsize applies to the averaged update only")
         if config.method != BLOCK_PROJECTION:
             system.check_nonzero_rows()
-        # Where blocks recur (partitions), block projection applies each
-        # block's pseudoinverse, built on the first run over the system and
-        # partition; blocks that do not recur (uniform subsets) keep lstsq.
+        # Partition blocks recur: block projection applies their pseudoinverses,
+        # built once per system and partition; other blocks are factored per step.
         self.pinvs = (block_pinvs(system, config.sampling)
                       if config.method == BLOCK_PROJECTION and config.sampling.blocks_recur
                       else None)

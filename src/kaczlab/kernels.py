@@ -2,8 +2,8 @@
 rows.  ``averaged_step`` is the averaged projection that the basic and the
 block (RBK) methods share, ``adaptive_step`` the same update with the
 adaptive stepsize, and ``block_projection_step`` the exact projection
-(``factored_projection_step`` for the blocks of a partition, whose
-pseudoinverses ``block_pinvs`` builds once per system).
+(``factored_projection_step`` with the block's pseudoinverse given; for
+the blocks of a partition ``block_pinvs`` builds them once per system).
 
 The averaged steps work on one trial or on a stack of trials: X is
 (..., n), each trial's drawn block J (..., tau), its rows AJ = A[J]
@@ -11,7 +11,7 @@ The averaged steps work on one trial or on a stack of trials: X is
 one-trial computation, so T trials in lockstep replay T serial runs:
 
 - a per-row dot a . x is ``np.vecdot``, one BLAS ddot per pair like
-  ``a @ x`` (einsum and (T, tau, n) @ (T, n, 1) round differently);
+  ``a @ x`` (a stacked (T, tau, n) @ (T, n, 1) rounds differently);
 - a residual A x - b is ``np.matvec``, one gemv per trial like ``A @ x``
   (``LinearSystem.residual``), and its squared norm a self-``vecdot``, the
   ddot ``np.linalg.norm`` takes the square root of;
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroRowError
-from .linalg import RANK_TOL, ZERO_ROW_NORM_SQ, LinearSystem, least_squares_min_norm
+from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, pseudoinverse
 
 BASIC = "basic"
 RBK = "rbk"
@@ -81,10 +81,10 @@ def averaged_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights,
     if X.ndim == 1 and J.size == 1:
         i = J[0]
         w = weights if weights is None or isinstance(weights, float) else weights[0]
-        return row_step(X, system.A[i], system.b[i], system.row_dots[i], w, alpha)
+        return row_step(X, system.A[i], system.b[i], system.row_norms_sq[i], w, alpha)
     AJ = system.A.take(J, axis=0)
     r = np.vecdot(AJ, X[..., None, :]) - system.b.take(J)
-    coef = (r if weights is None else weights * r) / system.row_dots.take(J)
+    coef = (r if weights is None else weights * r) / system.row_norms_sq.take(J)
     return X - alpha * block_sum(np.multiply(coef[..., None], AJ, out=AJ), axis=-2)
 
 
@@ -118,7 +118,7 @@ def adaptive_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, d
     # One gemv per block, like A_J @ x.
     residuals = np.matvec(AJ, X) - system.b.take(J)
     L, d, moved = adaptive_steps(AJ, residuals, 1.0 if weights is None else weights,
-                                 system.row_dots.take(J))
+                                 system.row_norms_sq.take(J))
     alpha = (2.0 - delta) * L
     new = X - alpha[..., None] * d
     if not moved.all():
@@ -154,30 +154,25 @@ def rbk_step(
         order = J.argsort(kind="stable")
         J, weights = J.take(order), weights.take(order)
     if system.has_zero_rows:
-        check_rows(J, system.row_dots.take(J))
+        check_rows(J, system.row_norms_sq.take(J))
     return averaged_step(np.asarray(x, dtype=float), system, J, weights, alpha)
 
 
 def block_projection_step(
     x: np.ndarray, system: LinearSystem, J: np.ndarray, alpha: float = 1.0
 ) -> np.ndarray:
-    """x - alpha * A_J^+ (A_J x - b_J); with alpha = 1 this solves the
-    whole block exactly (up to rank deficiency).  A_J^+ is applied by
-    ``lstsq``; a stack of iterates (T, n) with blocks (T, tau) steps one
-    trial at a time."""
+    """x - alpha * A_J^+ (A_J x - b_J) (alpha = 1 solves the block, up to rank
+    deficiency) for one trial or a stack (T, n) with blocks (T, tau): the
+    bits of ``factored_projection_step`` with the factor ``BlockPinvs`` builds."""
     J = np.asarray(J, dtype=int)
-    if J.ndim > 1:
-        return np.stack([block_projection_step(x_t, system, J_t, alpha) for x_t, J_t in zip(x, J)])
-    A_J = system.A[J]
-    r = A_J @ x - system.b[J]
-    return x - alpha * least_squares_min_norm(A_J, r)
+    pinv = pseudoinverse(*np.linalg.svd(system.A.take(J, axis=0), full_matrices=False))
+    return factored_projection_step(x, system, J, pinv, alpha)
 
 
 class BlockPinvs:
     """The pseudoinverse A_J^+ (n, tau_J) of every block of a partition,
-    stacked by block size: together they hold m * n floats.  The cutoff is
-    ``lstsq``'s, RANK_TOL * sigma_max, so a rank-deficient block or one with
-    a zero row projects as ``block_projection_step`` does, up to rounding."""
+    stacked by block size: m * n floats in all.  A stacked SVD per size
+    gives each factor the bits ``block_projection_step`` uses, for any block."""
 
     def __init__(self, system: LinearSystem, blocks):
         sizes = np.array([len(blk) for blk in blocks])
@@ -187,9 +182,8 @@ class BlockPinvs:
         for size in np.unique(sizes).tolist():
             of_size = np.flatnonzero(sizes == size)
             self.slot[of_size] = np.arange(of_size.size)
-            self.stacks[size] = np.stack([
-                np.linalg.pinv(system.A.take(blocks[l], axis=0), rcond=RANK_TOL)
-                for l in of_size.tolist()])
+            rows = system.A.take([blocks[l] for l in of_size.tolist()], axis=0)
+            self.stacks[size] = pseudoinverse(*np.linalg.svd(rows, full_matrices=False))
 
     def take(self, drawn, size: int) -> np.ndarray:
         """The factors of the drawn blocks ``drawn`` (...), all of ``size``

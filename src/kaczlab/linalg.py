@@ -19,9 +19,10 @@ from .errors import (
     ZeroRowError,
 )
 
-# Eigenvalues below RANK_TOL * lambda_max count as zero.
+# Eigenvalues, or squared singular values, up to RANK_TOL times the
+# largest count as zero (``rank_mask``).
 RANK_TOL = 1e-10
-# A row whose squared norm (``row_dots``) is below this is a zero row
+# A row whose squared norm (``row_norms_sq``) is below this is a zero row
 # (``LinearSystem.check_nonzero_rows``).
 ZERO_ROW_NORM_SQ = 1e-28
 # b counts as outside range(A) when ||A A^+ b - b|| exceeds this times
@@ -55,8 +56,8 @@ class LinearSystem:
     ``planted_solution`` is an optional known solution (problem generators
     always store one); ``normalized`` asserts every row of A has unit norm.
     Instances are immutable and safe to share across threads.  What
-    depends only on the system (row norms, the spectrum of A A^T, the
-    solution projector) is computed on first use and cached.
+    depends only on the system (row norms, the SVD and all it gives) is
+    computed on first use and cached.
     """
 
     A: np.ndarray
@@ -96,26 +97,22 @@ class LinearSystem:
 
     @cached_property
     def row_norms_sq(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.A, self.A)
-
-    @cached_property
-    def row_dots(self) -> np.ndarray:
-        """Each ||a_i||^2 as the ddot a_i . a_i, the norms the iteration
-        kernels divide by (``row_norms_sq``'s einsum can round differently)."""
+        """Each ||a_i||^2 as the ddot a_i . a_i: the norms the iteration
+        kernels divide by, and those of the weights, lambda_max^block and W."""
         return np.vecdot(self.A, self.A)
 
     @cached_property
     def has_zero_rows(self) -> bool:
-        """Whether some row is zero (``row_dots`` below ZERO_ROW_NORM_SQ)."""
-        return bool(self.row_dots.min() < ZERO_ROW_NORM_SQ)
+        """Whether some row is zero (``row_norms_sq`` below ZERO_ROW_NORM_SQ)."""
+        return bool(self.row_norms_sq.min() < ZERO_ROW_NORM_SQ)
 
     def check_nonzero_rows(self) -> None:
         """The zero-row rule: raise ZeroRowError naming the first row whose
-        ``row_dots`` is below ZERO_ROW_NORM_SQ.  Whatever divides by the
+        ``row_norms_sq`` is below ZERO_ROW_NORM_SQ.  Whatever divides by the
         row norms (row normalization, the averaged and adaptive steps,
         lambda_max^block, W) checks it before it starts."""
         if self.has_zero_rows:
-            raise ZeroRowError(int(np.argmax(self.row_dots < ZERO_ROW_NORM_SQ)))
+            raise ZeroRowError(int(np.argmax(self.row_norms_sq < ZERO_ROW_NORM_SQ)))
 
     @cached_property
     def cache(self) -> dict:
@@ -123,17 +120,23 @@ class LinearSystem:
         return {}
 
     @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The thin SVD (U, sigma, V^T) of A, the system's one factorization."""
+        return np.linalg.svd(self.A, full_matrices=False)
+
+    @cached_property
     def gram_spectrum(self) -> SpectralSummary:
-        """Eigenvalues of A A^T."""
-        return sym_eigenvalues(self.A @ self.A.T)
+        """Eigenvalues of A A^T: sigma^2, then m - n zeros when m > n."""
+        return SpectralSummary.of(np.concatenate([self.svd[1] ** 2, np.zeros(max(0, self.m - self.n))]))
 
     @cached_property
     def projector(self) -> SolutionProjector:
         """Raises :class:`InconsistentSystemError` when b is outside range(A)."""
-        # Built on a cache-free system sharing A and b: a projector holding
-        # this system would form a reference cycle, which keeps A and the
-        # pseudoinverse alive until the cycle collector runs.
-        return SolutionProjector(LinearSystem(self.A, self.b))
+        # Built on a cache-free twin sharing A, b and the SVD: holding this
+        # system would form a cycle that keeps A and A^+ alive until collected.
+        twin = LinearSystem(self.A, self.b)
+        object.__setattr__(twin, "svd", self.svd)
+        return SolutionProjector(twin)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """A x - b; for a stack of iterates (..., n), one gemv per iterate
@@ -166,8 +169,27 @@ class SpectralSummary:
     eigenvalues: np.ndarray  # descending
     lambda_max: float
     lambda_min: float
-    lambda_min_nz: float  # smallest eigenvalue above RANK_TOL * lambda_max
+    lambda_min_nz: float  # smallest that counts (``rank_mask``), else 0.0
     rank_estimate: int
+
+    @classmethod
+    def of(cls, eig: np.ndarray) -> SpectralSummary:
+        """The summary of the eigenvalues ``eig``, sorted descending."""
+        nz = eig[rank_mask(eig)]
+        return cls(eig, float(eig[0]), float(eig[-1]), float(nz[-1]) if nz.size else 0.0, nz.size)
+
+
+def rank_mask(sq: np.ndarray) -> np.ndarray:
+    """The rank rule: an eigenvalue or squared singular value of ``sq`` (..., k)
+    counts iff it exceeds RANK_TOL times the largest (Golub-Van Loan, 5.4)."""
+    return sq > RANK_TOL * sq.max(axis=-1, keepdims=True)
+
+
+def pseudoinverse(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """A^+ = V diag(1/sigma) U^T over the sigma ``rank_mask`` keeps, from the
+    thin SVD of A (..., m, n), by numpy ``pinv``'s product and bits."""
+    inv = np.divide(1.0, s, where=rank_mask(s * s), out=np.zeros_like(s))
+    return np.matmul(np.swapaxes(vt, -1, -2), np.multiply(inv[..., None], np.swapaxes(u, -1, -2)))
 
 
 def normalize_rows(system: LinearSystem) -> tuple[LinearSystem, RowScaling]:
@@ -187,12 +209,8 @@ def normalize_rows(system: LinearSystem) -> tuple[LinearSystem, RowScaling]:
 
 
 def sym_eigenvalues(S) -> SpectralSummary:
-    """All eigenvalues of a symmetric matrix S.
-
-    ``rank_estimate`` counts eigenvalues exceeding ``RANK_TOL *
-    lambda_max`` (intended for PSD Gram matrices); ``lambda_min_nz`` is the
-    smallest such eigenvalue, or 0.0 when none qualifies.
-    """
+    """All eigenvalues of a symmetric matrix S; ``rank_mask`` decides which
+    count as nonzero (intended for PSD Gram matrices)."""
     S = as_matrix(S)
     if S.shape[0] != S.shape[1]:
         raise NotSquareError(f"matrix is {S.shape[0]}x{S.shape[1]}")
@@ -200,45 +218,32 @@ def sym_eigenvalues(S) -> SpectralSummary:
     asym = np.linalg.norm(S - S.T)
     if asym > 1e-10 * max(1.0, scale):
         raise NotSymmetricError(f"relative asymmetry {asym / max(1.0, scale):.3e}")
-    eig = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]  # descending
-    lam_max = float(eig[0])
-    nonzero = eig[eig > RANK_TOL * lam_max] if lam_max > 0 else eig[:0]
-    return SpectralSummary(
-        eigenvalues=eig,
-        lambda_max=lam_max,
-        lambda_min=float(eig[-1]),
-        lambda_min_nz=float(nonzero[-1]) if nonzero.size else 0.0,
-        rank_estimate=int(nonzero.size),
-    )
+    return SpectralSummary.of(np.linalg.eigvalsh(0.5 * (S + S.T))[::-1])
 
 
 def spectral_norm_sq(A) -> float:
-    """Squared spectral norm ||A||^2 = lambda_max(A^T A), computed on the
-    smaller of the two Gram matrices."""
-    A = as_matrix(A)
-    m, n = A.shape
-    G = A @ A.T if m <= n else A.T @ A
-    return sym_eigenvalues(G).lambda_max
+    """Squared spectral norm ||A||^2 = sigma_max(A)^2."""
+    return float(np.linalg.svd(as_matrix(A), compute_uv=False)[0]) ** 2
 
 
 def least_squares_min_norm(A, r) -> np.ndarray:
-    """Minimum-norm solution of min ||A x - r|| (the action of the
-    pseudoinverse), with rank cutoff RANK_TOL * sigma_max."""
+    """Minimum-norm solution of min ||A x - r||: ``pseudoinverse`` times r."""
     A = as_matrix(A)
     r = as_vector(r, A.shape[0])
-    x, *_ = np.linalg.lstsq(A, r, rcond=RANK_TOL)
-    return x
+    return pseudoinverse(*np.linalg.svd(A, full_matrices=False)) @ r
 
 
 class SolutionProjector:
-    """Projection onto the solution set of A x = b with a cached
-    pseudoinverse, for repeated per-iterate diagnostics."""
+    """Projection onto the solution set of A x = b with a pseudoinverse from
+    the system's SVD, for repeated per-iterate diagnostics."""
 
     def __init__(self, system: LinearSystem):
         self.system = system
-        self._pinv = np.linalg.pinv(system.A, rcond=RANK_TOL)
-        # ||A A^+ b - b|| > tol means b is not in range(A).
-        gap = np.linalg.norm(system.A @ (self._pinv @ system.b) - system.b)
+        u, s, vt = system.svd
+        self._pinv = pseudoinverse(u, s, vt)
+        # b is outside range(A) when ||U_r U_r^T b - b|| exceeds the tolerance.
+        u_r = u[:, rank_mask(s * s)]
+        gap = np.linalg.norm(u_r @ (u_r.T @ system.b) - system.b)
         if gap > CONSISTENCY_TOL * (1.0 + np.linalg.norm(system.b)):
             raise InconsistentSystemError(f"system residual floor {gap:.3e}")
 

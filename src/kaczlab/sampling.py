@@ -201,15 +201,16 @@ class Partition(Kind):
         return [(self.block(l), float(p)) for l, p in enumerate(self.probs)]
 
     def support_groups(self, budget: int, seed: int):
-        """Every block, by size; ``budget`` and ``seed`` are unused."""
-        groups = [(size, self._rows[self._sizes == size, :size])
-                  for size in np.unique(self._sizes).tolist()]
+        """Every block of positive probability, by size (no budget or seed)."""
+        drawn = self.probs > 0
+        groups = [(size, self._rows[drawn & (self._sizes == size), :size])
+                  for size in np.unique(self._sizes[drawn]).tolist()]
         return groups, PARTITION_MAX
 
     def weight_bounds(self, base: np.ndarray) -> tuple[float, float]:
         """Exact extremes of base[i]/sum(base[J]) over sampleable (i, J)."""
         lo, hi = np.inf, -np.inf
-        for blk in self.blocks:
+        for blk in itertools.compress(self.blocks, self.probs > 0):
             w = base[list(blk)]
             w = w / w.sum()
             lo, hi = min(lo, w.min()), max(hi, w.max())

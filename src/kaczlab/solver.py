@@ -39,7 +39,7 @@ from .kernels import (
     rbk_step,
 )
 from .kinds import number_field
-from .linalg import RANK_TOL, LinearSystem
+from .linalg import LinearSystem
 from .sampling import SamplingSpec, build_sampling, check_covers, sampling_from_dict
 from .stepsize import (
     STEPSIZE_KINDS,
@@ -271,7 +271,7 @@ def config_to_dict(config: SolverConfig) -> dict:
 
 def _positive_lambda_min(system: LinearSystem) -> float:
     gram = system.gram_spectrum
-    if gram.lambda_min <= RANK_TOL * gram.lambda_max:
+    if gram.rank_estimate < system.m:
         raise ConfigMismatchError(
             "chebyshev-pd requires lambda_min(A A^T) > 0; use chebyshev-singular"
         )

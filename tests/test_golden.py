@@ -114,11 +114,11 @@ SOLVER_GOLDEN = {
     (BASIC, "adaptive"): "b16c93864d5aecdf",
     (BASIC, "chebyshev-pd"): "a2b7ec695c37535e",
     (BASIC, "chebyshev-singular"): "ece81981409247f3",
-    (RBK, "classic"): "105335f77642f12e",
-    (RBK, "constant-extrapolated"): "459fdea42df0462f",
-    (RBK, "adaptive"): "c617e635eeb0c8fc",
-    (RBK, "chebyshev-pd"): "c87ff750df6dcb92",
-    (RBK, "chebyshev-singular"): "1e5f7238c14d027c",
+    (RBK, "classic"): "116e5f530f81cea3",
+    (RBK, "constant-extrapolated"): "b6c89106f25417df",
+    (RBK, "adaptive"): "0de346128a7904b6",
+    (RBK, "chebyshev-pd"): "9ca9237ee9383b3d",
+    (RBK, "chebyshev-singular"): "6c965cb93b5cd077",
     (BLOCK_PROJECTION, "classic"): "14b6289230fea343",
     (BLOCK_PROJECTION, "constant-extrapolated"): "b42c0b200bfc9869",
     (BLOCK_PROJECTION, "chebyshev-pd"): "88ed8b6582977ab0",
@@ -207,8 +207,8 @@ def _wide_block_case(name):
 
 
 WIDE_BLOCK_GOLDEN = {
-    "adaptive-tau12": "c0314d0724db2685",
-    "constant-tau16": "3179a42f3af52fba",
+    "adaptive-tau12": "2cb5f49356c62686",
+    "constant-tau16": "3f8051fbe89c220b",
     "adaptive-paving-9-8": "832ff23c429b1583",
     "one-column-tau9": "208512bfdc612629",
     "one-column-adaptive": "62bdbff73b288cb1",
@@ -226,7 +226,7 @@ def test_run_monte_carlo_wide_block_golden():
     mc = run_monte_carlo(config, system, trials=3)
     digest = _digest(mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(),
                      mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes())
-    assert digest == "14cdcc42866b50bb"
+    assert digest == "c2091603b501b2aa"
 
 
 EXPERIMENT_PLANS = {
@@ -278,8 +278,8 @@ EXPERIMENT_PLANS = {
 }
 
 EXPERIMENT_GOLDEN = {
-    "tall": "3725d04066108a19",
-    "wide": "797f4f23b2fdca8f",
+    "tall": "80c84dffc1ab106c",
+    "wide": "718dcdad1febcf5b",
     "padded": "87f277d5fcbc2bb8",
 }
 
@@ -309,9 +309,9 @@ SOLVE_FLAGS = {
 SOLVE_GOLDEN = {
     "classic": "9da54a14e7e51c0e",
     "constant-extrapolated": "610ed96c1024af65",
-    "adaptive": "e7ad131d0218f078",
-    "chebyshev-pd": "b0bff039e951fbd0",
-    "chebyshev-singular": "ffa0c3113078e177",
+    "adaptive": "1f34362aa93209ac",
+    "chebyshev-pd": "a18fd01c23f55137",
+    "chebyshev-singular": "eae9d9a0c3740c7b",
 }
 
 

@@ -7,7 +7,9 @@ from kaczlab.errors import (
     NotSymmetricError,
     ZeroRowError,
 )
+from kaczlab.analysis import build_conditioning_report
 from kaczlab.linalg import (
+    RANK_TOL,
     LinearSystem,
     SolutionProjector,
     least_squares_min_norm,
@@ -16,6 +18,10 @@ from kaczlab.linalg import (
     spectral_norm_sq,
     sym_eigenvalues,
 )
+from kaczlab.problems import generate_problem, parse_recipe
+from kaczlab.sampling import UniformSubset
+from kaczlab.solver import RBK, SolverConfig, run_solver
+from kaczlab.stepsize import Adaptive, uniform_weights
 
 
 def random_system(m, n, seed, rank=None):
@@ -221,3 +227,63 @@ def test_courant_fischer_lower_bound():
     for _ in range(10):
         x = A.T @ rng.standard_normal(6)  # random point of range(A^T)
         assert A @ x @ (A @ x) >= (lam - 1e-8) * (x @ x)
+
+
+# A tall, a wide and a rank-deficient system: every quantity a system
+# derives comes from its one SVD.
+SVD_RECIPES = ["gaussian:40x12", "gaussian:12x30", "rank-deficient:30x20:10"]
+
+
+@pytest.mark.parametrize("recipe", SVD_RECIPES)
+def test_gram_spectrum_matches_eigenvalues_of_gram(recipe):
+    system = generate_problem(parse_recipe(recipe, seed=4))
+    gram, ref = system.gram_spectrum, sym_eigenvalues(system.A @ system.A.T)
+    assert gram.eigenvalues.shape == (system.m,)
+    np.testing.assert_allclose(gram.eigenvalues, ref.eigenvalues, rtol=1e-12,
+                               atol=1e-12 * ref.lambda_max)
+    assert gram.lambda_max == pytest.approx(ref.lambda_max, rel=1e-12)
+    assert gram.lambda_min_nz == pytest.approx(ref.lambda_min_nz, rel=1e-12)
+    assert gram.rank_estimate == ref.rank_estimate == np.linalg.matrix_rank(system.A)
+    if system.m > system.n:
+        assert gram.lambda_min == 0.0
+
+
+@pytest.mark.parametrize("recipe", SVD_RECIPES)
+def test_projector_factor_is_pinv_at_the_rank_cutoff(recipe):
+    system = generate_problem(parse_recipe(recipe, seed=4))
+    reference = np.linalg.pinv(system.A, rcond=np.sqrt(RANK_TOL))
+    assert np.array_equal(SolutionProjector(system)._pinv, reference)
+
+
+def test_one_rank_rule_for_spectrum_and_projector():
+    # sigma = (1, 1e-7): sigma^2 = 1e-14 is below RANK_TOL times the
+    # largest, so the second direction is null for the spectrum and the
+    # projector alike.
+    A = np.diag([1.0, 1e-7])
+    system = LinearSystem(A, A @ np.ones(2))
+    assert system.gram_spectrum.rank_estimate == 1
+    assert np.linalg.matrix_rank(system.projector._pinv) == 1
+    np.testing.assert_array_equal(system.projector.project(np.zeros(2)), [1.0, 0.0])
+
+
+def test_one_svd_serves_a_system(monkeypatch):
+    system = generate_problem(parse_recipe("gaussian:30x8", seed=6))
+    shapes = {"svd": [], "eigvalsh": []}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+    spec = UniformSubset(system.m, 2)
+    build_conditioning_report(system, spec, budget=50)
+    config = SolverConfig(RBK, spec, uniform_weights(spec), Adaptive(), max_iters=5,
+                          residual_tol=0.0, diagnostics=True)
+    run_solver(config, system)
+    assert shapes["svd"].count(system.shape) == 1
+    assert shapes["eigvalsh"] and all(s[-2:] != (system.m, system.m) for s in shapes["eigvalsh"])

@@ -6,10 +6,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from kaczlab.analysis import block_lambda_max
 from kaczlab.errors import BadBlockCountError, TooLargeError
 from kaczlab.linalg import LinearSystem
 from kaczlab.sampling import (
     DRAW_AHEAD,
+    PARTITION_MAX,
     BlockStream,
     Partition,
     UniformSubset,
@@ -26,7 +28,7 @@ from kaczlab.sampling import (
     sampling_from_dict,
     support_count,
 )
-from kaczlab.stepsize import weights_from_dict
+from kaczlab.stepsize import explicit_weights, weights_from_dict
 
 
 class TestSpecValidation:
@@ -245,6 +247,17 @@ def test_partition_and_explicit_weight_numbers_are_strict(doc, field):
             sampling_from_dict(doc)
         else:
             weights_from_dict(doc, partition_spec(_BLOCKS), system)
+
+
+def test_zero_probability_blocks_set_no_bounds():
+    # Block (2, 3) is never drawn: its weight 9/10 and its collinear-ish
+    # rows (lambda_max 2 after normalization) must not count.
+    spec = Partition(((0, 1), (2, 3)), [1.0, 0.0])
+    weights = explicit_weights([1, 1, 1, 9], spec)
+    assert (weights.omega_min, weights.omega_max) == (0.5, 0.5)
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1e-3]])
+    system = LinearSystem(A, A @ np.ones(2))
+    assert block_lambda_max(system, spec) == (pytest.approx(1.0, rel=1e-12), PARTITION_MAX)
 
 
 def test_full_batch_is_single_block():
