@@ -223,7 +223,7 @@ def report(old: dict, new: dict) -> None:
                 equal += 1
             else:
                 print(f"    {column}: {relative:.2e} (absolute {absolute:.2e})")
-        print(f"    ({equal} columns bit-identical)")
+        print(f"    ({equal} columns equal)")
     print(f"{changed} of {len(old.keys() | new.keys())} hashes changed")
 
 
