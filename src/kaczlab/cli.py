@@ -24,6 +24,7 @@ import numpy as np
 from . import mmio
 from .analysis import build_conditioning_report, paving_quality, predict_rates
 from .errors import KaczlabError
+from .kernels import METHODS
 from .linalg import LinearSystem, normalize_rows
 from .problems import generate_problem, parse_recipe, recipe_from_dict
 from .sampling import (
@@ -204,6 +205,8 @@ def cmd_experiment(args) -> int:
         recipe = recipe_from_dict(recipe)
     system = generate_problem(recipe)
     trials = number_field(plan, "trials", int, 1)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     outputs = plan.get("outputs", {})
     outdir = args.outdir or (outputs.get("dir", ".") if isinstance(outputs, dict) else None)
     if not isinstance(outdir, str):
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one solver configuration")
     _add_system_args(p)
     p.add_argument("--config", help="JSON file in the plan-entry schema (overrides flags)")
-    p.add_argument("--method", default="rbk", choices=["basic", "rbk", "block-projection"])
+    p.add_argument("--method", default="rbk", choices=METHODS)
     p.add_argument("--sampling", default="uniform:1", help=SAMPLING_FORMS)
     p.add_argument("--partition-probs", default="uniform", choices=PARTITION_PROBS)
     p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)

@@ -38,6 +38,7 @@ from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, pseudoinverse
 BASIC = "basic"
 RBK = "rbk"
 BLOCK_PROJECTION = "block-projection"
+METHODS = (BASIC, RBK, BLOCK_PROJECTION)
 
 # Squared direction norms below this make an adaptive step degenerate.
 DIRECTION_EPS = 1e-28
@@ -170,20 +171,17 @@ def block_projection_step(
 
 
 class BlockPinvs:
-    """The pseudoinverse A_J^+ (n, tau_J) of every block of a partition,
-    stacked by block size: m * n floats in all.  A stacked SVD per size
-    gives each factor the bits ``block_projection_step`` uses, for any block."""
+    """The pseudoinverse A_J^+ (n, tau_J) of every block a partition can
+    draw, stacked by size as its ``support_groups`` are: m * n floats at
+    most.  A stacked SVD per size gives each factor the bits
+    ``block_projection_step`` uses, for any block."""
 
-    def __init__(self, system: LinearSystem, blocks):
-        sizes = np.array([len(blk) for blk in blocks])
-        # Block l's factor is self.stacks[sizes[l]][self.slot[l]].
-        self.slot = np.empty(len(blocks), dtype=int)
-        self.stacks = {}
-        for size in np.unique(sizes).tolist():
-            of_size = np.flatnonzero(sizes == size)
-            self.slot[of_size] = np.arange(of_size.size)
-            rows = system.A.take([blocks[l] for l in of_size.tolist()], axis=0)
-            self.stacks[size] = pseudoinverse(*np.linalg.svd(rows, full_matrices=False))
+    def __init__(self, system: LinearSystem, spec):
+        # Drawable block l's factor is self.stacks[|J_l|][self.slot[l]].
+        self.slot = spec._slot
+        self.stacks = {size: pseudoinverse(*np.linalg.svd(system.A.take(rows, axis=0),
+                                                          full_matrices=False))
+                       for size, rows in spec._support}
 
     def take(self, drawn, size: int) -> np.ndarray:
         """The factors of the drawn blocks ``drawn`` (...), all of ``size``
@@ -199,7 +197,7 @@ def block_pinvs(system: LinearSystem, spec) -> BlockPinvs:
     if key not in system.cache:
         for old in [k for k in system.cache if k[0] == "block_pinvs"]:
             del system.cache[old]
-        system.cache[key] = BlockPinvs(system, spec.blocks)
+        system.cache[key] = BlockPinvs(system, spec)
     return system.cache[key]
 
 

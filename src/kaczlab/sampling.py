@@ -144,16 +144,23 @@ class Partition(Kind):
         m = len(flat)
         if sorted(flat) != list(range(m)):
             raise ValueError("blocks must be disjoint and cover 0..m-1")
-        # Each row's block, and each block's rows padded to the longest.
+        # Each row's block, and each block's rows padded to the widest drawable
+        # block (one never drawn may be cut), so draws of one size need no cut.
         sizes = np.array([len(blk) for blk in blocks])
         lookup = np.empty(m, dtype=int)
         lookup[flat] = np.repeat(np.arange(len(blocks)), sizes)
         rows = np.zeros((len(blocks), sizes.max()), dtype=int)
         rows[np.arange(sizes.max()) < sizes[:, None]] = flat
-        object.__setattr__(self, "_block_of", lookup)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_sizes", sizes)
-        object.__setattr__(self, "_ragged", bool(np.any(sizes != sizes[0])))
+        # The blocks a draw can give (probability > 0) by size: each size's
+        # (L_s, s) rows, and each such block's slot among them.
+        drawn = probs > 0
+        support, slot = [], np.zeros(len(blocks), dtype=int)
+        for size in np.unique(sizes[drawn]).tolist():
+            of_size = np.flatnonzero(drawn & (sizes == size))
+            slot[of_size] = np.arange(of_size.size)
+            support.append((size, rows[of_size, :size]))
+        vars(self).update(_block_of=lookup, _sizes=sizes, _support=support, _slot=slot,
+                          _rows=rows[:, :support[-1][0]])
 
     @property
     def m(self) -> int:
@@ -176,7 +183,7 @@ class Partition(Kind):
         """``BlockStream.groups`` of the block indices ``draw``: one group
         per block size among them."""
         J = self._rows[draw]
-        if not self._ragged:
+        if len(self._support) == 1:
             return [(None, J)]
         sizes = self._sizes[draw]
         if sizes.ndim == 0:
@@ -192,7 +199,9 @@ class Partition(Kind):
         return self.probs[self._block_of]
 
     def mean_block_size(self) -> float:
-        return float(np.mean(self._sizes))
+        """sum_l p_l |J_l|: exactly s when every drawable block has s rows."""
+        s = self._support[0][0]
+        return float(s + self.probs @ (self._sizes - s))
 
     def support_count(self) -> int:
         return self.ell
@@ -202,19 +211,12 @@ class Partition(Kind):
 
     def support_groups(self, budget: int, seed: int):
         """Every block of positive probability, by size (no budget or seed)."""
-        drawn = self.probs > 0
-        groups = [(size, self._rows[drawn & (self._sizes == size), :size])
-                  for size in np.unique(self._sizes[drawn]).tolist()]
-        return groups, PARTITION_MAX
+        return self._support, PARTITION_MAX
 
     def weight_bounds(self, base: np.ndarray) -> tuple[float, float]:
         """Exact extremes of base[i]/sum(base[J]) over sampleable (i, J)."""
-        lo, hi = np.inf, -np.inf
-        for blk in itertools.compress(self.blocks, self.probs > 0):
-            w = base[list(blk)]
-            w = w / w.sum()
-            lo, hi = min(lo, w.min()), max(hi, w.max())
-        return float(lo), float(hi)
+        w = [base[rows] / base[rows].sum(axis=1, keepdims=True) for _, rows in self._support]
+        return float(min(x.min() for x in w)), float(max(x.max() for x in w))
 
 
 SamplingSpec = UniformSubset | Partition
@@ -345,9 +347,9 @@ def membership_probability(spec: SamplingSpec, i: int) -> float:
 
 
 def mean_block_size(spec: SamplingSpec) -> float:
-    """The mean size of a drawn block: tau for uniform subsets, the mean
-    over the blocks of a partition, exactly 1.0 only when every block is
-    one row."""
+    """The expected size of a drawn block: tau for uniform subsets,
+    sum_l p_l |J_l| for a partition, exactly 1.0 when every block it can
+    draw is one row."""
     return spec.mean_block_size()
 
 

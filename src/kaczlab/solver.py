@@ -33,6 +33,7 @@ from .errors import ConfigMismatchError
 from .kernels import (
     BASIC,
     BLOCK_PROJECTION,
+    METHODS,
     RBK,
     basic_kaczmarz_step,
     block_projection_step,
@@ -83,7 +84,7 @@ class SolverConfig:
     diagnostics: bool = False
 
     def __post_init__(self):
-        if self.method not in (BASIC, RBK, BLOCK_PROJECTION):
+        if self.method not in METHODS:
             raise ConfigMismatchError(f"unknown method {self.method!r}")
         if self.trace_level not in (NORMS_ONLY, FULL_ITERATES):
             raise ConfigMismatchError(f"unknown trace level {self.trace_level!r}")

@@ -5,6 +5,7 @@ import pytest
 
 from kaczlab import mmio
 from kaczlab.cli import main
+from kaczlab.kernels import METHODS
 from kaczlab.problems import GaussianNormalized, generate_problem
 from kaczlab.sampling import paving_from_json
 
@@ -268,6 +269,34 @@ def test_budget_below_one_is_an_error_line(source, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError: budget")
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_is_an_error_line(trials, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"recipe": "gaussian:8x4", "trials": trials, "configs": [_ENTRY],
+                                "outputs": {"dir": str(tmp_path / "out")}}))
+    assert run_cli("experiment", str(path)) == 1
+    assert capsys.readouterr().err == f"error: ValueError: trials must be at least 1, got {trials}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_basic_method_on_partition_drawing_one_row_blocks_exits_by_status(tmp_path, capsys):
+    # The two-row block has probability 0, so the basic method applies.
+    entry = {"method": "basic", "sampling": {"kind": "partition", "blocks": [[0], [1, 2]],
+                                             "probs": [1.0, 0.0]},
+             "stepsize": {"kind": "classic", "alpha": 1.0}, "max_iters": 4, "residual_tol": 0.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(entry))
+    assert run_cli("solve", "--recipe", "gaussian:3x2", "--config", str(path)) == 2
+    assert capsys.readouterr().out.startswith("max-iters: k=4 ")
+
+
+def test_method_choices_are_the_solver_methods(capsys):
+    assert METHODS == ("basic", "rbk", "block-projection")
+    with pytest.raises(SystemExit):
+        run_cli("solve", "--help")
+    assert "--method {basic,rbk,block-projection}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["solve", "experiment"])

@@ -121,6 +121,14 @@ def test_mean_block_size():
     assert mean_block_size(full_batch(6)) == 6.0
 
 
+def test_partition_mean_block_size_is_expected_drawn_size():
+    # sum_l p_l |J_l|: a block of probability 0 is never drawn, so every
+    # drawn block of the first law has one row.
+    assert mean_block_size(Partition(((0,), (1, 2)), [1.0, 0.0])) == 1.0
+    assert mean_block_size(Partition(((0,), (1, 2)), [0.25, 0.75])) == 1.75
+    assert mean_block_size(Partition(((0, 1), (2, 3), (4, 5, 6)), [0.5, 0.5, 0.0])) == 2.0
+
+
 class TestEnumerateSupports:
     def test_all_pairs_of_three(self):
         supports = enumerate_supports(UniformSubset(3, 2))
@@ -270,7 +278,10 @@ def test_full_batch_is_single_block():
     UniformSubset(9, 1),
     UniformSubset(9, 3),
     partition_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8)], [0.5, 0.2, 0.3]),
-], ids=["tau1", "tau3", "ragged-partition"])
+    # Every drawable block has 4 rows; the wider one is never drawn.
+    partition_spec([range(i, i + 4) for i in range(0, 24, 4)] + [range(24, 30)],
+                   [1 / 6] * 6 + [0.0]),
+], ids=["tau1", "tau3", "ragged-partition", "one-drawn-size"])
 def test_block_stream_replays_sample_block(spec):
     # Three trials drawn in lockstep, past one draw-ahead chunk, with trial 1
     # leaving the stack half-way: every draw is the one sample_block makes

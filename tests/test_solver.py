@@ -191,6 +191,15 @@ class TestBlockProjectionStep:
         assert sum(stack.size for factors in cached
                    for stack in factors.stacks.values()) == system.m * system.n
 
+    def test_factors_cover_only_drawable_blocks(self):
+        # A partition that draws block l at every step factors that block
+        # alone: |J_l| * n floats, not m * n.
+        system = generate_problem(GaussianNormalized(11, 6, seed=2))
+        blocks = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10))
+        for l, blk in enumerate(blocks):
+            pinvs = block_pinvs(system, Partition(blocks, np.eye(3)[l]))
+            assert sum(stack.size for stack in pinvs.stacks.values()) == len(blk) * system.n
+
 
 class TestRunSolver:
     def test_chebyshev_one_step_on_orthogonal_system(self):
@@ -283,6 +292,18 @@ class TestRunSolver:
             with pytest.raises(ConfigMismatchError):
                 SolverConfig(*args, max_iters=5, residual_tol=tol)
         assert SolverConfig(*args, max_iters=5, residual_tol=np.inf).residual_tol == np.inf
+
+    def test_basic_method_runs_on_partition_drawing_one_row_blocks(self):
+        # The two-row block has probability 0: every drawn block has one row.
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((3, 2))
+        system = LinearSystem(A, A @ np.ones(2))
+        spec = Partition(((0,), (1, 2)), [1.0, 0.0])
+        config = SolverConfig(BASIC, spec, uniform_weights(spec), ClassicConstant(1.0),
+                              max_iters=3, residual_tol=0.0)
+        trace = run_solver(config, system)
+        assert trace.iterations == 3
+        assert [e.block.tolist() for e in trace.events[1:]] == [[0]] * 3
 
     def test_adaptive_stalls_on_satisfied_block(self):
         # The only block ever drawn is already solved at x0, so every step
@@ -566,6 +587,9 @@ _SPECS = {
     "uniform3": UniformSubset(30, 3),
     "partition": partition_spec([range(i, i + 5) for i in range(0, 30, 5)]),
     "ragged": build_random_paving(3, 30, 7).to_spec(),  # blocks of 5 and 4 rows
+    # Every drawable block has 4 rows; the wider one is never drawn.
+    "one-drawn-size": partition_spec([range(i, i + 4) for i in range(0, 24, 4)] + [range(24, 30)],
+                                     [1 / 6] * 6 + [0.0]),
 }
 
 
@@ -606,6 +630,8 @@ _LOCKSTEP_CASES = {
     "rbk-ragged": (RBK, "ragged", "classic", "rownormsq"),
     "adaptive-ragged": (RBK, "ragged", "adaptive"),
     "blockproj-ragged": (BLOCK_PROJECTION, "ragged", "classic"),
+    "rbk-one-drawn-size": (RBK, "one-drawn-size", "classic", "rownormsq"),
+    "blockproj-one-drawn-size": (BLOCK_PROJECTION, "one-drawn-size", "classic"),
     # Trials stop at different k: the stack shrinks mid-run.
     "rbk-tolerance": (RBK, "uniform3", "constant-extrapolated", "uniform", 1.0),
     "adaptive-tolerance": (RBK, "ragged", "adaptive", "rownormsq", 0.7),
