@@ -161,7 +161,7 @@ class Trials:
             s = np.vecdot(R, R)
             record(residual_sq, s)
             if dist_sq is not None:
-                record(dist_sq, projector.residual_dist_sq(R))
+                record(dist_sq, projector.dist_sq(X))
             if alpha_col is not None:
                 record(alpha_col, alpha)
             if iterates is not None:

@@ -174,13 +174,15 @@ class BlockPinvs:
     """The pseudoinverse A_J^+ (n, tau_J) of every block a partition can
     draw, stacked by size as its ``support_groups`` are: m * n floats at
     most.  A stacked SVD per size gives each factor the bits
-    ``block_projection_step`` uses, for any block."""
+    ``block_projection_step`` uses, for any block; a block of all m rows
+    is A, whose factor comes from the system's SVD with the same bits."""
 
     def __init__(self, system: LinearSystem, spec):
         # Drawable block l's factor is self.stacks[|J_l|][self.slot[l]].
         self.slot = spec._slot
-        self.stacks = {size: pseudoinverse(*np.linalg.svd(system.A.take(rows, axis=0),
-                                                          full_matrices=False))
+        self.stacks = {size: (pseudoinverse(*system.svd)[None] if size == system.m
+                              else pseudoinverse(*np.linalg.svd(system.A.take(rows, axis=0),
+                                                                full_matrices=False)))
                        for size, rows in spec._support}
 
     def take(self, drawn, size: int) -> np.ndarray:
@@ -190,10 +192,10 @@ class BlockPinvs:
 
 
 def block_pinvs(system: LinearSystem, spec) -> BlockPinvs:
-    """``BlockPinvs`` of the partition ``spec``, built once per system and
-    partition: the system's cache keeps those of the latest partition, so
-    it holds m * n factor floats at most."""
-    key = ("block_pinvs", spec)
+    """``BlockPinvs`` of the partition ``spec``, built once per system, blocks
+    and drawable blocks, so laws that draw the same blocks share them: the
+    system's cache keeps the latest, m * n factor floats at most."""
+    key = ("block_pinvs", spec.blocks, tuple((size, rows.tobytes()) for size, rows in spec._support))
     if key not in system.cache:
         for old in [k for k in system.cache if k[0] == "block_pinvs"]:
             del system.cache[old]

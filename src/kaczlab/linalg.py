@@ -1,5 +1,7 @@
 """Dense linear-algebra kernel: row normalization, symmetric spectra,
-min-norm least squares, and projection onto the solution set.
+min-norm least squares, and projection onto the solution set.  What a
+system derives (the spectrum of A A^T, the rank, the projector's row-space
+basis V_r and coordinates c) comes from its one cached thin SVD.
 
 Everything here is sized for desk-scale problems (m, n up to a few
 thousand) and works on plain float64 numpy arrays.
@@ -7,6 +9,7 @@ thousand) and works on plain float64 numpy arrays.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,11 +135,7 @@ class LinearSystem:
     @cached_property
     def projector(self) -> SolutionProjector:
         """Raises :class:`InconsistentSystemError` when b is outside range(A)."""
-        # Built on a cache-free twin sharing A, b and the SVD: holding this
-        # system would form a cycle that keeps A and A^+ alive until collected.
-        twin = LinearSystem(self.A, self.b)
-        object.__setattr__(twin, "svd", self.svd)
-        return SolutionProjector(twin)
+        return SolutionProjector(self)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """A x - b; for a stack of iterates (..., n), one gemv per iterate
@@ -234,31 +233,31 @@ def least_squares_min_norm(A, r) -> np.ndarray:
 
 
 class SolutionProjector:
-    """Projection onto the solution set of A x = b with a pseudoinverse from
-    the system's SVD, for repeated per-iterate diagnostics."""
+    """Projection onto the solution set of A x = b from the system's SVD
+    (Golub-Van Loan, 5.5): with V_r the right singular vectors ``rank_mask``
+    keeps and c = Sigma_r^-1 U_r^T b, Pi_X(x) = x - V_r (V_r^T x - c) and
+    dist^2(x) = ||V_r^T x - c||^2 = ||A^+ (A x - b)||^2.  Keeps V_r^T (rows
+    of V^T: sigma is sorted descending), c and the system by weak proxy, so
+    a system caching its projector forms no reference cycle."""
 
     def __init__(self, system: LinearSystem):
-        self.system = system
         u, s, vt = system.svd
-        self._pinv = pseudoinverse(u, s, vt)
+        r = int(np.count_nonzero(rank_mask(s * s)))
+        ub = u[:, :r].T @ system.b
         # b is outside range(A) when ||U_r U_r^T b - b|| exceeds the tolerance.
-        u_r = u[:, rank_mask(s * s)]
-        gap = np.linalg.norm(u_r @ (u_r.T @ system.b) - system.b)
+        gap = np.linalg.norm(u[:, :r] @ ub - system.b)
         if gap > CONSISTENCY_TOL * (1.0 + np.linalg.norm(system.b)):
             raise InconsistentSystemError(f"system residual floor {gap:.3e}")
+        self.vt_r, self.c, self.system = vt[:r], ub / s[:r], weakref.proxy(system)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return x - self._pinv @ (self.system.A @ x - self.system.b)
+        return x - (self.vt_r @ x - self.c) @ self.vt_r
 
-    def dist_sq(self, x: np.ndarray) -> float:
-        """||x - Pi_X(x)||^2."""
-        return float(self.residual_dist_sq(self.system.residual(x)))
-
-    def residual_dist_sq(self, r: np.ndarray) -> np.ndarray:
-        """||A^+ r||^2 per residual r = A x - b in a stack (..., m): the
-        squared distance of each x to the solution set."""
-        d = np.matvec(self._pinv, r)
-        return np.vecdot(d, d)
+    def dist_sq(self, x: np.ndarray) -> np.ndarray:
+        """||x - Pi_X(x)||^2 of one iterate (n,) or of each in a stack
+        (..., n), one gemv per iterate: each gets the bits of its own call."""
+        y = np.matvec(self.vt_r, x) - self.c
+        return np.vecdot(y, y)
 
 
 def project_onto_solution_set(system: LinearSystem, x) -> np.ndarray:

@@ -69,8 +69,8 @@ class SolverConfig:
 
     ``residual_tol=None`` resolves to the scale-invariant default
     1e-8 * (1 + ||b||) at run time.  ``diagnostics`` switches on the
-    per-event distance to the solution set (one cached-pseudoinverse
-    matvec per event).
+    per-step squared distance to the solution set (one r x n matvec per
+    step and trial, r the rank of A; see ``linalg.SolutionProjector``).
     """
 
     method: str

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -250,9 +253,16 @@ def test_gram_spectrum_matches_eigenvalues_of_gram(recipe):
 
 @pytest.mark.parametrize("recipe", SVD_RECIPES)
 def test_projector_factor_is_pinv_at_the_rank_cutoff(recipe):
+    # The projector keeps the rank of numpy's pinv at the rank cutoff and
+    # projects as x - A^+ (A x - b) with that pinv.
     system = generate_problem(parse_recipe(recipe, seed=4))
     reference = np.linalg.pinv(system.A, rcond=np.sqrt(RANK_TOL))
-    assert np.array_equal(SolutionProjector(system)._pinv, reference)
+    projector = SolutionProjector(system)
+    assert len(projector.vt_r) == np.linalg.matrix_rank(reference)
+    assert len(projector.vt_r) == system.gram_spectrum.rank_estimate
+    x = np.random.default_rng(5).standard_normal(system.n)
+    np.testing.assert_allclose(projector.project(x), x - reference @ (system.A @ x - system.b),
+                               rtol=1e-12)
 
 
 def test_one_rank_rule_for_spectrum_and_projector():
@@ -262,8 +272,33 @@ def test_one_rank_rule_for_spectrum_and_projector():
     A = np.diag([1.0, 1e-7])
     system = LinearSystem(A, A @ np.ones(2))
     assert system.gram_spectrum.rank_estimate == 1
-    assert np.linalg.matrix_rank(system.projector._pinv) == 1
+    assert len(system.projector.vt_r) == 1
+    assert np.linalg.matrix_rank(np.linalg.pinv(A, rcond=np.sqrt(RANK_TOL))) == 1
     np.testing.assert_array_equal(system.projector.project(np.zeros(2)), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("recipe", SVD_RECIPES)
+def test_projector_dist_sq_of_a_stack_is_per_iterate(recipe):
+    system = generate_problem(parse_recipe(recipe, seed=4))
+    X = np.random.default_rng(6).standard_normal((5, system.n))
+    stacked = system.projector.dist_sq(X)
+    assert stacked.shape == (5,)
+    assert np.array_equal(stacked, [system.projector.dist_sq(x) for x in X])
+
+
+def test_system_with_projector_is_freed_without_gc():
+    # The projector holds no reference to its system, so the system's
+    # cached projector forms no cycle: reference counting alone frees it.
+    system = generate_problem(parse_recipe("gaussian:30x8", seed=6))
+    projector = system.projector
+    freed = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert freed() is None
+    finally:
+        gc.enable()
+    assert projector.dist_sq(np.zeros(8)) > 0.0
 
 
 def test_one_svd_serves_a_system(monkeypatch):

@@ -13,6 +13,7 @@ from kaczlab.sampling import (
     UniformSubset,
     build_random_paving,
     enumerate_supports,
+    frobenius_partition,
     full_batch,
     partition_spec,
 )
@@ -180,7 +181,7 @@ class TestBlockProjectionStep:
         pinvs = block_pinvs(system, spec)
         run_monte_carlo(dataclasses.replace(config, sampling=partition_spec(blocks)), system, 3)
         assert block_pinvs(system, partition_spec(blocks)) is pinvs
-        assert sum(key[1] == spec for key in system.cache if key[0] == "block_pinvs") == 1
+        assert sum(key[0] == "block_pinvs" for key in system.cache) == 1
         assert sum(stack.size for stack in pinvs.stacks.values()) == system.m * system.n
         # A run over another partition replaces them: the cache keeps one
         # partition's factors, m * n floats in all.
@@ -199,6 +200,40 @@ class TestBlockProjectionStep:
         for l, blk in enumerate(blocks):
             pinvs = block_pinvs(system, Partition(blocks, np.eye(3)[l]))
             assert sum(stack.size for stack in pinvs.stacks.values()) == len(blk) * system.n
+
+    @staticmethod
+    def _svd_shapes(monkeypatch) -> list:
+        shapes, real = [], np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return shapes
+
+    def test_full_block_projection_factors_a_once(self, monkeypatch):
+        # The one block of ``full`` is A: its factor comes from the system's
+        # SVD, which the diagnostics' projector shares.
+        system = generate_problem(GaussianNormalized(60, 20, seed=4))
+        shapes = self._svd_shapes(monkeypatch)
+        spec = full_batch(system.m)
+        config = SolverConfig(BLOCK_PROJECTION, spec, uniform_weights(spec), ClassicConstant(1.0),
+                              max_iters=3, residual_tol=0.0, diagnostics=True)
+        run_solver(config, system)
+        assert shapes == [(60, 20)]
+
+    def test_factors_are_shared_by_laws_over_the_same_blocks(self, monkeypatch):
+        # Uniform and Frobenius probabilities draw the same ten blocks, so
+        # the three runs factor them once.
+        system = generate_problem(GaussianNormalized(60, 20, seed=4))
+        blocks = [range(6 * l, 6 * l + 6) for l in range(10)]
+        shapes = self._svd_shapes(monkeypatch)
+        for spec in (partition_spec(blocks), frobenius_partition(system, blocks),
+                     partition_spec(blocks)):
+            config = SolverConfig(BLOCK_PROJECTION, spec, uniform_weights(spec),
+                                  ClassicConstant(1.0), max_iters=3, residual_tol=0.0)
+            run_solver(config, system)
+        assert shapes == [(10, 6, 20)]
 
 
 class TestRunSolver:
