@@ -110,19 +110,19 @@ def _solver_case(method, kind):
 
 SOLVER_GOLDEN = {
     (BASIC, "classic"): "3306ae4293478742",
-    (BASIC, "constant-extrapolated"): "bd8eb1e0ef484306",
-    (BASIC, "adaptive"): "b16c93864d5aecdf",
-    (BASIC, "chebyshev-pd"): "a2b7ec695c37535e",
-    (BASIC, "chebyshev-singular"): "ece81981409247f3",
+    (BASIC, "constant-extrapolated"): "d01057d1f9dd0b9b",
+    (BASIC, "adaptive"): "1b0f04c75cd94852",
+    (BASIC, "chebyshev-pd"): "d460df374dd4ca02",
+    (BASIC, "chebyshev-singular"): "6e14fab100503d2f",
     (RBK, "classic"): "116e5f530f81cea3",
-    (RBK, "constant-extrapolated"): "b6c89106f25417df",
-    (RBK, "adaptive"): "0de346128a7904b6",
-    (RBK, "chebyshev-pd"): "9ca9237ee9383b3d",
-    (RBK, "chebyshev-singular"): "6c965cb93b5cd077",
+    (RBK, "constant-extrapolated"): "ae3ca41e3a639e07",
+    (RBK, "adaptive"): "9429196caa90c98a",
+    (RBK, "chebyshev-pd"): "c24dc6c9ef842a81",
+    (RBK, "chebyshev-singular"): "ca7993698cba4380",
     (BLOCK_PROJECTION, "classic"): "14b6289230fea343",
-    (BLOCK_PROJECTION, "constant-extrapolated"): "b42c0b200bfc9869",
-    (BLOCK_PROJECTION, "chebyshev-pd"): "88ed8b6582977ab0",
-    (BLOCK_PROJECTION, "chebyshev-singular"): "cd8e90e5114ea965",
+    (BLOCK_PROJECTION, "constant-extrapolated"): "84f5b1b12c130538",
+    (BLOCK_PROJECTION, "chebyshev-pd"): "b1bbdfbce1b7d525",
+    (BLOCK_PROJECTION, "chebyshev-singular"): "c4fa64e78f04a0df",
 }
 
 
@@ -145,7 +145,7 @@ def test_run_monte_carlo_golden():
         mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(), mc.mean_iterate.tobytes(),
         mc.stderr_iterate.tobytes(), mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes(),
     )
-    assert digest == "9a1bf1c5ba478a24"
+    assert digest == "2faa40fd8486f5ae"
 
 
 def test_run_monte_carlo_padded_golden():
@@ -162,7 +162,7 @@ def test_run_monte_carlo_padded_golden():
         mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(), mc.mean_iterate.tobytes(),
         mc.stderr_iterate.tobytes(), mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes(),
     )
-    assert digest == "7566119bc95cc433"
+    assert digest == "3dc9025251b835da"
 
 
 def test_trace_json_golden(tmp_path):
@@ -181,7 +181,7 @@ def test_trace_json_golden(tmp_path):
     trace = run_solver(config, system)
     assert any(e.skipped for e in trace.events)
     trace.to_json(tmp_path / "trace.json")
-    assert _digest((tmp_path / "trace.json").read_bytes()) == "5ffc69b2e46c6489"
+    assert _digest((tmp_path / "trace.json").read_bytes()) == "ebfffbd49eb2b761"
 
 
 def _one_column_system():
@@ -207,11 +207,11 @@ def _wide_block_case(name):
 
 
 WIDE_BLOCK_GOLDEN = {
-    "adaptive-tau12": "2cb5f49356c62686",
-    "constant-tau16": "3f8051fbe89c220b",
-    "adaptive-paving-9-8": "832ff23c429b1583",
-    "one-column-tau9": "208512bfdc612629",
-    "one-column-adaptive": "62bdbff73b288cb1",
+    "adaptive-tau12": "baf0ecb7f94cfff4",
+    "constant-tau16": "72a90f64ee13a833",
+    "adaptive-paving-9-8": "7c6b7e506e0d8c4f",
+    "one-column-tau9": "265b66c22b5381f7",
+    "one-column-adaptive": "b9e57d0bdcc4efef",
 }
 
 
@@ -226,7 +226,7 @@ def test_run_monte_carlo_wide_block_golden():
     mc = run_monte_carlo(config, system, trials=3)
     digest = _digest(mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(),
                      mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes())
-    assert digest == "c2091603b501b2aa"
+    assert digest == "9ad7f69f6058cca2"
 
 
 EXPERIMENT_PLANS = {
@@ -278,9 +278,9 @@ EXPERIMENT_PLANS = {
 }
 
 EXPERIMENT_GOLDEN = {
-    "tall": "80c84dffc1ab106c",
-    "wide": "718dcdad1febcf5b",
-    "padded": "87f277d5fcbc2bb8",
+    "tall": "1379b304306407c3",
+    "wide": "072f23d827f3461c",
+    "padded": "1f4a91d08c64cec6",
 }
 
 
@@ -307,11 +307,11 @@ SOLVE_FLAGS = {
 }
 
 SOLVE_GOLDEN = {
-    "classic": "9da54a14e7e51c0e",
-    "constant-extrapolated": "610ed96c1024af65",
-    "adaptive": "1f34362aa93209ac",
-    "chebyshev-pd": "a18fd01c23f55137",
-    "chebyshev-singular": "eae9d9a0c3740c7b",
+    "classic": "f10eec9d78313ba3",
+    "constant-extrapolated": "0f12494892697e07",
+    "adaptive": "ec871833a7629001",
+    "chebyshev-pd": "6fbb84163dac001c",
+    "chebyshev-singular": "f1081773fdbd8772",
 }
 
 
