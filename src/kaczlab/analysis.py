@@ -91,7 +91,7 @@ def build_W(system: LinearSystem, spec: SamplingSpec) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditioningReport:
     """Spectral inputs for the rate formulas, all derived from one system
     and one sampling spec."""

@@ -13,13 +13,9 @@ import numbers
 import typing
 from typing import ClassVar
 
-import numpy as np
-
 
 def _plain(value):
-    """JSON-ready copy: arrays and tuples become (nested) lists."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+    """JSON-ready copy: tuples become (nested) lists."""
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value

@@ -52,7 +52,7 @@ def as_vector(v, length: int | None = None) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """A consistent dense system A x = b.
 
@@ -146,7 +146,7 @@ class LinearSystem:
         return float(np.linalg.norm(self.residual(x)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowScaling:
     """Original row norms recorded by :func:`normalize_rows`, so user
     systems can be round-tripped."""
@@ -160,7 +160,7 @@ class RowScaling:
         object.__setattr__(self, "scales", s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSummary:
     """Eigenvalues of a symmetric matrix, sorted descending, with the
     smallest-nonzero bookkeeping used throughout the rate formulas."""

@@ -107,7 +107,7 @@ class UniformSubset(Kind):
         return float(lo), float(hi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Partition(Kind):
     """A partition of [m] into disjoint blocks, block l drawn with
     probability ``probs[l]``.  Each row index and probability is read by
@@ -115,25 +115,15 @@ class Partition(Kind):
 
     kind = "partition"
     blocks: tuple[tuple[int, ...], ...]
-    probs: np.ndarray
+    probs: tuple[float, ...]
 
     blocks_recur = True  # the ell blocks are drawn again and again
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Partition)
-            and self.blocks == other.blocks
-            and np.array_equal(self.probs, other.probs)
-        )
-
-    def __hash__(self):
-        return hash((self.blocks, self.probs.tobytes()))
 
     def __post_init__(self):
         blocks = tuple(tuple(sorted(number(i, "blocks", int) for i in blk)) for blk in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        probs = np.array([number(p, "probs", float) for p in self.probs])
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", tuple(number(p, "probs", float) for p in self.probs))
+        probs = np.array(self.probs)
         if len(blocks) != probs.size:
             raise ValueError("one probability per block required")
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
@@ -159,8 +149,8 @@ class Partition(Kind):
             of_size = np.flatnonzero(drawn & (sizes == size))
             slot[of_size] = np.arange(of_size.size)
             support.append((size, rows[of_size, :size]))
-        vars(self).update(_block_of=lookup, _sizes=sizes, _support=support, _slot=slot,
-                          _rows=rows[:, :support[-1][0]])
+        vars(self).update(_probs=probs, _block_of=lookup, _sizes=sizes, _support=support,
+                          _slot=slot, _rows=rows[:, :support[-1][0]])
 
     @property
     def m(self) -> int:
@@ -172,12 +162,12 @@ class Partition(Kind):
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """``sample_block``: the rows of one drawn block."""
-        return self.block(rng.choice(self.ell, p=self.probs))
+        return self.block(rng.choice(self.ell, p=self._probs))
 
     def draws(self, rngs, count: int) -> np.ndarray:
         """``BlockStream``'s next ``count`` draws, (steps, trials) block
         indices: a call with ``size=count`` gives the values of ``count``."""
-        return np.stack([rng.choice(self.ell, size=count, p=self.probs) for rng in rngs], axis=1)
+        return np.stack([rng.choice(self.ell, size=count, p=self._probs) for rng in rngs], axis=1)
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
         """``BlockStream.groups`` of the block indices ``draw``: one group
@@ -196,18 +186,18 @@ class Partition(Kind):
         return np.asarray(self.blocks[int(drawn)], dtype=int)
 
     def membership_probabilities(self) -> np.ndarray:
-        return self.probs[self._block_of]
+        return self._probs[self._block_of]
 
     def mean_block_size(self) -> float:
         """sum_l p_l |J_l|: exactly s when every drawable block has s rows."""
         s = self._support[0][0]
-        return float(s + self.probs @ (self._sizes - s))
+        return float(s + self._probs @ (self._sizes - s))
 
     def support_count(self) -> int:
         return self.ell
 
     def enumerate_supports(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.block(l), float(p)) for l, p in enumerate(self.probs)]
+        return [(self.block(l), p) for l, p in enumerate(self.probs)]
 
     def support_groups(self, budget: int, seed: int):
         """Every block of positive probability, by size (no budget or seed)."""

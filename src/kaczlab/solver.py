@@ -94,7 +94,7 @@ class SolverConfig:
             raise ConfigMismatchError("residual_tol must be nonnegative")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class IterationEvent:
     """One recorded iteration.  k = 0 is the initial snapshot (no block);
     ``alpha`` is None for the snapshot and for skipped adaptive steps."""
@@ -108,7 +108,7 @@ class IterationEvent:
     iterate: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverTrace:
     """One run as columns with one entry per iteration k = 0..K: ``alpha``
     (NaN at k = 0 and on skipped adaptive steps), ``residual`` (||A x^k -
@@ -221,7 +221,7 @@ def split_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloSummary:
     """Per-iteration trial statistics, padded to max_iters + 1 entries by
     carrying terminal values forward (a converged chain is absorbed)."""

@@ -78,7 +78,7 @@ def min_deviation_bound(ell: float, u: float, k: int) -> float:
 # Weight schemes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeightScheme:
     """Per-block weights: positive, renormalized to sum to 1 over each
     drawn block.  ``omega_min``/``omega_max`` bound every weight that can
@@ -89,22 +89,13 @@ class WeightScheme:
     kind: str  # "uniform" | "rownormsq" | "explicit"
     omega_min: float
     omega_max: float
-    base: np.ndarray | None = None  # per-row base weights (kind="explicit")
+    base: tuple[float, ...] | None = None  # per-row base weights (kind="explicit")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightScheme)
-            and (self.kind, self.omega_min, self.omega_max)
-            == (other.kind, other.omega_min, other.omega_max)
-            and (
-                np.array_equal(self.base, other.base)
-                if (self.base is not None and other.base is not None)
-                else self.base is other.base
-            )
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.omega_min, self.omega_max))
+    def __post_init__(self):
+        if self.base is not None:
+            base = np.array(self.base, dtype=float)
+            object.__setattr__(self, "base", tuple(base.tolist()))
+            vars(self)["_base"] = base
 
     def realized(self, system: LinearSystem, J: np.ndarray) -> np.ndarray:
         """Weights for the rows of block J, in the order of J; for a stack of
@@ -115,11 +106,11 @@ class WeightScheme:
         if self.kind == "rownormsq":
             w = system.row_norms_sq[J]
         else:
-            w = self.base[J]
+            w = self._base[J]
         return w / w.sum(axis=-1, keepdims=True)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind} | ({} if self.base is None else {"values": self.base.tolist()})
+        return {"kind": self.kind} | ({} if self.base is None else {"values": list(self.base)})
 
 
 def uniform_weights(spec: SamplingSpec) -> WeightScheme:
@@ -176,7 +167,7 @@ def constant_extrapolated_alpha(
     return (2.0 - delta) * weights.omega_min / (weights.omega_max**2 * lambda_max_block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptiveStep:
     """One adaptive stepsize evaluation: alpha = (2 - delta) * L along the
     already-computed update direction."""
@@ -260,7 +251,7 @@ def stable_permutation(k: int) -> np.ndarray:
     return np.asarray(_bit_reversal(k), dtype=int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebyshevSchedule:
     """A horizon-k stepsize schedule plus the spectral interval
     [ell, u] of (1/m) A A^T it was designed for."""

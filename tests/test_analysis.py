@@ -10,6 +10,7 @@ from kaczlab.analysis import (
     PARTITION_MAX,
     block_lambda_max,
     build_W,
+    cached_block_lambda_max,
     build_conditioning_report,
     paving_quality,
     predict_rates,
@@ -18,6 +19,7 @@ from kaczlab.errors import NotNormalizedError
 from kaczlab.linalg import LinearSystem
 from kaczlab.problems import CoherentRows, GaussianNormalized, generate_problem
 from kaczlab.sampling import (
+    Partition,
     UniformSubset,
     build_random_paving,
     enumerate_supports,
@@ -128,6 +130,20 @@ def _spread_rows_system(m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, size=(m, 1))
     return LinearSystem(A, A @ rng.standard_normal(n))
+
+
+def test_laws_are_values_and_systems_compare_by_identity():
+    """Partitions that compare equal hash equal, so a 0.0 and a -0.0 block
+    probability share one cached lambda_max^block; a system holding arrays
+    compares by identity instead of raising."""
+    system = e_rows_system()
+    a = Partition(((0,), (1,), (2,)), [0.5, 0.5, 0.0])
+    b = Partition(((0,), (1,), (2,)), [0.5, 0.5, -0.0])
+    assert a == b and hash(a) == hash(b) and {a: 1}.get(b) == 1
+    assert cached_block_lambda_max(system, a) == cached_block_lambda_max(system, b)
+    assert sum(key[0] == "block_lambda_max" for key in system.cache) == 1
+    assert (LinearSystem(system.A, system.b) == LinearSystem(system.A, system.b)) is False
+    assert system == system
 
 
 class TestBuildW:

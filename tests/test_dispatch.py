@@ -1,6 +1,8 @@
 """Each sampling law, stepsize policy and problem recipe answers for
 itself: no module dispatches on the kinds of a union with ``isinstance``.
-A class's own ``__eq__`` may test its operand's class."""
+Equality and hashing come from ``@dataclass``: no class writes ``__eq__``
+or ``__hash__``, and a dataclass with an array field passes ``eq=False``
+(a generated ``__eq__`` over arrays raises)."""
 
 import ast
 from pathlib import Path
@@ -29,24 +31,52 @@ def _class_names(node: ast.AST) -> list[str]:
 
 
 def dispatch_sites(path: Path) -> list[str]:
-    """Every ``isinstance(_, C)`` in ``path`` with C a registered kind,
-    outside C's own ``__eq__``, as ``file:line C``."""
+    """Every ``isinstance(_, C)`` in ``path`` with C a registered kind, as
+    ``file:line C``."""
+    return [f"{path.name}:{node.lineno} {name}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            for name in _class_names(node.args[1]) if name in KIND_CLASSES]
+
+
+def _names_ndarray(annotation: ast.AST) -> bool:
+    """Whether a field annotation mentions ``ndarray`` (``np.ndarray``, a
+    bare name, a union or a string)."""
+    return any((isinstance(node, ast.Name) and node.id == "ndarray")
+               or (isinstance(node, ast.Attribute) and node.attr == "ndarray")
+               or (isinstance(node, ast.Constant) and "ndarray" in str(node.value))
+               for node in ast.walk(annotation))
+
+
+def _dataclass_eq(decorator: ast.AST) -> bool | None:
+    """None unless ``decorator`` is ``dataclass`` (bare, dotted or called);
+    else whether it leaves ``eq`` on."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name != "dataclass":
+        return None
+    return not any(kw.arg == "eq" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                   for kw in (call.keywords if call else []))
+
+
+def equality_sites(path: Path) -> list[str]:
+    """Every class in ``path`` that writes ``__eq__`` or ``__hash__``, and
+    every dataclass with an ``ndarray`` field that leaves ``eq`` on, as
+    ``file:line Class what``."""
     sites = []
-
-    def visit(node, cls, func):
-        if isinstance(node, ast.ClassDef):
-            cls, func = node.name, None
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            func = getattr(node, "name", "<lambda>")
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "isinstance" and len(node.args) == 2):
-            for name in _class_names(node.args[1]):
-                if name in KIND_CLASSES and (cls, func) != (name, "__eq__"):
-                    sites.append(f"{path.name}:{node.lineno} {name}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, cls, func)
-
-    visit(ast.parse(path.read_text(), str(path)), None, None)
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in (
+                    "__eq__", "__hash__"):
+                sites.append(f"{path.name}:{item.lineno} {node.name} {item.name}")
+        if any(_dataclass_eq(d) for d in node.decorator_list) and any(
+                isinstance(item, ast.AnnAssign) and _names_ndarray(item.annotation)
+                for item in node.body):
+            sites.append(f"{path.name}:{node.lineno} {node.name} eq over arrays")
     return sites
 
 
@@ -68,5 +98,43 @@ def test_guard_sees_every_form(tmp_path):
         "    return (isinstance(x, sampling.Partition), isinstance(x, (int, Adaptive)),\n"
         "            isinstance(x, CoherentRows | str), isinstance(x, dict))\n"
     )
-    assert dispatch_sites(path) == ["probe.py:6 Partition", "probe.py:8 Partition",
-                                    "probe.py:8 Adaptive", "probe.py:9 CoherentRows"]
+    assert dispatch_sites(path) == ["probe.py:3 Partition", "probe.py:6 Partition",
+                                    "probe.py:8 Partition", "probe.py:8 Adaptive",
+                                    "probe.py:9 CoherentRows"]
+
+
+def test_equality_comes_from_the_dataclass():
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in equality_sites(path)]
+    assert sites == []
+
+
+def test_equality_guard_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "class A:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def __hash__(self):\n"
+        "        return 0\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    x: int\n"
+        "    y: ndarray | None = None\n"
+        "@dataclasses.dataclass(frozen=True, eq=True)\n"
+        "class D:\n"
+        "    x: 'np.ndarray'\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class E:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class F:\n"
+        "    x: tuple[float, ...]\n"
+    )
+    assert equality_sites(path) == ["probe.py:4 A __eq__", "probe.py:6 A __hash__",
+                                    "probe.py:9 B eq over arrays", "probe.py:12 C eq over arrays",
+                                    "probe.py:16 D eq over arrays"]
