@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ZeroRowError
-from .linalg import ZERO_ROW_NORM_SQ, LinearSystem, pseudoinverse
+from .linalg import LinearSystem, check_row_norms, pseudoinverse
 
 BASIC = "basic"
 RBK = "rbk"
@@ -57,13 +56,6 @@ def block_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     if terms.shape[axis] > 1:
         np.add.accumulate(terms, axis=axis, out=terms)
     return terms[(..., -1) + (slice(None),) * (-1 - axis)] + 0.0
-
-
-def check_rows(J: np.ndarray, norms: np.ndarray) -> None:
-    """The zero-row rule (``LinearSystem.check_nonzero_rows``) for the rows
-    J with squared norms ``norms``: ZeroRowError names the first zero one."""
-    if norms.size and norms.min() < ZERO_ROW_NORM_SQ:
-        raise ZeroRowError(int(J[norms < ZERO_ROW_NORM_SQ][0]))
 
 
 def row_step(x: np.ndarray, a: np.ndarray, b_i, norm, weight, alpha) -> np.ndarray:
@@ -133,8 +125,7 @@ def basic_kaczmarz_step(x: np.ndarray, row: np.ndarray, b_i: float, alpha: float
     alpha = 1 projects exactly onto the row's hyperplane; alpha = 2 reflects.
     """
     norm = row.dot(row)
-    if norm < ZERO_ROW_NORM_SQ:
-        raise ZeroRowError(0)
+    check_row_norms(norm)
     return row_step(x, row, b_i, norm, None, alpha)
 
 
@@ -155,7 +146,7 @@ def rbk_step(
         order = J.argsort(kind="stable")
         J, weights = J.take(order), weights.take(order)
     if system.has_zero_rows:
-        check_rows(J, system.row_norms_sq.take(J))
+        check_row_norms(system.row_norms_sq.take(J), J)
     return averaged_step(np.asarray(x, dtype=float), system, J, weights, alpha)
 
 

@@ -26,11 +26,20 @@ from .errors import (
 # largest count as zero (``rank_mask``).
 RANK_TOL = 1e-10
 # A row whose squared norm (``row_norms_sq``) is below this is a zero row
-# (``LinearSystem.check_nonzero_rows``).
+# (``check_row_norms``).
 ZERO_ROW_NORM_SQ = 1e-28
 # b counts as outside range(A) when ||A A^+ b - b|| exceeds this times
 # 1 + ||b||.
 CONSISTENCY_TOL = 1e-6
+
+
+def check_row_norms(norms_sq, rows=None) -> None:
+    """The zero-row rule: raise ZeroRowError naming the first row whose
+    squared norm in ``norms_sq`` is below ZERO_ROW_NORM_SQ, as ``rows[i]``
+    (its position i when ``rows`` is None)."""
+    zero = np.flatnonzero(norms_sq < ZERO_ROW_NORM_SQ)
+    if zero.size:
+        raise ZeroRowError(int(zero[0] if rows is None else rows[zero[0]]))
 
 
 def as_matrix(A) -> np.ndarray:
@@ -110,12 +119,12 @@ class LinearSystem:
         return bool(self.row_norms_sq.min() < ZERO_ROW_NORM_SQ)
 
     def check_nonzero_rows(self) -> None:
-        """The zero-row rule: raise ZeroRowError naming the first row whose
-        ``row_norms_sq`` is below ZERO_ROW_NORM_SQ.  Whatever divides by the
-        row norms (row normalization, the averaged and adaptive steps,
-        lambda_max^block, W) checks it before it starts."""
+        """``check_row_norms`` of every row: ZeroRowError names the first
+        zero one.  Whatever divides by the row norms (row normalization, the
+        averaged and adaptive steps, lambda_max^block, W) checks it before
+        it starts."""
         if self.has_zero_rows:
-            raise ZeroRowError(int(np.argmax(self.row_norms_sq < ZERO_ROW_NORM_SQ)))
+            check_row_norms(self.row_norms_sq)
 
     @cached_property
     def cache(self) -> dict:

@@ -22,9 +22,9 @@ from .errors import (
     NonPositiveConditioningError,
 )
 from .analysis import ConditioningReport, check_delta, predict_rates
-from .kernels import adaptive_steps, check_rows
+from .kernels import adaptive_steps
 from .kinds import Kind, from_kind_dict, number, number_field, registry
-from .linalg import LinearSystem
+from .linalg import LinearSystem, check_row_norms
 from .sampling import SamplingSpec
 
 
@@ -199,7 +199,7 @@ def adaptive_alpha(
     if not np.any(residuals):
         return None
     norms = np.vecdot(block_rows, block_rows)
-    check_rows(np.arange(norms.size), norms)
+    check_row_norms(norms)
     L, d, moved = adaptive_steps(block_rows, residuals, weights, norms)
     if not moved:
         return None

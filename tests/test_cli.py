@@ -362,6 +362,32 @@ def test_zero_row_system_is_an_error_line(argv, tmp_path, capsys):
     assert run_cli("solve", *system, "--method", "block-projection", "--sampling", "full") == 0
 
 
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+def test_no_system_is_an_error_line(command, capsys):
+    assert run_cli(command) == 1
+    assert capsys.readouterr().err == "error: KaczlabError: provide either --recipe or --matrix/--rhs\n"
+
+
+def test_normalize_scales_a_matrix_market_system(tmp_path, capsys):
+    A = np.array([[3.0, 0.0], [0.0, 0.5], [4.0, 4.0]])
+    b = A @ np.array([1.0, 2.0])
+    mmio.write_matrix(tmp_path / "A.mtx", A)
+    mmio.write_vector(tmp_path / "b.txt", b)
+    system = ["--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")]
+    out = tmp_path / "trace.json"
+    # The residual at k = 0 (x = 0) is the norm of the right-hand side run.
+    for flags, rhs in [([], b), (["--normalize"], b / np.linalg.norm(A, axis=1))]:
+        assert run_cli("solve", *system, *flags, "--max-iters", "1", "--residual-tol", "0",
+                       "--json-out", str(out)) == 2
+        assert json.loads(out.read_text())["events"][0]["residual_norm"] == np.linalg.norm(rhs)
+    # A zero row has no norm to divide by: --normalize refuses it.
+    mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 0.0]]))
+    mmio.write_vector(tmp_path / "b.txt", [1.0, 0.0])
+    capsys.readouterr()
+    assert run_cli("solve", *system, "--normalize", "--method", "block-projection") == 1
+    assert capsys.readouterr().err == "error: ZeroRowError: row 1 has zero norm\n"
+
+
 @pytest.mark.parametrize("delta", ["3", "0", "-1"])
 def test_delta_outside_unit_interval_is_an_error_line(delta, capsys):
     code = run_cli("analyze", "--recipe", "gaussian:20x5", "--sampling", "uniform:2",
@@ -452,6 +478,13 @@ class TestPavingCommand:
         assert code == 0
         paving = paving_from_json(capsys.readouterr().out)
         assert paving.ell == 3 and paving.m == 10
+
+    def test_out_writes_the_printed_json(self, tmp_path, capsys):
+        out = tmp_path / "paving.json"
+        assert run_cli("paving", "--rows", "10", "--blocks", "3", "--seed", "4", "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli("paving", "--rows", "10", "--blocks", "3", "--seed", "4") == 0
+        assert capsys.readouterr().out == out.read_text() + "\n"
 
     def test_bad_block_count(self, capsys):
         assert run_cli("paving", "--rows", "4", "--blocks", "9") == 1

@@ -46,6 +46,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Partition(((0,), (1,)), np.array([0.6, 0.6]))
 
+    def test_partition_needs_one_probability_per_block(self):
+        with pytest.raises(ValueError, match="one probability per block required"):
+            Partition(((0,), (1,), (2,)), [0.5, 0.5])
+
     def test_partition_blocks_nonempty(self):
         with pytest.raises(ValueError, match="at least one row"):
             Partition(((0, 1), ()), [0.5, 0.5])

@@ -76,6 +76,11 @@ class TestBasicStep:
             assert abs(row @ out - b_i) <= 1e-12
 
 
+    def test_zero_row_is_refused(self):
+        with pytest.raises(ZeroRowError, match="^row 0 has zero norm$"):
+            basic_kaczmarz_step(np.zeros(2), np.zeros(2), 0.0, 1.0)
+
+
 class TestRbkStep:
     def test_orthonormal_block_full_solve(self):
         system = LinearSystem(np.eye(2), np.array([1.0, 2.0]), normalized=True)
@@ -319,6 +324,26 @@ class TestRunSolver:
         )
         with pytest.raises(ConfigMismatchError):
             run_solver(config, system)
+
+    def test_block_projection_refuses_the_adaptive_stepsize(self):
+        system = normalized_system(6, 3, seed=15)
+        spec = UniformSubset(6, 2)
+        config = SolverConfig(BLOCK_PROJECTION, spec, uniform_weights(spec), Adaptive(1.0),
+                              max_iters=5)
+        with pytest.raises(ConfigMismatchError, match="averaged update only"):
+            run_solver(config, system)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("method", "kaczmarz", "unknown method 'kaczmarz'"),
+        ("trace_level", "all", "unknown trace level 'all'"),
+        ("max_iters", 0, "max_iters must be at least 1"),
+    ])
+    def test_config_refuses_unknown_names_and_no_iterations(self, field, value, message):
+        spec = UniformSubset(4, 1)
+        fields = dict(method=BASIC, sampling=spec, weights=uniform_weights(spec),
+                      stepsize=ClassicConstant(1.0), max_iters=5)
+        with pytest.raises(ConfigMismatchError, match=f"^{message}$"):
+            SolverConfig(**fields | {field: value})
 
     def test_residual_tol_must_be_a_nonnegative_number(self):
         spec = UniformSubset(4, 1)
