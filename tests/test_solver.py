@@ -487,6 +487,18 @@ class TestMonteCarlo:
         np.testing.assert_allclose(mc.mean_dist_sq, single.dist_sq_series(), rtol=1e-12)
         np.testing.assert_allclose(mc.mean_iterate[-1], single.final_x, atol=1e-14)
 
+    def test_identical_trials_have_zero_stderr(self):
+        # Full-batch block projection draws the same block in every trial,
+        # so the trials are bit-identical and their spread is exactly 0.
+        system = normalized_system(50, 20, seed=1)
+        spec = full_batch(50)
+        config = SolverConfig(
+            BLOCK_PROJECTION, spec, uniform_weights(spec), ClassicConstant(0.5),
+            max_iters=20, residual_tol=0.0, diagnostics=True, trace_level=FULL_ITERATES,
+        )
+        mc = run_monte_carlo(config, system, trials=3)
+        assert np.all(mc.stderr_dist_sq == 0.0) and np.all(mc.stderr_iterate == 0.0)
+
     def test_exact_one_step_expectation(self):
         # E[x^1] from exhaustive support enumeration equals the closed-form
         # recursion x* + (I - (alpha/m) A^T A)(x0 - x*) on normalized A.
@@ -708,7 +720,8 @@ def _serial_summary(config, system, trials):
     fields = []
     for name in ("dist_sq", "iterates", "residual"):
         stacked = np.stack([pad_to(getattr(trace, name), config.max_iters + 1) for trace in traces])
-        fields += [stacked.mean(axis=0), stacked.std(axis=0, ddof=1) / np.sqrt(trials)]
+        spread = (stacked - stacked[:1]).std(axis=0, ddof=1)
+        fields += [stacked.mean(axis=0), spread / np.sqrt(trials)]
     hits = [trace.iterations if trace.status == CONVERGED else -1 for trace in traces]
     return fields[:5] + [np.asarray(hits, dtype=int)], traces
 
