@@ -145,7 +145,7 @@ def test_run_monte_carlo_golden():
         mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(), mc.mean_iterate.tobytes(),
         mc.stderr_iterate.tobytes(), mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes(),
     )
-    assert digest == "2faa40fd8486f5ae"
+    assert digest == "9810642c2967bf60"
 
 
 def test_run_monte_carlo_padded_golden():
@@ -162,7 +162,7 @@ def test_run_monte_carlo_padded_golden():
         mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(), mc.mean_iterate.tobytes(),
         mc.stderr_iterate.tobytes(), mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes(),
     )
-    assert digest == "3dc9025251b835da"
+    assert digest == "3db890cc875a9ed8"
 
 
 def test_trace_json_golden(tmp_path):
@@ -226,7 +226,7 @@ def test_run_monte_carlo_wide_block_golden():
     mc = run_monte_carlo(config, system, trials=3)
     digest = _digest(mc.mean_dist_sq.tobytes(), mc.stderr_dist_sq.tobytes(),
                      mc.mean_residual_norm.tobytes(), mc.hit_iteration.tobytes())
-    assert digest == "9ad7f69f6058cca2"
+    assert digest == "3e4fe3b60293ce3c"
 
 
 EXPERIMENT_PLANS = {
@@ -278,7 +278,7 @@ EXPERIMENT_PLANS = {
 }
 
 EXPERIMENT_GOLDEN = {
-    "tall": "1379b304306407c3",
+    "tall": "b6e630971c236ef7",
     "wide": "072f23d827f3461c",
     "padded": "1f4a91d08c64cec6",
 }
