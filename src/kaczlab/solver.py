@@ -249,10 +249,11 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
             stacked = run.column(name, config.max_iters + 1)
             if name == "residual_sq":
                 stacked = np.sqrt(stacked)
+            mean = stacked.mean(axis=0)
             # The spread about trial 0: identical trials give exactly 0, where
             # the rounded mean of equal values would leave residue.
-            spread = (stacked - stacked[:1]).std(axis=0, ddof=1)
-            stats[name] = stacked.mean(axis=0), spread / np.sqrt(trials)
+            stacked -= stacked[0]
+            stats[name] = mean, stacked.std(axis=0, ddof=1) / np.sqrt(trials)
     hits = [k if status == CONVERGED else -1 for k, status in zip(run.iterations, run.status)]
     return MonteCarloSummary(
         trials,
