@@ -75,7 +75,6 @@ class TestBasicStep:
             out = basic_kaczmarz_step(rng.standard_normal(5), row, b_i, 1.0)
             assert abs(row @ out - b_i) <= 1e-12
 
-
     def test_zero_row_is_refused(self):
         with pytest.raises(ZeroRowError, match="^row 0 has zero norm$"):
             basic_kaczmarz_step(np.zeros(2), np.zeros(2), 0.0, 1.0)
