@@ -36,6 +36,7 @@ from .sampling import (
 )
 from .solver import (
     CONVERGED,
+    DIVERGED,
     MAX_ITERS,
     STALLED,
     config_from_dict,
@@ -50,8 +51,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITERS = 2
 EXIT_STALLED = 3
+EXIT_DIVERGED = 4
 
-_STATUS_EXIT = {CONVERGED: EXIT_OK, MAX_ITERS: EXIT_MAX_ITERS, STALLED: EXIT_STALLED}
+_STATUS_EXIT = {CONVERGED: EXIT_OK, MAX_ITERS: EXIT_MAX_ITERS, STALLED: EXIT_STALLED,
+                DIVERGED: EXIT_DIVERGED}
 
 
 def _env_seed(seed):

@@ -47,6 +47,7 @@ FULL_ITERATES = "iterates"
 STALL_LIMIT = 100
 
 CONVERGED = "converged"
+DIVERGED = "diverged"
 MAX_ITERS = "max-iters"
 STALLED = "stalled"
 
@@ -71,9 +72,17 @@ def square_threshold(tol: float) -> float:
     return s
 
 
+def runs_on(s, tol_sq: float):
+    """Whether a trial at squared residual ``s`` takes another step: while
+    s is above ``tol_sq`` and finite.  At or below it the trial has
+    converged; an inf or NaN s (``not s < inf``) ends it as diverged."""
+    return (s > tol_sq) & (s < math.inf)
+
+
 class Trials:
     """T runs of one configuration advanced in lockstep, trial t drawing its
-    blocks from ``seeds[t]``; a trial that stops leaves the stack.
+    blocks from ``np.random.default_rng(seeds[t])``, ``seeds[t]`` a seed or
+    a Generator; a trial that stops leaves the stack.
 
     Each step appends one entry to every column (``residual_sq``, the
     squared residual norm; ``dist_sq`` with diagnostics; ``alpha`` of
@@ -131,8 +140,8 @@ class Trials:
 
     def _finish(self, t: int, k: int, x: np.ndarray, s, skips) -> None:
         self.iterations[t], self.final_x[t] = k, x
-        if s <= self.tol_sq:
-            self.status[t] = CONVERGED
+        if not runs_on(s, self.tol_sq):
+            self.status[t] = CONVERGED if s <= self.tol_sq else DIVERGED
         elif skips is not None and skips >= STALL_LIMIT:
             self.status[t] = STALLED
 
@@ -166,8 +175,7 @@ class Trials:
                 record(alpha_col, alpha)
             if iterates is not None:
                 record(iterates, X)
-            # "<=" stops, so a NaN residual runs on to max_iters.
-            stop = s <= tol_sq
+            stop = ~runs_on(s, tol_sq)
             if skips is not None:
                 stop |= skips >= STALL_LIMIT
             if k == max_iters or (stop if single else stop.any()):

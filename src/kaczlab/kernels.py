@@ -45,17 +45,23 @@ DIRECTION_EPS = 1e-28
 
 def block_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     """The sum over the (negative) ``axis`` in index order: the bits of
-    ``s = 0.0`` then ``s += t`` for each t along the axis.  Overwrites
+    ``s = 0.0`` then ``s += t`` for each t along the axis.  May overwrite
     ``terms``.
 
     ``np.add.reduce`` sums pairwise when the summed axis ends up innermost
-    (a 2-d stack, or rows of length 1); ``accumulate`` adds in sequence for
-    every shape, and ``+ 0.0`` gives the +0.0 that starting from 0.0 leaves
+    (the adaptive numerator's axis -1, or rows of length 1), and adds the
+    rows in sequence otherwise: it takes the rows of a C-contiguous
+    (..., tau, n) stack with n > 1.  ``accumulate`` adds in sequence for
+    every shape.  Adding 0.0 gives the +0.0 that starting from 0.0 leaves
     where every term is -0.0.
     """
-    if terms.shape[axis] > 1:
-        np.add.accumulate(terms, axis=axis, out=terms)
-    return terms[(..., -1) + (slice(None),) * (-1 - axis)] + 0.0
+    if axis == -2 and terms.shape[-1] > 1:
+        total = np.add.reduce(terms, axis=-2)
+    else:
+        if terms.shape[axis] > 1:
+            np.add.accumulate(terms, axis=axis, out=terms)
+        total = terms[(..., -1) + (slice(None),) * (-1 - axis)]
+    return total + 0.0
 
 
 def row_step(x: np.ndarray, a: np.ndarray, b_i, norm, weight, alpha) -> np.ndarray:

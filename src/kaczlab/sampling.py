@@ -379,8 +379,11 @@ def build_random_paving(seed: int, m: int, ell: int) -> Paving:
     if not (1 <= ell <= m):
         raise BadBlockCountError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(m)
-    blocks = tuple(tuple(sorted(int(i) for i in run)) for run in np.array_split(perm, ell))
+    order = rng.permutation(m).tolist()
+    # np.array_split's runs: the first m % ell one row longer.
+    q, r = divmod(m, ell)
+    cuts = [i * q + min(i, r) for i in range(ell + 1)]
+    blocks = tuple(tuple(sorted(order[a:b])) for a, b in zip(cuts, cuts[1:]))
     return Paving(blocks=blocks, ell=ell, seed=int(seed))
 
 

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import cached_block_lambda_max
 from .engine import (
     CONVERGED,
+    DIVERGED,
     FULL_ITERATES,
     MAX_ITERS,
     NORMS_ONLY,
@@ -51,11 +53,11 @@ from .stepsize import (
 )
 
 __all__ = [
-    "BASIC", "BLOCK_PROJECTION", "CONVERGED", "FULL_ITERATES", "MAX_ITERS", "NORMS_ONLY", "RBK",
+    "BASIC", "BLOCK_PROJECTION", "CONVERGED", "DIVERGED", "FULL_ITERATES", "MAX_ITERS", "NORMS_ONLY", "RBK",
     "STALLED", "STALL_LIMIT", "IterationEvent", "MonteCarloSummary", "SolverConfig",
     "SolverTrace", "basic_kaczmarz_step", "block_projection_step", "config_from_dict",
     "config_to_dict", "number_field", "pad_to", "rbk_step", "run_monte_carlo", "run_solver",
-    "split_seed",
+    "split_seed", "split_seeds", "trial_generators",
 ]
 
 
@@ -221,6 +223,113 @@ def split_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), in uint32
+# arithmetic.  Its hash constants run through fixed chains, whatever the
+# data: the i-th word mixed into the pool is xored with INIT_A * MULT_A**i and
+# multiplied by INIT_A * MULT_A**(i + 1); the i-th output word likewise with
+# INIT_B and MULT_B.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i = 0 .. count - 1."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray, i: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of values[..., j] with the (i + j)-th
+    constant of the chain."""
+    width = values.shape[-1]
+    h = (values ^ chain[i:i + width]) * chain[i + 1:i + 1 + width]
+    return h ^ (h >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    h = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return h ^ (h >> _XSHIFT)
+
+
+def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words)`` for each row e of the
+    (T, L) uint32 ``entropy``, L >= 4: rows shorter than the pool are
+    padded with zero words, which leaves the pool unchanged."""
+    extra = entropy.shape[1] - _POOL
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
+    pool = _hashmix(entropy[:, :_POOL], chain, 0)
+    i = _POOL
+    # Mix every pool word into every other, in the order of SeedSequence's
+    # loops: for each source word, the destinations in index order.
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src] * len(dst)], chain, i))
+        i += len(dst)
+    # Entropy past the pool size: each word mixed into every pool word.
+    for src in range(_POOL, _POOL + extra):
+        pool = _mix(pool, _hashmix(entropy[:, [src] * _POOL], chain, i))
+        i += _POOL
+    chain = _hash_chain(_INIT_B, _MULT_B, n_words + 1)
+    return _hashmix(np.tile(pool, -(-n_words // _POOL))[:, :n_words], chain, 0)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's split of an integer into uint32 words, low first."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+class _PresetState(ISeedSequence):
+    """The seed sequence of one trial generator: ``generate_state`` returns
+    PCG64's four uint64 seed words, computed beforehand."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def split_seeds(seed: int, trials: int) -> np.ndarray:
+    """``split_seed(seed, t)`` for t = 0 .. trials - 1, as uint64, hashed
+    in one pass over the trials."""
+    head = _uint32_words(seed)
+    entropy = np.zeros((trials, max(_POOL, len(head) + 1)), dtype=np.uint32)
+    entropy[:, :len(head)] = head
+    entropy[:, len(head)] = np.arange(trials)
+    return _as_uint64(_seed_sequence_state(entropy, 2))[:, 0]
+
+
+def _as_uint64(words: np.ndarray) -> np.ndarray:
+    """generate_state's uint64 output: its uint32 words as little-endian pairs."""
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
+    """``[np.random.default_rng(split_seed(seed, t)) for t in
+    range(trials)]``, the same states, with both SeedSequence hashes of
+    every trial taken in one pass over the trials: the entropy (seed, t)
+    gives the split seeds, and each split seed PCG64's four state words."""
+    # A split seed's entropy is its two uint32 words, less a high zero
+    # word, which padding puts back.
+    entropy = np.zeros((trials, _POOL), dtype=np.uint32)
+    entropy[:, :2] = split_seeds(seed, trials).astype("<u8").view("<u4").reshape(trials, 2)
+    words = _as_uint64(_seed_sequence_state(entropy, 8))
+    return [np.random.Generator(np.random.PCG64(_PresetState(w))) for w in words]
+
+
 @dataclass(frozen=True, eq=False)
 class MonteCarloSummary:
     """Per-iteration trial statistics, padded to max_iters + 1 entries by
@@ -242,7 +351,7 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
     t has the bits of ``run_solver`` at seed split(seed, t)."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    run = Trials(config, system, [split_seed(config.seed, t) for t in range(trials)])
+    run = Trials(config, system, trial_generators(config.seed, trials))
     stats = {}
     for name in ("residual_sq", "dist_sq", "iterates"):
         if name in run.columns:

@@ -56,6 +56,22 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_diverged_exit_code(self, tmp_path, capsys):
+        # A Chebyshev schedule built for [0.5, 0.6] lambda_max: the squared
+        # residual overflows at k = 362.
+        system = generate_problem(GaussianNormalized(50, 20, seed=1))
+        lambda_max = np.linalg.eigvalsh(system.A @ system.A.T)[-1]
+        stepsize = {"kind": "chebyshev-pd", "horizon": 2000, "lambda_min": 0.5 * lambda_max,
+                    "lambda_max": 0.6 * lambda_max, "m": 50}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"method": "basic", "sampling": "uniform:1",
+                                    "stepsize": stepsize, "max_iters": 2000, "seed": 1}))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run_cli("solve", "--recipe", "gaussian:50x20", "--seed", "1",
+                           "--config", str(path))
+        assert code == 4
+        assert capsys.readouterr().out.startswith("diverged: k=362 residual=inf")
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

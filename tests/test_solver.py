@@ -17,12 +17,13 @@ from kaczlab.sampling import (
     full_batch,
     partition_spec,
 )
-from kaczlab.engine import square_threshold
-from kaczlab.kernels import block_pinvs
+from kaczlab.engine import Trials, square_threshold
+from kaczlab.kernels import block_pinvs, block_sum
 from kaczlab.solver import (
     BASIC,
     BLOCK_PROJECTION,
     CONVERGED,
+    DIVERGED,
     FULL_ITERATES,
     RBK,
     STALLED,
@@ -36,6 +37,8 @@ from kaczlab.solver import (
     run_monte_carlo,
     run_solver,
     split_seed,
+    split_seeds,
+    trial_generators,
 )
 from kaczlab.stepsize import (
     Adaptive,
@@ -419,6 +422,64 @@ class TestRunSolver:
         assert np.all(np.isfinite(trace.residual_norms()))
 
 
+def diverging_config(max_iters=2000):
+    """Basic Kaczmarz on gaussian 50x20 (seed 1) with a Chebyshev schedule
+    built for [0.5, 0.6] lambda_max: the squared residual of the run at seed
+    1 overflows at k = 362."""
+    system = normalized_system(50, 20, seed=1)
+    lambda_max = np.linalg.eigvalsh(system.A @ system.A.T)[-1]
+    spec = UniformSubset(50, 1)
+    policy = ChebyshevPD(horizon=max_iters, lambda_min=0.5 * lambda_max,
+                         lambda_max=0.6 * lambda_max, m=50)
+    config = SolverConfig(BASIC, spec, uniform_weights(spec), policy, max_iters=max_iters, seed=1)
+    return config, system
+
+
+def test_non_finite_residual_ends_a_trial_diverged():
+    config, system = diverging_config()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        trace = run_solver(config, system)
+    assert (trace.status, trace.iterations) == (DIVERGED, 362)
+    assert np.isinf(trace.residual[-1]) and np.isfinite(trace.residual[:-1]).all()
+    # In a stack, each diverged trial leaves as it would stop on its own.
+    seeds = [1, 2, 3, 4]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        run = Trials(config, system, seeds)
+        serial = [run_solver(dataclasses.replace(config, seed=seed), system) for seed in seeds]
+    assert run.status == [DIVERGED] * 4 and len(set(run.iterations)) == 4
+    assert run.iterations == [trace.iterations for trace in serial]
+    assert all(x.tobytes() == trace.final_x.tobytes() for x, trace in zip(run.final_x, serial))
+    with pytest.warns(RuntimeWarning):
+        mc = run_monte_carlo(config, system, trials=3)
+    assert mc.hit_iteration.tolist() == [-1, -1, -1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 500])
+@pytest.mark.parametrize("tau", [2, 3, 8, 64, 65])
+def test_block_sum_adds_in_row_order(tau, n):
+    # block_sum must give the bits of s = 0.0; s += term for every shape
+    # the kernels hand it, whichever numpy reduction it uses.  Terms span
+    # many magnitudes, so another order of addition shows in the bits.
+    rng = np.random.default_rng(100 * tau + n)
+    A = rng.standard_normal((70, n)) * 10.0 ** rng.integers(-8, 9, size=(70, 1))
+    if n > 1:
+        A[:, 0] = -0.0  # positive coefficients: -0.0 terms, which sum to +0.0
+    for stack in ((), (3,)):
+        rows = [np.sort(rng.choice(70, size=tau, replace=False)) for _ in range(3 if stack else 1)]
+        J = np.stack(rows).reshape(stack + (tau,))
+        coef = rng.exponential(size=stack + (tau,)) * 10.0 ** rng.integers(-8, 9, size=stack + (tau,))
+        row_sum, coef_sum = 0.0, 0.0
+        for j in range(tau):
+            row_sum = row_sum + coef[..., j, None] * A[J[..., j]]
+            coef_sum = coef_sum + coef[..., j]
+        # The averaged step's product, written into the taken rows.
+        AJ = A.take(J, axis=0)
+        got = block_sum(np.multiply(coef[..., None], AJ, out=AJ), axis=-2)
+        assert got.tobytes() == row_sum.tobytes(), stack
+        # The adaptive numerator sums over the innermost axis.
+        assert block_sum(coef.copy(), axis=-1).tobytes() == np.asarray(coef_sum).tobytes(), stack
+
+
 class TestTraceExports:
     def _small_trace(self, tmp_path=None):
         system = normalized_system(5, 3, seed=21)
@@ -467,11 +528,35 @@ class TestTraceExports:
                 assert config_from_dict(config_to_dict(config), system) == config
 
 
+# Seeds of one to four uint32 words: with the trial index, entropy of two
+# to five words, the last past SeedSequence's pool of four.
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 1]
+
+
 class TestMonteCarlo:
     def test_split_seed_deterministic_and_distinct(self):
         assert split_seed(5, 0) == split_seed(5, 0)
         seeds = {split_seed(5, t) for t in range(100)}
         assert len(seeds) == 100
+
+    def test_split_seeds_match_split_seed(self):
+        # 102,000 (seed, t) pairs against the scalar rule.
+        trials = 17_000
+        for seed in _SEEDS:
+            expected = [split_seed(seed, t) for t in range(trials)]
+            assert split_seeds(seed, trials).tolist() == expected, seed
+
+    def test_trial_generators_have_the_split_seed_states(self):
+        for seed in _SEEDS:
+            for t, rng in enumerate(trial_generators(seed, 200)):
+                expected = np.random.default_rng(split_seed(seed, t))
+                assert rng.bit_generator.state == expected.bit_generator.state, (seed, t)
+                assert rng.integers(2**63, size=3).tolist() == expected.integers(2**63, size=3).tolist()
+
+    def test_negative_seed_is_refused_as_split_seed_refuses_it(self):
+        for split in (split_seed, split_seeds, trial_generators):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                split(-1, 3)
 
     def test_deterministic_config_zero_variance(self):
         system = normalized_system(5, 5, seed=23)
