@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -223,30 +224,25 @@ def split_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), in uint32
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) in uint32
 # arithmetic.  Its hash constants run through fixed chains, whatever the
-# data: the i-th word mixed into the pool is xored with INIT_A * MULT_A**i and
-# multiplied by INIT_A * MULT_A**(i + 1); the i-th output word likewise with
-# INIT_B and MULT_B.
+# data: the i-th word hashed into the pool is xored with INIT_A * MULT_A**i
+# and multiplied by INIT_A * MULT_A**(i + 1); the i-th output word likewise
+# with INIT_B and MULT_B.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _POOL = 4
-_MASK32 = 0xFFFFFFFF
 
 
 def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
     """init * mult**i mod 2**32 for i = 0 .. count - 1."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
+    return np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(count)], dtype=np.uint32)
 
 
 def _hashmix(values: np.ndarray, chain: np.ndarray, i: int) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of values[..., j] with the (i + j)-th
-    constant of the chain."""
+    """``hashmix`` of values[..., j] with the (i + j)-th constant of the chain."""
     width = values.shape[-1]
     h = (values ^ chain[i:i + width]) * chain[i + 1:i + 1 + width]
     return h ^ (h >> _XSHIFT)
@@ -258,35 +254,26 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(e).generate_state(n_words)`` for each row e of the
-    (T, L) uint32 ``entropy``, L >= 4: rows shorter than the pool are
-    padded with zero words, which leaves the pool unchanged."""
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each row e
+    of the (T, L) uint32 ``entropy``, L >= 4: zero words padding a row to
+    the pool size leave its pool unchanged."""
     extra = entropy.shape[1] - _POOL
     chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
     pool = _hashmix(entropy[:, :_POOL], chain, 0)
     i = _POOL
-    # Mix every pool word into every other, in the order of SeedSequence's
-    # loops: for each source word, the destinations in index order.
+    # Each pool word into every other, in SeedSequence's loop order.
     for src in range(_POOL):
         dst = [d for d in range(_POOL) if d != src]
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src] * len(dst)], chain, i))
         i += len(dst)
-    # Entropy past the pool size: each word mixed into every pool word.
+    # Entropy past the pool size: each word into every pool word.
     for src in range(_POOL, _POOL + extra):
         pool = _mix(pool, _hashmix(entropy[:, [src] * _POOL], chain, i))
         i += _POOL
-    chain = _hash_chain(_INIT_B, _MULT_B, n_words + 1)
-    return _hashmix(np.tile(pool, -(-n_words // _POOL))[:, :n_words], chain, 0)
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's split of an integer into uint32 words, low first."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
+    state = _hashmix(np.tile(pool, -(-n_words // 2))[:, :2 * n_words],
+                     _hash_chain(_INIT_B, _MULT_B, 2 * n_words + 1), 0)
+    # Pairs of uint32 words read as little-endian uint64s.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 class _PresetState(ISeedSequence):
@@ -305,16 +292,14 @@ class _PresetState(ISeedSequence):
 def split_seeds(seed: int, trials: int) -> np.ndarray:
     """``split_seed(seed, t)`` for t = 0 .. trials - 1, as uint64, hashed
     in one pass over the trials."""
-    head = _uint32_words(seed)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    head = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.zeros((trials, max(_POOL, len(head) + 1)), dtype=np.uint32)
     entropy[:, :len(head)] = head
     entropy[:, len(head)] = np.arange(trials)
-    return _as_uint64(_seed_sequence_state(entropy, 2))[:, 0]
-
-
-def _as_uint64(words: np.ndarray) -> np.ndarray:
-    """generate_state's uint64 output: its uint32 words as little-endian pairs."""
-    return words.astype("<u4").view("<u8").astype(np.uint64)
+    return _seed_sequence_state(entropy, 1)[:, 0]
 
 
 def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
@@ -323,10 +308,10 @@ def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
     every trial taken in one pass over the trials: the entropy (seed, t)
     gives the split seeds, and each split seed PCG64's four state words."""
     # A split seed's entropy is its two uint32 words, less a high zero
-    # word, which padding puts back.
+    # word, which the padding puts back.
     entropy = np.zeros((trials, _POOL), dtype=np.uint32)
     entropy[:, :2] = split_seeds(seed, trials).astype("<u8").view("<u4").reshape(trials, 2)
-    words = _as_uint64(_seed_sequence_state(entropy, 8))
+    words = _seed_sequence_state(entropy, 4)
     return [np.random.Generator(np.random.PCG64(_PresetState(w))) for w in words]
 
 

@@ -422,21 +422,16 @@ class TestRunSolver:
         assert np.all(np.isfinite(trace.residual_norms()))
 
 
-def diverging_config(max_iters=2000):
-    """Basic Kaczmarz on gaussian 50x20 (seed 1) with a Chebyshev schedule
-    built for [0.5, 0.6] lambda_max: the squared residual of the run at seed
-    1 overflows at k = 362."""
+def test_non_finite_residual_ends_a_trial_diverged():
+    # Basic Kaczmarz with a Chebyshev schedule built for [0.5, 0.6]
+    # lambda_max: the squared residual of the run at seed 1 overflows at
+    # k = 362.
     system = normalized_system(50, 20, seed=1)
     lambda_max = np.linalg.eigvalsh(system.A @ system.A.T)[-1]
     spec = UniformSubset(50, 1)
-    policy = ChebyshevPD(horizon=max_iters, lambda_min=0.5 * lambda_max,
+    policy = ChebyshevPD(horizon=2000, lambda_min=0.5 * lambda_max,
                          lambda_max=0.6 * lambda_max, m=50)
-    config = SolverConfig(BASIC, spec, uniform_weights(spec), policy, max_iters=max_iters, seed=1)
-    return config, system
-
-
-def test_non_finite_residual_ends_a_trial_diverged():
-    config, system = diverging_config()
+    config = SolverConfig(BASIC, spec, uniform_weights(spec), policy, max_iters=2000, seed=1)
     with pytest.warns(RuntimeWarning, match="overflow"):
         trace = run_solver(config, system)
     assert (trace.status, trace.iterations) == (DIVERGED, 362)

@@ -1,0 +1,186 @@
+"""Benchmark pairs: the benchmark of two git revisions, run in alternating
+pairs and written as a BENCH file.
+
+Unpacks the committed tree of a base and a head revision (``git
+archive``), then for each workload runs each tree's own
+``perfbench/run.py --workload W --seed SEED --seconds S --trace 0`` in a
+subprocess, the two sides alternating: the base first in even pairs, the
+head first in odd ones.  It writes a JSON file with the keys of the
+committed ``BENCH_*.json`` files: per workload and end-to-end metric the
+medians over the pairs, the pairs the head wins (ties count for neither),
+the interquartile range of the base's runs and every run in pair order;
+failed and attempted operations, output digests, source line counts and
+the machine facts ``perfbench/machine.py`` reports.  ``claimed`` is left
+null, for the author to fill in.  It asserts nothing.
+
+    python tools/bench_pairs.py --base REV --head REV [--pairs N] [--seconds S]
+                                [--workload W ...] [--seed SEED] [--out PATH]
+
+The default output is ``BENCH_<n>.json`` at the root of the repository,
+n one more than the highest there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+REPORT_PREFIX = "perfbench-report "
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(REPO), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _unpack(rev: str, into: Path) -> Path:
+    """``rev``'s committed tree, unpacked under ``into``."""
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into
+
+
+def _source_lines(tree: Path) -> int:
+    return sum(len(path.read_text().splitlines())
+               for path in sorted((tree / "src" / "kaczlab").glob("*.py")))
+
+
+def _run(tree: Path, command: list[str]) -> tuple[dict, dict]:
+    """One benchmark run in ``tree``: its report and its result line."""
+    done = subprocess.run([sys.executable, *command], cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(command)} in {tree} exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    report = next(json.loads(line[len(REPORT_PREFIX):]) for line in lines
+                  if line.startswith(REPORT_PREFIX))
+    return report, json.loads(lines[-1])
+
+
+def _iqr(values: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def _metrics(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
+    out = {}
+    for metric in declared:
+        name, better = metric["name"], metric["better"]
+        base, head = ([r["metrics"][name]["value"] for r in runs[side]] for side in ("base", "head"))
+        wins = sum((h < b) if better == "lower" else (h > b) for b, h in zip(base, head))
+        parent, change = statistics.median(base), statistics.median(head)
+        out[name] = {
+            "unit": metric["unit"], "better": better,
+            "parent": round(parent, 6), "change": round(change, 6),
+            "change_wins": wins, "parent_iqr": round(_iqr(base), 6),
+            "relative_change": round((change - parent) / parent, 4),
+            "parent_runs": [round(v, 6) for v in base], "change_runs": [round(v, 6) for v in head],
+        }
+    return out
+
+
+def _one_or_all(values: list):
+    distinct = sorted(set(values))
+    return distinct[0] if len(distinct) == 1 else distinct
+
+
+def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str],
+          seed: int) -> dict:
+    commits = {"base": _git("rev-parse", base), "head": _git("rev-parse", head)}
+    command = ["perfbench/run.py", "--workload", "W", "--seed", str(seed),
+               "--seconds", f"{seconds:g}", "--trace", "0"]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: _unpack(commits[side], Path(tmp) / side) for side in commits}
+        declared = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
+        lines = {side: _source_lines(tree) for side, tree in trees.items()}
+        results, machine = {}, None
+        for workload in workloads:
+            argv = [workload if a == "W" else a for a in command]
+            reports, runs = {"base": [], "head": []}, {"base": [], "head": []}
+            for i in range(pairs):
+                for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                    report, result = _run(trees[side], argv)
+                    reports[side].append(report)
+                    runs[side].append(result)
+                    machine = machine or report["machine"]
+                    print(f"{workload} pair {i + 1}/{pairs} {side}: "
+                          + ", ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
+                          file=sys.stderr)
+            sides = {"parent": "base", "change": "head"}
+            results[workload] = {
+                "pairs": pairs,
+                "failed_ops": {key: sum(r["failed"] for r in runs[s]) for key, s in sides.items()},
+                "attempted_ops": {key: sum(r["attempted"] for r in runs[s])
+                                  for key, s in sides.items()},
+                "output_digest": {key: _one_or_all([r["digest"] if isinstance(r["digest"], str)
+                                                    else json.dumps(r["digest"])
+                                                    for r in reports[s]])
+                                  for key, s in sides.items()},
+                "all_correct": {key: all(r["correct"] for r in runs[s]) for key, s in sides.items()},
+                "metrics": _metrics(declared, runs),
+            }
+    equal = [w for w, r in results.items()
+             if r["output_digest"]["parent"] == r["output_digest"]["change"]]
+    return {
+        "change": _git("log", "-1", "--format=%s", commits["head"]),
+        "parent_commit": commits["base"],
+        "change_commit": commits["head"],
+        "command": "python3 " + " ".join(command),
+        "method": (f"{pairs} alternating parent/change pairs per workload (parent first in even "
+                   "pairs), each side in its own checkout (git archive of the parent commit and "
+                   "of the change's commit), run by tools/bench_pairs.py; medians over the pairs; "
+                   "change_wins counts pairs where the change is better; parent_iqr is the "
+                   "interquartile range of the parent's runs; parent_runs/change_runs list "
+                   "every run in pair order"),
+        "claimed": None,
+        "digests": (f"Output digests equal the parent's on {', '.join(equal) or 'no workload'}; "
+                    f"they differ on {', '.join(w for w in results if w not in equal) or 'none'}."),
+        "source_lines": {"parent": lines["base"], "change": lines["head"],
+                         "net": lines["head"] - lines["base"],
+                         "counted_by": "cat src/kaczlab/*.py | wc -l"},
+        "machine": machine,
+        "workloads": results,
+    }
+
+
+def _next_bench_path() -> Path:
+    numbers = [int(m.group(1)) for p in REPO.glob("BENCH_*.json")
+               if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    return REPO / f"BENCH_{max(numbers, default=0) + 1}.json"
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision of the parent")
+    parser.add_argument("--head", required=True, help="git revision of the change")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0, help="run length of each side")
+    parser.add_argument("--workload", action="append",
+                        help="workload to run, repeatable (default: every one BENCHMARK.json lists)")
+    parser.add_argument("--seed", type=int, default=1, help="the benchmark's input seed")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="output path (default: the next BENCH_<n>.json in the repository)")
+    args = parser.parse_args(argv)
+    if args.pairs < 2 or args.seconds <= 0:
+        parser.error("--pairs must be at least 2 (for the quartiles) and --seconds positive")
+    workloads = args.workload or [w["name"] for w in
+                                  json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
+    out = args.out or _next_bench_path()
+    doc = bench(args.base, args.head, args.pairs, args.seconds, workloads, args.seed)
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()
