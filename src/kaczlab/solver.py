@@ -54,11 +54,11 @@ from .stepsize import (
 )
 
 __all__ = [
-    "BASIC", "BLOCK_PROJECTION", "CONVERGED", "DIVERGED", "FULL_ITERATES", "MAX_ITERS", "NORMS_ONLY", "RBK",
-    "STALLED", "STALL_LIMIT", "IterationEvent", "MonteCarloSummary", "SolverConfig",
-    "SolverTrace", "basic_kaczmarz_step", "block_projection_step", "config_from_dict",
-    "config_to_dict", "number_field", "pad_to", "rbk_step", "run_monte_carlo", "run_solver",
-    "split_seed", "split_seeds", "trial_generators",
+    "BASIC", "BLOCK_PROJECTION", "CONVERGED", "DIVERGED", "FULL_ITERATES", "MAX_ITERS",
+    "NORMS_ONLY", "RBK", "STALLED", "STALL_LIMIT", "IterationEvent", "MonteCarloSummary",
+    "SolverConfig", "SolverTrace", "basic_kaczmarz_step", "block_projection_step",
+    "config_from_dict", "config_to_dict", "number_field", "pad_to", "rbk_step",
+    "run_monte_carlo", "run_solver", "split_seed", "split_seeds", "trial_generators",
 ]
 
 
