@@ -136,7 +136,10 @@ class Trials:
             self.columns["alpha"] = []
         if config.trace_level == FULL_ITERATES:
             self.columns["iterates"] = []
-        self._run(x if self.single else np.repeat(x[None], T, axis=0))
+        # A diverging trial overflows, and inf - inf gives NaN: its status,
+        # DIVERGED, reports that, not numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._run(x if self.single else np.repeat(x[None], T, axis=0))
 
     def _finish(self, t: int, k: int, x: np.ndarray, s, skips) -> None:
         self.iterations[t], self.final_x[t] = k, x

@@ -22,11 +22,119 @@ from .linalg import LinearSystem
 # Exhaustive enumeration is refused above this many supports.
 ENUMERATION_CAP = 10**5
 
+# Indices a uniform spec draws ahead in one call, at most (2 MB of int64).
+AHEAD_VALUES = 1 << 18
+
 # How block_lambda_max's supports were chosen: all of them, every block of
 # a partition, or a sample (its maximum only a lower bound).
 EXACT_ENUMERATION = "exact-enumeration"
 PARTITION_MAX = "partition-max"
 MONTE_CARLO = "monte-carlo-estimate"
+
+
+# numpy's Generator.choice(m, tau, replace=False) takes Floyd's algorithm
+# unless m > CHOICE_FLOYD_MAX and tau > m // 50, where it shuffles a tail of
+# arange(m) instead.
+CHOICE_FLOYD_MAX = 10_000
+# Uint32 draws replay_choice makes in one pass, at most: bounds its scratch.
+REPLAY_DRAWS = 1 << 14
+
+
+def replay_choice(rngs, m: int, tau: int, count: int, shuffle: bool = True) -> np.ndarray:
+    """What ``count`` successive ``rng.choice(m, tau, replace=False)`` calls
+    return for each generator of ``rngs``, as a (count, T, tau) stack, with
+    every generator left in the state those calls leave.  With ``shuffle``
+    False each row holds the same values in Floyd's order, for callers that
+    sort them; the shuffle's draws are still made.
+
+    Such a call makes 2 tau - 1 draws, each Lemire's bounded integer
+    (u * bound) >> 32 of one uint32 u of the generator's stream: Floyd's
+    sample takes bound j + 1 for j = m - tau ... m - 1 (j = 0 draws
+    nothing), then its shuffle i + 1 for i = tau - 1 ... 1.  Here each
+    generator makes all its draws of a pass in one ``integers`` call.  Lemire
+    rejects u when its low word is below 2**32 mod bound and draws again; a
+    generator with a rejected u among its draws is put back and drawn by
+    ``choice``, and so is every generator where ``choice`` does not take
+    Floyd's algorithm or draws 64-bit words (m > 2**32).
+    """
+    rngs = list(rngs)
+    out = np.empty((count, len(rngs), tau), dtype=np.int64)
+    if m > 1 << 32 or (m > CHOICE_FLOYD_MAX and tau > m // 50):
+        for t, rng in enumerate(rngs):
+            _choice_calls(rng, m, tau, out[:, t])
+        return out
+    low = m - tau  # Floyd's first j
+    bounds = np.concatenate([np.arange(max(low, 1) + 1, m + 1),
+                             np.arange(tau, 1, -1)]).astype(np.uint64)
+    thresholds = ((1 << 32) % bounds).astype(np.uint32)
+    per_call, floyd = len(bounds), len(bounds) - (tau - 1)
+    # A pass: up to ``steps`` calls of ``group`` generators (choice(1, 1)
+    # draws nothing, counted as one draw).
+    steps = max(1, min(count, REPLAY_DRAWS // max(per_call, 1)))
+    group = max(1, REPLAY_DRAWS // (max(per_call, 1) * steps))
+    for k in range(0, count, steps):
+        block = out[k:k + steps]
+        for t in range(0, len(rngs), group):
+            batch = rngs[t:t + group]
+            states = [rng.bit_generator.state for rng in batch]
+            prod = np.stack([rng.integers(1 << 32, size=(len(block), per_call), dtype=np.uint32)
+                             for rng in batch], axis=1) * bounds
+            rejected = (prod.astype(np.uint32) < thresholds).any(axis=(0, 2))
+            prod >>= 32
+            vals = prod.view(np.int64).reshape(len(block) * len(batch), per_call)
+            J = _floyd_sample(vals[:, :floyd], low, tau)
+            if shuffle:
+                _shuffle(J, vals[:, floyd:])
+            block[:, t:t + group] = J.reshape(len(block), len(batch), tau)
+            for i in np.flatnonzero(rejected).tolist():
+                batch[i].bit_generator.state = states[i]
+                _choice_calls(batch[i], m, tau, block[:, t + i])
+    return out
+
+
+def _choice_calls(rng: np.random.Generator, m: int, tau: int, out: np.ndarray) -> None:
+    """Fill each row of ``out`` by one ``rng.choice(m, tau, replace=False)``."""
+    for row in out:
+        row[:] = rng.choice(m, size=tau, replace=False)
+
+
+def _floyd_sample(vals: np.ndarray, low: int, tau: int) -> np.ndarray:
+    """Floyd's samples from their draws, one row per call: position p holds
+    its draw, or j = low + p where the draw is already held.  A draw is
+    held iff an earlier position drew the same value, or it is the j of an
+    earlier position q that held j itself; those chains run back to a
+    repeated draw, and a fixed point settles them.  Sorting value * tau +
+    position finds the repeats: O(tau log tau) a row, not O(tau^2)."""
+    if vals.shape[1] < tau:  # j = 0 draws nothing and holds 0
+        vals = np.concatenate([np.zeros((len(vals), 1), dtype=np.int64), vals], axis=1)
+    pos = np.arange(tau)
+    keys = vals * tau
+    keys += pos
+    keys.sort(axis=1)
+    value, at = np.divmod(keys, tau)
+    repeat = np.zeros(value.shape, dtype=bool)
+    np.equal(value[:, 1:], value[:, :-1], out=repeat[:, 1:])
+    held = np.empty_like(repeat)
+    np.put_along_axis(held, at, repeat, axis=1)
+    q = vals - low
+    chained = (q >= 0) & (q < pos)
+    if chained.any():
+        q, repeated = np.where(chained, q, 0), held
+        while True:
+            settled = repeated | (chained & np.take_along_axis(held, q, axis=1))
+            if np.array_equal(settled, held):
+                break
+            held = settled
+    return np.where(held, low + pos, vals)
+
+
+def _shuffle(J: np.ndarray, draws: np.ndarray) -> None:
+    """``choice``'s shuffle of each row of J, in place: for i = tau - 1 ...
+    1, swap entries i and draws[:, tau - 1 - i]."""
+    rows = np.arange(len(J))
+    for c, i in enumerate(range(J.shape[1] - 1, 0, -1)):
+        k = draws[:, c]
+        J[:, i], J[rows, k] = J[rows, k], J[:, i].copy()
 
 
 @dataclass(frozen=True)
@@ -52,14 +160,17 @@ class UniformSubset(Kind):
         return J
 
     def draws(self, rngs, count: int) -> np.ndarray:
-        """``BlockStream``'s next draws, (steps, trials, tau): ``count`` steps
-        of one row, or one step of tau > 1 rows, which take one ``choice``
-        call per draw whether drawn ahead or not."""
+        """``BlockStream``'s next draws, (steps, trials, tau) sorted rows:
+        ``count`` steps, fewer where they would hold more than
+        ``AHEAD_VALUES`` indices.  One-row blocks are one call with
+        ``size=count``, larger ones ``replay_choice``'s replay of
+        ``choice``."""
         if self.tau == 1:
             return np.stack([rng.integers(self.m, size=(count, 1)) for rng in rngs], axis=1)
-        J = np.stack([rng.choice(self.m, size=self.tau, replace=False) for rng in rngs])
+        count = min(count, max(1, AHEAD_VALUES // (len(rngs) * self.tau)))
+        J = replay_choice(rngs, self.m, self.tau, count, shuffle=False)
         J.sort(axis=-1)
-        return J[None]
+        return J
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
         return [(None, draw)]
@@ -91,7 +202,10 @@ class UniformSubset(Kind):
             combos = itertools.combinations(range(self.m), self.tau)
             return [(self.tau, combos)], EXACT_ENUMERATION
         rng = np.random.default_rng(seed)
-        supports = (rng.choice(self.m, size=self.tau, replace=False) for _ in range(budget))
+        per_call = max(1, AHEAD_VALUES // self.tau)
+        supports = itertools.chain.from_iterable(
+            replay_choice([rng], self.m, self.tau, min(per_call, budget - k))[:, 0]
+            for k in range(0, budget, per_call))
         return [(self.tau, supports)], MONTE_CARLO
 
     def weight_bounds(self, base: np.ndarray) -> tuple[float, float]:
@@ -283,7 +397,7 @@ def sample_block(spec: SamplingSpec, rng: np.random.Generator) -> np.ndarray:
     return spec.sample(rng)
 
 
-# Steps of draws a BlockStream makes at once where it can draw ahead.
+# Steps of draws a BlockStream makes at once, at most.
 DRAW_AHEAD = 256
 
 
@@ -293,12 +407,15 @@ class BlockStream:
 
     ``next()`` makes every live trial's next draw with the values and the
     generator use of ``sample_block``, by the spec's ``draws`` up to
-    ``DRAW_AHEAD`` steps ahead (never past ``steps``); the generators serve
-    nothing else, so drawing ahead of a trial that stops early changes
-    nothing it returns.  A draw has a leading trial axis, except in a
-    stream of one generator.  The spec's ``groups(draw)`` gives the drawn
-    rows as (trials, J) pairs, J (L_g, tau_g) (no L_g axis for one
-    generator), one per block size, trials None meaning all.
+    ``DRAW_AHEAD`` steps ahead (never past ``steps``): one ``integers`` or
+    ``choice`` call with ``size`` per generator for one-row and partition
+    draws, ``replay_choice``'s replay of the ``choice`` calls for uniform
+    blocks of tau > 1 rows.  The generators serve nothing else, so drawing
+    ahead of a trial that stops early changes nothing it returns.  A draw
+    has a leading trial axis, except in a stream of one generator.  The
+    spec's ``groups(draw)`` gives the drawn rows as (trials, J) pairs, J
+    (L_g, tau_g) (no L_g axis for one generator), one per block size,
+    trials None meaning all.
     """
 
     def __init__(self, spec: SamplingSpec, rngs, steps: int):

@@ -338,16 +338,18 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
         raise ValueError("need at least 2 trials")
     run = Trials(config, system, trial_generators(config.seed, trials))
     stats = {}
-    for name in ("residual_sq", "dist_sq", "iterates"):
-        if name in run.columns:
-            stacked = run.column(name, config.max_iters + 1)
-            if name == "residual_sq":
-                stacked = np.sqrt(stacked)
-            mean = stacked.mean(axis=0)
-            # The spread about trial 0: identical trials give exactly 0, where
-            # the rounded mean of equal values would leave residue.
-            stacked -= stacked[0]
-            stats[name] = mean, stacked.std(axis=0, ddof=1) / np.sqrt(trials)
+    # A diverged trial's inf (inf - inf is NaN) is reported by its status.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in ("residual_sq", "dist_sq", "iterates"):
+            if name in run.columns:
+                stacked = run.column(name, config.max_iters + 1)
+                if name == "residual_sq":
+                    stacked = np.sqrt(stacked)
+                mean = stacked.mean(axis=0)
+                # The spread about trial 0: identical trials give exactly 0,
+                # where the rounded mean of equal values would leave residue.
+                stacked -= stacked[0]
+                stats[name] = mean, stacked.std(axis=0, ddof=1) / np.sqrt(trials)
     hits = [k if status == CONVERGED else -1 for k, status in zip(run.iterations, run.status)]
     return MonteCarloSummary(
         trials,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -66,7 +67,8 @@ class TestSolve:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"method": "basic", "sampling": "uniform:1",
                                     "stepsize": stepsize, "max_iters": 2000, "seed": 1}))
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():  # exit code 4 reports it, not a RuntimeWarning
+            warnings.simplefilter("error", RuntimeWarning)
             code = run_cli("solve", "--recipe", "gaussian:50x20", "--seed", "1",
                            "--config", str(path))
         assert code == 4

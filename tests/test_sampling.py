@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from kaczlab import sampling
 from kaczlab.analysis import block_lambda_max
 from kaczlab.errors import BadBlockCountError, TooLargeError
 from kaczlab.linalg import LinearSystem
@@ -24,6 +25,7 @@ from kaczlab.sampling import (
     partition_spec,
     paving_from_json,
     paving_to_json,
+    replay_choice,
     sample_block,
     sampling_from_dict,
     support_count,
@@ -278,14 +280,84 @@ def test_full_batch_is_single_block():
     assert membership_probability(spec, 2) == pytest.approx(1.0)
 
 
+def _generators(bit_generator, seed: int, count: int) -> list[np.random.Generator]:
+    """``count`` generators on ``bit_generator``, each with one uint32 drawn:
+    PCG64, Philox and SFC64 then hold the other half of a 64-bit word."""
+    rngs = [np.random.Generator(bit_generator([seed, t])) for t in range(count)]
+    for rng in rngs:
+        rng.integers(1 << 32, dtype=np.uint32)
+    return rngs
+
+
+def _state(rng: np.random.Generator) -> str:
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A copy of ``rng`` after ``draws`` more uint32 draws."""
+    copy = np.random.Generator(type(rng.bit_generator)(0))
+    copy.bit_generator.state = rng.bit_generator.state
+    copy.integers(1 << 32, size=draws, dtype=np.uint32)
+    return copy
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("m,tau,counts", [
+    (50, 3, (3, 40)),
+    (2000, 8, (3, 40)),
+    (2000, 64, (3, 40)),
+    (5, 5, (3, 40)),  # tau = m: Floyd's j = 0 draws nothing
+    (64, 64, (3, 40)),
+    (2**31, 3, (3, 40)),
+    (12000, 3, (3, 40)),  # m > 10000 but tau <= m // 50: still Floyd's
+    (10001, 300, (2, 3)),  # tau > m // 50: a tail shuffle, drawn by choice
+    # Two of Floyd's three bounds just above 2**31: Lemire rejects about
+    # half their draws, and a generator that rejects is drawn by choice.
+    (2**31 + 2, 3, (1, 6)),
+], ids=["50-3", "2000-8", "2000-64", "5-5", "64-64", "2^31-3", "12000-3", "tail-shuffle",
+        "rejecting"])
+def test_uniform_draws_replay_choice(m, tau, counts, bit_generator):
+    # Two consecutive batches: every value, in choice's order, and every
+    # generator's state afterwards are those of per-call choice.
+    # Seed 7 gives the rejecting case a mixed stack on every bit generator.
+    ref, rngs = _generators(bit_generator, 7, 6), _generators(bit_generator, 7, 6)
+    plain = [_advanced(rng, counts[0] * (2 * tau - 1 - (tau == m))) for rng in rngs]
+    for batch, count in enumerate(counts):
+        expected = np.array([[rng.choice(m, size=tau, replace=False) for rng in ref]
+                             for _ in range(count)])
+        got = replay_choice(rngs, m, tau, count)
+        assert got.shape == (count, 6, tau) and np.array_equal(got, expected)
+        assert [_state(rng) for rng in rngs] == [_state(rng) for rng in ref]
+        if batch == 0 and m == 2**31 + 2:
+            # The stack mixes generators that rejected (drew more than
+            # 2 tau - 1 words a call) with ones that did not.
+            rejected = [_state(a) != _state(b) for a, b in zip(ref, plain)]
+            assert any(rejected) and not all(rejected)
+
+
+def test_sampled_supports_replay_choice(monkeypatch):
+    # block_lambda_max's sampled supports, drawn 7 a call: choice's values
+    # in choice's (unsorted) order.
+    monkeypatch.setattr(sampling, "ENUMERATION_CAP", 10)
+    monkeypatch.setattr(sampling, "AHEAD_VALUES", 7 * 4)
+    ((size, supports),), mode = UniformSubset(30, 4).support_groups(20, seed=9)
+    rng = np.random.default_rng(9)
+    assert size == 4 and mode == sampling.MONTE_CARLO
+    assert [J.tolist() for J in supports] == [rng.choice(30, size=4, replace=False).tolist()
+                                              for _ in range(20)]
+
+
 @pytest.mark.parametrize("spec", [
     UniformSubset(9, 1),
     UniformSubset(9, 3),
+    UniformSubset(2**31, 3),
+    UniformSubset(2**31 + 2, 3),  # most draws reject: drawn by choice
     partition_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8)], [0.5, 0.2, 0.3]),
     # Every drawable block has 4 rows; the wider one is never drawn.
     partition_spec([range(i, i + 4) for i in range(0, 24, 4)] + [range(24, 30)],
                    [1 / 6] * 6 + [0.0]),
-], ids=["tau1", "tau3", "ragged-partition", "one-drawn-size"])
+], ids=["tau1", "tau3", "tau3-m2^31", "tau3-rejecting", "ragged-partition", "one-drawn-size"])
 def test_block_stream_replays_sample_block(spec):
     # Three trials drawn in lockstep, past one draw-ahead chunk, with trial 1
     # leaving the stack half-way: every draw is the one sample_block makes
@@ -326,3 +398,14 @@ def test_one_generator_stream_draws_without_trial_axis(spec):
         assert np.array_equal(stream.block(draw), J)
         ((trials, rows),) = stream.groups(draw)
         assert trials is None and np.array_equal(rows, J)
+
+
+def test_uniform_stream_draws_fewer_steps_under_the_value_cap(monkeypatch):
+    # 3 trials of 4 rows and a cap of 60 indices: 5 steps a call.
+    monkeypatch.setattr(sampling, "AHEAD_VALUES", 60)
+    spec, seeds = UniformSubset(20, 4), [3, 4, 5]
+    assert len(spec.draws([np.random.default_rng(seed) for seed in seeds], DRAW_AHEAD)) == 5
+    refs = [np.random.default_rng(seed) for seed in seeds]
+    stream = BlockStream(spec, [np.random.default_rng(seed) for seed in seeds], 12)
+    for _ in range(12):
+        assert np.array_equal(stream.next(), [sample_block(spec, rng) for rng in refs])
