@@ -161,10 +161,9 @@ class UniformSubset(Kind):
 
     def draws(self, rngs, count: int) -> np.ndarray:
         """``BlockStream``'s next draws, (steps, trials, tau) sorted rows:
-        ``count`` steps, fewer where they would hold more than
-        ``AHEAD_VALUES`` indices.  One-row blocks are one call with
-        ``size=count``, larger ones ``replay_choice``'s replay of
-        ``choice``."""
+        ``count`` steps of one row, a call with ``size=count``; or of tau >
+        1 rows, ``replay_choice``'s replay of ``choice``, fewer steps where
+        they would hold more than ``AHEAD_VALUES`` indices."""
         if self.tau == 1:
             return np.stack([rng.integers(self.m, size=(count, 1)) for rng in rngs], axis=1)
         count = min(count, max(1, AHEAD_VALUES // (len(rngs) * self.tau)))
