@@ -24,9 +24,8 @@ if TYPE_CHECKING:
     from .stepsize import WeightScheme
 
 
-# Supports per stacked eigensolve, at most; fewer where their rows would
-# take more than SUPPORT_CHUNK_BYTES.  Bounds the stack's memory.
-SUPPORT_CHUNK = 1024
+# The rows of one stacked eigensolve's supports take at most this many
+# bytes (at least one support a stack).  Bounds the stack's memory.
 SUPPORT_CHUNK_BYTES = 1 << 18
 
 
@@ -35,7 +34,7 @@ def _supports_lambda_max(system: LinearSystem, supports, tau: int) -> float:
     an iterable of tau-row index sequences, via the smaller Gram.  One
     stacked ``eigvalsh`` per chunk of supports; each value has the bits of
     a one-support call."""
-    chunk = max(1, min(SUPPORT_CHUNK, SUPPORT_CHUNK_BYTES // (tau * system.n * system.A.itemsize)))
+    chunk = max(1, SUPPORT_CHUNK_BYTES // (tau * system.n * system.A.itemsize))
     supports = iter(supports)
     val = -math.inf
     while J := list(itertools.islice(supports, chunk)):
@@ -61,22 +60,17 @@ def block_lambda_max(
     PARTITION_MAX for partitions, EXACT_ENUMERATION for uniform specs with
     C(m, tau) under the cap, else MONTE_CARLO, the maximum over ``budget``
     sampled supports (a lower bound).  A zero row raises ZeroRowError.
+    Evaluated once per system, spec, budget and seed: the system's cache
+    keeps the (value, mode).
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sampled support, got {budget}")
-    system.check_nonzero_rows()
-    groups, mode = spec.support_groups(budget, seed)
-    return max(_supports_lambda_max(system, supports, size) for size, supports in groups), mode
-
-
-def cached_block_lambda_max(
-    system: LinearSystem, spec: SamplingSpec, budget: int = 1000, seed: int = 0
-) -> tuple[float, str]:
-    """``block_lambda_max``, evaluated once per system, spec, budget and
-    seed: the value is kept in the system's cache."""
     key = ("block_lambda_max", spec, budget, seed)
     if key not in system.cache:
-        system.cache[key] = block_lambda_max(system, spec, budget=budget, seed=seed)
+        system.check_nonzero_rows()
+        groups, mode = spec.support_groups(budget, seed)
+        system.cache[key] = max(_supports_lambda_max(system, supports, size)
+                                for size, supports in groups), mode
     return system.cache[key]
 
 
@@ -121,7 +115,7 @@ def build_conditioning_report(
     budget: int = 1000,
     seed: int = 0,
 ) -> ConditioningReport:
-    lam_block, mode = cached_block_lambda_max(system, spec, budget, seed)
+    lam_block, mode = block_lambda_max(system, spec, budget, seed)
     W = build_W(system, spec)
     spec_W = sym_eigenvalues(W)
     gram = system.gram_spectrum

@@ -117,7 +117,6 @@ class Trials:
         if tol is None:
             tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
         self.tol_sq = square_threshold(tol)
-        self.uniform_weights = config.weights.kind == "uniform"
 
         x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n)
         self.T = T = len(seeds)
@@ -211,12 +210,13 @@ class Trials:
         moved are ``adaptive_step``'s; otherwise alpha is the one given.
         moved is None when no step is skipped."""
         config, system = self.config, self.system
+        step_weights = config.weights.step_weights
         out = None
         for sel, J in self.stream.groups(draw):
             Xg = X if sel is None else X[sel]
             step_alpha, moved = alpha, None
             if alpha is None:
-                new, step_alpha, moved = adaptive_step(Xg, system, J, self._weights(J),
+                new, step_alpha, moved = adaptive_step(Xg, system, J, step_weights(system, J),
                                                        config.stepsize.delta)
             elif self.pinvs is not None:
                 pinv = self.pinvs.take(draw if sel is None else draw[sel], J.shape[-1])
@@ -224,7 +224,7 @@ class Trials:
             elif config.method == BLOCK_PROJECTION:
                 new = block_projection_step(Xg, system, J, alpha)
             else:
-                new = averaged_step(Xg, system, J, self._weights(J), alpha)
+                new = averaged_step(Xg, system, J, step_weights(system, J), alpha)
             if sel is None:
                 return new, step_alpha, (None if moved is None or moved.all() else moved)
             if out is None:
@@ -234,17 +234,6 @@ class Trials:
             if moved is not None:
                 all_moved[sel] = moved
         return out, alphas, (None if all_moved.all() else all_moved)
-
-    def _weights(self, J: np.ndarray) -> np.ndarray | float | None:
-        """The realized weights of the blocks J, or a scalar standing for
-        all of them; None for weight 1: one-row blocks (every block of the
-        basic method), whose realized weight is exactly 1.0."""
-        tau = J.shape[-1]
-        if tau == 1:
-            return None
-        if self.uniform_weights:
-            return 1.0 / tau
-        return self.config.weights.realized(self.system, J)
 
     def column(self, name: str, width: int) -> np.ndarray:
         """One column as a C-contiguous (T, width, ...) stack; a trial's

@@ -151,9 +151,6 @@ class LinearSystem:
         (``np.matvec``), each with the bits of ``A @ x - b``."""
         return np.matvec(self.A, x) - self.b
 
-    def residual_norm(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.residual(x)))
-
 
 @dataclass(frozen=True, eq=False)
 class RowScaling:

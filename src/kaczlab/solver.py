@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .analysis import cached_block_lambda_max
+from .analysis import block_lambda_max
 from .engine import (
     CONVERGED,
     DIVERGED,
@@ -394,7 +394,7 @@ def config_from_dict(doc: dict, system: LinearSystem, budget: int = 1000) -> Sol
         check_covers(spec, system)
     max_iters = number_field(doc, "max_iters", int)
     derived = {
-        "lambda_max_block": lambda: cached_block_lambda_max(system, spec, budget, seed)[0],
+        "lambda_max_block": lambda: block_lambda_max(system, spec, budget, seed)[0],
         "lambda_min": lambda: _positive_lambda_min(system),
         "lambda_max": lambda: system.gram_spectrum.lambda_max,
         "m": lambda: system.m,

@@ -109,6 +109,18 @@ class WeightScheme:
             w = self._base[J]
         return w / w.sum(axis=-1, keepdims=True)
 
+    def step_weights(self, system: LinearSystem, J: np.ndarray) -> np.ndarray | float | None:
+        """The weights the averaged kernels take for the blocks J (..., tau):
+        None for weight 1 on one-row blocks (every block of the basic
+        method), whose realized weight is exactly 1.0; the scalar 1/tau
+        standing for uniform weights; else ``realized``."""
+        tau = J.shape[-1]
+        if tau == 1:
+            return None
+        if self.kind == "uniform":
+            return 1.0 / tau
+        return self.realized(system, J)
+
     def to_dict(self) -> dict:
         return {"kind": self.kind} | ({} if self.base is None else {"values": list(self.base)})
 

@@ -45,12 +45,12 @@ from kaczlab import (
     row_norm_sq_weights,
     run_monte_carlo,
     run_solver,
-    sample_block,
     spectral_norm_sq,
     split_seed,
     sym_eigenvalues,
     uniform_weights,
 )
+from kaczlab.kernels import averaged_step
 from kaczlab.problems import aligned_partition
 from kaczlab.solver import CONVERGED, FULL_ITERATES
 
@@ -311,10 +311,16 @@ def test_criterion_09_exact_expectation_oracle():
         closed = x_star + (x0 - x_star) - (alpha / m) * (system.A.T @ (system.A @ (x0 - x_star)))
         worst_exact = max(worst_exact, float(np.max(np.abs(expected - closed))))
 
+        # All trials' blocks in one call, each step from x0 on one stack:
+        # the values, generator use and bits of sample_block and rbk_step
+        # trial by trial.
+        drawn = spec.draws([rng], trials)[:, 0]
+        assert len(drawn) == trials
+        X0 = np.broadcast_to(x0, (trials, n))
         draws = np.empty((trials, n))
-        for t in range(trials):
-            J = sample_block(spec, rng)
-            draws[t] = rbk_step(x0, system, J, scheme.realized(system, J), alpha)
+        for sel, J in spec.groups(drawn):
+            rows = slice(None) if sel is None else sel
+            draws[rows] = averaged_step(X0[rows], system, J, scheme.realized(system, J), alpha)
         mean = draws.mean(axis=0)
         stderr = draws.std(axis=0, ddof=1) / np.sqrt(trials)
         worst_mc = max(worst_mc, float(np.max(np.abs(mean - closed) / (4.0 * stderr + 1e-15))))

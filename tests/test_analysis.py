@@ -10,7 +10,6 @@ from kaczlab.analysis import (
     PARTITION_MAX,
     block_lambda_max,
     build_W,
-    cached_block_lambda_max,
     build_conditioning_report,
     paving_quality,
     predict_rates,
@@ -140,7 +139,7 @@ def test_laws_are_values_and_systems_compare_by_identity():
     a = Partition(((0,), (1,), (2,)), [0.5, 0.5, 0.0])
     b = Partition(((0,), (1,), (2,)), [0.5, 0.5, -0.0])
     assert a == b and hash(a) == hash(b) and {a: 1}.get(b) == 1
-    assert cached_block_lambda_max(system, a) == cached_block_lambda_max(system, b)
+    assert block_lambda_max(system, a) == block_lambda_max(system, b)
     assert sum(key[0] == "block_lambda_max" for key in system.cache) == 1
     assert (LinearSystem(system.A, system.b) == LinearSystem(system.A, system.b)) is False
     assert system == system

@@ -74,6 +74,20 @@ class TestSolve:
         assert code == 4
         assert capsys.readouterr().out.startswith("diverged: k=362 residual=inf")
 
+    def test_stalled_exit_code(self, tmp_path, capsys):
+        # The only block ever drawn, row 0, is solved at x0 = 0: every
+        # adaptive step skips, and the 100th skip stalls the run.
+        mmio.write_matrix(tmp_path / "A.mtx", np.eye(2))
+        mmio.write_vector(tmp_path / "b.txt", [0.0, 1.0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "method": "basic", "stepsize": {"kind": "adaptive"}, "max_iters": 500, "seed": 1,
+            "sampling": {"kind": "partition", "blocks": [[0], [1]], "probs": [1.0, 0.0]}}))
+        code = run_cli("solve", "--matrix", str(tmp_path / "A.mtx"),
+                       "--rhs", str(tmp_path / "b.txt"), "--config", str(path))
+        assert code == 3
+        assert capsys.readouterr().out.startswith("stalled: k=100 ")
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

@@ -1,5 +1,6 @@
-"""Each sampling law, stepsize policy and problem recipe answers for
-itself: no module dispatches on the kinds of a union with ``isinstance``.
+"""Each sampling law, stepsize policy, problem recipe and weight scheme
+answers for itself: no module dispatches on the kinds of a union with
+``isinstance``, nor compares another object's ``kind`` with a string.
 Equality and hashing come from ``@dataclass``: no class writes ``__eq__``
 or ``__hash__``, and a dataclass with an array field passes ``eq=False``
 (a generated ``__eq__`` over arrays raises)."""
@@ -38,6 +39,45 @@ def dispatch_sites(path: Path) -> list[str]:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "isinstance" and len(node.args) == 2
             for name in _class_names(node.args[1]) if name in KIND_CLASSES]
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a name or a chain of attributes on one, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        owner = _dotted(node.value)
+        return None if owner is None else f"{owner}.{node.attr}"
+    return None
+
+
+def _is_string(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def kind_test_sites(path: Path) -> list[str]:
+    """Every test of ``X.kind`` against strings in ``path``, X anything but
+    ``self``, as ``file:line X.kind``: ``==`` or ``!=`` with a string,
+    either operand first, or ``in`` / ``not in`` a tuple, list or set of
+    strings (``in`` one string is a substring test, as of a dtype's kind)."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, a, b in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, (ast.Eq, ast.NotEq)) and (_is_string(a) or _is_string(b)):
+                tested = [a, b]
+            elif (isinstance(op, (ast.In, ast.NotIn))
+                  and isinstance(b, (ast.Tuple, ast.List, ast.Set))
+                  and b.elts and all(map(_is_string, b.elts))):
+                tested = [a]
+            else:
+                continue
+            for name in map(_dotted, tested):
+                if name is not None and name.endswith(".kind") and name != "self.kind":
+                    sites.append(f"{path.name}:{node.lineno} {name}")
+    return sites
 
 
 def _names_ndarray(annotation: ast.AST) -> bool:
@@ -101,6 +141,28 @@ def test_guard_sees_every_form(tmp_path):
     assert dispatch_sites(path) == ["probe.py:3 Partition", "probe.py:6 Partition",
                                     "probe.py:8 Partition", "probe.py:8 Adaptive",
                                     "probe.py:9 CoherentRows"]
+
+
+def test_no_kind_tests_outside_the_kind():
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in kind_test_sites(path)]
+    assert sites == []
+
+
+def test_kind_guard_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "class WeightScheme:\n"
+        "    def realized(self, J):\n"
+        "        return self.kind == 'uniform' or 'explicit' != self.kind\n"
+        "def f(config, spec, x):\n"
+        "    a = config.weights.kind == 'uniform'\n"
+        "    b = 'partition' != spec.kind\n"
+        "    c = spec.kind in ('uniform', 'partition')\n"
+        "    d = x.kind == x.other or x.kind == 3 or x.kinds == 'a' or x.dtype.kind in 'iu'\n"
+        "    return 0 < x.kind != 'basic'\n"
+    )
+    assert kind_test_sites(path) == ["probe.py:5 config.weights.kind", "probe.py:6 spec.kind",
+                                     "probe.py:7 spec.kind", "probe.py:9 x.kind"]
 
 
 def test_equality_comes_from_the_dataclass():
