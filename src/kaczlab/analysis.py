@@ -60,14 +60,17 @@ def block_lambda_max(
     PARTITION_MAX for partitions, EXACT_ENUMERATION for uniform specs with
     C(m, tau) under the cap, else MONTE_CARLO, the maximum over ``budget``
     sampled supports (a lower bound).  A zero row raises ZeroRowError.
-    Evaluated once per system, spec, budget and seed: the system's cache
-    keeps the (value, mode).
+    The system's cache keeps the latest (value, mode), so a config's
+    stepsize and its conditioning report share one evaluation while a
+    loop over many specs holds one spec's arrays, not all of them.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sampled support, got {budget}")
     key = ("block_lambda_max", spec, budget, seed)
     if key not in system.cache:
         system.check_nonzero_rows()
+        for old in [k for k in system.cache if k[0] == "block_lambda_max"]:
+            del system.cache[old]
         groups, mode = spec.support_groups(budget, seed)
         system.cache[key] = max(_supports_lambda_max(system, supports, size)
                                 for size, supports in groups), mode

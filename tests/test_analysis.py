@@ -139,7 +139,7 @@ def test_laws_are_values_and_systems_compare_by_identity():
     a = Partition(((0,), (1,), (2,)), [0.5, 0.5, 0.0])
     b = Partition(((0,), (1,), (2,)), [0.5, 0.5, -0.0])
     assert a == b and hash(a) == hash(b) and {a: 1}.get(b) == 1
-    assert block_lambda_max(system, a) == block_lambda_max(system, b)
+    assert block_lambda_max(system, b) is block_lambda_max(system, a)
     assert sum(key[0] == "block_lambda_max" for key in system.cache) == 1
     assert (LinearSystem(system.A, system.b) == LinearSystem(system.A, system.b)) is False
     assert system == system
@@ -245,6 +245,15 @@ class TestPavingQuality:
         system = LinearSystem(2 * np.eye(4), np.ones(4))
         with pytest.raises(NotNormalizedError):
             paving_quality(system, build_random_paving(0, 4, 2))
+
+    def test_cache_keeps_one_paving(self):
+        # Random pavings seldom repeat: the system's cache keeps the latest
+        # one's lambda_max^block, not every paving's arrays.
+        m = 12
+        system = LinearSystem(np.eye(m), np.ones(m), normalized=True)
+        for seed in range(20):
+            paving_quality(system, build_random_paving(seed, m, 3))
+        assert sum(key[0] == "block_lambda_max" for key in system.cache) == 1
 
     def test_log2_reference_reported(self):
         system = LinearSystem(np.eye(8), np.ones(8), normalized=True)

@@ -572,16 +572,18 @@ class TestExperiment:
     def test_block_lambda_computed_once_per_config(self, tmp_path, monkeypatch):
         # The constant-extrapolated stepsize and the theory factor use the
         # same lambda_max^block (same spec, budget and seed): one evaluation.
+        # Each law here has one support size, so each evaluation is one
+        # _supports_lambda_max call.
         import kaczlab.analysis
 
         calls = []
-        original = kaczlab.analysis.block_lambda_max
+        original = kaczlab.analysis._supports_lambda_max
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(kaczlab.analysis, "block_lambda_max", counted)
+        monkeypatch.setattr(kaczlab.analysis, "_supports_lambda_max", counted)
         plan = {
             "recipe": "gaussian:12x5", "trials": 2, "budget": 20,
             "outputs": {"dir": str(tmp_path / "out")},
@@ -595,7 +597,7 @@ class TestExperiment:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
         assert run_cli("experiment", str(plan_path)) == 0
-        assert len(calls) == 2
+        assert calls == [3, 3]  # uniform:3, then partition:3 (blocks of 3 rows)
 
     def test_unknown_partition_probs_is_an_error(self, tmp_path, capsys):
         plan = {
