@@ -14,7 +14,13 @@ one-trial computation, so T trials in lockstep replay T serial runs:
   ``a @ x`` (a stacked (T, tau, n) @ (T, n, 1) rounds differently);
 - a residual A x - b is ``np.matvec``, one gemv per trial like ``A @ x``
   (``LinearSystem.residual``), and its squared norm a self-``vecdot``, the
-  ddot ``np.linalg.norm`` takes the square root of;
+  ddot ``np.linalg.norm`` takes the square root of.  A stack of two or more
+  takes A in row blocks of about ``ROW_BLOCK_BYTES``, a multiple of 4 rows
+  each (``linalg.row_blocks``), so a block stays in cache for every
+  trial's gemv.  That keeps each row's bits only while the BLAS computes a
+  row the same in a block as in a whole gemv: never a one-row block (numpy
+  takes one row down another path), and ``linalg.matvec_blocks`` checks it
+  on a probe stack once per matrix, falling back to whole gemvs;
 - the sum over a block is ``block_sum``, which adds the rows in sequence
   like ``d += term``, in ascending row order (drawn blocks are sorted);
   np.add.reduce sums pairwise where the summed axis is innermost;

@@ -31,6 +31,10 @@ ZERO_ROW_NORM_SQ = 1e-28
 # b counts as outside range(A) when ||A A^+ b - b|| exceeds this times
 # 1 + ||b||.
 CONSISTENCY_TOL = 1e-6
+# Bytes of matrix rows one block of ``stacked_matvec`` holds: a quarter of
+# the 2 MB L2 it was sized on, so a block stays in cache for every gemv of
+# the stack (see ``row_blocks``).
+ROW_BLOCK_BYTES = 1 << 19
 
 
 def check_row_norms(norms_sq, rows=None) -> None:
@@ -40,6 +44,45 @@ def check_row_norms(norms_sq, rows=None) -> None:
     zero = np.flatnonzero(norms_sq < ZERO_ROW_NORM_SQ)
     if zero.size:
         raise ZeroRowError(int(zero[0] if rows is None else rows[zero[0]]))
+
+
+def row_blocks(m: int, n: int) -> list[slice]:
+    """The blocks of rows ``stacked_matvec`` takes an m x n matrix in: about
+    ROW_BLOCK_BYTES of float64 rows each, a multiple of 4 rows, the last
+    taking the remainder.  A gemv kernel takes rows in fours from the start
+    of its call and ends with a tail, so each row of a block is computed as
+    in one gemv over all m rows.  No block holds one row: numpy takes a
+    one-row matrix down another path, with other bits."""
+    rows = max(4, ROW_BLOCK_BYTES // (8 * n) // 4 * 4)
+    starts = range(0, m - 1, rows)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], m])]
+
+
+def stacked_matvec(M: np.ndarray, X: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """``np.matvec(M, X)`` of a stack X (..., n), one gemv per iterate and
+    block of rows of ``blocks``: a block stays in cache for all the stack's
+    gemvs instead of M streaming through once per iterate (Goto-van de
+    Geijn, ACM TOMS 2008)."""
+    out = np.empty(X.shape[:-1] + M.shape[:1])
+    for rows in blocks:
+        np.matvec(M[rows], X, out=out[..., rows])
+    return out
+
+
+def matvec_blocks(M: np.ndarray) -> list[slice] | None:
+    """M's ``row_blocks`` where a stack's ``stacked_matvec`` keeps the bits
+    of its ``np.matvec``, else None (one gemv per iterate over all of M).
+    None where M fits in one block, or where a probe stack of 8 iterates
+    differs in a bit: a threaded BLAS splits one gemv's rows between
+    threads, and a row at a split can be computed by the tail kernel in one
+    product and not in the other (at two OpenBLAS threads, a 2001 x 500
+    stack in 128-row blocks differs from whole gemvs in rows 1000 and
+    2000).  Where a row differs, most probe iterates show it."""
+    blocks = row_blocks(*M.shape)
+    if len(blocks) < 2:
+        return None
+    probe = np.random.default_rng(0).standard_normal((8, M.shape[1]))
+    return blocks if np.array_equal(stacked_matvec(M, probe, blocks), np.matvec(M, probe)) else None
 
 
 def as_matrix(A) -> np.ndarray:
@@ -146,10 +189,20 @@ class LinearSystem:
         """Raises :class:`InconsistentSystemError` when b is outside range(A)."""
         return SolutionProjector(self)
 
+    @cached_property
+    def matvec_blocks(self) -> list[slice] | None:
+        """``matvec_blocks`` of A, probed on first use: how ``residual``
+        takes A for a stack."""
+        return matvec_blocks(self.A)
+
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """A x - b; for a stack of iterates (..., n), one gemv per iterate
-        (``np.matvec``), each with the bits of ``A @ x - b``."""
-        return np.matvec(self.A, x) - self.b
+        """A x - b; for a stack of iterates (..., n), one gemv per iterate,
+        each with the bits of ``A @ x - b``.  A stack of two or more takes A
+        by ``matvec_blocks`` (``stacked_matvec``) where that keeps the bits;
+        one iterate, or A in one block, is one ``np.matvec``."""
+        if x.ndim == 1 or len(x) < 2 or self.matvec_blocks is None:
+            return np.matvec(self.A, x) - self.b
+        return stacked_matvec(self.A, x, self.matvec_blocks) - self.b
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,10 +312,20 @@ class SolutionProjector:
     def project(self, x: np.ndarray) -> np.ndarray:
         return x - (self.vt_r @ x - self.c) @ self.vt_r
 
+    @cached_property
+    def matvec_blocks(self) -> list[slice] | None:
+        """``matvec_blocks`` of V_r^T: how ``dist_sq`` takes it for a stack."""
+        return matvec_blocks(self.vt_r)
+
     def dist_sq(self, x: np.ndarray) -> np.ndarray:
         """||x - Pi_X(x)||^2 of one iterate (n,) or of each in a stack
-        (..., n), one gemv per iterate: each gets the bits of its own call."""
-        y = np.matvec(self.vt_r, x) - self.c
+        (..., n), one gemv per iterate: each gets the bits of its own call.
+        A stack of two or more takes V_r^T by ``matvec_blocks`` as
+        ``LinearSystem.residual`` takes A."""
+        if x.ndim == 1 or len(x) < 2 or self.matvec_blocks is None:
+            y = np.matvec(self.vt_r, x) - self.c
+        else:
+            y = stacked_matvec(self.vt_r, x, self.matvec_blocks) - self.c
         return np.vecdot(y, y)
 
 

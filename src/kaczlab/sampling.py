@@ -37,6 +37,9 @@ MONTE_CARLO = "monte-carlo-estimate"
 # arange(m) instead.
 CHOICE_FLOYD_MAX = 10_000
 # Uint32 draws replay_choice makes in one pass, at most: bounds its scratch.
+# A pass holds REPLAY_DRAWS // (2 tau - 1) calls; below 40 (tau above about
+# 200) its fixed cost outweighs per-call choice, so choice draws them
+# (timed at m = 2000: a pass of 41 calls still wins, one of 32 loses).
 REPLAY_DRAWS = 1 << 14
 
 
@@ -55,11 +58,13 @@ def replay_choice(rngs, m: int, tau: int, count: int, shuffle: bool = True) -> n
     rejects u when its low word is below 2**32 mod bound and draws again; a
     generator with a rejected u among its draws is put back and drawn by
     ``choice``, and so is every generator where ``choice`` does not take
-    Floyd's algorithm or draws 64-bit words (m > 2**32).
+    Floyd's algorithm or draws 64-bit words (m > 2**32), or where a pass
+    holds fewer than 40 calls (``REPLAY_DRAWS``).
     """
     rngs = list(rngs)
     out = np.empty((count, len(rngs), tau), dtype=np.int64)
-    if m > 1 << 32 or (m > CHOICE_FLOYD_MAX and tau > m // 50):
+    if (m > 1 << 32 or (m > CHOICE_FLOYD_MAX and tau > m // 50)
+            or REPLAY_DRAWS // (2 * tau - 1) < 40):
         for t, rng in enumerate(rngs):
             _choice_calls(rng, m, tau, out[:, t])
         return out

@@ -18,6 +18,7 @@ from kaczlab.linalg import (
     least_squares_min_norm,
     normalize_rows,
     project_onto_solution_set,
+    row_blocks,
     spectral_norm_sq,
     sym_eigenvalues,
 )
@@ -284,6 +285,35 @@ def test_projector_dist_sq_of_a_stack_is_per_iterate(recipe):
     stacked = system.projector.dist_sq(X)
     assert stacked.shape == (5,)
     assert np.array_equal(stacked, [system.projector.dist_sq(x) for x in X])
+
+
+@pytest.mark.parametrize("n", [1, 2, 500, 3000])
+def test_residual_of_a_stack_is_per_iterate(n):
+    # A row block holds 128 rows at n = 500 and 20 at n = 3000: m = 129,
+    # 130, 131 at n = 500, and 2000, 2001, 2003 at n = 3000, end in whole
+    # blocks and 1, 2 or 3 rows (one row joins the block before it).  At
+    # n = 1 and 2 every A is one block.  A row the BLAS computes by another
+    # kernel in a block than in one gemv over A, at the thread count this
+    # runs with, shows as a bit that differs.
+    rng = np.random.default_rng(n)
+    for m in (129, 130, 131, 2000, 2001, 2003):
+        blocks = row_blocks(m, n)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all((b.stop - b.start) % 4 == 0 for b in blocks[:-1])
+        assert min(b.stop - b.start for b in blocks) > 1  # no one-row block
+        A = rng.standard_normal((m, n))
+        system = LinearSystem(A, A @ rng.standard_normal(n))
+        # V_r^T is r x n with r = min(m, n).  The SVD of a 2000 x 3000 A
+        # takes seconds; at n = 3000, m = 129-131 gives V_r^T such rows.
+        projector = None if m * n * min(m, n) > 10**9 else system.projector
+        for T in (2, 3, 50):
+            X = rng.standard_normal((T, n))
+            R = system.residual(X)
+            assert R.shape == (T, m)
+            assert all(np.array_equal(R[t], A @ X[t] - system.b) for t in range(T))
+            if projector is not None:
+                assert np.array_equal(projector.dist_sq(X), [projector.dist_sq(x) for x in X])
 
 
 def test_system_with_projector_is_freed_without_gc():

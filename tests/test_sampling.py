@@ -205,14 +205,15 @@ class TestPaving:
         # Each index should land in each block with near-uniform frequency
         # across seeds (permutation uniformity).
         m, ell, trials = 6, 3, 10**5
-        counts = np.zeros((m, ell))
         rng = np.random.default_rng(0)
         # build_random_paving consumes an integer seed; draw them in bulk.
         seeds = rng.integers(0, 2**63, size=trials)
-        for s in seeds:
-            paving = build_random_paving(int(s), m, ell)
-            for l, blk in enumerate(paving.blocks):
-                counts[list(blk), l] += 1
+        # Each trial's rows in block order; every paving of m rows into ell
+        # blocks cuts the same sizes, so position p lies in block[p].
+        rows = np.array([[i for blk in build_random_paving(int(s), m, ell).blocks for i in blk]
+                         for s in seeds])
+        block = np.repeat(np.arange(ell), [len(blk) for blk in build_random_paving(0, m, ell).blocks])
+        counts = np.bincount((rows * ell + block).ravel(), minlength=m * ell).reshape(m, ell)
         np.testing.assert_allclose(counts / trials, 1 / ell, atol=0.02)
 
     def test_json_roundtrip_one_based(self):
@@ -315,8 +316,11 @@ def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
     # Two of Floyd's three bounds just above 2**31: Lemire rejects about
     # half their draws, and a generator that rejects is drawn by choice.
     (2**31 + 2, 3, (1, 6)),
+    # A pass holds fewer than 40 calls: drawn by choice.
+    (2000, 300, (3, 40)),
+    (2000, 1000, (3, 40)),
 ], ids=["50-3", "2000-8", "2000-64", "5-5", "64-64", "2^31-3", "12000-3", "tail-shuffle",
-        "rejecting"])
+        "rejecting", "2000-300", "2000-1000"])
 def test_uniform_draws_replay_choice(m, tau, counts, bit_generator):
     # Two consecutive batches: every value, in choice's order, and every
     # generator's state afterwards are those of per-call choice.
