@@ -35,7 +35,7 @@ from .kernels import (
     factored_projection_step,
 )
 from .linalg import LinearSystem, as_vector
-from .sampling import BlockStream, check_covers
+from .sampling import BlockStream, WordSource, check_covers
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -50,6 +50,8 @@ CONVERGED = "converged"
 DIVERGED = "diverged"
 MAX_ITERS = "max-iters"
 STALLED = "stalled"
+# A finished trial's status, by the code ``Trials._run`` writes.
+_STATUSES = np.array([MAX_ITERS, STALLED, CONVERGED, DIVERGED], dtype=object)
 
 
 def pad_to(series: np.ndarray, length: int) -> np.ndarray:
@@ -81,16 +83,19 @@ def runs_on(s, tol_sq: float):
 
 class Trials:
     """T runs of one configuration advanced in lockstep, trial t drawing its
-    blocks from ``np.random.default_rng(seeds[t])``, ``seeds[t]`` a seed or
-    a Generator; a trial that stops leaves the stack.
+    blocks from ``np.random.default_rng(seeds[t])``, ``seeds[t]`` a seed
+    (an int or a seed sequence) or a Generator; a trial that stops leaves
+    the stack.  Generators built from seeds alone are the stream's own
+    (``WordSource``), so their buffers are never read or written.
 
     Each step appends one entry to every column (``residual_sq``, the
     squared residual norm; ``dist_sq`` with diagnostics; ``alpha`` of
     adaptive runs; ``iterates`` at trace level ``iterates``): the values of
     all trials, a trial that has stopped keeping its last value.  After the
     run, ``iterations``, ``status`` and ``final_x`` hold each trial's K,
-    status and x^K, ``series`` gives a column as recorded and ``column`` a
-    padded one; ``blocks`` gives the drawn blocks of a run of one trial.
+    status and x^K (lists, and a (T, n) array), ``series`` gives a column
+    as recorded and ``column`` a padded one; ``blocks`` gives the drawn
+    blocks of a run of one trial.
     """
 
     def __init__(self, config: SolverConfig, system: LinearSystem, seeds,
@@ -121,11 +126,13 @@ class Trials:
         x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n)
         self.T = T = len(seeds)
         self.single = T == 1
-        self.stream = BlockStream(config.sampling, map(np.random.default_rng, seeds),
+        owned = not any(issubclass(kind, (np.random.Generator, np.random.BitGenerator))
+                        for kind in set(map(type, seeds)))
+        self.stream = BlockStream(config.sampling,
+                                  WordSource(map(np.random.default_rng, seeds), owned),
                                   config.max_iters)
-        self.iterations = [0] * T
-        self.status = [MAX_ITERS] * T
-        self.final_x = [None] * T
+        iterations, codes = np.zeros(T, dtype=int), np.zeros(T, dtype=int)
+        self.final_x = np.empty((T, system.n))
         # A one-trial run's draws (from k = 1), for ``blocks``.
         self.drawn = [] if self.single else None
         self.columns = {"residual_sq": []}
@@ -138,29 +145,25 @@ class Trials:
         # A diverging trial overflows, and inf - inf gives NaN: its status,
         # DIVERGED, reports that, not numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._run(x if self.single else np.repeat(x[None], T, axis=0))
+            self._run(x if self.single else np.repeat(x[None], T, axis=0), iterations, codes)
+        self.iterations, self.status = iterations.tolist(), _STATUSES[codes].tolist()
 
-    def _finish(self, t: int, k: int, x: np.ndarray, s, skips) -> None:
-        self.iterations[t], self.final_x[t] = k, x
-        if not runs_on(s, self.tol_sq):
-            self.status[t] = CONVERGED if s <= self.tol_sq else DIVERGED
-        elif skips is not None and skips >= STALL_LIMIT:
-            self.status[t] = STALLED
-
-    def _run(self, X: np.ndarray) -> None:
+    def _run(self, X: np.ndarray, iterations: np.ndarray, codes: np.ndarray) -> None:
+        """Step the trials until each stops, writing its K, status code
+        (an index of ``_STATUSES``) and x^K as it leaves."""
         system, projector, stream = self.system, self.projector, self.stream
         max_iters, tol_sq, alphas, single = self.config.max_iters, self.tol_sq, self.alphas, self.single
         residual_sq, dist_sq, alpha_col, iterates = (
             self.columns.get(name) for name in ("residual_sq", "dist_sq", "alpha", "iterates"))
         drawn = self.drawn
-        live = list(range(self.T))
+        live = np.arange(self.T)
         # Appends a step's values to a column: as they are while every
         # trial is live, then written over a copy of the previous entry.
         record = list.append
 
         def carry(column: list, values) -> None:
             row = column[-1].copy()
-            row[rows] = values
+            row[live] = values
             column.append(row)
 
         # Consecutive skips per live trial; None while no trial is skipping.
@@ -177,26 +180,28 @@ class Trials:
                 record(alpha_col, alpha)
             if iterates is not None:
                 record(iterates, X)
-            stop = ~runs_on(s, tol_sq)
-            if skips is not None:
-                stop |= skips >= STALL_LIMIT
+            go = runs_on(s, tol_sq)
+            stalled = None if skips is None else skips >= STALL_LIMIT
+            stop = ~go if stalled is None else ~go | stalled
             if k == max_iters or (stop if single else stop.any()):
+                # Every trial that stops, at once: its status is CONVERGED or
+                # DIVERGED where it no longer runs on, else STALLED or MAX_ITERS.
+                if k == max_iters:
+                    stop = np.ones_like(stop)
+                code = np.where(go, 0 if stalled is None else stalled.astype(int),
+                                np.where(s <= tol_sq, 2, 3))
                 if single:
-                    self._finish(0, k, X, s, skips)
+                    iterations[0], codes[0], self.final_x[0] = k, code, X
                     return
-                go = []
-                for i, (t, halt) in enumerate(zip(live, stop.tolist())):
-                    if halt or k == max_iters:
-                        self._finish(t, k, X[i], s[i], None if skips is None else skips[i])
-                    else:
-                        go.append(i)
-                if not go:
+                ended = live[stop]
+                iterations[ended], codes[ended], self.final_x[ended] = k, code[stop], X[stop]
+                if len(ended) == len(live):
                     return
-                live = [live[i] for i in go]
-                X = X[go]
-                skips = None if skips is None else skips[go]
-                stream.keep(~stop)
-                rows, record = np.array(live), carry
+                keep = ~stop
+                live, X = live[keep], X[keep]
+                skips = None if skips is None else skips[keep]
+                stream.keep(keep)
+                record = carry
             k += 1
             draw = stream.next()
             if drawn is not None:

@@ -43,57 +43,198 @@ CHOICE_FLOYD_MAX = 10_000
 REPLAY_DRAWS = 1 << 14
 
 
+# Bit generators whose uint32 draw is the low half of a raw 64-bit word,
+# the high half kept in the state (``has_uint32``, ``uinteger``) for the next
+# draw.  Others (MT19937) draw each uint32 word by ``integers``.
+HALF_BUFFERED = (np.random.PCG64, np.random.Philox, np.random.SFC64)
+# A generator's buffer as the source knows it: empty, holding a half, or
+# unknown, where the generator's own state holds it (always, for MT19937).
+EMPTY, HELD, UNKNOWN = 0, 1, -1
+
+
+class WordSource:
+    """The uint32 words a ``Generator`` draws (``next_uint32``: what
+    ``integers(2**32, dtype=uint32)`` returns, and what Lemire's bounded
+    draws take), for each of several generators.
+
+    A ``HALF_BUFFERED`` generator's words come from one ``random_raw`` call
+    a fetch, and the source keeps its buffered half as numpy would.  That
+    needs its buffer: a source that ``owns`` its generators (built from
+    seeds, seen by no one else) knows that they start empty, and never
+    writes their states; otherwise a buffer is read from the state when the
+    source first fetches, and ``sync`` writes it back.  ``release`` hands
+    a generator over, buffer written, to a direct ``Generator`` call.
+    Other generators draw their words with ``integers``.
+    """
+
+    def __init__(self, rngs, owned: bool = False):
+        self.rngs = list(rngs)
+        self.owned = owned
+        self.bits = [rng.bit_generator for rng in self.rngs]
+        self.raw = np.array([type(bits) in HALF_BUFFERED for bits in self.bits], dtype=bool)
+        # Each buffer (EMPTY, HELD or UNKNOWN) and its last half, and where
+        # the generator's state does not record them.
+        self.has = np.where(self.raw & owned, EMPTY, UNKNOWN).astype(np.int8)
+        self.held = np.zeros(len(self.rngs), dtype=np.uint32)
+        self.stale = np.zeros(len(self.rngs), dtype=bool)
+
+    @classmethod
+    def of(cls, rngs) -> WordSource:
+        """``rngs`` if it is a source, else a source over those generators."""
+        return rngs if isinstance(rngs, cls) else cls(rngs)
+
+    def __len__(self) -> int:
+        return len(self.rngs)
+
+    def words(self, n: int, sel: slice) -> np.ndarray:
+        """The next ``n`` words of the generators in the slice ``sel``,
+        (generators, n)."""
+        has, idx = self.has[sel], range(len(self.rngs))[sel]
+        if has[0] != UNKNOWN and (has == has[0]).all():
+            return self._fetch(n, int(has[0]), sel, idx)
+        for t in idx:
+            if self.has[t] == UNKNOWN and self.raw[t]:
+                state = self.bits[t].state
+                self.has[t], self.held[t] = state["has_uint32"], state["uinteger"]
+        has = self.has[sel].copy()  # _fetch moves self.has on
+        out = np.empty((len(has), n), dtype=np.uint32)
+        for kind in np.unique(has).tolist():
+            at = np.flatnonzero(has == kind)
+            rows = at + idx.start
+            out[at] = self._fetch(n, kind, rows, rows.tolist())
+        return out
+
+    def _fetch(self, n: int, kind: int, rows, idx) -> np.ndarray:
+        """``words`` of the generators ``rows`` (a slice or indices; ``idx``
+        lists them), whose buffers are all ``kind``."""
+        if kind == UNKNOWN:
+            return np.stack([self.rngs[t].integers(1 << 32, size=n, dtype=np.uint32)
+                             for t in idx])
+        # A held half comes first, then each raw word's low and high halves.
+        # The state keeps the last high half, held while it is not drawn.
+        count = (n + 1 - kind) // 2
+        block = (np.stack([self.bits[t].random_raw(count) for t in idx]).astype("<u8", copy=False)
+                 .view("<u4") if count else np.empty((len(idx), 0), dtype=np.uint32))
+        if kind == HELD:
+            block = np.concatenate([self.held[rows, None], block], axis=1)
+        if count:
+            self.held[rows] = block[:, -1]
+        self.has[rows] = HELD if block.shape[1] > n else EMPTY
+        self.stale[rows] = True
+        return block[:, :n]
+
+    def bounded(self, bounds: np.ndarray, thresholds: np.ndarray, sel: slice) -> np.ndarray:
+        """Lemire's bounded draws (u * bound) >> 32 of the generators in the
+        slice ``sel``, (generators, D) for the D ``bounds`` (2 .. 2**32,
+        uint64) in turn.  A draw rejects u while its low word is below its
+        threshold, 2**32 mod bound, and draws again from the next word, as
+        numpy's ``integers`` and ``choice`` do."""
+        words = self.words(len(bounds), sel)
+        prod = words * bounds
+        accepted = prod.astype(np.uint32) >= thresholds
+        prod >>= 32
+        vals = prod.view(np.int64)
+        if not accepted.all():
+            for i in np.flatnonzero(~accepted.all(axis=1)).tolist():
+                t = range(len(self.rngs))[sel][i]
+                vals[i] = self._redraw(t, words[i], bounds, thresholds)
+        return vals
+
+    def _redraw(self, t: int, words: np.ndarray, bounds: np.ndarray,
+                thresholds: np.ndarray) -> np.ndarray:
+        """``bounded``'s draws of generator t, whose first len(bounds)
+        ``words`` reject at least once."""
+        out = np.empty(len(bounds), dtype=np.int64)
+        d = 0  # draws made
+        while True:
+            prod = words * bounds[d:]
+            accepted = prod.astype(np.uint32) >= thresholds[d:]
+            r = len(words) if accepted.all() else int(accepted.argmin())
+            out[d:d + r] = prod[:r] >> 32
+            d += r
+            if d == len(bounds):
+                return out
+            # Word r is rejected: the words after it serve draws d on, and
+            # one more word makes up for it.
+            words = np.concatenate([words[r + 1:], self.words(1, slice(t, t + 1))[0]])
+
+    def release(self, t: int) -> np.random.Generator:
+        """Generator t, its buffer written to its state, for direct calls;
+        the source reads the buffer again before it next fetches."""
+        self._write(t)
+        self.has[t] = UNKNOWN
+        return self.rngs[t]
+
+    def sync(self) -> None:
+        """Write every changed buffer back, unless the source owns the
+        generators (no one else sees them)."""
+        if not self.owned:
+            for t in np.flatnonzero(self.stale).tolist():
+                self._write(t)
+
+    def _write(self, t: int) -> None:
+        if self.stale[t]:
+            state = self.bits[t].state
+            state["has_uint32"], state["uinteger"] = int(self.has[t]), int(self.held[t])
+            self.bits[t].state = state
+            self.stale[t] = False
+
+    def keep(self, live: np.ndarray) -> None:
+        """Drop the generators where the boolean mask ``live`` is False."""
+        self.rngs = [rng for rng, keep in zip(self.rngs, live) if keep]
+        self.bits = [bits for bits, keep in zip(self.bits, live) if keep]
+        self.has, self.held, self.stale = self.has[live], self.held[live], self.stale[live]
+
+
 def replay_choice(rngs, m: int, tau: int, count: int, shuffle: bool = True) -> np.ndarray:
     """What ``count`` successive ``rng.choice(m, tau, replace=False)`` calls
-    return for each generator of ``rngs``, as a (count, T, tau) stack, with
-    every generator left in the state those calls leave.  With ``shuffle``
-    False each row holds the same values in Floyd's order, for callers that
-    sort them; the shuffle's draws are still made.
+    return for each generator of ``rngs`` (a list or a ``WordSource``), as
+    a (count, T, tau) stack, with every generator left in the state those
+    calls leave.  With ``shuffle`` False each row holds the same values in
+    Floyd's order, for callers that sort them; the shuffle's draws are still
+    made.
 
     Such a call makes 2 tau - 1 draws, each Lemire's bounded integer
     (u * bound) >> 32 of one uint32 u of the generator's stream: Floyd's
     sample takes bound j + 1 for j = m - tau ... m - 1 (j = 0 draws
     nothing), then its shuffle i + 1 for i = tau - 1 ... 1.  Here each
-    generator makes all its draws of a pass in one ``integers`` call.  Lemire
-    rejects u when its low word is below 2**32 mod bound and draws again; a
-    generator with a rejected u among its draws is put back and drawn by
-    ``choice``, and so is every generator where ``choice`` does not take
-    Floyd's algorithm or draws 64-bit words (m > 2**32), or where a pass
-    holds fewer than 40 calls (``REPLAY_DRAWS``).
+    generator makes all its draws of a pass from one fetch of the
+    ``WordSource``, rejected words included.  ``choice`` draws every
+    generator where it does not take Floyd's algorithm or draws 64-bit
+    words (m > 2**32), or where a pass holds fewer than 40 calls
+    (``REPLAY_DRAWS``).
     """
-    rngs = list(rngs)
-    out = np.empty((count, len(rngs), tau), dtype=np.int64)
+    words = WordSource.of(rngs)
+    T = len(words)
+    out = np.empty((count, T, tau), dtype=np.int64)
     if (m > 1 << 32 or (m > CHOICE_FLOYD_MAX and tau > m // 50)
             or REPLAY_DRAWS // (2 * tau - 1) < 40):
-        for t, rng in enumerate(rngs):
-            _choice_calls(rng, m, tau, out[:, t])
+        for t in range(T):
+            _choice_calls(words.release(t), m, tau, out[:, t])
+        words.sync()
         return out
     low = m - tau  # Floyd's first j
     bounds = np.concatenate([np.arange(max(low, 1) + 1, m + 1),
                              np.arange(tau, 1, -1)]).astype(np.uint64)
-    thresholds = ((1 << 32) % bounds).astype(np.uint32)
     per_call, floyd = len(bounds), len(bounds) - (tau - 1)
     # A pass: up to ``steps`` calls of ``group`` generators (choice(1, 1)
     # draws nothing, counted as one draw).
     steps = max(1, min(count, REPLAY_DRAWS // max(per_call, 1)))
     group = max(1, REPLAY_DRAWS // (max(per_call, 1) * steps))
+    bounds = np.tile(bounds, steps)
+    thresholds = ((1 << 32) % bounds).astype(np.uint32)
     for k in range(0, count, steps):
         block = out[k:k + steps]
-        for t in range(0, len(rngs), group):
-            batch = rngs[t:t + group]
-            states = [rng.bit_generator.state for rng in batch]
-            prod = np.stack([rng.integers(1 << 32, size=(len(block), per_call), dtype=np.uint32)
-                             for rng in batch], axis=1) * bounds
-            rejected = (prod.astype(np.uint32) < thresholds).any(axis=(0, 2))
-            prod >>= 32
-            vals = prod.view(np.int64).reshape(len(block) * len(batch), per_call)
+        draws = len(block) * per_call
+        for t in range(0, T, group):
+            vals = words.bounded(bounds[:draws], thresholds[:draws], slice(t, t + group))
+            batch = len(vals)
+            vals = vals.reshape(batch * len(block), per_call)
             J = _floyd_sample(vals[:, :floyd], low, tau)
             if shuffle:
                 _shuffle(J, vals[:, floyd:])
-            block[:, t:t + group] = J.reshape(len(block), len(batch), tau)
-            for i in np.flatnonzero(rejected).tolist():
-                batch[i].bit_generator.state = states[i]
-                _choice_calls(batch[i], m, tau, block[:, t + i])
+            block[:, t:t + group] = J.reshape(batch, len(block), tau).swapaxes(0, 1)
+    words.sync()
     return out
 
 
@@ -165,15 +306,29 @@ class UniformSubset(Kind):
         return J
 
     def draws(self, rngs, count: int) -> np.ndarray:
-        """``BlockStream``'s next draws, (steps, trials, tau) sorted rows:
-        ``count`` steps of one row, a call with ``size=count``; or of tau >
-        1 rows, ``replay_choice``'s replay of ``choice``, fewer steps where
+        """``BlockStream``'s next draws from ``rngs`` (a list of generators
+        or a ``WordSource``), (steps, trials, tau) sorted rows: ``count``
+        steps of one row, the values and generator states of a call
+        ``integers(m, size=count)``, Lemire's draws from the source's words
+        (m > 2**32 draws 64-bit words: that call itself); or of tau > 1
+        rows, ``replay_choice``'s replay of ``choice``, fewer steps where
         they would hold more than ``AHEAD_VALUES`` indices."""
-        if self.tau == 1:
-            return np.stack([rng.integers(self.m, size=(count, 1)) for rng in rngs], axis=1)
-        count = min(count, max(1, AHEAD_VALUES // (len(rngs) * self.tau)))
-        J = replay_choice(rngs, self.m, self.tau, count, shuffle=False)
-        J.sort(axis=-1)
+        words = WordSource.of(rngs)
+        if self.tau > 1:
+            count = min(count, max(1, AHEAD_VALUES // (len(words) * self.tau)))
+            J = replay_choice(words, self.m, self.tau, count, shuffle=False)
+            J.sort(axis=-1)
+            return J
+        if self.m == 1:
+            return np.zeros((count, len(words), 1), dtype=np.int64)
+        if self.m > 1 << 32:
+            J = np.stack([words.release(t).integers(self.m, size=(count, 1))
+                          for t in range(len(words))], axis=1)
+        else:
+            bounds = np.full(count, self.m, dtype=np.uint64)
+            thresholds = np.full(count, (1 << 32) % self.m, dtype=np.uint32)
+            J = words.bounded(bounds, thresholds, slice(None)).T.reshape(count, -1, 1)
+        words.sync()
         return J
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
@@ -205,10 +360,10 @@ class UniformSubset(Kind):
         if self.support_count() <= ENUMERATION_CAP:
             combos = itertools.combinations(range(self.m), self.tau)
             return [(self.tau, combos)], EXACT_ENUMERATION
-        rng = np.random.default_rng(seed)
+        words = WordSource([np.random.default_rng(seed)], owned=True)
         per_call = max(1, AHEAD_VALUES // self.tau)
         supports = itertools.chain.from_iterable(
-            replay_choice([rng], self.m, self.tau, min(per_call, budget - k))[:, 0]
+            replay_choice(words, self.m, self.tau, min(per_call, budget - k))[:, 0]
             for k in range(0, budget, per_call))
         return [(self.tau, supports)], MONTE_CARLO
 
@@ -285,7 +440,10 @@ class Partition(Kind):
     def draws(self, rngs, count: int) -> np.ndarray:
         """``BlockStream``'s next ``count`` draws, (steps, trials) block
         indices: a call with ``size=count`` gives the values of ``count``."""
-        return np.stack([rng.choice(self.ell, size=count, p=self._probs) for rng in rngs], axis=1)
+        # Doubles take whole raw words: a source's buffered halves stay as
+        # they are.
+        return np.stack([rng.choice(self.ell, size=count, p=self._probs)
+                         for rng in WordSource.of(rngs).rngs], axis=1)
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
         """``BlockStream.groups`` of the block indices ``draw``: one group
@@ -411,21 +569,24 @@ class BlockStream:
 
     ``next()`` makes every live trial's next draw with the values and the
     generator use of ``sample_block``, by the spec's ``draws`` up to
-    ``DRAW_AHEAD`` steps ahead (never past ``steps``): one ``integers`` or
-    ``choice`` call with ``size`` per generator for one-row and partition
-    draws, ``replay_choice``'s replay of the ``choice`` calls for uniform
-    blocks of tau > 1 rows.  The generators serve nothing else, so drawing
-    ahead of a trial that stops early changes nothing it returns.  A draw
-    has a leading trial axis, except in a stream of one generator.  The
-    spec's ``groups(draw)`` gives the drawn rows as (trials, J) pairs, J
-    (L_g, tau_g) (no L_g axis for one generator), one per block size,
-    trials None meaning all.
+    ``DRAW_AHEAD`` steps ahead (never past ``steps``): Lemire's draws from
+    one ``WordSource`` fetch per generator for one-row draws,
+    ``replay_choice``'s replay of the ``choice`` calls for uniform blocks of
+    tau > 1 rows, one ``choice`` call with ``size`` per generator for
+    partitions.  ``rngs`` is a list of generators or a ``WordSource``
+    (``Trials`` hands it one that owns the generators it built from
+    seeds).  The generators serve nothing
+    else, so drawing ahead of a trial that stops early changes nothing it
+    returns.  A draw has a leading trial axis, except in a stream of one
+    generator.  The spec's ``groups(draw)`` gives the drawn rows as
+    (trials, J) pairs, J (L_g, tau_g) (no L_g axis for one generator), one
+    per block size, trials None meaning all.
     """
 
     def __init__(self, spec: SamplingSpec, rngs, steps: int):
         self.spec = spec
-        self.rngs = list(rngs)
-        self.single = len(self.rngs) == 1
+        self.words = WordSource.of(rngs)
+        self.single = len(self.words) == 1
         self._steps_left = steps
         # Draws made ahead, step-major: (steps, [trials,] ...).
         self._ahead, self._at = (), 0
@@ -435,7 +596,7 @@ class BlockStream:
         """One draw per live trial: (L, tau) sorted rows for uniform specs,
         (L,) block indices for partitions (no L axis for one generator)."""
         if self._at == len(self._ahead):
-            drawn = self.spec.draws(self.rngs, min(DRAW_AHEAD, self._steps_left))
+            drawn = self.spec.draws(self.words, min(DRAW_AHEAD, self._steps_left))
             self._steps_left -= len(drawn)
             self._ahead = drawn[:, 0] if self.single else drawn
             self._at = 0
@@ -444,7 +605,7 @@ class BlockStream:
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the trials where the boolean mask ``live`` is False."""
-        self.rngs = [rng for rng, keep in zip(self.rngs, live) if keep]
+        self.words.keep(live)
         if len(self._ahead):
             self._ahead = self._ahead[:, live]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -203,7 +204,7 @@ def run_solver(config: SolverConfig, system: LinearSystem,
     run = Trials(config, system, [config.seed], x0)
     K = run.iterations[0]
     return SolverTrace(
-        config, run.status[0], run.final_x[0].copy(),
+        config, run.status[0], run.final_x[0],
         alpha=(run.series("alpha") if run.alphas is None
                else np.concatenate([[np.nan], run.alphas[:K]])),
         residual=np.sqrt(run.series("residual_sq")),
@@ -236,9 +237,13 @@ _XSHIFT = np.uint32(16)
 _POOL = 4
 
 
+@functools.cache
 def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**i mod 2**32 for i = 0 .. count - 1."""
-    return np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(count)], dtype=np.uint32)
+    """init * mult**i mod 2**32 for i = 0 .. count - 1, computed once per
+    chain (read-only)."""
+    chain = np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(count)], dtype=np.uint32)
+    chain.flags.writeable = False
+    return chain
 
 
 def _hashmix(values: np.ndarray, chain: np.ndarray, i: int) -> np.ndarray:
@@ -253,6 +258,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return h ^ (h >> _XSHIFT)
 
 
+@functools.cache
+def _pool_rounds(extra: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The rounds that hash each pool word into every other: (src, xor
+    constants, multipliers), the constants of word d at column d (0 at src,
+    which the round leaves as it is)."""
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
+    rounds, i = [], _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        consts = np.zeros((2, _POOL), dtype=np.uint32)
+        consts[:, dst] = chain[i:i + len(dst)], chain[i + 1:i + 1 + len(dst)]
+        consts.flags.writeable = False
+        rounds.append((src, *consts))
+        i += len(dst)
+    return rounds
+
+
 def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each row e
     of the (T, L) uint32 ``entropy``, L >= 4: zero words padding a row to
@@ -260,12 +282,15 @@ def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     extra = entropy.shape[1] - _POOL
     chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
     pool = _hashmix(entropy[:, :_POOL], chain, 0)
-    i = _POOL
-    # Each pool word into every other, in SeedSequence's loop order.
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src] * len(dst)], chain, i))
-        i += len(dst)
+    # Each pool word into every other, in SeedSequence's loop order: a round
+    # mixes every word and puts its source word back.
+    for src, xor, mult in _pool_rounds(extra):
+        h = (pool[:, src:src + 1] ^ xor) * mult
+        h ^= h >> _XSHIFT
+        word = pool[:, src].copy()
+        pool = _mix(pool, h)
+        pool[:, src] = word
+    i = _POOL * _POOL
     # Entropy past the pool size: each word into every pool word.
     for src in range(_POOL, _POOL + extra):
         pool = _mix(pool, _hashmix(entropy[:, [src] * _POOL], chain, i))
@@ -302,17 +327,23 @@ def split_seeds(seed: int, trials: int) -> np.ndarray:
     return _seed_sequence_state(entropy, 1)[:, 0]
 
 
-def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
-    """``[np.random.default_rng(split_seed(seed, t)) for t in
-    range(trials)]``, the same states, with both SeedSequence hashes of
-    every trial taken in one pass over the trials: the entropy (seed, t)
+def trial_seeds(seed: int, trials: int) -> list[_PresetState]:
+    """The seed sequences of ``trial_generators``: ``PCG64`` built on
+    ``trial_seeds(seed, trials)[t]`` has the state of
+    ``default_rng(split_seed(seed, t))``.  Both SeedSequence hashes of every
+    trial are taken in one pass over the trials: the entropy (seed, t)
     gives the split seeds, and each split seed PCG64's four state words."""
     # A split seed's entropy is its two uint32 words, less a high zero
     # word, which the padding puts back.
     entropy = np.zeros((trials, _POOL), dtype=np.uint32)
     entropy[:, :2] = split_seeds(seed, trials).astype("<u8").view("<u4").reshape(trials, 2)
-    words = _seed_sequence_state(entropy, 4)
-    return [np.random.Generator(np.random.PCG64(_PresetState(w))) for w in words]
+    return [_PresetState(w) for w in _seed_sequence_state(entropy, 4)]
+
+
+def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
+    """``[np.random.default_rng(split_seed(seed, t)) for t in
+    range(trials)]``, the same states, built on ``trial_seeds``."""
+    return [np.random.default_rng(words) for words in trial_seeds(seed, trials)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +367,8 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
     t has the bits of ``run_solver`` at seed split(seed, t)."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    run = Trials(config, system, trial_generators(config.seed, trials))
+    # Seeds, not generators: the run's generators are its stream's own.
+    run = Trials(config, system, trial_seeds(config.seed, trials))
     stats = {}
     # A diverged trial's inf (inf - inf is NaN) is reported by its status.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -357,7 +389,7 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
         *stats.get("iterates", (None, None)),
         mean_residual_norm=stats["residual_sq"][0],
         hit_iteration=np.asarray(hits, dtype=int),
-        final_x=np.stack(run.final_x),
+        final_x=run.final_x,
     )
 
 

@@ -16,6 +16,7 @@ from kaczlab.sampling import (
     BlockStream,
     Partition,
     UniformSubset,
+    WordSource,
     build_random_paving,
     enumerate_supports,
     frobenius_partition,
@@ -30,7 +31,10 @@ from kaczlab.sampling import (
     sampling_from_dict,
     support_count,
 )
-from kaczlab.stepsize import explicit_weights, weights_from_dict
+from kaczlab.engine import Trials
+from kaczlab.problems import GaussianNormalized, generate_problem
+from kaczlab.solver import SolverConfig
+from kaczlab.stepsize import ClassicConstant, explicit_weights, uniform_weights, weights_from_dict
 
 
 class TestSpecValidation:
@@ -356,7 +360,7 @@ def test_sampled_supports_replay_choice(monkeypatch):
     UniformSubset(9, 1),
     UniformSubset(9, 3),
     UniformSubset(2**31, 3),
-    UniformSubset(2**31 + 2, 3),  # most draws reject: drawn by choice
+    UniformSubset(2**31 + 2, 3),  # most draws reject
     partition_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8)], [0.5, 0.2, 0.3]),
     # Every drawable block has 4 rows; the wider one is never drawn.
     partition_spec([range(i, i + 4) for i in range(0, 24, 4)] + [range(24, 30)],
@@ -413,3 +417,96 @@ def test_uniform_stream_draws_fewer_steps_under_the_value_cap(monkeypatch):
     stream = BlockStream(spec, [np.random.default_rng(seed) for seed in seeds], 12)
     for _ in range(12):
         assert np.array_equal(stream.next(), [sample_block(spec, rng) for rng in refs])
+
+
+def _copy(rng: np.random.Generator) -> np.random.Generator:
+    """A generator on a new bit generator with ``rng``'s full state."""
+    copy = np.random.Generator(type(rng.bit_generator)(0))
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("m", [1, 2, 20, 2000, 2**31 + 2, 3 * 2**30 + 7, 2**32])
+def test_word_source_draws_what_integers_draws(m, bit_generator):
+    # One-row draws from a word source: three generators that hold a
+    # buffered half and three that do not, two chained calls of odd and
+    # even counts.  Every value and every full generator state is that of
+    # per-call integers(m, size=count).  Above 2**31 Lemire rejects about
+    # a quarter (3 2**30 + 7) or half (2**31 + 2) of the words.
+    spec = UniformSubset(m, 1)
+    for counts in [(3, 8), (8, 5), (1, 1), (256, 33)]:
+        rngs = (_generators(bit_generator, 3, 3)
+                + [np.random.Generator(bit_generator([3, t])) for t in range(3, 6)])
+        ref = [_copy(rng) for rng in rngs]
+        words = WordSource(rngs)
+        for count in counts:
+            got = spec.draws(words, count)
+            expected = np.stack([rng.integers(m, size=count) for rng in ref], axis=1)
+            assert got.shape == (count, 6, 1) and np.array_equal(got[..., 0], expected)
+            assert [_state(rng) for rng in rngs] == [_state(rng) for rng in ref]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+@pytest.mark.parametrize("m", [20, 3 * 2**30 + 7, 2**32])
+def test_owned_word_source_keeps_the_buffer_until_released(m, bit_generator):
+    # A source that owns its generators never writes their states while it
+    # draws; released, each generator holds the state of per-call integers.
+    spec = UniformSubset(m, 1)
+    rngs = [np.random.Generator(bit_generator([4, t])) for t in range(4)]
+    ref = [_copy(rng) for rng in rngs]
+    words = WordSource(rngs, owned=True)
+    for count in (5, 2, 7):
+        expected = np.stack([rng.integers(m, size=count) for rng in ref], axis=1)
+        assert np.array_equal(spec.draws(words, count)[..., 0], expected)
+    assert [_state(words.release(t)) for t in range(4)] == [_state(rng) for rng in ref]
+    assert np.array_equal(spec.draws(words, 3)[..., 0],
+                          np.stack([rng.integers(m, size=3) for rng in ref], axis=1))
+
+
+@pytest.mark.parametrize("spec,cap", [
+    (UniformSubset(9, 1), None),
+    (UniformSubset(3 * 2**30 + 7, 1), None),  # rejections shift a trial's words
+    (UniformSubset(9, 3), 3 * 3 * 5),  # 5 calls a chunk: 25 words
+    (UniformSubset(2**31 + 2, 3), 3 * 3 * 3),
+], ids=["tau1", "tau1-rejecting", "tau3", "tau3-rejecting"])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_block_stream_with_odd_chunks_replays_sample_block(monkeypatch, spec, cap, buffered):
+    # Chunks of an odd number of words leave a half buffered between
+    # chunks: 7 steps a chunk for one-row draws, 5 or 3 calls of 2 tau - 1
+    # draws for tau = 3.  From generators that hold a half or not, and
+    # from an owned source, every draw is sample_block's.
+    monkeypatch.setattr(sampling, "DRAW_AHEAD", 7)
+    if cap is not None:
+        monkeypatch.setattr(sampling, "AHEAD_VALUES", cap)
+    steps = 40
+
+    def generators():
+        if buffered:
+            return _generators(np.random.PCG64, 8, 3)
+        return [np.random.default_rng([8, t]) for t in range(3)]
+
+    refs = generators()
+    for rngs in (generators(), WordSource(generators(), owned=not buffered)):
+        stream = BlockStream(spec, rngs, steps)
+        for k in range(steps):
+            draw = stream.next()
+            assert np.array_equal(draw, [sample_block(spec, rng) for rng in refs])
+        refs = generators()
+
+
+@pytest.mark.parametrize("spec", [UniformSubset(30, 1), UniformSubset(30, 3)], ids=["tau1", "tau3"])
+def test_trials_from_a_generator_with_a_buffered_half(spec):
+    # A caller's generator that holds a buffered half: the run draws the
+    # blocks sample_block draws from that generator, and a stack of such
+    # generators ends each trial with the bits of its own run.
+    system = generate_problem(GaussianNormalized(30, 8, seed=4))
+    config = SolverConfig("rbk", spec, uniform_weights(spec), ClassicConstant(1.0),
+                          max_iters=2 * DRAW_AHEAD + 11, residual_tol=0.0)
+    (rng,), (ref,) = _generators(np.random.PCG64, 5, 1), _generators(np.random.PCG64, 5, 1)
+    run = Trials(config, system, [rng])
+    assert all(np.array_equal(J, sample_block(spec, ref)) for J in run.blocks()[1:])
+    stack = Trials(config, system, _generators(np.random.PCG64, 6, 3))
+    singles = [Trials(config, system, [rng]) for rng in _generators(np.random.PCG64, 6, 3)]
+    assert stack.final_x.tobytes() == np.concatenate([run.final_x for run in singles]).tobytes()

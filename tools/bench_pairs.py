@@ -13,8 +13,16 @@ failed and attempted operations, output digests, source line counts and
 the machine facts ``perfbench/machine.py`` reports.  ``claimed`` is left
 null, for the author to fill in.  It asserts nothing.
 
+With ``--ladder`` it also times ``kaczlab solve`` on each rung of the size
+ladder (``LADDER``: 20x20 tau=1, 200x50 tau=8, 2000x500 tau=8 and tau=64)
+in the same alternating pairs, one BLAS thread, and writes a ``ladder``
+section: per rung the median wall times of the whole command (interpreter
+start-up included), the pairs the head wins, the base's IQR, every run, and
+each side's exit codes and status lines.
+
     python tools/bench_pairs.py --base REV --head REV [--pairs N] [--seconds S]
-                                [--workload W ...] [--seed SEED] [--out PATH]
+                                [--workload W ...] [--seed SEED] [--ladder]
+                                [--out PATH]
 
 The default output is ``BENCH_<n>.json`` at the root of the repository,
 n one more than the highest there.
@@ -25,16 +33,32 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 REPORT_PREFIX = "perfbench-report "
+
+# The size ladder: each rung's ``kaczlab solve`` arguments after SOLVE_ARGS.
+# The 20x20 system does not reach the default tolerance, so its rung runs a
+# fixed 20,000 iterations; the others run to the tolerance.
+SOLVE_ARGS = ["solve", "--seed", "1", "--method", "rbk", "--stepsize", "constant-extrapolated",
+              "--max-iters", "100000"]
+LADDER = {
+    "20x20-tau1": ["--recipe", "gaussian:20x20", "--sampling", "uniform:1",
+                   "--max-iters", "20000", "--residual-tol", "0"],
+    "200x50-tau8": ["--recipe", "gaussian:200x50", "--sampling", "uniform:8"],
+    "2000x500-tau8": ["--recipe", "gaussian:2000x500", "--sampling", "uniform:8"],
+    "2000x500-tau64": ["--recipe", "gaussian:2000x500", "--sampling", "uniform:64"],
+}
+SOLVE_MAIN = "import sys; from kaczlab.cli import main; sys.exit(main())"
 
 
 def _git(*args: str) -> str:
@@ -68,6 +92,50 @@ def _run(tree: Path, command: list[str]) -> tuple[dict, dict]:
     return report, json.loads(lines[-1])
 
 
+def _solve(tree: Path, args: list[str]) -> tuple[float, int, str]:
+    """One ``kaczlab solve`` run of ``tree``'s source: its wall time, exit
+    code and last output line.  Exit 2 (max-iters) is a result."""
+    env = {k: v for k, v in os.environ.items() if k != "KACZLAB_SEED"}
+    env |= {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(tree / "src")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", SOLVE_MAIN, *SOLVE_ARGS, *args], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode not in (0, 2):
+        raise RuntimeError(f"kaczlab {' '.join(args)} in {tree} exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    return wall, done.returncode, done.stdout.strip().splitlines()[-1]
+
+
+def _ladder(trees: dict[str, Path], pairs: int) -> dict:
+    """Every rung of ``LADDER`` timed in alternating base/head pairs."""
+    out = {}
+    for rung, args in LADDER.items():
+        runs = {"base": [], "head": []}
+        for i in range(pairs):
+            for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                runs[side].append(_solve(trees[side], args))
+                print(f"ladder {rung} pair {i + 1}/{pairs} {side}: "
+                      f"{runs[side][-1][0]:.3f} s", file=sys.stderr)
+        base, head = ([wall for wall, _, _ in runs[side]] for side in ("base", "head"))
+        parent, change = statistics.median(base), statistics.median(head)
+        out[rung] = {
+            "command": "kaczlab " + " ".join(SOLVE_ARGS + args),
+            "unit": "s", "better": "lower",
+            "parent": round(parent, 4), "change": round(change, 4),
+            "change_wins": sum(h < b for b, h in zip(base, head)),
+            "parent_iqr": round(_iqr(base), 4),
+            "relative_change": round((change - parent) / parent, 4),
+            "parent_runs": [round(v, 4) for v in base], "change_runs": [round(v, 4) for v in head],
+            "exit_codes": {key: _one_or_all([code for _, code, _ in runs[s]])
+                           for key, s in (("parent", "base"), ("change", "head"))},
+            "status_lines": {key: _one_or_all([line for _, _, line in runs[s]])
+                             for key, s in (("parent", "base"), ("change", "head"))},
+        }
+    return out
+
+
 def _iqr(values: list[float]) -> float:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3 - q1
@@ -96,7 +164,7 @@ def _one_or_all(values: list):
 
 
 def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str],
-          seed: int) -> dict:
+          seed: int, ladder: bool = False) -> dict:
     commits = {"base": _git("rev-parse", base), "head": _git("rev-parse", head)}
     command = ["perfbench/run.py", "--workload", "W", "--seed", str(seed),
                "--seconds", f"{seconds:g}", "--trace", "0"]
@@ -130,9 +198,10 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
                 "all_correct": {key: all(r["correct"] for r in runs[s]) for key, s in sides.items()},
                 "metrics": _metrics(declared, runs),
             }
+        rungs = _ladder(trees, pairs) if ladder else None
     equal = [w for w, r in results.items()
              if r["output_digest"]["parent"] == r["output_digest"]["change"]]
-    return {
+    doc = {
         "change": _git("log", "-1", "--format=%s", commits["head"]),
         "parent_commit": commits["base"],
         "change_commit": commits["head"],
@@ -152,6 +221,9 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
         "machine": machine,
         "workloads": results,
     }
+    if rungs is not None:
+        doc["ladder"] = rungs
+    return doc
 
 
 def _next_bench_path() -> Path:
@@ -169,6 +241,8 @@ def main(argv=None) -> None:
     parser.add_argument("--workload", action="append",
                         help="workload to run, repeatable (default: every one BENCHMARK.json lists)")
     parser.add_argument("--seed", type=int, default=1, help="the benchmark's input seed")
+    parser.add_argument("--ladder", action="store_true",
+                        help="also time kaczlab solve on each rung of the size ladder")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default: the next BENCH_<n>.json in the repository)")
     args = parser.parse_args(argv)
@@ -177,7 +251,7 @@ def main(argv=None) -> None:
     workloads = args.workload or [w["name"] for w in
                                   json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
     out = args.out or _next_bench_path()
-    doc = bench(args.base, args.head, args.pairs, args.seconds, workloads, args.seed)
+    doc = bench(args.base, args.head, args.pairs, args.seconds, workloads, args.seed, args.ladder)
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
 
