@@ -35,7 +35,7 @@ from .kernels import (
     factored_projection_step,
 )
 from .linalg import LinearSystem, as_vector
-from .sampling import BlockStream, WordSource, check_covers
+from .sampling import BlockStream, check_covers
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -83,10 +83,9 @@ def runs_on(s, tol_sq: float):
 
 class Trials:
     """T runs of one configuration advanced in lockstep, trial t drawing its
-    blocks from ``np.random.default_rng(seeds[t])``, ``seeds[t]`` a seed
-    (an int or a seed sequence) or a Generator; a trial that stops leaves
-    the stack.  Generators built from seeds alone are the stream's own
-    (``WordSource``), so their buffers are never read or written.
+    blocks from ``np.random.default_rng(seeds[t])``, ``seeds[t]`` an int or
+    a seed sequence (a Generator raises ``TypeError``: see ``WordSource``);
+    a trial that stops leaves the stack.
 
     Each step appends one entry to every column (``residual_sq``, the
     squared residual norm; ``dist_sq`` with diagnostics; ``alpha`` of
@@ -126,11 +125,7 @@ class Trials:
         x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n)
         self.T = T = len(seeds)
         self.single = T == 1
-        owned = not any(issubclass(kind, (np.random.Generator, np.random.BitGenerator))
-                        for kind in set(map(type, seeds)))
-        self.stream = BlockStream(config.sampling,
-                                  WordSource(map(np.random.default_rng, seeds), owned),
-                                  config.max_iters)
+        self.stream = BlockStream(config.sampling, seeds, config.max_iters)
         iterations, codes = np.zeros(T, dtype=int), np.zeros(T, dtype=int)
         self.final_x = np.empty((T, system.n))
         # A one-trial run's draws (from k = 1), for ``blocks``.

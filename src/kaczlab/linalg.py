@@ -58,11 +58,16 @@ def row_blocks(m: int, n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], m])]
 
 
-def stacked_matvec(M: np.ndarray, X: np.ndarray, blocks: list[slice]) -> np.ndarray:
-    """``np.matvec(M, X)`` of a stack X (..., n), one gemv per iterate and
-    block of rows of ``blocks``: a block stays in cache for all the stack's
+def stacked_matvec(M: np.ndarray, X: np.ndarray, blocks: list[slice] | None) -> np.ndarray:
+    """``np.matvec(M, X)`` of one iterate X (n,) or a stack X (..., n), one
+    gemv per iterate, each with the bits of its own call.  A stack of two or
+    more takes M by the blocks of rows ``blocks`` (``matvec_blocks``), one
+    gemv per iterate and block: a block stays in cache for all the stack's
     gemvs instead of M streaming through once per iterate (Goto-van de
-    Geijn, ACM TOMS 2008)."""
+    Geijn, ACM TOMS 2008).  One iterate, or ``blocks`` None, is one
+    ``np.matvec``."""
+    if blocks is None or X.ndim == 1 or len(X) < 2:
+        return np.matvec(M, X)
     out = np.empty(X.shape[:-1] + M.shape[:1])
     for rows in blocks:
         np.matvec(M[rows], X, out=out[..., rows])
@@ -196,12 +201,9 @@ class LinearSystem:
         return matvec_blocks(self.A)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """A x - b; for a stack of iterates (..., n), one gemv per iterate,
-        each with the bits of ``A @ x - b``.  A stack of two or more takes A
-        by ``matvec_blocks`` (``stacked_matvec``) where that keeps the bits;
-        one iterate, or A in one block, is one ``np.matvec``."""
-        if x.ndim == 1 or len(x) < 2 or self.matvec_blocks is None:
-            return np.matvec(self.A, x) - self.b
+        """A x - b of one iterate (n,) or of each in a stack (..., n), each
+        with the bits of ``A @ x - b`` (``stacked_matvec`` by
+        ``matvec_blocks``)."""
         return stacked_matvec(self.A, x, self.matvec_blocks) - self.b
 
 
@@ -319,13 +321,9 @@ class SolutionProjector:
 
     def dist_sq(self, x: np.ndarray) -> np.ndarray:
         """||x - Pi_X(x)||^2 of one iterate (n,) or of each in a stack
-        (..., n), one gemv per iterate: each gets the bits of its own call.
-        A stack of two or more takes V_r^T by ``matvec_blocks`` as
+        (..., n), each with the bits of its own call: V_r^T is taken as
         ``LinearSystem.residual`` takes A."""
-        if x.ndim == 1 or len(x) < 2 or self.matvec_blocks is None:
-            y = np.matvec(self.vt_r, x) - self.c
-        else:
-            y = stacked_matvec(self.vt_r, x, self.matvec_blocks) - self.c
+        y = stacked_matvec(self.vt_r, x, self.matvec_blocks) - self.c
         return np.vecdot(y, y)
 
 

@@ -1,16 +1,18 @@
-"""File IO: MatrixMarket matrices and one-value-per-line vectors."""
+"""File IO: MatrixMarket matrices (by scipy, imported only when a matrix is
+read or written) and one-value-per-line vectors."""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .linalg import as_matrix, as_vector
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a MatrixMarket file (array or coordinate format) as dense."""
+    import scipy.io
+    import scipy.sparse
+
     M = scipy.io.mmread(path)
     if scipy.sparse.issparse(M):
         M = M.toarray()
@@ -18,6 +20,8 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, A) -> None:
+    import scipy.io
+
     scipy.io.mmwrite(path, as_matrix(A))
 
 

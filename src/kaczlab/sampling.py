@@ -43,45 +43,26 @@ CHOICE_FLOYD_MAX = 10_000
 REPLAY_DRAWS = 1 << 14
 
 
-# Bit generators whose uint32 draw is the low half of a raw 64-bit word,
-# the high half kept in the state (``has_uint32``, ``uinteger``) for the next
-# draw.  Others (MT19937) draw each uint32 word by ``integers``.
-HALF_BUFFERED = (np.random.PCG64, np.random.Philox, np.random.SFC64)
-# A generator's buffer as the source knows it: empty, holding a half, or
-# unknown, where the generator's own state holds it (always, for MT19937).
-EMPTY, HELD, UNKNOWN = 0, 1, -1
-
-
 class WordSource:
     """The uint32 words a ``Generator`` draws (``next_uint32``: what
     ``integers(2**32, dtype=uint32)`` returns, and what Lemire's bounded
-    draws take), for each of several generators.
+    draws take) of generator t = ``Generator(PCG64(seeds[t]))``, the state
+    of ``default_rng(seeds[t])``, for each seed: an int or a seed sequence
+    (a ``Generator`` raises ``TypeError``).
 
-    A ``HALF_BUFFERED`` generator's words come from one ``random_raw`` call
-    a fetch, and the source keeps its buffered half as numpy would.  That
-    needs its buffer: a source that ``owns`` its generators (built from
-    seeds, seen by no one else) knows that they start empty, and never
-    writes their states; otherwise a buffer is read from the state when the
-    source first fetches, and ``sync`` writes it back.  ``release`` hands
-    a generator over, buffer written, to a direct ``Generator`` call.
-    Other generators draw their words with ``integers``.
+    PCG64 draws a uint32 as the low half of a raw 64-bit word and keeps the
+    high half in its state (``has_uint32``, ``uinteger``) for the next
+    draw.  The generators are the source's own, so their buffers start
+    empty and the source keeps them: a fetch is one ``random_raw`` call per
+    generator.  ``call`` hands a generator, buffer and all, to a direct
+    ``Generator`` call.
     """
 
-    def __init__(self, rngs, owned: bool = False):
-        self.rngs = list(rngs)
-        self.owned = owned
-        self.bits = [rng.bit_generator for rng in self.rngs]
-        self.raw = np.array([type(bits) in HALF_BUFFERED for bits in self.bits], dtype=bool)
-        # Each buffer (EMPTY, HELD or UNKNOWN) and its last half, and where
-        # the generator's state does not record them.
-        self.has = np.where(self.raw & owned, EMPTY, UNKNOWN).astype(np.int8)
+    def __init__(self, seeds):
+        self.rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+        # Each buffer, has_uint32 (0 or 1) and uinteger: its last half.
+        self.has = np.zeros(len(self.rngs), dtype=np.int8)
         self.held = np.zeros(len(self.rngs), dtype=np.uint32)
-        self.stale = np.zeros(len(self.rngs), dtype=bool)
-
-    @classmethod
-    def of(cls, rngs) -> WordSource:
-        """``rngs`` if it is a source, else a source over those generators."""
-        return rngs if isinstance(rngs, cls) else cls(rngs)
 
     def __len__(self) -> int:
         return len(self.rngs)
@@ -90,15 +71,11 @@ class WordSource:
         """The next ``n`` words of the generators in the slice ``sel``,
         (generators, n)."""
         has, idx = self.has[sel], range(len(self.rngs))[sel]
-        if has[0] != UNKNOWN and (has == has[0]).all():
+        if (has == has[0]).all():
             return self._fetch(n, int(has[0]), sel, idx)
-        for t in idx:
-            if self.has[t] == UNKNOWN and self.raw[t]:
-                state = self.bits[t].state
-                self.has[t], self.held[t] = state["has_uint32"], state["uinteger"]
-        has = self.has[sel].copy()  # _fetch moves self.has on
+        has = has.copy()  # _fetch moves self.has on
         out = np.empty((len(has), n), dtype=np.uint32)
-        for kind in np.unique(has).tolist():
+        for kind in (0, 1):
             at = np.flatnonzero(has == kind)
             rows = at + idx.start
             out[at] = self._fetch(n, kind, rows, rows.tolist())
@@ -106,21 +83,18 @@ class WordSource:
 
     def _fetch(self, n: int, kind: int, rows, idx) -> np.ndarray:
         """``words`` of the generators ``rows`` (a slice or indices; ``idx``
-        lists them), whose buffers are all ``kind``."""
-        if kind == UNKNOWN:
-            return np.stack([self.rngs[t].integers(1 << 32, size=n, dtype=np.uint32)
-                             for t in idx])
+        lists them), whose buffers all have ``kind`` halves."""
         # A held half comes first, then each raw word's low and high halves.
-        # The state keeps the last high half, held while it is not drawn.
+        # The last high half is held while it is not drawn.
         count = (n + 1 - kind) // 2
-        block = (np.stack([self.bits[t].random_raw(count) for t in idx]).astype("<u8", copy=False)
-                 .view("<u4") if count else np.empty((len(idx), 0), dtype=np.uint32))
-        if kind == HELD:
+        block = (np.stack([self.rngs[t].bit_generator.random_raw(count) for t in idx])
+                 .astype("<u8", copy=False).view("<u4")
+                 if count else np.empty((len(idx), 0), dtype=np.uint32))
+        if kind:
             block = np.concatenate([self.held[rows, None], block], axis=1)
         if count:
             self.held[rows] = block[:, -1]
-        self.has[rows] = HELD if block.shape[1] > n else EMPTY
-        self.stale[rows] = True
+        self.has[rows] = block.shape[1] > n
         return block[:, :n]
 
     def bounded(self, bounds: np.ndarray, thresholds: np.ndarray, sel: slice) -> np.ndarray:
@@ -158,41 +132,31 @@ class WordSource:
             # one more word makes up for it.
             words = np.concatenate([words[r + 1:], self.words(1, slice(t, t + 1))[0]])
 
-    def release(self, t: int) -> np.random.Generator:
-        """Generator t, its buffer written to its state, for direct calls;
-        the source reads the buffer again before it next fetches."""
-        self._write(t)
-        self.has[t] = UNKNOWN
-        return self.rngs[t]
-
-    def sync(self) -> None:
-        """Write every changed buffer back, unless the source owns the
-        generators (no one else sees them)."""
-        if not self.owned:
-            for t in np.flatnonzero(self.stale).tolist():
-                self._write(t)
-
-    def _write(self, t: int) -> None:
-        if self.stale[t]:
-            state = self.bits[t].state
-            state["has_uint32"], state["uinteger"] = int(self.has[t]), int(self.held[t])
-            self.bits[t].state = state
-            self.stale[t] = False
+    def call(self, t: int, draw, *args):
+        """``draw(rng, *args)`` on generator t: its buffer is written to its
+        state before and read back after."""
+        bits = self.rngs[t].bit_generator
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = int(self.has[t]), int(self.held[t])
+        bits.state = state
+        out = draw(self.rngs[t], *args)
+        state = bits.state
+        self.has[t], self.held[t] = state["has_uint32"], state["uinteger"]
+        return out
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the generators where the boolean mask ``live`` is False."""
         self.rngs = [rng for rng, keep in zip(self.rngs, live) if keep]
-        self.bits = [bits for bits, keep in zip(self.bits, live) if keep]
-        self.has, self.held, self.stale = self.has[live], self.held[live], self.stale[live]
+        self.has, self.held = self.has[live], self.held[live]
 
 
-def replay_choice(rngs, m: int, tau: int, count: int, shuffle: bool = True) -> np.ndarray:
+def replay_choice(words: WordSource, m: int, tau: int, count: int,
+                  shuffle: bool = True) -> np.ndarray:
     """What ``count`` successive ``rng.choice(m, tau, replace=False)`` calls
-    return for each generator of ``rngs`` (a list or a ``WordSource``), as
-    a (count, T, tau) stack, with every generator left in the state those
-    calls leave.  With ``shuffle`` False each row holds the same values in
-    Floyd's order, for callers that sort them; the shuffle's draws are still
-    made.
+    return for each generator of the source ``words``, as a (count, T, tau)
+    stack, with every generator left in the state those calls leave.  With
+    ``shuffle`` False each row holds the same values in Floyd's order, for
+    callers that sort them; the shuffle's draws are still made.
 
     Such a call makes 2 tau - 1 draws, each Lemire's bounded integer
     (u * bound) >> 32 of one uint32 u of the generator's stream: Floyd's
@@ -200,18 +164,16 @@ def replay_choice(rngs, m: int, tau: int, count: int, shuffle: bool = True) -> n
     nothing), then its shuffle i + 1 for i = tau - 1 ... 1.  Here each
     generator makes all its draws of a pass from one fetch of the
     ``WordSource``, rejected words included.  ``choice`` draws every
-    generator where it does not take Floyd's algorithm or draws 64-bit
-    words (m > 2**32), or where a pass holds fewer than 40 calls
-    (``REPLAY_DRAWS``).
+    generator (``WordSource.call``) where it does not take Floyd's
+    algorithm or draws 64-bit words (m > 2**32), or where a pass holds
+    fewer than 40 calls (``REPLAY_DRAWS``).
     """
-    words = WordSource.of(rngs)
     T = len(words)
     out = np.empty((count, T, tau), dtype=np.int64)
     if (m > 1 << 32 or (m > CHOICE_FLOYD_MAX and tau > m // 50)
             or REPLAY_DRAWS // (2 * tau - 1) < 40):
         for t in range(T):
-            _choice_calls(words.release(t), m, tau, out[:, t])
-        words.sync()
+            words.call(t, _choice_calls, m, tau, out[:, t])
         return out
     low = m - tau  # Floyd's first j
     bounds = np.concatenate([np.arange(max(low, 1) + 1, m + 1),
@@ -234,7 +196,6 @@ def replay_choice(rngs, m: int, tau: int, count: int, shuffle: bool = True) -> n
             if shuffle:
                 _shuffle(J, vals[:, floyd:])
             block[:, t:t + group] = J.reshape(batch, len(block), tau).swapaxes(0, 1)
-    words.sync()
     return out
 
 
@@ -305,15 +266,14 @@ class UniformSubset(Kind):
         J.sort()
         return J
 
-    def draws(self, rngs, count: int) -> np.ndarray:
-        """``BlockStream``'s next draws from ``rngs`` (a list of generators
-        or a ``WordSource``), (steps, trials, tau) sorted rows: ``count``
-        steps of one row, the values and generator states of a call
-        ``integers(m, size=count)``, Lemire's draws from the source's words
-        (m > 2**32 draws 64-bit words: that call itself); or of tau > 1
-        rows, ``replay_choice``'s replay of ``choice``, fewer steps where
-        they would hold more than ``AHEAD_VALUES`` indices."""
-        words = WordSource.of(rngs)
+    def draws(self, words: WordSource, count: int) -> np.ndarray:
+        """``BlockStream``'s next draws from the source ``words``, (steps,
+        trials, tau) sorted rows: ``count`` steps of one row, the values and
+        generator states of a call ``integers(m, size=count)``, Lemire's
+        draws from the source's words (m > 2**32 draws 64-bit words: that
+        call itself); or of tau > 1 rows, ``replay_choice``'s replay of
+        ``choice``, fewer steps where they would hold more than
+        ``AHEAD_VALUES`` indices."""
         if self.tau > 1:
             count = min(count, max(1, AHEAD_VALUES // (len(words) * self.tau)))
             J = replay_choice(words, self.m, self.tau, count, shuffle=False)
@@ -322,14 +282,11 @@ class UniformSubset(Kind):
         if self.m == 1:
             return np.zeros((count, len(words), 1), dtype=np.int64)
         if self.m > 1 << 32:
-            J = np.stack([words.release(t).integers(self.m, size=(count, 1))
-                          for t in range(len(words))], axis=1)
-        else:
-            bounds = np.full(count, self.m, dtype=np.uint64)
-            thresholds = np.full(count, (1 << 32) % self.m, dtype=np.uint32)
-            J = words.bounded(bounds, thresholds, slice(None)).T.reshape(count, -1, 1)
-        words.sync()
-        return J
+            return np.stack([words.call(t, np.random.Generator.integers, 0, self.m, (count, 1))
+                             for t in range(len(words))], axis=1)
+        bounds = np.full(count, self.m, dtype=np.uint64)
+        thresholds = np.full(count, (1 << 32) % self.m, dtype=np.uint32)
+        return words.bounded(bounds, thresholds, slice(None)).T.reshape(count, -1, 1)
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
         return [(None, draw)]
@@ -360,7 +317,7 @@ class UniformSubset(Kind):
         if self.support_count() <= ENUMERATION_CAP:
             combos = itertools.combinations(range(self.m), self.tau)
             return [(self.tau, combos)], EXACT_ENUMERATION
-        words = WordSource([np.random.default_rng(seed)], owned=True)
+        words = WordSource([seed])
         per_call = max(1, AHEAD_VALUES // self.tau)
         supports = itertools.chain.from_iterable(
             replay_choice(words, self.m, self.tau, min(per_call, budget - k))[:, 0]
@@ -437,13 +394,14 @@ class Partition(Kind):
         """``sample_block``: the rows of one drawn block."""
         return self.block(rng.choice(self.ell, p=self._probs))
 
-    def draws(self, rngs, count: int) -> np.ndarray:
-        """``BlockStream``'s next ``count`` draws, (steps, trials) block
-        indices: a call with ``size=count`` gives the values of ``count``."""
-        # Doubles take whole raw words: a source's buffered halves stay as
+    def draws(self, words: WordSource, count: int) -> np.ndarray:
+        """``BlockStream``'s next ``count`` draws from the source ``words``,
+        (steps, trials) block indices: a call with ``size=count`` gives the
+        values of ``count``."""
+        # Doubles take whole raw words: the source's buffered halves stay as
         # they are.
         return np.stack([rng.choice(self.ell, size=count, p=self._probs)
-                         for rng in WordSource.of(rngs).rngs], axis=1)
+                         for rng in words.rngs], axis=1)
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
         """``BlockStream.groups`` of the block indices ``draw``: one group
@@ -573,19 +531,18 @@ class BlockStream:
     one ``WordSource`` fetch per generator for one-row draws,
     ``replay_choice``'s replay of the ``choice`` calls for uniform blocks of
     tau > 1 rows, one ``choice`` call with ``size`` per generator for
-    partitions.  ``rngs`` is a list of generators or a ``WordSource``
-    (``Trials`` hands it one that owns the generators it built from
-    seeds).  The generators serve nothing
-    else, so drawing ahead of a trial that stops early changes nothing it
+    partitions.  Trial t's generator is ``default_rng(seeds[t])``'s, built
+    by the stream's ``WordSource``.  The generators serve nothing else, so
+    drawing ahead of a trial that stops early changes nothing it
     returns.  A draw has a leading trial axis, except in a stream of one
     generator.  The spec's ``groups(draw)`` gives the drawn rows as
     (trials, J) pairs, J (L_g, tau_g) (no L_g axis for one generator), one
     per block size, trials None meaning all.
     """
 
-    def __init__(self, spec: SamplingSpec, rngs, steps: int):
+    def __init__(self, spec: SamplingSpec, seeds, steps: int):
         self.spec = spec
-        self.words = WordSource.of(rngs)
+        self.words = WordSource(seeds)
         self.single = len(self.words) == 1
         self._steps_left = steps
         # Draws made ahead, step-major: (steps, [trials,] ...).

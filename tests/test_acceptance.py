@@ -52,6 +52,7 @@ from kaczlab import (
 )
 from kaczlab.kernels import averaged_step
 from kaczlab.problems import aligned_partition
+from kaczlab.sampling import WordSource
 from kaczlab.solver import CONVERGED, FULL_ITERATES
 
 
@@ -301,8 +302,8 @@ def test_criterion_09_exact_expectation_oracle():
         if spec is None:
             spec = partition_spec([range(0, m // 2), range(m // 2, m)])
         scheme = uniform_weights(spec)
-        rng = np.random.default_rng(split_seed(909, idx))
-        x0 = rng.standard_normal(n)
+        words = WordSource([split_seed(909, idx)])
+        x0 = words.call(0, np.random.Generator.standard_normal, n)
         x_star = system.planted_solution
 
         expected = np.zeros(n)
@@ -311,10 +312,10 @@ def test_criterion_09_exact_expectation_oracle():
         closed = x_star + (x0 - x_star) - (alpha / m) * (system.A.T @ (system.A @ (x0 - x_star)))
         worst_exact = max(worst_exact, float(np.max(np.abs(expected - closed))))
 
-        # All trials' blocks in one call, each step from x0 on one stack:
-        # the values, generator use and bits of sample_block and rbk_step
-        # trial by trial.
-        drawn = spec.draws([rng], trials)[:, 0]
+        # All trials' blocks in one call from the generator that drew x0,
+        # each step from x0 on one stack: the values, generator use and bits
+        # of sample_block and rbk_step trial by trial.
+        drawn = spec.draws(words, trials)[:, 0]
         assert len(drawn) == trials
         X0 = np.broadcast_to(x0, (trials, n))
         draws = np.empty((trials, n))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse
 
+import kaczlab
 from kaczlab import mmio
 
 
@@ -35,3 +41,15 @@ def test_vector_single_value(tmp_path):
     out = mmio.read_vector(path)
     assert out.shape == (1,)
     assert out[0] == 7.0
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only the MatrixMarket reader and writer load scipy: importing the
+    # package and its command line does not.
+    src = str(Path(kaczlab.__file__).resolve().parent.parent)
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, kaczlab, kaczlab.cli; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

@@ -285,29 +285,39 @@ def test_full_batch_is_single_block():
     assert membership_probability(spec, 2) == pytest.approx(1.0)
 
 
-def _generators(bit_generator, seed: int, count: int) -> list[np.random.Generator]:
-    """``count`` generators on ``bit_generator``, each with one uint32 drawn:
-    PCG64, Philox and SFC64 then hold the other half of a 64-bit word."""
-    rngs = [np.random.Generator(bit_generator([seed, t])) for t in range(count)]
-    for rng in rngs:
-        rng.integers(1 << 32, dtype=np.uint32)
-    return rngs
-
-
 def _state(rng: np.random.Generator) -> str:
     return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
 
 
-def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
-    """A copy of ``rng`` after ``draws`` more uint32 draws."""
-    copy = np.random.Generator(type(rng.bit_generator)(0))
-    copy.bit_generator.state = rng.bit_generator.state
-    copy.integers(1 << 32, size=draws, dtype=np.uint32)
-    return copy
+def _states(words: WordSource) -> list[str]:
+    """Every generator's full state, its buffer included, read by ``call``."""
+    return [words.call(t, _state) for t in range(len(words))]
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
-                                           np.random.Philox, np.random.SFC64])
+def _advanced(seed, draws: int) -> np.random.Generator:
+    """``default_rng(seed)`` after ``draws`` uint32 draws."""
+    rng = np.random.default_rng(seed)
+    rng.integers(1 << 32, size=draws, dtype=np.uint32)
+    return rng
+
+
+def _half(rng: np.random.Generator) -> None:
+    """One uint32 draw: a PCG64 generator then holds the other half of its
+    64-bit word."""
+    rng.integers(1 << 32, dtype=np.uint32)
+
+
+def _source(bit_generator, seeds) -> WordSource:
+    """A word source whose generators are ``Generator(bit_generator(seed))``:
+    its own PCG64 ones, or fresh ones (empty buffers, as the source's own
+    start) put in their place."""
+    words = WordSource(seeds)
+    if bit_generator is not np.random.PCG64:
+        words.rngs = [np.random.Generator(bit_generator(seed)) for seed in seeds]
+    return words
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64])
 @pytest.mark.parametrize("m,tau,counts", [
     (50, 3, (3, 40)),
     (2000, 8, (3, 40)),
@@ -318,7 +328,8 @@ def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
     (12000, 3, (3, 40)),  # m > 10000 but tau <= m // 50: still Floyd's
     (10001, 300, (2, 3)),  # tau > m // 50: a tail shuffle, drawn by choice
     # Two of Floyd's three bounds just above 2**31: Lemire rejects about
-    # half their draws, and a generator that rejects is drawn by choice.
+    # half their draws, and a generator that rejects draws a further word
+    # for each rejection.
     (2**31 + 2, 3, (1, 6)),
     # A pass holds fewer than 40 calls: drawn by choice.
     (2000, 300, (3, 40)),
@@ -328,15 +339,16 @@ def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
 def test_uniform_draws_replay_choice(m, tau, counts, bit_generator):
     # Two consecutive batches: every value, in choice's order, and every
     # generator's state afterwards are those of per-call choice.
-    # Seed 7 gives the rejecting case a mixed stack on every bit generator.
-    ref, rngs = _generators(bit_generator, 7, 6), _generators(bit_generator, 7, 6)
-    plain = [_advanced(rng, counts[0] * (2 * tau - 1 - (tau == m))) for rng in rngs]
+    seeds = [[7, t] for t in range(6)]
+    ref = [np.random.Generator(bit_generator(seed)) for seed in seeds]
+    words = _source(bit_generator, seeds)
+    plain = [_advanced(seed, counts[0] * (2 * tau - 1 - (tau == m))) for seed in seeds]
     for batch, count in enumerate(counts):
         expected = np.array([[rng.choice(m, size=tau, replace=False) for rng in ref]
                              for _ in range(count)])
-        got = replay_choice(rngs, m, tau, count)
+        got = replay_choice(words, m, tau, count)
         assert got.shape == (count, 6, tau) and np.array_equal(got, expected)
-        assert [_state(rng) for rng in rngs] == [_state(rng) for rng in ref]
+        assert _states(words) == [_state(rng) for rng in ref]
         if batch == 0 and m == 2**31 + 2:
             # The stack mixes generators that rejected (drew more than
             # 2 tau - 1 words a call) with ones that did not.
@@ -373,7 +385,7 @@ def test_block_stream_replays_sample_block(spec):
     steps = DRAW_AHEAD + 40
     seeds = [11, 12, 13]
     refs = [np.random.default_rng(seed) for seed in seeds]
-    stream = BlockStream(spec, [np.random.default_rng(seed) for seed in seeds], steps)
+    stream = BlockStream(spec, seeds, steps)
     live = [0, 1, 2]
     for k in range(steps):
         if k == steps // 2:
@@ -399,7 +411,7 @@ def test_one_generator_stream_draws_without_trial_axis(spec):
     # trial's draw alone, past one draw-ahead chunk.
     steps = DRAW_AHEAD + 40
     ref = np.random.default_rng(21)
-    stream = BlockStream(spec, [np.random.default_rng(21)], steps)
+    stream = BlockStream(spec, [21], steps)
     for _ in range(steps):
         draw = stream.next()
         J = sample_block(spec, ref)
@@ -412,55 +424,54 @@ def test_uniform_stream_draws_fewer_steps_under_the_value_cap(monkeypatch):
     # 3 trials of 4 rows and a cap of 60 indices: 5 steps a call.
     monkeypatch.setattr(sampling, "AHEAD_VALUES", 60)
     spec, seeds = UniformSubset(20, 4), [3, 4, 5]
-    assert len(spec.draws([np.random.default_rng(seed) for seed in seeds], DRAW_AHEAD)) == 5
+    assert len(spec.draws(WordSource(seeds), DRAW_AHEAD)) == 5
     refs = [np.random.default_rng(seed) for seed in seeds]
-    stream = BlockStream(spec, [np.random.default_rng(seed) for seed in seeds], 12)
+    stream = BlockStream(spec, seeds, 12)
     for _ in range(12):
         assert np.array_equal(stream.next(), [sample_block(spec, rng) for rng in refs])
 
 
-def _copy(rng: np.random.Generator) -> np.random.Generator:
-    """A generator on a new bit generator with ``rng``'s full state."""
-    copy = np.random.Generator(type(rng.bit_generator)(0))
-    copy.bit_generator.state = rng.bit_generator.state
-    return copy
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
-                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64])
 @pytest.mark.parametrize("m", [1, 2, 20, 2000, 2**31 + 2, 3 * 2**30 + 7, 2**32])
 def test_word_source_draws_what_integers_draws(m, bit_generator):
     # One-row draws from a word source: three generators that hold a
-    # buffered half and three that do not, two chained calls of odd and
-    # even counts.  Every value and every full generator state is that of
-    # per-call integers(m, size=count).  Above 2**31 Lemire rejects about
-    # a quarter (3 2**30 + 7) or half (2**31 + 2) of the words.
+    # buffered half and three that do not, chained calls of odd and even
+    # counts.  Every value, and every full generator state (read by
+    # ``call``, which the next call's draws continue from), is that of
+    # per-call integers(m, size=count).  Above 2**31 Lemire rejects about a
+    # quarter (3 2**30 + 7) or half (2**31 + 2) of the words.
     spec = UniformSubset(m, 1)
-    for counts in [(3, 8), (8, 5), (1, 1), (256, 33)]:
-        rngs = (_generators(bit_generator, 3, 3)
-                + [np.random.Generator(bit_generator([3, t])) for t in range(3, 6)])
-        ref = [_copy(rng) for rng in rngs]
-        words = WordSource(rngs)
+    for counts in [(3, 8), (8, 5), (1, 1), (256, 33), (5, 2, 7)]:
+        seeds = [[3, t] for t in range(6)]
+        ref = [np.random.Generator(bit_generator(seed)) for seed in seeds]
+        words = _source(bit_generator, seeds)
+        for t in range(3):
+            _half(ref[t])
+            words.call(t, _half)
         for count in counts:
             got = spec.draws(words, count)
             expected = np.stack([rng.integers(m, size=count) for rng in ref], axis=1)
             assert got.shape == (count, 6, 1) and np.array_equal(got[..., 0], expected)
-            assert [_state(rng) for rng in rngs] == [_state(rng) for rng in ref]
+            assert _states(words) == [_state(rng) for rng in ref]
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
 @pytest.mark.parametrize("m", [20, 3 * 2**30 + 7, 2**32])
 def test_owned_word_source_keeps_the_buffer_until_released(m, bit_generator):
-    # A source that owns its generators never writes their states while it
-    # draws; released, each generator holds the state of per-call integers.
+    # The source keeps each generator's buffered half itself while it
+    # draws; ``call`` writes it to the generator's state, which then is that
+    # of per-call integers, and the source's draws carry on from there.
+    # Philox buffers its uint32 halves as PCG64 does (has_uint32,
+    # uinteger): a source on Philox generators shows that the draws use no
+    # more of PCG64 than that buffer and its raw words.
     spec = UniformSubset(m, 1)
-    rngs = [np.random.Generator(bit_generator([4, t])) for t in range(4)]
-    ref = [_copy(rng) for rng in rngs]
-    words = WordSource(rngs, owned=True)
+    seeds = [[4, t] for t in range(4)]
+    ref = [np.random.Generator(bit_generator(seed)) for seed in seeds]
+    words = _source(bit_generator, seeds)
     for count in (5, 2, 7):
         expected = np.stack([rng.integers(m, size=count) for rng in ref], axis=1)
         assert np.array_equal(spec.draws(words, count)[..., 0], expected)
-    assert [_state(words.release(t)) for t in range(4)] == [_state(rng) for rng in ref]
+    assert _states(words) == [_state(rng) for rng in ref]
     assert np.array_equal(spec.draws(words, 3)[..., 0],
                           np.stack([rng.integers(m, size=3) for rng in ref], axis=1))
 
@@ -475,38 +486,50 @@ def test_owned_word_source_keeps_the_buffer_until_released(m, bit_generator):
 def test_block_stream_with_odd_chunks_replays_sample_block(monkeypatch, spec, cap, buffered):
     # Chunks of an odd number of words leave a half buffered between
     # chunks: 7 steps a chunk for one-row draws, 5 or 3 calls of 2 tau - 1
-    # draws for tau = 3.  From generators that hold a half or not, and
-    # from an owned source, every draw is sample_block's.
+    # draws for tau = 3.  From generators that start with a half buffered
+    # or not, every draw is sample_block's.
     monkeypatch.setattr(sampling, "DRAW_AHEAD", 7)
     if cap is not None:
         monkeypatch.setattr(sampling, "AHEAD_VALUES", cap)
     steps = 40
-
-    def generators():
-        if buffered:
-            return _generators(np.random.PCG64, 8, 3)
-        return [np.random.default_rng([8, t]) for t in range(3)]
-
-    refs = generators()
-    for rngs in (generators(), WordSource(generators(), owned=not buffered)):
-        stream = BlockStream(spec, rngs, steps)
-        for k in range(steps):
-            draw = stream.next()
-            assert np.array_equal(draw, [sample_block(spec, rng) for rng in refs])
-        refs = generators()
+    seeds = [[8, t] for t in range(3)]
+    refs = [np.random.default_rng(seed) for seed in seeds]
+    stream = BlockStream(spec, seeds, steps)
+    if buffered:
+        for t, ref in enumerate(refs):
+            _half(ref)
+            stream.words.call(t, _half)
+    for k in range(steps):
+        draw = stream.next()
+        assert np.array_equal(draw, [sample_block(spec, rng) for rng in refs])
 
 
 @pytest.mark.parametrize("spec", [UniformSubset(30, 1), UniformSubset(30, 3)], ids=["tau1", "tau3"])
-def test_trials_from_a_generator_with_a_buffered_half(spec):
-    # A caller's generator that holds a buffered half: the run draws the
-    # blocks sample_block draws from that generator, and a stack of such
-    # generators ends each trial with the bits of its own run.
+def test_trials_from_a_generator_with_a_buffered_half(monkeypatch, spec):
+    # Chunks of 7 steps draw an odd number of words (7 one-row draws, 7
+    # calls of 5), so each generator holds a buffered half between chunks:
+    # the run draws the blocks sample_block draws from default_rng(seed),
+    # and a stack of such generators ends each trial with the bits of its
+    # own run.
+    monkeypatch.setattr(sampling, "DRAW_AHEAD", 7)
     system = generate_problem(GaussianNormalized(30, 8, seed=4))
     config = SolverConfig("rbk", spec, uniform_weights(spec), ClassicConstant(1.0),
-                          max_iters=2 * DRAW_AHEAD + 11, residual_tol=0.0)
-    (rng,), (ref,) = _generators(np.random.PCG64, 5, 1), _generators(np.random.PCG64, 5, 1)
-    run = Trials(config, system, [rng])
+                          max_iters=3 * 7 + 4, residual_tol=0.0)
+    run, ref = Trials(config, system, [5]), np.random.default_rng(5)
+    assert len(run.blocks()) == config.max_iters + 1
     assert all(np.array_equal(J, sample_block(spec, ref)) for J in run.blocks()[1:])
-    stack = Trials(config, system, _generators(np.random.PCG64, 6, 3))
-    singles = [Trials(config, system, [rng]) for rng in _generators(np.random.PCG64, 6, 3)]
+    stack = Trials(config, system, [6, 7, 8])
+    singles = [Trials(config, system, [seed]) for seed in (6, 7, 8)]
     assert stack.final_x.tobytes() == np.concatenate([run.final_x for run in singles]).tobytes()
+
+
+def test_a_generator_is_no_seed():
+    # A Generator's buffered half is not known to the source that would
+    # draw from it: the source, and a run, refuse it.
+    spec = UniformSubset(30, 1)
+    system = generate_problem(GaussianNormalized(30, 8, seed=4))
+    config = SolverConfig("rbk", spec, uniform_weights(spec), ClassicConstant(1.0), max_iters=5)
+    with pytest.raises(TypeError):
+        WordSource([1, np.random.default_rng(1)])
+    with pytest.raises(TypeError):
+        Trials(config, system, [np.random.default_rng(5)])

@@ -13,12 +13,14 @@ failed and attempted operations, output digests, source line counts and
 the machine facts ``perfbench/machine.py`` reports.  ``claimed`` is left
 null, for the author to fill in.  It asserts nothing.
 
-With ``--ladder`` it also times ``kaczlab solve`` on each rung of the size
-ladder (``LADDER``: 20x20 tau=1, 200x50 tau=8, 2000x500 tau=8 and tau=64)
-in the same alternating pairs, one BLAS thread, and writes a ``ladder``
-section: per rung the median wall times of the whole command (interpreter
-start-up included), the pairs the head wins, the base's IQR, every run, and
-each side's exit codes and status lines.
+With ``--ladder`` it also times ``kaczlab solve`` and ``kaczlab
+experiment`` (the fixed small plan ``EXPERIMENT_PLAN``) on each rung of the
+size ladder (``LADDER``: 20x20 tau=1, 200x50 tau=8, 2000x500 tau=8 and
+tau=64) in the same alternating pairs, one BLAS thread, and writes a
+``ladder`` section: per rung and command the median wall times of the whole
+command (interpreter start-up included), the pairs the head wins, the
+base's IQR, every run, and each side's exit codes, and ``solve``'s status
+lines or the sha256 of ``experiment``'s ``summary.json``.
 
     python tools/bench_pairs.py --base REV --head REV [--pairs N] [--seconds S]
                                 [--workload W ...] [--seed SEED] [--ladder]
@@ -31,6 +33,7 @@ n one more than the highest there.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -46,19 +49,27 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 REPORT_PREFIX = "perfbench-report "
 
-# The size ladder: each rung's ``kaczlab solve`` arguments after SOLVE_ARGS.
-# The 20x20 system does not reach the default tolerance, so its rung runs a
-# fixed 20,000 iterations; the others run to the tolerance.
+# The size ladder: each rung's recipe, sampling, and the ``kaczlab solve``
+# arguments it adds to SOLVE_ARGS.  The 20x20 system does not reach the
+# default tolerance, so its solve runs a fixed 20,000 iterations; the others
+# run to the tolerance.
 SOLVE_ARGS = ["solve", "--seed", "1", "--method", "rbk", "--stepsize", "constant-extrapolated",
               "--max-iters", "100000"]
 LADDER = {
-    "20x20-tau1": ["--recipe", "gaussian:20x20", "--sampling", "uniform:1",
-                   "--max-iters", "20000", "--residual-tol", "0"],
-    "200x50-tau8": ["--recipe", "gaussian:200x50", "--sampling", "uniform:8"],
-    "2000x500-tau8": ["--recipe", "gaussian:2000x500", "--sampling", "uniform:8"],
-    "2000x500-tau64": ["--recipe", "gaussian:2000x500", "--sampling", "uniform:64"],
+    "20x20-tau1": ("gaussian:20x20", "uniform:1", ["--max-iters", "20000", "--residual-tol", "0"]),
+    "200x50-tau8": ("gaussian:200x50", "uniform:8", []),
+    "2000x500-tau8": ("gaussian:2000x500", "uniform:8", []),
+    "2000x500-tau64": ("gaussian:2000x500", "uniform:64", []),
 }
-SOLVE_MAIN = "import sys; from kaczlab.cli import main; sys.exit(main())"
+# The ``kaczlab experiment`` plan of every rung, given the rung's recipe and
+# sampling: a fixed 200 steps of 4 trials, the system of ``solve``'s seed.
+EXPERIMENT_PLAN = {
+    "recipe_seed": 1, "trials": 4,
+    "configs": [{"name": "rbk-constant-extrapolated", "method": "rbk",
+                 "stepsize": {"kind": "constant-extrapolated"},
+                 "max_iters": 200, "residual_tol": 0.0, "seed": 1}],
+}
+CLI_MAIN = "import sys; from kaczlab.cli import main; sys.exit(main())"
 
 
 def _git(*args: str) -> str:
@@ -92,47 +103,79 @@ def _run(tree: Path, command: list[str]) -> tuple[dict, dict]:
     return report, json.loads(lines[-1])
 
 
-def _solve(tree: Path, args: list[str]) -> tuple[float, int, str]:
-    """One ``kaczlab solve`` run of ``tree``'s source: its wall time, exit
-    code and last output line.  Exit 2 (max-iters) is a result."""
+def _cli(tree: Path, args: list[str], cwd: Path) -> tuple[float, subprocess.CompletedProcess]:
+    """One ``kaczlab`` command of ``tree``'s source, run in ``cwd`` at one
+    BLAS thread: its wall time and result."""
     env = {k: v for k, v in os.environ.items() if k != "KACZLAB_SEED"}
     env |= {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = str(tree / "src")
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", SOLVE_MAIN, *SOLVE_ARGS, *args], cwd=tree,
-                          env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    done = subprocess.run([sys.executable, "-c", CLI_MAIN, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return time.perf_counter() - start, done
+
+
+def _solve(tree: Path, args: list[str]) -> tuple[float, int, str]:
+    """One ``kaczlab solve`` run: its wall time, exit code and last output
+    line.  Exit 2 (max-iters) is a result."""
+    wall, done = _cli(tree, args, tree)
     if done.returncode not in (0, 2):
         raise RuntimeError(f"kaczlab {' '.join(args)} in {tree} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     return wall, done.returncode, done.stdout.strip().splitlines()[-1]
 
 
+def _experiment(tree: Path, plan: dict) -> tuple[float, int, str]:
+    """One ``kaczlab experiment`` run of ``plan`` in a new directory: its
+    wall time, exit code and the sha256 of its ``summary.json``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "plan.json").write_text(json.dumps(plan))
+        wall, done = _cli(tree, ["experiment", "plan.json", "--outdir", "out"], Path(tmp))
+        summary = Path(tmp, "out", "summary.json")
+        digest = (hashlib.sha256(summary.read_bytes()).hexdigest() if summary.exists()
+                  else "no summary.json")
+    return wall, done.returncode, digest
+
+
 def _ladder(trees: dict[str, Path], pairs: int) -> dict:
-    """Every rung of ``LADDER`` timed in alternating base/head pairs."""
+    """Every rung of ``LADDER``, ``solve`` and ``experiment``, timed in
+    alternating base/head pairs."""
     out = {}
-    for rung, args in LADDER.items():
-        runs = {"base": [], "head": []}
-        for i in range(pairs):
-            for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                runs[side].append(_solve(trees[side], args))
-                print(f"ladder {rung} pair {i + 1}/{pairs} {side}: "
-                      f"{runs[side][-1][0]:.3f} s", file=sys.stderr)
-        base, head = ([wall for wall, _, _ in runs[side]] for side in ("base", "head"))
-        parent, change = statistics.median(base), statistics.median(head)
-        out[rung] = {
-            "command": "kaczlab " + " ".join(SOLVE_ARGS + args),
-            "unit": "s", "better": "lower",
-            "parent": round(parent, 4), "change": round(change, 4),
-            "change_wins": sum(h < b for b, h in zip(base, head)),
-            "parent_iqr": round(_iqr(base), 4),
-            "relative_change": round((change - parent) / parent, 4),
-            "parent_runs": [round(v, 4) for v in base], "change_runs": [round(v, 4) for v in head],
-            "exit_codes": {key: _one_or_all([code for _, code, _ in runs[s]])
-                           for key, s in (("parent", "base"), ("change", "head"))},
-            "status_lines": {key: _one_or_all([line for _, _, line in runs[s]])
-                             for key, s in (("parent", "base"), ("change", "head"))},
+    for rung, (recipe, sampling, extra) in LADDER.items():
+        args = ["--recipe", recipe, "--sampling", sampling, *extra]
+        plan = EXPERIMENT_PLAN | {"recipe": recipe, "configs": [
+            config | {"sampling": sampling} for config in EXPERIMENT_PLAN["configs"]]}
+        commands = {
+            "solve": ("kaczlab " + " ".join(SOLVE_ARGS + args), "status_lines",
+                      lambda tree: _solve(tree, SOLVE_ARGS + args)),
+            "experiment": ("kaczlab experiment plan.json --outdir out", "summary_digests",
+                           lambda tree: _experiment(tree, plan)),
         }
+        out[rung] = {}
+        for name, (command, result, run) in commands.items():
+            runs = {"base": [], "head": []}
+            for i in range(pairs):
+                for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                    runs[side].append(run(trees[side]))
+                    print(f"ladder {rung} {name} pair {i + 1}/{pairs} {side}: "
+                          f"{runs[side][-1][0]:.3f} s", file=sys.stderr)
+            base, head = ([wall for wall, _, _ in runs[side]] for side in ("base", "head"))
+            parent, change = statistics.median(base), statistics.median(head)
+            out[rung][name] = {
+                "command": command,
+                **({"plan": plan} if name == "experiment" else {}),
+                "unit": "s", "better": "lower",
+                "parent": round(parent, 4), "change": round(change, 4),
+                "change_wins": sum(h < b for b, h in zip(base, head)),
+                "parent_iqr": round(_iqr(base), 4),
+                "relative_change": round((change - parent) / parent, 4),
+                "parent_runs": [round(v, 4) for v in base],
+                "change_runs": [round(v, 4) for v in head],
+                "exit_codes": {key: _one_or_all([code for _, code, _ in runs[s]])
+                               for key, s in (("parent", "base"), ("change", "head"))},
+                result: {key: _one_or_all([line for _, _, line in runs[s]])
+                         for key, s in (("parent", "base"), ("change", "head"))},
+            }
     return out
 
 
@@ -242,7 +285,8 @@ def main(argv=None) -> None:
                         help="workload to run, repeatable (default: every one BENCHMARK.json lists)")
     parser.add_argument("--seed", type=int, default=1, help="the benchmark's input seed")
     parser.add_argument("--ladder", action="store_true",
-                        help="also time kaczlab solve on each rung of the size ladder")
+                        help="also time kaczlab solve and experiment on each rung of the "
+                             "size ladder")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default: the next BENCH_<n>.json in the repository)")
     args = parser.parse_args(argv)
