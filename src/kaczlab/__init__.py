@@ -72,6 +72,7 @@ from .sampling import (
     paving_from_json,
     paving_to_json,
     sample_block,
+    split_seed,
 )
 from .solver import (
     IterationEvent,
@@ -85,7 +86,6 @@ from .solver import (
     rbk_step,
     run_monte_carlo,
     run_solver,
-    split_seed,
 )
 from .stepsize import (
     Adaptive,

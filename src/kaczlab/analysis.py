@@ -66,15 +66,12 @@ def block_lambda_max(
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sampled support, got {budget}")
-    key = ("block_lambda_max", spec, budget, seed)
-    if key not in system.cache:
-        system.check_nonzero_rows()
-        for old in [k for k in system.cache if k[0] == "block_lambda_max"]:
-            del system.cache[old]
+    system.check_nonzero_rows()
+
+    def build():
         groups, mode = spec.support_groups(budget, seed)
-        system.cache[key] = max(_supports_lambda_max(system, supports, size)
-                                for size, supports in groups), mode
-    return system.cache[key]
+        return max(_supports_lambda_max(system, J, size) for size, J in groups), mode
+    return system.cached(("block_lambda_max", spec, budget, seed), build)
 
 
 def build_W(system: LinearSystem, spec: SamplingSpec) -> np.ndarray:

@@ -199,11 +199,7 @@ def block_pinvs(system: LinearSystem, spec) -> BlockPinvs:
     and drawable blocks, so laws that draw the same blocks share them: the
     system's cache keeps the latest, m * n factor floats at most."""
     key = ("block_pinvs", spec.blocks, tuple((size, rows.tobytes()) for size, rows in spec._support))
-    if key not in system.cache:
-        for old in [k for k in system.cache if k[0] == "block_pinvs"]:
-            del system.cache[old]
-        system.cache[key] = BlockPinvs(system, spec)
-    return system.cache[key]
+    return system.cached(key, lambda: BlockPinvs(system, spec))
 
 
 def factored_projection_step(X: np.ndarray, system: LinearSystem, J: np.ndarray,

@@ -58,18 +58,18 @@ def row_blocks(m: int, n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], m])]
 
 
-def stacked_matvec(M: np.ndarray, X: np.ndarray, blocks: list[slice] | None) -> np.ndarray:
+def stacked_matvec(M: np.ndarray, X: np.ndarray, blocks) -> np.ndarray:
     """``np.matvec(M, X)`` of one iterate X (n,) or a stack X (..., n), one
     gemv per iterate, each with the bits of its own call.  A stack of two or
-    more takes M by the blocks of rows ``blocks`` (``matvec_blocks``), one
-    gemv per iterate and block: a block stays in cache for all the stack's
-    gemvs instead of M streaming through once per iterate (Goto-van de
-    Geijn, ACM TOMS 2008).  One iterate, or ``blocks`` None, is one
-    ``np.matvec``."""
-    if blocks is None or X.ndim == 1 or len(X) < 2:
+    more takes M by the blocks of rows ``blocks()`` gives (``matvec_blocks``,
+    asked only then), one gemv per iterate and block: a block stays in cache
+    for all the stack's gemvs instead of M streaming through once per
+    iterate (Goto-van de Geijn, ACM TOMS 2008).  One iterate, or blocks
+    None, is one ``np.matvec``."""
+    if X.ndim == 1 or len(X) < 2 or (slices := blocks()) is None:
         return np.matvec(M, X)
     out = np.empty(X.shape[:-1] + M.shape[:1])
-    for rows in blocks:
+    for rows in slices:
         np.matvec(M[rows], X, out=out[..., rows])
     return out
 
@@ -87,7 +87,8 @@ def matvec_blocks(M: np.ndarray) -> list[slice] | None:
     if len(blocks) < 2:
         return None
     probe = np.random.default_rng(0).standard_normal((8, M.shape[1]))
-    return blocks if np.array_equal(stacked_matvec(M, probe, blocks), np.matvec(M, probe)) else None
+    return blocks if np.array_equal(stacked_matvec(M, probe, lambda: blocks),
+                                    np.matvec(M, probe)) else None
 
 
 def as_matrix(A) -> np.ndarray:
@@ -130,6 +131,8 @@ class LinearSystem:
         b = as_vector(self.b, A.shape[0])
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        # Values other modules derive from the system, by key (``cached``).
+        object.__setattr__(self, "cache", {})
         if self.planted_solution is not None:
             x = as_vector(self.planted_solution, A.shape[1])
             object.__setattr__(self, "planted_solution", x)
@@ -174,10 +177,13 @@ class LinearSystem:
         if self.has_zero_rows:
             check_row_norms(self.row_norms_sq)
 
-    @cached_property
-    def cache(self) -> dict:
-        """Values other modules derive from the system, by key."""
-        return {}
+    def cached(self, key: tuple, build):
+        """``cache[key]``, built by ``build()`` once each kind's (key[0]) older key is dropped."""
+        if key not in self.cache:
+            for old in [k for k in self.cache if k[0] == key[0]]:
+                del self.cache[old]
+            self.cache[key] = build()
+        return self.cache[key]
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,15 +202,15 @@ class LinearSystem:
 
     @cached_property
     def matvec_blocks(self) -> list[slice] | None:
-        """``matvec_blocks`` of A, probed on first use: how ``residual``
-        takes A for a stack."""
+        """``matvec_blocks`` of A, probed when ``residual`` first takes a
+        stack of two or more iterates: how it takes A for one."""
         return matvec_blocks(self.A)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """A x - b of one iterate (n,) or of each in a stack (..., n), each
         with the bits of ``A @ x - b`` (``stacked_matvec`` by
         ``matvec_blocks``)."""
-        return stacked_matvec(self.A, x, self.matvec_blocks) - self.b
+        return stacked_matvec(self.A, x, lambda: self.matvec_blocks) - self.b
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +329,7 @@ class SolutionProjector:
         """||x - Pi_X(x)||^2 of one iterate (n,) or of each in a stack
         (..., n), each with the bits of its own call: V_r^T is taken as
         ``LinearSystem.residual`` takes A."""
-        y = stacked_matvec(self.vt_r, x, self.matvec_blocks) - self.c
+        y = stacked_matvec(self.vt_r, x, lambda: self.matvec_blocks) - self.c
         return np.vecdot(y, y)
 
 

@@ -3,17 +3,23 @@
 Two sampling laws are supported: uniform tau-subsets of [m], and a fixed
 partition of [m] drawn with per-block probabilities, read from a JSON dict
 or a spec string such as ``uniform:4``.  Small instances can be enumerated
-exhaustively, which the test oracles rely on.
+exhaustively, which the test oracles rely on.  It is also the one module
+that replays numpy's streams, which NEP 19 does not promise to keep:
+``SeedSequence``'s hash (``trial_seeds``), PCG64's half-buffer
+(``WordSource``), Lemire's bounded draws and Floyd's ``choice``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import BadBlockCountError, ConfigMismatchError, KaczlabError, TooLargeError
 from .kinds import Kind, from_kind_dict, number, number_field, registry
@@ -41,6 +47,126 @@ CHOICE_FLOYD_MAX = 10_000
 # 200) its fixed cost outweighs per-call choice, so choice draws them
 # (timed at m = 2000: a pass of 41 calls still wins, one of 32 loses).
 REPLAY_DRAWS = 1 << 14
+
+
+def split_seed(seed: int, index: int) -> int:
+    """Deterministic per-trial seed: trials can run in any order (or in
+    parallel) and still replay bit-exactly.  This splitting rule is part of
+    the reproducibility contract."""
+    return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) in uint32
+# arithmetic.  Its hash constants run through fixed chains, whatever the
+# data: the i-th word hashed into the pool is xored with INIT_A * MULT_A**i
+# and multiplied by INIT_A * MULT_A**(i + 1); the i-th output word likewise
+# with INIT_B and MULT_B.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL = 4
+
+
+@functools.cache
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i = 0 .. count - 1, computed once per
+    chain (read-only)."""
+    chain = np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(count)], dtype=np.uint32)
+    chain.flags.writeable = False
+    return chain
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray, i: int) -> np.ndarray:
+    """``hashmix`` of values[..., j] with the (i + j)-th constant of the chain."""
+    width = values.shape[-1]
+    h = (values ^ chain[i:i + width]) * chain[i + 1:i + 1 + width]
+    return h ^ (h >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    h = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return h ^ (h >> _XSHIFT)
+
+
+@functools.cache
+def _pool_rounds(extra: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The rounds that hash each pool word into every other: (src, xor
+    constants, multipliers), the constants of word d at column d (0 at src,
+    which the round leaves as it is)."""
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
+    rounds, i = [], _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        consts = np.zeros((2, _POOL), dtype=np.uint32)
+        consts[:, dst] = chain[i:i + len(dst)], chain[i + 1:i + 1 + len(dst)]
+        consts.flags.writeable = False
+        rounds.append((src, *consts))
+        i += len(dst)
+    return rounds
+
+
+def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each row e
+    of the (T, L) uint32 ``entropy``, L >= 4: zero words padding a row to
+    the pool size leave its pool unchanged."""
+    extra = entropy.shape[1] - _POOL
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
+    pool = _hashmix(entropy[:, :_POOL], chain, 0)
+    # Each pool word into every other, in SeedSequence's loop order: a round
+    # mixes every word and puts its source word back.
+    for src, xor, mult in _pool_rounds(extra):
+        h = (pool[:, src:src + 1] ^ xor) * mult
+        h ^= h >> _XSHIFT
+        word = pool[:, src].copy()
+        pool = _mix(pool, h)
+        pool[:, src] = word
+    i = _POOL * _POOL
+    # Entropy past the pool size: each word into every pool word.
+    for src in range(_POOL, _POOL + extra):
+        pool = _mix(pool, _hashmix(entropy[:, [src] * _POOL], chain, i))
+        i += _POOL
+    state = _hashmix(np.tile(pool, -(-n_words // 2))[:, :2 * n_words],
+                     _hash_chain(_INIT_B, _MULT_B, 2 * n_words + 1), 0)
+    # Pairs of uint32 words read as little-endian uint64s.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PresetState(ISeedSequence):
+    """The seed sequence of one trial generator: ``generate_state`` returns
+    PCG64's four uint64 seed words, computed beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def split_seeds(seed: int, trials: int) -> np.ndarray:
+    """``split_seed(seed, t)`` for t = 0 .. trials - 1, as uint64, hashed
+    in one pass over the trials."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    head = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((trials, max(_POOL, len(head) + 1)), dtype=np.uint32)
+    entropy[:, :len(head)] = head
+    entropy[:, len(head)] = np.arange(trials)
+    return _seed_sequence_state(entropy, 1)[:, 0]
+
+
+def trial_seeds(seed: int, trials: int) -> list[_PresetState]:
+    """The seed sequences of a Monte-Carlo run's trials: ``PCG64`` built on
+    ``trial_seeds(seed, trials)[t]`` (as by ``WordSource``) has the state of
+    ``default_rng(split_seed(seed, t))``.  Both SeedSequence hashes of every
+    trial are taken in one pass over the trials: the entropy (seed, t)
+    gives the split seeds, and each split seed PCG64's four state words."""
+    # A split seed's entropy is its two uint32 words, less a high zero
+    # word, which the padding puts back.
+    entropy = np.zeros((trials, _POOL), dtype=np.uint32)
+    entropy[:, :2] = split_seeds(seed, trials).astype("<u8").view("<u4").reshape(trials, 2)
+    return [_PresetState(w) for w in _seed_sequence_state(entropy, 4)]
 
 
 class WordSource:

@@ -2,24 +2,22 @@
 Monte-Carlo harness used to verify convergence rates in expectation.
 
 ``run_solver`` and ``run_monte_carlo`` are the one-trial and the T-trial
-case of the lockstep engine (:mod:`kaczlab.engine`); the iteration kernels
-live in :mod:`kaczlab.kernels`.  ``config_from_dict`` reads every
-configuration document: ``config_to_dict``'s mirror and plan entries.
+case of the lockstep engine (:mod:`kaczlab.engine`), with the iteration
+kernels of :mod:`kaczlab.kernels` and the trial seeds of :mod:`kaczlab.sampling`.
+``config_from_dict`` reads every configuration document: the mirror of
+``config_to_dict`` and plan entries.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import block_lambda_max
 from .engine import (
@@ -45,7 +43,8 @@ from .kernels import (
 )
 from .kinds import number_field
 from .linalg import LinearSystem
-from .sampling import SamplingSpec, build_sampling, check_covers, sampling_from_dict
+from .sampling import SamplingSpec, build_sampling, check_covers, sampling_from_dict, trial_seeds
+from .sampling import split_seed, split_seeds  # re-exported
 from .stepsize import (
     STEPSIZE_KINDS,
     StepsizePolicy,
@@ -59,7 +58,7 @@ __all__ = [
     "NORMS_ONLY", "RBK", "STALLED", "STALL_LIMIT", "IterationEvent", "MonteCarloSummary",
     "SolverConfig", "SolverTrace", "basic_kaczmarz_step", "block_projection_step",
     "config_from_dict", "config_to_dict", "number_field", "pad_to", "rbk_step",
-    "run_monte_carlo", "run_solver", "split_seed", "split_seeds", "trial_generators",
+    "run_monte_carlo", "run_solver", "split_seed", "split_seeds",
 ]
 
 
@@ -217,134 +216,6 @@ def run_solver(config: SolverConfig, system: LinearSystem,
 # ---------------------------------------------------------------------------
 # Monte-Carlo harness
 # ---------------------------------------------------------------------------
-
-def split_seed(seed: int, index: int) -> int:
-    """Deterministic per-trial seed: trials can run in any order (or in
-    parallel) and still replay bit-exactly.  This splitting rule is part of
-    the reproducibility contract."""
-    return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) in uint32
-# arithmetic.  Its hash constants run through fixed chains, whatever the
-# data: the i-th word hashed into the pool is xored with INIT_A * MULT_A**i
-# and multiplied by INIT_A * MULT_A**(i + 1); the i-th output word likewise
-# with INIT_B and MULT_B.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_POOL = 4
-
-
-@functools.cache
-def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**i mod 2**32 for i = 0 .. count - 1, computed once per
-    chain (read-only)."""
-    chain = np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(count)], dtype=np.uint32)
-    chain.flags.writeable = False
-    return chain
-
-
-def _hashmix(values: np.ndarray, chain: np.ndarray, i: int) -> np.ndarray:
-    """``hashmix`` of values[..., j] with the (i + j)-th constant of the chain."""
-    width = values.shape[-1]
-    h = (values ^ chain[i:i + width]) * chain[i + 1:i + 1 + width]
-    return h ^ (h >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    h = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return h ^ (h >> _XSHIFT)
-
-
-@functools.cache
-def _pool_rounds(extra: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The rounds that hash each pool word into every other: (src, xor
-    constants, multipliers), the constants of word d at column d (0 at src,
-    which the round leaves as it is)."""
-    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
-    rounds, i = [], _POOL
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        consts = np.zeros((2, _POOL), dtype=np.uint32)
-        consts[:, dst] = chain[i:i + len(dst)], chain[i + 1:i + 1 + len(dst)]
-        consts.flags.writeable = False
-        rounds.append((src, *consts))
-        i += len(dst)
-    return rounds
-
-
-def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each row e
-    of the (T, L) uint32 ``entropy``, L >= 4: zero words padding a row to
-    the pool size leave its pool unchanged."""
-    extra = entropy.shape[1] - _POOL
-    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
-    pool = _hashmix(entropy[:, :_POOL], chain, 0)
-    # Each pool word into every other, in SeedSequence's loop order: a round
-    # mixes every word and puts its source word back.
-    for src, xor, mult in _pool_rounds(extra):
-        h = (pool[:, src:src + 1] ^ xor) * mult
-        h ^= h >> _XSHIFT
-        word = pool[:, src].copy()
-        pool = _mix(pool, h)
-        pool[:, src] = word
-    i = _POOL * _POOL
-    # Entropy past the pool size: each word into every pool word.
-    for src in range(_POOL, _POOL + extra):
-        pool = _mix(pool, _hashmix(entropy[:, [src] * _POOL], chain, i))
-        i += _POOL
-    state = _hashmix(np.tile(pool, -(-n_words // 2))[:, :2 * n_words],
-                     _hash_chain(_INIT_B, _MULT_B, 2 * n_words + 1), 0)
-    # Pairs of uint32 words read as little-endian uint64s.
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _PresetState(ISeedSequence):
-    """The seed sequence of one trial generator: ``generate_state`` returns
-    PCG64's four uint64 seed words, computed beforehand."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def split_seeds(seed: int, trials: int) -> np.ndarray:
-    """``split_seed(seed, t)`` for t = 0 .. trials - 1, as uint64, hashed
-    in one pass over the trials."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    head = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((trials, max(_POOL, len(head) + 1)), dtype=np.uint32)
-    entropy[:, :len(head)] = head
-    entropy[:, len(head)] = np.arange(trials)
-    return _seed_sequence_state(entropy, 1)[:, 0]
-
-
-def trial_seeds(seed: int, trials: int) -> list[_PresetState]:
-    """The seed sequences of ``trial_generators``: ``PCG64`` built on
-    ``trial_seeds(seed, trials)[t]`` has the state of
-    ``default_rng(split_seed(seed, t))``.  Both SeedSequence hashes of every
-    trial are taken in one pass over the trials: the entropy (seed, t)
-    gives the split seeds, and each split seed PCG64's four state words."""
-    # A split seed's entropy is its two uint32 words, less a high zero
-    # word, which the padding puts back.
-    entropy = np.zeros((trials, _POOL), dtype=np.uint32)
-    entropy[:, :2] = split_seeds(seed, trials).astype("<u8").view("<u4").reshape(trials, 2)
-    return [_PresetState(w) for w in _seed_sequence_state(entropy, 4)]
-
-
-def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
-    """``[np.random.default_rng(split_seed(seed, t)) for t in
-    range(trials)]``, the same states, built on ``trial_seeds``."""
-    return [np.random.default_rng(words) for words in trial_seeds(seed, trials)]
-
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloSummary:

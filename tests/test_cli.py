@@ -357,6 +357,23 @@ def test_malformed_sampling_spec_is_an_error_line(spec, capsys):
     assert repr(spec) in err and "uniform:T | partition:S | paving:L | full" in err
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["gaussian:8x4", "--sampling", "partition:0"],
+     "KaczlabError: partition block size 0 out of range"),
+    (["gaussian:8x4", "--sampling", "partition:9"],
+     "KaczlabError: partition block size 9 out of range"),
+    (["gaussian:0x4"], "BadDimensionsError: bad dimensions m=0, n=4"),
+    (["gaussian:8x4", "--config", "classic.json"],
+     "ValueError: a stepsize must be a JSON object, got 'classic'"),
+], ids=["partition-0", "partition-9", "zero-rows", "stepsize-string"])
+def test_refused_solve_is_an_error_line(argv, line, tmp_path, capsys):
+    (tmp_path / "classic.json").write_text(json.dumps(
+        {"method": "rbk", "sampling": "uniform:2", "stepsize": "classic", "max_iters": 5}))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert run_cli("solve", "--recipe", *argv) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["paving", "--rows", "10", "--blocks", "3"],
     ["solve", "--recipe", "gaussian:8x4", "--sampling", "uniform:2", "--max-iters", "5"],

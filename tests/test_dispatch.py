@@ -3,9 +3,11 @@ answers for itself: no module dispatches on the kinds of a union with
 ``isinstance``, nor compares another object's ``kind`` with a string.
 Equality and hashing come from ``@dataclass``: no class writes ``__eq__``
 or ``__hash__``, and a dataclass with an array field passes ``eq=False``
-(a generated ``__eq__`` over arrays raises)."""
+(a generated ``__eq__`` over arrays raises).  One module, ``sampling``,
+names the numpy generator internals whose streams the bits replay."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 from kaczlab.problems import RECIPE_KINDS
@@ -15,6 +17,9 @@ from kaczlab.stepsize import STEPSIZE_KINDS
 SRC = Path(__file__).resolve().parents[1] / "src" / "kaczlab"
 KIND_CLASSES = {cls.__name__ for kinds in (SAMPLING_KINDS, STEPSIZE_KINDS, RECIPE_KINDS)
                 for cls in kinds.values()}
+# numpy's seeding and bit-generator internals, which numpy does not promise
+# to keep stream for stream across versions.
+STREAM_NAMES = {"SeedSequence", "ISeedSequence", "PCG64", "bit_generator", "random_raw"}
 
 
 def _class_names(node: ast.AST) -> list[str]:
@@ -120,6 +125,14 @@ def equality_sites(path: Path) -> list[str]:
     return sites
 
 
+def stream_sites(path: Path) -> list[str]:
+    """Every name of STREAM_NAMES in ``path``'s code (docstrings, strings
+    and comments left out), as ``file:line name``."""
+    with path.open("rb") as fh:
+        return [f"{path.name}:{tok.start[0]} {tok.string}" for tok in tokenize.tokenize(fh.readline)
+                if tok.type == tokenize.NAME and tok.string in STREAM_NAMES]
+
+
 def test_no_isinstance_dispatch_over_kind_unions():
     sites = [site for path in sorted(SRC.glob("*.py")) for site in dispatch_sites(path)]
     assert sites == []
@@ -200,3 +213,26 @@ def test_equality_guard_sees_every_form(tmp_path):
     assert equality_sites(path) == ["probe.py:4 A __eq__", "probe.py:6 A __hash__",
                                     "probe.py:9 B eq over arrays", "probe.py:12 C eq over arrays",
                                     "probe.py:16 D eq over arrays"]
+
+
+def test_only_sampling_replays_numpy_streams():
+    sites = [site for path in sorted(SRC.glob("*.py")) if path.name != "sampling.py"
+             for site in stream_sites(path)]
+    assert sites == []
+
+
+def test_stream_guard_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        '"""Seeds go through SeedSequence and PCG64."""\n'
+        "import numpy as np\n"
+        "from numpy.random.bit_generator import ISeedSequence\n"
+        "from numpy.random import PCG64 as Bits\n"
+        "def f(rng, seed):\n"
+        "    # rng.bit_generator.random_raw draws raw words\n"
+        "    words = rng.bit_generator.random_raw(4)\n"
+        "    return np.random.SeedSequence(seed), 'PCG64', words\n"
+    )
+    assert stream_sites(path) == ["probe.py:3 bit_generator", "probe.py:3 ISeedSequence",
+                                  "probe.py:4 PCG64", "probe.py:7 bit_generator",
+                                  "probe.py:7 random_raw", "probe.py:8 SeedSequence"]

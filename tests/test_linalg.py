@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from kaczlab import linalg
 from kaczlab.errors import (
     InconsistentSystemError,
     NotSquareError,
@@ -24,7 +25,7 @@ from kaczlab.linalg import (
 )
 from kaczlab.problems import generate_problem, parse_recipe
 from kaczlab.sampling import UniformSubset
-from kaczlab.solver import RBK, SolverConfig, run_solver
+from kaczlab.solver import RBK, SolverConfig, run_monte_carlo, run_solver
 from kaczlab.stepsize import Adaptive, uniform_weights
 
 
@@ -314,6 +315,24 @@ def test_residual_of_a_stack_is_per_iterate(n):
             assert all(np.array_equal(R[t], A @ X[t] - system.b) for t in range(T))
             if projector is not None:
                 assert np.array_equal(projector.dist_sq(X), [projector.dist_sq(x) for x in X])
+
+
+def test_matvec_blocks_are_probed_only_for_a_stack(monkeypatch):
+    # At 300 x 500, A and V_r^T each take three row blocks.  A one-trial
+    # run's residuals and distances are of one iterate and probe neither
+    # matrix; a 2-trial run probes each once.
+    assert len(row_blocks(300, 500)) == 3
+    calls = []
+    probe = linalg.matvec_blocks
+    monkeypatch.setattr(linalg, "matvec_blocks", lambda M: calls.append(M.shape) or probe(M))
+    system = generate_problem(parse_recipe("gaussian:300x500", seed=3))
+    spec = UniformSubset(300, 8)
+    config = SolverConfig(RBK, spec, uniform_weights(spec), Adaptive(), max_iters=5,
+                          diagnostics=True)
+    run_solver(config, system)
+    assert calls == []
+    run_monte_carlo(config, system, trials=2)
+    assert calls == [(300, 500), (300, 500)]
 
 
 def test_system_with_projector_is_freed_without_gc():

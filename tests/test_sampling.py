@@ -334,8 +334,9 @@ def _source(bit_generator, seeds) -> WordSource:
     # A pass holds fewer than 40 calls: drawn by choice.
     (2000, 300, (3, 40)),
     (2000, 1000, (3, 40)),
+    (2**33 + 1, 3, (1, 4)),  # m > 2**32: 64-bit words, drawn by choice
 ], ids=["50-3", "2000-8", "2000-64", "5-5", "64-64", "2^31-3", "12000-3", "tail-shuffle",
-        "rejecting", "2000-300", "2000-1000"])
+        "rejecting", "2000-300", "2000-1000", "2^33+1-3"])
 def test_uniform_draws_replay_choice(m, tau, counts, bit_generator):
     # Two consecutive batches: every value, in choice's order, and every
     # generator's state afterwards are those of per-call choice.
@@ -432,14 +433,15 @@ def test_uniform_stream_draws_fewer_steps_under_the_value_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64])
-@pytest.mark.parametrize("m", [1, 2, 20, 2000, 2**31 + 2, 3 * 2**30 + 7, 2**32])
+@pytest.mark.parametrize("m", [1, 2, 20, 2000, 2**31 + 2, 3 * 2**30 + 7, 2**32, 2**32 + 5])
 def test_word_source_draws_what_integers_draws(m, bit_generator):
     # One-row draws from a word source: three generators that hold a
     # buffered half and three that do not, chained calls of odd and even
     # counts.  Every value, and every full generator state (read by
     # ``call``, which the next call's draws continue from), is that of
     # per-call integers(m, size=count).  Above 2**31 Lemire rejects about a
-    # quarter (3 2**30 + 7) or half (2**31 + 2) of the words.
+    # quarter (3 2**30 + 7) or half (2**31 + 2) of the words; above 2**32
+    # integers draws 64-bit words, called through ``call``.
     spec = UniformSubset(m, 1)
     for counts in [(3, 8), (8, 5), (1, 1), (256, 33), (5, 2, 7)]:
         seeds = [[3, t] for t in range(6)]
@@ -457,7 +459,7 @@ def test_word_source_draws_what_integers_draws(m, bit_generator):
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
 @pytest.mark.parametrize("m", [20, 3 * 2**30 + 7, 2**32])
-def test_owned_word_source_keeps_the_buffer_until_released(m, bit_generator):
+def test_call_hands_the_buffer_to_the_generator(m, bit_generator):
     # The source keeps each generator's buffered half itself while it
     # draws; ``call`` writes it to the generator's state, which then is that
     # of per-call integers, and the source's draws carry on from there.

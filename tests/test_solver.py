@@ -12,11 +12,13 @@ from kaczlab.sampling import (
     DRAW_AHEAD,
     Partition,
     UniformSubset,
+    WordSource,
     build_random_paving,
     enumerate_supports,
     frobenius_partition,
     full_batch,
     partition_spec,
+    trial_seeds,
 )
 from kaczlab.engine import Trials, square_threshold
 from kaczlab.kernels import block_pinvs, block_sum
@@ -39,7 +41,6 @@ from kaczlab.solver import (
     run_solver,
     split_seed,
     split_seeds,
-    trial_generators,
 )
 from kaczlab.stepsize import (
     Adaptive,
@@ -543,14 +544,18 @@ class TestMonteCarlo:
             assert split_seeds(seed, trials).tolist() == expected, seed
 
     def test_trial_generators_have_the_split_seed_states(self):
+        # The generators a Monte-Carlo run's stream builds on its trial seeds.
         for seed in _SEEDS:
-            for t, rng in enumerate(trial_generators(seed, 200)):
+            words = WordSource(trial_seeds(seed, 200))
+            for t in range(200):
                 expected = np.random.default_rng(split_seed(seed, t))
-                assert rng.bit_generator.state == expected.bit_generator.state, (seed, t)
-                assert rng.integers(2**63, size=3).tolist() == expected.integers(2**63, size=3).tolist()
+                assert (words.call(t, lambda rng: rng.bit_generator.state)
+                        == expected.bit_generator.state), (seed, t)
+                assert (words.call(t, lambda rng: rng.integers(2**63, size=3).tolist())
+                        == expected.integers(2**63, size=3).tolist())
 
     def test_negative_seed_is_refused_as_split_seed_refuses_it(self):
-        for split in (split_seed, split_seeds, trial_generators):
+        for split in (split_seed, split_seeds, trial_seeds):
             with pytest.raises(ValueError, match="expected non-negative integer"):
                 split(-1, 3)
 
