@@ -58,24 +58,28 @@ def row_blocks(m: int, n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], m])]
 
 
-def stacked_matvec(M: np.ndarray, X: np.ndarray, blocks) -> np.ndarray:
-    """``np.matvec(M, X)`` of one iterate X (n,) or a stack X (..., n), one
-    gemv per iterate, each with the bits of its own call.  A stack of two or
-    more takes M by the blocks of rows ``blocks()`` gives (``matvec_blocks``,
-    asked only then), one gemv per iterate and block: a block stays in cache
-    for all the stack's gemvs instead of M streaming through once per
-    iterate (Goto-van de Geijn, ACM TOMS 2008).  One iterate, or blocks
-    None, is one ``np.matvec``."""
-    if X.ndim == 1 or len(X) < 2 or (slices := blocks()) is None:
+def stacked_matvec(M: np.ndarray, X: np.ndarray, owner) -> np.ndarray:
+    """``np.matvec(M, X)`` of one iterate X (n,) or a stack X (..., n), each
+    iterate with the bits of its own gemv.  Only a stack of two or more reads
+    ``owner.matvec_blocks`` (so only it probes M) and, unless that is None,
+    takes M by those row blocks (``blocked_matvec``)."""
+    if X.ndim == 1 or len(X) < 2 or (blocks := owner.matvec_blocks) is None:
         return np.matvec(M, X)
+    return blocked_matvec(M, X, blocks)
+
+
+def blocked_matvec(M: np.ndarray, X: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """``np.matvec(M, X)`` of a stack X (..., n), one gemv per iterate and
+    row block: a block stays in cache for all the stack's gemvs instead of M
+    streaming through once per iterate (Goto-van de Geijn, ACM TOMS 2008)."""
     out = np.empty(X.shape[:-1] + M.shape[:1])
-    for rows in slices:
+    for rows in blocks:
         np.matvec(M[rows], X, out=out[..., rows])
     return out
 
 
 def matvec_blocks(M: np.ndarray) -> list[slice] | None:
-    """M's ``row_blocks`` where a stack's ``stacked_matvec`` keeps the bits
+    """M's ``row_blocks`` where a stack's ``blocked_matvec`` keeps the bits
     of its ``np.matvec``, else None (one gemv per iterate over all of M).
     None where M fits in one block, or where a probe stack of 8 iterates
     differs in a bit: a threaded BLAS splits one gemv's rows between
@@ -87,8 +91,7 @@ def matvec_blocks(M: np.ndarray) -> list[slice] | None:
     if len(blocks) < 2:
         return None
     probe = np.random.default_rng(0).standard_normal((8, M.shape[1]))
-    return blocks if np.array_equal(stacked_matvec(M, probe, lambda: blocks),
-                                    np.matvec(M, probe)) else None
+    return blocks if np.array_equal(blocked_matvec(M, probe, blocks), np.matvec(M, probe)) else None
 
 
 def as_matrix(A) -> np.ndarray:
@@ -210,7 +213,7 @@ class LinearSystem:
         """A x - b of one iterate (n,) or of each in a stack (..., n), each
         with the bits of ``A @ x - b`` (``stacked_matvec`` by
         ``matvec_blocks``)."""
-        return stacked_matvec(self.A, x, lambda: self.matvec_blocks) - self.b
+        return stacked_matvec(self.A, x, self) - self.b
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +332,7 @@ class SolutionProjector:
         """||x - Pi_X(x)||^2 of one iterate (n,) or of each in a stack
         (..., n), each with the bits of its own call: V_r^T is taken as
         ``LinearSystem.residual`` takes A."""
-        y = stacked_matvec(self.vt_r, x, lambda: self.matvec_blocks) - self.c
+        y = stacked_matvec(self.vt_r, x, self) - self.c
         return np.vecdot(y, y)
 
 
