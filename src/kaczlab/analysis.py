@@ -70,7 +70,7 @@ def block_lambda_max(
 
     def build():
         groups, mode = spec.support_groups(budget, seed)
-        return max(_supports_lambda_max(system, J, size) for size, J in groups), mode
+        return max(_supports_lambda_max(system, supports, size) for size, supports in groups), mode
     return system.cached(("block_lambda_max", spec, budget, seed), build)
 
 

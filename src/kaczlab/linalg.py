@@ -181,7 +181,7 @@ class LinearSystem:
             check_row_norms(self.row_norms_sq)
 
     def cached(self, key: tuple, build):
-        """``cache[key]``, built by ``build()`` once each kind's (key[0]) older key is dropped."""
+        """``cache[key]``; a miss drops the older key of its kind (key[0]) and stores ``build()``."""
         if key not in self.cache:
             for old in [k for k in self.cache if k[0] == key[0]]:
                 del self.cache[old]
