@@ -132,12 +132,12 @@ def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+@dataclass(slots=True, eq=False)
 class _PresetState(ISeedSequence):
     """The seed sequence of one trial generator: ``generate_state`` returns
     PCG64's four uint64 seed words, computed beforehand."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    words: np.ndarray
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
