@@ -132,7 +132,7 @@ def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(eq=False)
 class _PresetState(ISeedSequence):
     """The seed sequence of one trial generator: ``generate_state`` returns
     PCG64's four uint64 seed words, computed beforehand."""
