@@ -238,7 +238,12 @@ class Trials:
     def column(self, name: str, width: int) -> np.ndarray:
         """One column as a C-contiguous (T, width, ...) stack; a trial's
         entries past its last step repeat its last value."""
-        return np.ascontiguousarray(np.swapaxes(pad_to(self.series(name), width), 0, 1))
+        series = self.columns[name]
+        K = len(series)
+        out = np.empty((self.T, width, *series[0].shape[1:]), dtype=series[0].dtype)
+        np.stack(series, axis=1, out=out[:, :K])
+        out[:, K:] = out[:, K - 1:K]
+        return out
 
     def series(self, name: str) -> np.ndarray:
         """One column as recorded: (K + 1, ...) for a run of one trial,

@@ -247,12 +247,22 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
             if name in run.columns:
                 stacked = run.column(name, config.max_iters + 1)
                 if name == "residual_sq":
-                    stacked = np.sqrt(stacked)
-                mean = stacked.mean(axis=0)
+                    np.sqrt(stacked, out=stacked)
+                # mean(axis=0) and std(axis=0, ddof=1) in place, by numpy's
+                # own operations, so with their bits.
+                mean = np.add.reduce(stacked, axis=0)
+                mean /= trials
                 # The spread about trial 0: identical trials give exactly 0,
                 # where the rounded mean of equal values would leave residue.
                 stacked -= stacked[0]
-                stats[name] = mean, stacked.std(axis=0, ddof=1) / np.sqrt(trials)
+                shift = np.add.reduce(stacked, axis=0, keepdims=True)
+                shift /= trials
+                stacked -= shift
+                np.square(stacked, out=stacked)
+                std = np.add.reduce(stacked, axis=0)
+                std /= trials - 1
+                np.sqrt(std, out=std)
+                stats[name] = mean, std / np.sqrt(trials)
     hits = [k if status == CONVERGED else -1 for k, status in zip(run.iterations, run.status)]
     return MonteCarloSummary(
         trials,

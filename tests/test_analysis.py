@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kaczlab.analysis as analysis
 import kaczlab.sampling as sampling
 from kaczlab.analysis import (
     EXACT_ENUMERATION,
@@ -129,6 +130,71 @@ def _spread_rows_system(m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, size=(m, 1))
     return LinearSystem(A, A @ rng.standard_normal(n))
+
+
+def _chunk_supports(monkeypatch, system, tau, supports_per_chunk):
+    """Stacks of ``supports_per_chunk`` supports of tau rows of ``system``."""
+    monkeypatch.setattr(analysis, "SUPPORT_CHUNK_BYTES",
+                        supports_per_chunk * tau * system.n * system.A.itemsize)
+
+
+@pytest.mark.parametrize("seed", range(100, 120))
+def test_pruning_keeps_the_maximum_of_duplicated_rows(seed, monkeypatch):
+    """Three copies each of three rows, rescaled: a support of one row's
+    copies has the all-ones Gram, whose Gershgorin bound is its lambda_max
+    (3), and the computed values of such supports differ in their last
+    bits.  In stacks of two supports, pruning on the bound with no margin,
+    or pruning ties, drops one of them."""
+    rng = np.random.default_rng(seed)
+    A = np.repeat(rng.standard_normal((3, 4)), 3, axis=0) * rng.uniform(0.5, 2.0, size=(9, 1))
+    system = LinearSystem(A, A @ np.ones(4))
+    _chunk_supports(monkeypatch, system, 3, 2)
+    spec = UniformSubset(9, 3)
+    val, _ = block_lambda_max(system, spec)
+    assert val == max(_one_support_lambda_max(system, J) for J, _ in enumerate_supports(spec))
+    assert val == pytest.approx(3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("case", ["late-winner", "tau-above-n", "one-support-chunks"])
+def test_pruned_block_lambda_max_matches_one_support_loop(case, monkeypatch):
+    if case == "late-winner":
+        # Rows 28 and 29 nearly parallel: the last support wins, in the
+        # last of many stacks of ten.
+        A = np.random.default_rng(5).standard_normal((30, 12))
+        A[29] = 1.7 * A[28] + 1e-3 * A[0]
+        system = LinearSystem(A, A @ np.ones(12))
+        spec, per_chunk = UniformSubset(30, 2), 10
+    elif case == "tau-above-n":
+        system = _spread_rows_system(16, 3, seed=6)
+        spec, per_chunk = UniformSubset(16, 5), 7
+    else:
+        system = _spread_rows_system(12, 5, seed=8)
+        spec, per_chunk = UniformSubset(12, 3), 1
+    _chunk_supports(monkeypatch, system, spec.tau, per_chunk)
+    supports = [J for J, _ in enumerate_supports(spec)]
+    values = [_one_support_lambda_max(system, J) for J in supports]
+    if case == "late-winner":
+        assert np.argmax(values) == len(supports) - 1
+    val, _ = block_lambda_max(system, spec)
+    assert val == max(values)
+
+
+def test_block_lambda_max_eigensolves_few_supports(monkeypatch):
+    """On mc-small's 50x20 tau=3 system the bound rules out all but a few
+    hundred of the C(50, 3) = 19,600 supports."""
+    system = generate_problem(GaussianNormalized(50, 20, seed=2))
+    spec = UniformSubset(50, 3)
+    expected = max(_one_support_lambda_max(system, J) for J, _ in enumerate_supports(spec))
+    eigvalsh, solved = np.linalg.eigvalsh, []
+
+    def counting(G):
+        solved.append(len(G))
+        return eigvalsh(G)
+    monkeypatch.setattr(analysis.np.linalg, "eigvalsh", counting)
+    val, mode = block_lambda_max(system, spec)
+    assert mode == EXACT_ENUMERATION
+    assert val == expected
+    assert sum(solved) < 1000
 
 
 def test_laws_are_values_and_systems_compare_by_identity():

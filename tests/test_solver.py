@@ -451,6 +451,24 @@ def test_non_finite_residual_ends_a_trial_diverged():
         assert mc.hit_iteration.tolist() == [-1, -1, -1]
 
 
+def test_column_is_the_padded_swapped_series():
+    # Trials that stop at different k: each column, stacked in one copy,
+    # has the bits of the recorded series padded and swapped to (T, width).
+    system = normalized_system(30, 8, seed=4)
+    spec = UniformSubset(30, 3)
+    config = SolverConfig(RBK, spec, uniform_weights(spec), Adaptive(1.0), max_iters=400,
+                          residual_tol=1e-4, seed=2, diagnostics=True, trace_level=FULL_ITERATES)
+    run = Trials(config, system, trial_seeds(config.seed, 6))
+    assert len(set(run.iterations)) > 1 and max(run.iterations) < config.max_iters
+    assert set(run.columns) == {"residual_sq", "dist_sq", "alpha", "iterates"}
+    width = config.max_iters + 1
+    for name in run.columns:
+        column = run.column(name, width)
+        expected = np.ascontiguousarray(np.swapaxes(pad_to(run.series(name), width), 0, 1))
+        assert column.flags.c_contiguous and column.shape == expected.shape
+        assert column.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 20, 500])
 @pytest.mark.parametrize("tau", [2, 3, 8, 64, 65])
 def test_block_sum_adds_in_row_order(tau, n):

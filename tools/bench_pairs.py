@@ -5,13 +5,18 @@ Unpacks the committed tree of a base and a head revision (``git
 archive``), then for each workload runs each tree's own
 ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0`` in a
 subprocess, the two sides alternating: the base first in even pairs, the
-head first in odd ones.  It writes a JSON file with the keys of the
-committed ``BENCH_*.json`` files: per workload and end-to-end metric the
-medians over the pairs, the pairs the head wins (ties count for neither),
-the interquartile range of the base's runs and every run in pair order;
-failed and attempted operations, output digests, source line counts and
-the machine facts ``perfbench/machine.py`` reports.  ``claimed`` is left
-null, for the author to fill in.  It asserts nothing.
+head first in odd ones.  Before each pair both trees are renamed to names
+of one length, cycling through ``PATH_LENGTHS`` characters: where malloc
+places the arrays follows the process's earlier allocations down to the
+length of the tree's path, and the rotation spreads that placement over
+both sides instead of handing one side the lucky offset in every pair.
+It writes a JSON file with the keys of the committed ``BENCH_*.json``
+files: per workload and end-to-end metric the medians over the pairs, the
+pairs the head wins (ties count for neither), the interquartile range of
+the base's runs and every run in pair order; failed and attempted
+operations, output digests, source line counts, each pair's path length
+and the machine facts ``perfbench/machine.py`` reports.  ``claimed`` is
+left null, for the author to fill in.  It asserts nothing.
 
 With ``--ladder`` it also times ``kaczlab solve`` and ``kaczlab
 experiment`` (the fixed small plan ``EXPERIMENT_PLAN``) on each rung of the
@@ -48,6 +53,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 REPORT_PREFIX = "perfbench-report "
+# The lengths of the trees' directory names, one per pair in turn.
+PATH_LENGTHS = (1, 3, 5, 9)
 
 # The size ladder: each rung's recipe, sampling, and the ``kaczlab solve``
 # arguments it adds to SOLVE_ARGS.  The 20x20 system does not reach the
@@ -84,6 +91,14 @@ def _unpack(rev: str, into: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
     return into
+
+
+def _rotate(trees: dict[str, Path], pair: int) -> None:
+    """Rename each side's tree to the side's first letter, repeated to the
+    pair's length in ``PATH_LENGTHS``."""
+    length = PATH_LENGTHS[pair % len(PATH_LENGTHS)]
+    for side, tree in trees.items():
+        trees[side] = tree.rename(tree.with_name(side[0] * length))
 
 
 def _source_lines(tree: Path) -> int:
@@ -155,6 +170,7 @@ def _ladder(trees: dict[str, Path], pairs: int) -> dict:
         for name, (command, result, run) in commands.items():
             runs = {"base": [], "head": []}
             for i in range(pairs):
+                _rotate(trees, i)
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
                     runs[side].append(run(trees[side]))
                     print(f"ladder {rung} {name} pair {i + 1}/{pairs} {side}: "
@@ -220,6 +236,7 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
             argv = [workload if a == "W" else a for a in command]
             reports, runs = {"base": [], "head": []}, {"base": [], "head": []}
             for i in range(pairs):
+                _rotate(trees, i)
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
                     report, result = _run(trees[side], argv)
                     reports[side].append(report)
@@ -251,10 +268,15 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
         "command": "python3 " + " ".join(command),
         "method": (f"{pairs} alternating parent/change pairs per workload (parent first in even "
                    "pairs), each side in its own checkout (git archive of the parent commit and "
-                   "of the change's commit), run by tools/bench_pairs.py; medians over the pairs; "
+                   "of the change's commit), run by tools/bench_pairs.py; before each pair both "
+                   "checkouts are renamed to directory names of one length, cycling through "
+                   f"{', '.join(map(str, PATH_LENGTHS))} characters (path_lengths: the length "
+                   "of each pair in turn), so that the placement of arrays, which follows the "
+                   "path's length, is spread over both sides; medians over the pairs; "
                    "change_wins counts pairs where the change is better; parent_iqr is the "
                    "interquartile range of the parent's runs; parent_runs/change_runs list "
                    "every run in pair order"),
+        "path_lengths": [PATH_LENGTHS[i % len(PATH_LENGTHS)] for i in range(pairs)],
         "claimed": None,
         "digests": (f"Output digests equal the parent's on {', '.join(equal) or 'no workload'}; "
                     f"they differ on {', '.join(w for w in results if w not in equal) or 'none'}."),
