@@ -241,7 +241,7 @@ class Trials:
         series = self.columns[name]
         K = len(series)
         out = np.empty((self.T, width, *series[0].shape[1:]), dtype=series[0].dtype)
-        np.stack(series, axis=1, out=out[:, :K])
+        out.swapaxes(0, 1)[:K] = series
         out[:, K:] = out[:, K - 1:K]
         return out
 

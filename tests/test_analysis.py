@@ -180,8 +180,9 @@ def test_pruned_block_lambda_max_matches_one_support_loop(case, monkeypatch):
 
 
 def test_block_lambda_max_eigensolves_few_supports(monkeypatch):
-    """On mc-small's 50x20 tau=3 system the bound rules out all but a few
-    hundred of the C(50, 3) = 19,600 supports."""
+    """On a 50x20 system with uniform 3-subsets (mc-small's shape) the
+    bound rules out all but a few hundred of the C(50, 3) = 19,600
+    supports; solving every one would count 19,600."""
     system = generate_problem(GaussianNormalized(50, 20, seed=2))
     spec = UniformSubset(50, 3)
     expected = max(_one_support_lambda_max(system, J) for J, _ in enumerate_supports(spec))
