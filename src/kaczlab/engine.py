@@ -10,11 +10,18 @@ A run of one trial keeps its iterate as an (n,) vector, so that per-trial
 values are numpy scalars and ``averaged_step`` takes a one-row block in
 scalar arithmetic.
 
-A run records each per-step series as one list with an entry per step.
-While every trial is live an entry is the step's values over the stack;
-once some trial has left, it is a copy of the previous entry with the live
-trials' values written in, so a stopped trial carries its last value
-forward and the list stacks into (K + 1, T, ...) as it stands.
+A run checks its stop rule once per window of steps: it steps the live
+trials W times with no residual, keeping each iterate in a (W, T, n)
+stack, then takes the window's A x - b (and dist^2 with diagnostics) as
+one stacked product, which reads each row block of A once for the W T
+iterates (``linalg.stacked_matvec``), and finds each trial's first step
+that stops it.  Windows hold 1, 2, 4, ... steps, up to WINDOW_STEPS and
+WINDOW_BYTES, so a run steps on past its stop at most min(K, WINDOW_STEPS
+- 1) times; those steps, and the draws they take, are dropped.
+
+A run records each per-step series one window at a time, the window's
+values of its live trials; a trial that has stopped carries its last value
+forward, written once when a column is read (``column``, ``series``).
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ FULL_ITERATES = "iterates"
 
 # An adaptive run is declared stalled after this many consecutive skips.
 STALL_LIMIT = 100
+
+# The most steps a window of ``Trials._run`` holds, and the most bytes of
+# its widest stack (its residuals or iterates: W T max(m, n) float64
+# values).  Windows double from one step up to both bounds.
+WINDOW_STEPS = 32
+WINDOW_BYTES = 1 << 19
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -144,65 +157,71 @@ class Trials:
         self.iterations, self.status = iterations.tolist(), _STATUSES[codes].tolist()
 
     def _run(self, X: np.ndarray, iterations: np.ndarray, codes: np.ndarray) -> None:
-        """Step the trials until each stops, writing its K, status code
-        (an index of ``_STATUSES``) and x^K as it leaves."""
-        system, projector, stream = self.system, self.projector, self.stream
-        max_iters, tol_sq, alphas, single = self.config.max_iters, self.tol_sq, self.alphas, self.single
-        residual_sq, dist_sq, alpha_col, iterates = (
-            self.columns.get(name) for name in ("residual_sq", "dist_sq", "alpha", "iterates"))
-        drawn = self.drawn
-        live = np.arange(self.T)
-        # Appends a step's values to a column: as they are while every
-        # trial is live, then written over a copy of the previous entry.
-        record = list.append
-
-        def carry(column: list, values) -> None:
-            row = column[-1].copy()
-            row[live] = values
-            column.append(row)
-
-        # Consecutive skips per live trial; None while no trial is skipping.
-        skips = None
-        alpha = None if alpha_col is None else (math.nan if single else np.full(self.T, np.nan))
-        k = 0
+        """Step the trials a window at a time until each stops, writing its
+        K, status code (an index of ``_STATUSES``) and x^K as it leaves."""
+        system, projector, stream, columns = self.system, self.projector, self.stream, self.columns
+        max_iters, tol_sq, alphas, drawn, T = (self.config.max_iters, self.tol_sq, self.alphas,
+                                               self.drawn, self.T)
+        n, width = system.n, max(system.shape)
+        live = np.arange(T)
+        # The first window is x^0 alone; k is the step of its last iterate.
+        window, k, W = X.reshape(1, T, n), 0, 1
+        alpha_w = np.full((1, T), np.nan) if "alpha" in columns else None
+        # Consecutive skips per live trial (None while no trial is skipping),
+        # and per window step in adaptive runs.
+        skips = skips_w = None
         while True:
-            R = system.residual(X)
-            s = np.vecdot(R, R)
-            record(residual_sq, s)
-            if dist_sq is not None:
-                record(dist_sq, projector.dist_sq(X))
-            if alpha_col is not None:
-                record(alpha_col, alpha)
-            if iterates is not None:
-                record(iterates, X)
+            flat = window.reshape(-1, n)
+            R = system.residual(flat)
+            s = np.vecdot(R, R).reshape(window.shape[:2])
+            del R  # freed before the next window is stepped
+            k0, sel = k + 1 - len(window), None if len(live) == T else live
+            for name, values in (("residual_sq", s), ("alpha", alpha_w), ("iterates", window)):
+                if name in columns:
+                    columns[name].append((k0, sel, values))
+            if "dist_sq" in columns:
+                columns["dist_sq"].append((k0, sel, projector.dist_sq(flat).reshape(s.shape)))
             go = runs_on(s, tol_sq)
-            stalled = None if skips is None else skips >= STALL_LIMIT
+            stalled = None if skips_w is None else skips_w >= STALL_LIMIT
             stop = ~go if stalled is None else ~go | stalled
-            if k == max_iters or (stop if single else stop.any()):
-                # Every trial that stops, at once: its status is CONVERGED or
-                # DIVERGED where it no longer runs on, else STALLED or MAX_ITERS.
-                if k == max_iters:
-                    stop = np.ones_like(stop)
-                code = np.where(go, 0 if stalled is None else stalled.astype(int),
-                                np.where(s <= tol_sq, 2, 3))
-                if single:
-                    iterations[0], codes[0], self.final_x[0] = k, code, X
+            if k == max_iters:
+                stop[-1] = True
+            ended = stop.any(axis=0)
+            if ended.any():
+                # Each trial that stops, at its first stopping step j: its
+                # status is CONVERGED or DIVERGED where it no longer runs on,
+                # else STALLED or MAX_ITERS.
+                at = np.flatnonzero(ended)
+                j = stop.argmax(axis=0)[at]
+                code = np.where(go[j, at], 0 if stalled is None else stalled[j, at],
+                                np.where(s[j, at] <= tol_sq, 2, 3))
+                who = live[at]
+                iterations[who], codes[who], self.final_x[who] = k0 + j, code, window[j, at]
+                if len(at) == len(live):
+                    if drawn is not None:
+                        del drawn[iterations[0]:]
                     return
-                ended = live[stop]
-                iterations[ended], codes[ended], self.final_x[ended] = k, code[stop], X[stop]
-                if len(ended) == len(live):
-                    return
-                keep = ~stop
+                keep = ~ended
                 live, X = live[keep], X[keep]
                 skips = None if skips is None else skips[keep]
                 stream.keep(keep)
-                record = carry
-            k += 1
-            draw = stream.next()
-            if drawn is not None:
-                drawn.append(draw)
-            X, alpha, moved = self._step(X, draw, None if alphas is None else alphas[k - 1])
-            skips = None if moved is None else np.where(moved, 0, 1 if skips is None else skips + 1)
+            W = min(2 * W, WINDOW_STEPS, max(1, WINDOW_BYTES // (8 * len(live) * width)),
+                    max_iters - k)
+            window = np.empty((W, len(live), n))
+            alpha_w = None if alpha_w is None else np.empty((W, len(live)))
+            skips_w = None if alphas is not None else np.zeros((W, len(live)), dtype=int)
+            for w in range(W):
+                k += 1
+                draw = stream.next()
+                if drawn is not None:
+                    drawn.append(draw)
+                X, alpha, moved = self._step(X, draw, None if alphas is None else alphas[k - 1])
+                window[w] = X
+                if alpha_w is not None:
+                    alpha_w[w] = alpha
+                skips = None if moved is None else np.where(moved, 0, 1 if skips is None else skips + 1)
+                if skips is not None:
+                    skips_w[w] = skips
 
     def _step(self, X: np.ndarray, draw: np.ndarray, alpha):
         """(iterates, alpha, moved) after every trial's step on its drawn
@@ -235,20 +254,37 @@ class Trials:
                 all_moved[sel] = moved
         return out, alphas, (None if all_moved.all() else all_moved)
 
+    def _fill(self, out: np.ndarray, name: str) -> np.ndarray:
+        """Write column ``name`` into ``out`` (rows, T, ...), rows > every
+        K: each window's values of its live trials, then each trial's value
+        at its K over its later rows."""
+        rows = len(out)
+        for k0, sel, values in self.columns[name]:
+            if sel is None:
+                out[k0:k0 + len(values)] = values[:rows - k0]
+            else:
+                out[k0:k0 + len(values), sel] = values[:rows - k0]
+        K = np.asarray(self.iterations)
+        for k in np.unique(K[K < rows - 1]).tolist():
+            t = K == k
+            out[k + 1:, t] = out[k, t]
+        return out
+
+    def _shape(self, name: str) -> tuple:
+        return self.columns[name][0][2].shape[2:]
+
     def column(self, name: str, width: int) -> np.ndarray:
         """One column as a C-contiguous (T, width, ...) stack; a trial's
         entries past its last step repeat its last value."""
-        series = self.columns[name]
-        K = len(series)
-        out = np.empty((self.T, width, *series[0].shape[1:]), dtype=series[0].dtype)
-        out.swapaxes(0, 1)[:K] = series
-        out[:, K:] = out[:, K - 1:K]
+        out = np.empty((self.T, width, *self._shape(name)))
+        self._fill(out.swapaxes(0, 1), name)
         return out
 
     def series(self, name: str) -> np.ndarray:
         """One column as recorded: (K + 1, ...) for a run of one trial,
         (K + 1, T, ...) for T trials, K being the largest of theirs."""
-        return np.array(self.columns[name])
+        out = self._fill(np.empty((max(self.iterations) + 1, self.T, *self._shape(name))), name)
+        return out[:, 0] if self.single else out
 
     def blocks(self) -> list[np.ndarray | None]:
         """The drawn blocks of a one-trial run, None at k = 0."""

@@ -213,7 +213,9 @@ class LinearSystem:
         """A x - b of one iterate (n,) or of each in a stack (..., n), each
         with the bits of ``A @ x - b`` (``stacked_matvec`` by
         ``matvec_blocks``)."""
-        return stacked_matvec(self.A, x, self) - self.b
+        r = stacked_matvec(self.A, x, self)
+        r -= self.b
+        return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +334,8 @@ class SolutionProjector:
         """||x - Pi_X(x)||^2 of one iterate (n,) or of each in a stack
         (..., n), each with the bits of its own call: V_r^T is taken as
         ``LinearSystem.residual`` takes A."""
-        y = stacked_matvec(self.vt_r, x, self) - self.c
+        y = stacked_matvec(self.vt_r, x, self)
+        y -= self.c
         return np.vecdot(y, y)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -318,21 +319,29 @@ def test_residual_of_a_stack_is_per_iterate(n):
 
 
 def test_matvec_blocks_are_probed_only_for_a_stack(monkeypatch):
-    # At 300 x 500, A and V_r^T each take three row blocks.  A one-trial
-    # run's residuals and distances are of one iterate and probe neither
-    # matrix; a 2-trial run probes each once.
+    # At 300 x 500, A and V_r^T each take three row blocks.  A run checks
+    # its stop rule on windows of 1, 2, 4, ... iterates: a one-step run's
+    # windows (x^0, then x^1) hold one iterate each and probe neither
+    # matrix.  The first window of two or more iterates probes each matrix
+    # once, and no later run on the system probes it again.
     assert len(row_blocks(300, 500)) == 3
     calls = []
     probe = linalg.matvec_blocks
     monkeypatch.setattr(linalg, "matvec_blocks", lambda M: calls.append(M.shape) or probe(M))
     system = generate_problem(parse_recipe("gaussian:300x500", seed=3))
     spec = UniformSubset(300, 8)
-    config = SolverConfig(RBK, spec, uniform_weights(spec), Adaptive(), max_iters=5,
+    config = SolverConfig(RBK, spec, uniform_weights(spec), Adaptive(), max_iters=1,
                           diagnostics=True)
     run_solver(config, system)
     assert calls == []
+    config = dataclasses.replace(config, max_iters=5)
+    run_solver(config, system)
+    assert calls == [(300, 500), (300, 500)]
+    run_solver(config, system)
     run_monte_carlo(config, system, trials=2)
     assert calls == [(300, 500), (300, 500)]
+    run_monte_carlo(config, generate_problem(parse_recipe("gaussian:300x500", seed=4)), trials=2)
+    assert calls == [(300, 500)] * 4
 
 
 def test_system_with_projector_is_freed_without_gc():

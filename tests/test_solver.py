@@ -18,17 +18,20 @@ from kaczlab.sampling import (
     frobenius_partition,
     full_batch,
     partition_spec,
+    sample_block,
     trial_seeds,
 )
 from kaczlab.engine import Trials, square_threshold
-from kaczlab.kernels import block_pinvs, block_sum
+from kaczlab.kernels import adaptive_step, averaged_step, block_pinvs, block_sum
 from kaczlab.solver import (
     BASIC,
     BLOCK_PROJECTION,
     CONVERGED,
     DIVERGED,
     FULL_ITERATES,
+    MAX_ITERS,
     RBK,
+    STALL_LIMIT,
     STALLED,
     SolverConfig,
     basic_kaczmarz_step,
@@ -882,3 +885,145 @@ def test_square_threshold_tests_the_rooted_residual():
             near = [s0, np.nextafter(s0, np.inf), np.nextafter(s0, 0.0), tol * tol, np.inf, np.nan]
         for s in near:
             assert (s <= s0) == (np.sqrt(s) <= tol), (tol, s)
+
+
+# ---------------------------------------------------------------------------
+# The stop rule checked once per window replays a check after every step
+# ---------------------------------------------------------------------------
+
+def _stepwise_run(config, system, seed):
+    """One trial of an averaged-update method by a plain loop: each block
+    drawn by ``sample_block``, each step by its kernel, and ``A @ x - b``
+    tested after every step.  Returns K, the status, x^K, each column as a
+    list and the blocks."""
+    rng = np.random.default_rng(seed)
+    alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
+    tol_sq = square_threshold(config.residual_tol)
+    x, k, skips, alpha, blocks = np.zeros(system.n), 0, 0, np.nan, [None]
+    columns = {"residual_sq": [], "dist_sq": [], "alpha": [], "iterates": []}
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            r = system.A @ x - system.b
+            s = np.vecdot(r, r)
+            for name, value in (("residual_sq", s), ("dist_sq", system.projector.dist_sq(x)),
+                                ("alpha", alpha), ("iterates", x)):
+                columns[name].append(value)
+            if not s > tol_sq or not s < np.inf or skips >= STALL_LIMIT or k == config.max_iters:
+                status = (CONVERGED if s <= tol_sq else DIVERGED if not s < np.inf
+                          else STALLED if skips >= STALL_LIMIT else MAX_ITERS)
+                return k, status, x, columns, blocks
+            k += 1
+            J = sample_block(config.sampling, rng)
+            blocks.append(J)
+            weights = config.weights.step_weights(system, J)
+            if alphas is None:
+                x, alpha, moved = adaptive_step(x, system, J, weights, config.stepsize.delta)
+                skips = 0 if moved else skips + 1
+            else:
+                alpha = alphas[k - 1]
+                x = averaged_step(x, system, J, weights, alpha)
+
+
+def _windows(config, system, monkeypatch):
+    """The windows of a one-trial run to max_iters, as (first step, steps)
+    pairs, read from the stacks ``LinearSystem.residual`` is handed."""
+    sizes = []
+    residual = LinearSystem.residual
+    with monkeypatch.context() as patch:
+        patch.setattr(LinearSystem, "residual", lambda self, X: sizes.append(len(X)) or residual(self, X))
+        run_solver(dataclasses.replace(config, residual_tol=0.0), system)
+    return list(zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _basic_chebyshev():
+    # Built for [0.5, 0.6] lambda_max: every trial overflows (seed 1 at k = 362).
+    system = normalized_system(50, 20, seed=1)
+    lambda_max = np.linalg.eigvalsh(system.A @ system.A.T)[-1]
+    spec = UniformSubset(50, 1)
+    policy = ChebyshevPD(horizon=2000, lambda_min=0.5 * lambda_max, lambda_max=0.6 * lambda_max, m=50)
+    return SolverConfig(BASIC, spec, uniform_weights(spec), policy, max_iters=2000, residual_tol=0.0,
+                        trace_level=FULL_ITERATES, diagnostics=True), system
+
+
+def _satisfied_block():
+    # Only block (2, 3) is drawn, and it is satisfied at x0 = 0: every step
+    # is skipped and every trial stalls at k = STALL_LIMIT.
+    A = np.array([[1.0, 0.5, 0.0, 0.0], [0.3, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.2], [0.0, 0.0, 0.4, 1.0]])
+    x_star = np.array([1.0, -2.0, 0.0, 0.0])
+    spec = Partition(((0, 1), (2, 3)), np.array([0.0, 1.0]))
+    return (SolverConfig(RBK, spec, uniform_weights(spec), Adaptive(0.8), max_iters=300,
+                         residual_tol=0.0, trace_level=FULL_ITERATES, diagnostics=True),
+            LinearSystem(A, A @ x_star, planted_solution=x_star))
+
+
+def _converging(tol, max_iters=120):
+    system = normalized_system(30, 10, seed=8)
+    spec = UniformSubset(30, 3)
+    return SolverConfig(RBK, spec, uniform_weights(spec), ClassicConstant(1.0), max_iters=max_iters,
+                        residual_tol=tol, trace_level=FULL_ITERATES, diagnostics=True), system
+
+
+# name: (config and system, seeds, each trial's (K, status), where it stops)
+# in a window: its position, "last" for the window's last step.
+_WINDOW_CASES = {
+    "converged-position-0": (lambda: _converging(1.8), [1], [(15, CONVERGED)], [0]),
+    "converged-position-1": (lambda: _converging(1.65), [1], [(16, CONVERGED)], [1]),
+    "converged-last": (lambda: _converging(1.06), [1], [(30, CONVERGED)], ["last"]),
+    # max_iters = 20 cuts the window of steps 15..30 to six steps.
+    "max-iters": (lambda: _converging(0.0, max_iters=20), [1], [(20, MAX_ITERS)], ["last"]),
+    "max-iters-3": (lambda: _converging(0.0, max_iters=20), [1, 2, 3], [(20, MAX_ITERS)] * 3,
+                    ["last"] * 3),
+    "diverged": (_basic_chebyshev, [1], [(362, DIVERGED)], [11]),
+    "diverged-3": (_basic_chebyshev, [1, 2, 3], None, None),
+    "stalled": (_satisfied_block, [3], [(STALL_LIMIT, STALLED)], [5]),
+    "stalled-3": (_satisfied_block, [3, 4, 5], [(STALL_LIMIT, STALLED)] * 3, [5] * 3),
+    # Three trials that leave in one window, and two that leave in one and
+    # the third in the next.
+    "one-window-3": (lambda: _converging(1.0), [1, 2, 3], [(34, CONVERGED), (38, CONVERGED),
+                                                        (40, CONVERGED)], [3, 7, 9]),
+    "two-windows-3": (lambda: _converging(1.3), [1, 2, 3], [(19, CONVERGED), (25, CONVERGED),
+                                                         (31, CONVERGED)], [4, 10, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_windowed_stop_check_replays_a_check_every_step(case, monkeypatch):
+    make, seeds, stops, positions = _WINDOW_CASES[case]
+    config, system = make()
+    refs = [_stepwise_run(config, system, seed) for seed in seeds]
+    if stops is not None:
+        assert [ref[:2] for ref in refs] == stops
+        windows = _windows(config, system, monkeypatch)
+        at = [next(K - first if K - first < size - 1 else "last"
+                   for first, size in windows if first <= K < first + size) for K, _ in stops]
+        assert at == positions
+    else:
+        assert [ref[1] for ref in refs] == [DIVERGED] * 3 and len({ref[0] for ref in refs}) == 3
+    run = Trials(config, system, seeds)
+    assert run.iterations == [ref[0] for ref in refs]
+    assert run.status == [ref[1] for ref in refs]
+    assert _same_bits(run.final_x, [ref[2] for ref in refs])
+    assert set(run.columns) == {"residual_sq", "dist_sq", "iterates"} | (
+        set() if run.alphas is not None else {"alpha"})
+    for name in run.columns:
+        padded = [pad_to(np.array(ref[3][name]), config.max_iters + 1) for ref in refs]
+        assert _same_bits(run.column(name, config.max_iters + 1), padded)
+        series = np.stack([p[:max(run.iterations) + 1] for p in padded], axis=1)
+        assert _same_bits(run.series(name), series[:, 0] if len(seeds) == 1 else series)
+    if len(seeds) == 1:
+        K, status, x, columns, blocks = refs[0]
+        assert run.blocks()[0] is None and len(run.blocks()) == K + 1
+        assert all(_same_bits(a, b) for a, b in zip(run.blocks()[1:], blocks[1:]))
+        trace = run_solver(dataclasses.replace(config, seed=seeds[0]), system)
+        assert (trace.iterations, trace.status) == (K, status)
+        assert _same_bits(trace.final_x, x)
+        assert _same_bits(trace.residual, np.sqrt(columns["residual_sq"]))
+        for name in ("dist_sq", "alpha", "iterates"):
+            assert _same_bits(getattr(trace, name), columns[name]), name
+        assert all(_same_bits(a, b) for a, b in zip(trace.blocks[1:], blocks[1:]))

@@ -15,7 +15,9 @@ files: per workload and end-to-end metric the medians over the pairs, the
 pairs the head wins (ties count for neither), the interquartile range of
 the base's runs and every run in pair order; failed and attempted
 operations, output digests, source line counts, each pair's path length
-and the machine facts ``perfbench/machine.py`` reports.  ``claimed`` is
+and the machine facts ``perfbench/machine.py`` reports.  ``peak_rss_mb``
+also gives each side's median per path length (``by_path_length``), so
+that a move of a megabyte or two can be told from placement.  ``claimed`` is
 left null, for the author to fill in.  It asserts nothing.
 
 With ``--ladder`` it also times ``kaczlab solve`` and ``kaczlab
@@ -200,7 +202,13 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def _path_lengths(pairs: int) -> list[int]:
+    """The path length of each pair in turn (``_rotate``)."""
+    return [PATH_LENGTHS[i % len(PATH_LENGTHS)] for i in range(pairs)]
+
+
 def _metrics(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
+    lengths = _path_lengths(len(runs["base"]))
     out = {}
     for metric in declared:
         name, better = metric["name"], metric["better"]
@@ -214,6 +222,12 @@ def _metrics(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
             "relative_change": round((change - parent) / parent, 4),
             "parent_runs": [round(v, 6) for v in base], "change_runs": [round(v, 6) for v in head],
         }
+        if name == "peak_rss_mb":
+            out[name]["by_path_length"] = {
+                str(length): {key: round(statistics.median(
+                    v for v, at in zip(values, lengths) if at == length), 6)
+                    for key, values in (("parent", base), ("change", head))}
+                for length in sorted(set(lengths))}
     return out
 
 
@@ -276,7 +290,7 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
                    "change_wins counts pairs where the change is better; parent_iqr is the "
                    "interquartile range of the parent's runs; parent_runs/change_runs list "
                    "every run in pair order"),
-        "path_lengths": [PATH_LENGTHS[i % len(PATH_LENGTHS)] for i in range(pairs)],
+        "path_lengths": _path_lengths(pairs),
         "claimed": None,
         "digests": (f"Output digests equal the parent's on {', '.join(equal) or 'no workload'}; "
                     f"they differ on {', '.join(w for w in results if w not in equal) or 'none'}."),
