@@ -100,14 +100,16 @@ class Trials:
     a seed sequence (a Generator raises ``TypeError``: see ``WordSource``);
     a trial that stops leaves the stack.
 
-    Each step appends one entry to every column (``residual_sq``, the
-    squared residual norm; ``dist_sq`` with diagnostics; ``alpha`` of
-    adaptive runs; ``iterates`` at trace level ``iterates``): the values of
-    all trials, a trial that has stopped keeping its last value.  After the
-    run, ``iterations``, ``status`` and ``final_x`` hold each trial's K,
-    status and x^K (lists, and a (T, n) array), ``series`` gives a column
-    as recorded and ``column`` a padded one; ``blocks`` gives the drawn
-    blocks of a run of one trial.
+    Each window of steps appends one entry to every column (``residual_sq``,
+    the squared residual norm; ``dist_sq`` with diagnostics; ``alpha`` of
+    adaptive runs; ``iterates`` at trace level ``iterates``): its first
+    step, its live trials (None for all) and their values at each of its
+    steps.  After the run, ``iterations``, ``status`` and ``final_x`` hold
+    each trial's K, status and x^K (lists, and a (T, n) array), ``series``
+    gives a column with an entry per step up to the largest K and
+    ``column`` one padded to a width, a trial that has stopped keeping its
+    last value in both; ``blocks`` gives the drawn blocks of a run of one
+    trial.
     """
 
     def __init__(self, config: SolverConfig, system: LinearSystem, seeds,
@@ -264,10 +266,12 @@ class Trials:
                 out[k0:k0 + len(values)] = values[:rows - k0]
             else:
                 out[k0:k0 + len(values), sel] = values[:rows - k0]
+        # A set, not np.unique: that imports numpy.ma, 10-40 ms of a command.
         K = np.asarray(self.iterations)
-        for k in np.unique(K[K < rows - 1]).tolist():
-            t = K == k
-            out[k + 1:, t] = out[k, t]
+        for k in set(self.iterations):
+            if k < rows - 1:
+                t = K == k
+                out[k + 1:, t] = out[k, t]
         return out
 
     def _shape(self, name: str) -> tuple:
