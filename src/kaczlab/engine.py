@@ -6,9 +6,9 @@ and stops the trials; ``Trials._step`` hands each group of trials to the
 method's kernel of :mod:`kaczlab.kernels`, whose stacked forms give every
 trial the bits of a run on its own.
 
-A run of one trial keeps its iterate as an (n,) vector, so that per-trial
-values are numpy scalars and ``averaged_step`` takes a one-row block in
-scalar arithmetic.
+A run of one trial steps its iterate as an (n,) vector, so that a step's
+per-trial values are numpy scalars and ``averaged_step`` takes a one-row
+block in scalar arithmetic; its windows are (W, 1, n) stacks.
 
 A run checks its stop rule once per window of steps: it steps the live
 trials W times with no residual, keeping each iterate in a (W, T, n)
