@@ -9,6 +9,7 @@ thousand) and works on plain float64 numpy arrays.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +36,12 @@ CONSISTENCY_TOL = 1e-6
 # the 2 MB L2 it was sized on, so a block stays in cache for every gemv of
 # the stack (see ``row_blocks``).
 ROW_BLOCK_BYTES = 1 << 19
+# The byte boundary a system's A and the projector's V_r^T start on
+# (``aligned``).  malloc gives 16: a 2000 x 500 A starting 16 or 48 bytes
+# past a cache line took 40% longer per iterate in ``blocked_matvec`` than
+# one starting 0 or 32 past it, which made a solve's speed follow where the
+# process's earlier allocations had left room for A.
+ALIGN_BYTES = 64
 
 
 def check_row_norms(norms_sq, rows=None) -> None:
@@ -94,6 +101,26 @@ def matvec_blocks(M: np.ndarray) -> list[slice] | None:
     return blocks if np.array_equal(blocked_matvec(M, probe, blocks), np.matvec(M, probe)) else None
 
 
+def empty_aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array of ``shape`` whose data
+    starts on an ALIGN_BYTES boundary."""
+    size = math.prod(shape)
+    buf = np.empty(size + ALIGN_BYTES // 8)
+    start = -buf.ctypes.data % ALIGN_BYTES // 8
+    return buf[start:start + size].reshape(shape)
+
+
+def aligned(M: np.ndarray) -> np.ndarray:
+    """A float64 M if it is not C-contiguous or starts on an ALIGN_BYTES
+    boundary, else a copy of it that does.  The copy has M's values and
+    layout, so every product of it has the bits of the same product of M."""
+    if not M.flags.c_contiguous or M.ctypes.data % ALIGN_BYTES == 0:
+        return M
+    out = empty_aligned(M.shape)
+    out[...] = M
+    return out
+
+
 def as_matrix(A) -> np.ndarray:
     """Coerce to a 2-d float64 array and reject non-finite entries."""
     A = np.asarray(A, dtype=float)
@@ -119,7 +146,9 @@ class LinearSystem:
 
     ``planted_solution`` is an optional known solution (problem generators
     always store one); ``normalized`` asserts every row of A has unit norm.
-    Instances are immutable and safe to share across threads.  What
+    A is kept ``aligned``: a C-contiguous A that starts off a cache line is
+    copied, so that how fast its stacked products run does not depend on
+    where the caller's array happened to land.  Instances are immutable and safe to share across threads.  What
     depends only on the system (row norms, the SVD and all it gives) is
     computed on first use and cached.
     """
@@ -130,7 +159,7 @@ class LinearSystem:
     normalized: bool = False
 
     def __post_init__(self):
-        A = as_matrix(self.A)
+        A = aligned(as_matrix(self.A))
         b = as_vector(self.b, A.shape[0])
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -190,8 +219,10 @@ class LinearSystem:
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The thin SVD (U, sigma, V^T) of A, the system's one factorization."""
-        return np.linalg.svd(self.A, full_matrices=False)
+        """The thin SVD (U, sigma, V^T) of A, the system's one factorization;
+        V^T, whose leading rows are the projector's V_r^T, is ``aligned``."""
+        u, s, vt = np.linalg.svd(self.A, full_matrices=False)
+        return u, s, aligned(vt)
 
     @cached_property
     def gram_spectrum(self) -> SpectralSummary:

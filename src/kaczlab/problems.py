@@ -17,16 +17,21 @@ import numpy as np
 
 from .errors import BadDimensionsError
 from .kinds import Kind, from_kind_dict, registry
-from .linalg import LinearSystem
+from .linalg import LinearSystem, aligned, empty_aligned
 from .sampling import Partition, partition_spec
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """A fresh array ``rows`` with each row divided by its norm twice (the
+    second pass snaps norms left a few ulps off 1), in place and
+    ``aligned``, so that ``LinearSystem`` keeps it without a copy."""
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms < 1e-12):
         raise BadDimensionsError("degenerate (near-zero) row produced; try another seed")
-    rows = rows / norms[:, None]
-    return rows / np.linalg.norm(rows, axis=1)[:, None]
+    rows = aligned(rows)
+    rows /= norms[:, None]
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class GaussianNormalized(Kind):
     seed: int = 0
 
     def matrix(self, rng: np.random.Generator) -> np.ndarray:
-        return _unit_rows(rng.standard_normal((self.m, self.n)))
+        return _unit_rows(rng.standard_normal(out=empty_aligned((self.m, self.n))))
 
 
 @dataclass(frozen=True)

@@ -344,6 +344,34 @@ def test_matvec_blocks_are_probed_only_for_a_stack(monkeypatch):
     assert calls == [(300, 500)] * 4
 
 
+def test_system_matrices_start_on_a_cache_line():
+    # A C-contiguous A at each 8-byte offset from a cache line: the system
+    # keeps A itself where it starts on one, else a copy that does, whose
+    # stacked residuals (three row blocks at 300 x 500) and dist^2 have the
+    # bits of the caller's A.  V_r^T starts on one too.
+    m, n = 300, 500
+    rng = np.random.default_rng(9)
+    buf = rng.standard_normal(m * n + 8)
+    x, X = rng.standard_normal(n), rng.standard_normal((4, n))
+    for off in range(8):
+        A = buf[off:off + m * n].reshape(m, n)
+        system = LinearSystem(A, A @ x)
+        assert system.A.ctypes.data % linalg.ALIGN_BYTES == 0
+        assert (system.A is A) == (A.ctypes.data % linalg.ALIGN_BYTES == 0)
+        assert np.array_equal(system.A, A)
+        assert all(np.array_equal(r, A @ y - system.b) for r, y in zip(system.residual(X), X))
+        projector = system.projector
+        assert projector.vt_r.ctypes.data % linalg.ALIGN_BYTES == 0
+        assert np.array_equal(projector.dist_sq(X), [projector.dist_sq(y) for y in X])
+    # Another layout is kept as given, and generators' matrices start on a
+    # cache line, so their systems keep them without a copy.
+    F = np.asfortranarray(buf[:m * n].reshape(m, n))
+    assert LinearSystem(F, F @ x).A is F
+    for recipe in ("gaussian:300x500", "gaussian:7x3", "rank-deficient:40x20:5", "coherent:30x10:0.5"):
+        A = parse_recipe(recipe).matrix(np.random.default_rng(2))
+        assert A.ctypes.data % linalg.ALIGN_BYTES == 0
+
+
 def test_system_with_projector_is_freed_without_gc():
     # The projector holds no reference to its system, so the system's
     # cached projector forms no cycle: reference counting alone frees it.
