@@ -111,9 +111,10 @@ def empty_aligned(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def aligned(M: np.ndarray) -> np.ndarray:
-    """A float64 M if it is not C-contiguous or starts on an ALIGN_BYTES
-    boundary, else a copy of it that does.  The copy has M's values and
-    layout, so every product of it has the bits of the same product of M."""
+    """Float64 M itself if it is not C-contiguous or already starts on an
+    ALIGN_BYTES boundary, else a copy of it that does.  The copy has M's
+    values and layout, so every product of it has the bits of the same
+    product of M."""
     if not M.flags.c_contiguous or M.ctypes.data % ALIGN_BYTES == 0:
         return M
     out = empty_aligned(M.shape)
@@ -148,9 +149,10 @@ class LinearSystem:
     always store one); ``normalized`` asserts every row of A has unit norm.
     A is kept ``aligned``: a C-contiguous A that starts off a cache line is
     copied, so that how fast its stacked products run does not depend on
-    where the caller's array happened to land.  Instances are immutable and safe to share across threads.  What
-    depends only on the system (row norms, the SVD and all it gives) is
-    computed on first use and cached.
+    where the caller's array happened to land.  Instances are immutable
+    and safe to share across threads.  What depends only on the system
+    (row norms, the SVD and all it gives) is computed on first use and
+    cached.
     """
 
     A: np.ndarray
