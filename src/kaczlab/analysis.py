@@ -9,7 +9,6 @@ row-diversity condition.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
@@ -28,33 +27,64 @@ if TYPE_CHECKING:
 # bytes (at least one support a stack).  Bounds the stack's memory.
 SUPPORT_CHUNK_BYTES = 1 << 18
 
+# The largest Gram order k whose Cholesky certificate (``_certified_below``)
+# is trusted: (k + 1)^2 2^-53 stays under its 1e-9 relative margin.
+CERTIFIED_GRAM_SIZE = 2000
 
-def _supports_lambda_max(system: LinearSystem, supports, tau: int) -> float:
-    """The largest lambda_max(A_J^T diag(1/||a_i||^2) A_J) over ``supports``,
-    an iterable of tau-row index sequences, via the smaller Gram.  One
-    stacked ``eigvalsh`` per chunk of supports; each value has the bits of
-    a one-support call.
+
+def _certified_below(G: np.ndarray, c: float) -> bool:
+    """Whether a Cholesky factorization of c I - G succeeds, with a finite
+    diagonal, for every Gram of the stack G (k x k each, k at most
+    CERTIFIED_GRAM_SIZE).
+
+    A factorization that succeeds in floating point is exact for
+    c I - G + E with |E| <= gamma_{k+1} |R^T| |R| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3), so c I - G + E
+    is positive definite and lambda_max(G) < c (1 + (k + 1)^2 u), u = 2^-53.
+    A failed factorization proves nothing; neither does a NaN, which
+    OpenBLAS's factorization carries through instead of failing on."""
+    k = G.shape[-1]
+    if not c > -math.inf or k > CERTIFIED_GRAM_SIZE:
+        return False
+    try:
+        R = np.linalg.cholesky(c * np.eye(k) - G)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(R.diagonal(axis1=1, axis2=2)).all())
+
+
+def _supports_lambda_max(system: LinearSystem, stacks, tau: int) -> float:
+    """The largest lambda_max(A_J^T diag(1/||a_i||^2) A_J) over the supports
+    J of ``stacks``, an iterable of (count, tau) row index arrays, via the
+    smaller Gram.  One stacked ``eigvalsh`` per chunk of supports at most;
+    each value has the bits of a one-support call, so the maximum does not
+    depend on which supports are left out below.
 
     A support's largest absolute Gram row sum (Gershgorin) bounds its
-    lambda_max, so a chunk of several supports solves only those whose
-    bound, widened by a 1e-9 relative margin for the rounding of the sums
-    and of the eigensolver, reaches the largest value so far: the maximum
-    keeps its bits.  A tie or a NaN bound is solved."""
+    lambda_max, so a chunk of several supports drops those whose bound,
+    widened by a 1e-9 relative margin for the rounding of the sums and of
+    the eigensolver, is below the largest value so far, val.  The chunk's
+    other supports are left out when a Cholesky factorization certifies
+    them all below val / (1 + 1e-9) (``_certified_below``): for Grams of
+    order k = min(tau, n) <= CERTIFIED_GRAM_SIZE, that proves lambda_max
+    below val by a relative (k + 1)^2 u under the margin, room for the
+    eigensolver's own rounding, so none of them could raise the maximum.
+    Otherwise all of them are solved: a tie or a NaN is always solved."""
     chunk = max(1, SUPPORT_CHUNK_BYTES // (tau * system.n * system.A.itemsize))
-    supports = iter(supports)
     val = -math.inf
-    while J := list(itertools.islice(supports, chunk)):
-        J = np.array(J)
-        B = system.A[J]
-        B /= np.sqrt(system.row_norms_sq[J])[..., None]
-        Bt = B.transpose(0, 2, 1)
-        G = B @ Bt if tau <= system.n else Bt @ B
-        if len(G) > 1:
-            live = ~(np.abs(G).sum(axis=2).max(axis=1) * (1.0 + 1e-9) < val)
-            if not live.all():
-                G = G[live]
-        if len(G):
-            val = max(val, float(np.linalg.eigvalsh(G)[:, -1].max()))
+    for supports in stacks:
+        for start in range(0, len(supports), chunk):
+            J = supports[start:start + chunk]
+            B = system.A[J]
+            B /= np.sqrt(system.row_norms_sq[J])[..., None]
+            Bt = B.transpose(0, 2, 1)
+            G = B @ Bt if tau <= system.n else Bt @ B
+            if len(G) > 1:
+                live = ~(np.abs(G).sum(axis=2).max(axis=1) * (1.0 + 1e-9) < val)
+                if not live.all():
+                    G = G[live]
+            if len(G) and not _certified_below(G, val / (1.0 + 1e-9)):
+                val = max(val, float(np.linalg.eigvalsh(G)[:, -1].max()))
     return val
 
 

@@ -370,6 +370,28 @@ def _shuffle(J: np.ndarray, draws: np.ndarray) -> None:
         J[:, i], J[rows, k] = J[rows, k], J[:, i].copy()
 
 
+def _combinations(m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m) as a row of a (C(m, k), k) array, in the
+    order of ``itertools.combinations`` (lexicographic), in the smallest
+    unsigned type that holds m - 1."""
+    dtype = np.min_scalar_type(m - 1)
+    # Level r holds every r + 1 entry prefix of a subset, in order, as its
+    # last entry and the row of its parent at level r - 1: a prefix ending
+    # in e is followed by each of e + 1 ... m - k + r.
+    last, parents = [np.arange(m - k + 1)], []
+    for r in range(1, k):
+        count = m - k + r - last[-1]
+        parents.append(np.repeat(np.arange(len(count)), count))
+        last.append(np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - last[-1] - 1, count))
+    out = np.empty((len(last[-1]), k), dtype)
+    rows = np.arange(len(out))
+    for r in range(k - 1, -1, -1):
+        out[:, r] = last[r][rows]
+        if r:
+            rows = parents[r - 1][rows]
+    return out
+
+
 @dataclass(frozen=True)
 class UniformSubset(Kind):
     """Uniform sampling of a size-``tau`` subset of the m row indices."""
@@ -438,16 +460,16 @@ class UniformSubset(Kind):
 
     def support_groups(self, budget: int, seed: int):
         """The supports ``block_lambda_max`` maximizes over, as (size,
-        supports) pairs, and their mode: all C(m, tau) when they fit under
-        the cap, else ``budget`` drawn from ``seed`` (a lower bound)."""
+        stacks) pairs, each stack a (count, size) array of supports, and
+        their mode: all C(m, tau) in one stack when they fit under the cap,
+        else ``budget`` drawn from ``seed`` (a lower bound), one stack per
+        ``replay_choice`` call."""
         if self.support_count() <= ENUMERATION_CAP:
-            combos = itertools.combinations(range(self.m), self.tau)
-            return [(self.tau, combos)], EXACT_ENUMERATION
+            return [(self.tau, (_combinations(self.m, self.tau),))], EXACT_ENUMERATION
         words = WordSource([seed])
         per_call = max(1, AHEAD_VALUES // self.tau)
-        supports = itertools.chain.from_iterable(
-            replay_choice(words, self.m, self.tau, min(per_call, budget - k))[:, 0]
-            for k in range(0, budget, per_call))
+        supports = (replay_choice(words, self.m, self.tau, min(per_call, budget - k))[:, 0]
+                    for k in range(0, budget, per_call))
         return [(self.tau, supports)], MONTE_CARLO
 
     def weight_bounds(self, base: np.ndarray) -> tuple[float, float]:
@@ -501,7 +523,7 @@ class Partition(Kind):
         # (L_s, s) rows, and each such block's slot among them.
         drawn = probs > 0
         support, slot = [], np.zeros(len(blocks), dtype=int)
-        for size in np.unique(sizes[drawn]).tolist():
+        for size in sorted(set(sizes[drawn].tolist())):
             of_size = np.flatnonzero(drawn & (sizes == size))
             slot[of_size] = np.arange(of_size.size)
             support.append((size, rows[of_size, :size]))
@@ -539,7 +561,7 @@ class Partition(Kind):
         if sizes.ndim == 0:
             return [(None, J[:sizes])]
         return [(np.flatnonzero(sizes == size), J[sizes == size, :size])
-                for size in np.unique(sizes)]
+                for size in sorted(set(sizes.tolist()))]
 
     def block(self, drawn) -> np.ndarray:
         """The rows of the block with index ``drawn``."""
@@ -560,8 +582,9 @@ class Partition(Kind):
         return [(self.block(l), p) for l, p in enumerate(self.probs)]
 
     def support_groups(self, budget: int, seed: int):
-        """Every block of positive probability, by size (no budget or seed)."""
-        return self._support, PARTITION_MAX
+        """Every block of positive probability, one stack per size (no
+        budget or seed)."""
+        return [(size, (rows,)) for size, rows in self._support], PARTITION_MAX
 
     def weight_bounds(self, base: np.ndarray) -> tuple[float, float]:
         """Exact extremes of base[i]/sum(base[J]) over sampleable (i, J)."""

@@ -138,17 +138,22 @@ def _chunk_supports(monkeypatch, system, tau, supports_per_chunk):
                         supports_per_chunk * tau * system.n * system.A.itemsize)
 
 
-@pytest.mark.parametrize("seed", range(100, 120))
-def test_pruning_keeps_the_maximum_of_duplicated_rows(seed, monkeypatch):
+@pytest.mark.parametrize("seed, per_chunk", [
+    *(pytest.param(seed, 2, id=str(seed)) for seed in range(100, 120)),
+    *(pytest.param(seed, per_chunk, id=f"{seed}-{name}") for seed in range(100, 120)
+      for per_chunk, name in ((1, "one-support-chunks"), (7, "stacked")))])
+def test_pruning_keeps_the_maximum_of_duplicated_rows(seed, per_chunk, monkeypatch):
     """Three copies each of three rows, rescaled: a support of one row's
     copies has the all-ones Gram, whose Gershgorin bound is its lambda_max
     (3), and the computed values of such supports differ in their last
     bits.  In stacks of two supports, pruning on the bound with no margin,
-    or pruning ties, drops one of them."""
+    or pruning ties, drops one of them.  In stacks of one or seven, a
+    Cholesky certificate below the running value itself, or above it,
+    passes a later tie that is larger by an ulp or two."""
     rng = np.random.default_rng(seed)
     A = np.repeat(rng.standard_normal((3, 4)), 3, axis=0) * rng.uniform(0.5, 2.0, size=(9, 1))
     system = LinearSystem(A, A @ np.ones(4))
-    _chunk_supports(monkeypatch, system, 3, 2)
+    _chunk_supports(monkeypatch, system, 3, per_chunk)
     spec = UniformSubset(9, 3)
     val, _ = block_lambda_max(system, spec)
     assert val == max(_one_support_lambda_max(system, J) for J, _ in enumerate_supports(spec))
@@ -196,6 +201,40 @@ def test_block_lambda_max_eigensolves_few_supports(monkeypatch):
     assert mode == EXACT_ENUMERATION
     assert val == expected
     assert sum(solved) < 1000
+
+
+def test_certificate_eigensolves_few_one_support_chunks(monkeypatch):
+    """Supports of 64 rows of a 300x600 system take a stack each, where no
+    Gershgorin bound is taken: the Cholesky certificate rules out all but
+    a few of 200 sampled supports, and the maximum keeps its bits."""
+    system = _spread_rows_system(300, 600, seed=11)
+    spec = UniformSubset(300, 64)
+    assert 64 * system.n * system.A.itemsize > analysis.SUPPORT_CHUNK_BYTES
+    ((_, stacks),), _ = spec.support_groups(200, seed=3)
+    expected = max(_one_support_lambda_max(system, J) for stack in stacks for J in stack)
+    eigvalsh, solved = np.linalg.eigvalsh, []
+
+    def counting(G):
+        solved.append(len(G))
+        return eigvalsh(G)
+    monkeypatch.setattr(analysis.np.linalg, "eigvalsh", counting)
+    val, mode = block_lambda_max(system, spec, budget=200, seed=3)
+    assert mode == MONTE_CARLO
+    assert val == expected
+    assert sum(solved) < 30
+
+
+def test_certificate_needs_every_factorization_and_a_finite_one(monkeypatch):
+    I = np.eye(3)
+    assert analysis._certified_below(np.stack([I, 0.5 * I]), 1.5)
+    assert not analysis._certified_below(np.stack([I, 2.0 * I]), 1.5)  # one fails
+    assert not analysis._certified_below(I[None], 1.0)  # a tie
+    nan = I.copy()
+    nan[2, 2] = np.nan  # factored through by OpenBLAS, with no error
+    assert not analysis._certified_below(nan[None], 1.5)
+    assert not analysis._certified_below(I[None], -math.inf)  # nothing solved yet
+    monkeypatch.setattr(analysis, "CERTIFIED_GRAM_SIZE", 2)
+    assert not analysis._certified_below(0.5 * I[None], 1.5)  # above the covered order
 
 
 def test_laws_are_values_and_systems_compare_by_identity():

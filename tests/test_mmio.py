@@ -43,13 +43,32 @@ def test_vector_single_value(tmp_path):
     assert out[0] == 7.0
 
 
+def _fresh_python(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this kaczlab."""
+    src = str(Path(kaczlab.__file__).resolve().parent.parent)
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    return done.stdout.strip()
+
+
 def test_import_leaves_scipy_unloaded():
     # Only the MatrixMarket reader and writer load scipy: importing the
     # package and its command line does not.
-    src = str(Path(kaczlab.__file__).resolve().parent.parent)
-    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, kaczlab, kaczlab.cli; "
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_partition_draws_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma (about 10 ms and 1 MB in a fresh process):
+    # a partition of blocks of several sizes, built and drawn from in
+    # lockstep trials, sorts its sizes without it.
+    code = ("import sys, kaczlab\n"
+            "system = kaczlab.generate_problem(kaczlab.GaussianNormalized(12, 4, seed=0))\n"
+            "spec = kaczlab.partition_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8), (9, 10, 11)])\n"
+            "config = kaczlab.SolverConfig('rbk', spec, kaczlab.uniform_weights(spec),\n"
+            "                              kaczlab.ClassicConstant(1.0), max_iters=20)\n"
+            "kaczlab.run_monte_carlo(config, system, 4)\n"
+            "print('numpy.ma' in sys.modules)")
+    assert _fresh_python(code) == "False"

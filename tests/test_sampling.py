@@ -357,16 +357,28 @@ def test_uniform_draws_replay_choice(m, tau, counts, bit_generator):
             assert any(rejected) and not all(rejected)
 
 
+@pytest.mark.parametrize("m, tau", [(50, 3), (9, 1), (9, 9), (12, 5), (447, 2)])
+def test_exact_supports_are_the_combinations_in_order(m, tau):
+    # C(447, 2) = 99,681 is the most supports of two rows under the cap.
+    assert comb(447, 2) <= sampling.ENUMERATION_CAP < comb(448, 2)
+    ((size, (stack,)),), mode = UniformSubset(m, tau).support_groups(1000, seed=0)
+    expected = np.array(list(itertools.combinations(range(m), tau)))
+    assert size == tau and mode == sampling.EXACT_ENUMERATION
+    assert stack.shape == expected.shape and np.array_equal(stack, expected)
+
+
 def test_sampled_supports_replay_choice(monkeypatch):
-    # block_lambda_max's sampled supports, drawn 7 a call: choice's values
-    # in choice's (unsorted) order.
+    # block_lambda_max's sampled supports, drawn 7 a call, one stack a
+    # call: choice's values in choice's (unsorted) order.
     monkeypatch.setattr(sampling, "ENUMERATION_CAP", 10)
     monkeypatch.setattr(sampling, "AHEAD_VALUES", 7 * 4)
-    ((size, supports),), mode = UniformSubset(30, 4).support_groups(20, seed=9)
+    ((size, stacks),), mode = UniformSubset(30, 4).support_groups(20, seed=9)
+    stacks = list(stacks)
     rng = np.random.default_rng(9)
     assert size == 4 and mode == sampling.MONTE_CARLO
-    assert [J.tolist() for J in supports] == [rng.choice(30, size=4, replace=False).tolist()
-                                              for _ in range(20)]
+    assert [J.shape for J in stacks] == [(7, 4), (7, 4), (6, 4)]
+    assert [J.tolist() for stack in stacks for J in stack] == [
+        rng.choice(30, size=4, replace=False).tolist() for _ in range(20)]
 
 
 @pytest.mark.parametrize("spec", [

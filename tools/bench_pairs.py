@@ -13,7 +13,9 @@ both sides instead of handing one side the lucky offset in every pair.
 It writes a JSON file with the keys of the committed ``BENCH_*.json``
 files: per workload and end-to-end metric the medians over the pairs, the
 pairs the head wins (ties count for neither), the interquartile range of
-the base's runs and every run in pair order; failed and attempted
+each side's runs, the benchmark's bound on that spread (``iqr_bound``: the
+metric's declared ``bound`` times the base's median; a side over it is
+reported on stderr) and every run in pair order; failed and attempted
 operations, output digests, source line counts, each pair's path length
 and the machine facts ``perfbench/machine.py`` reports.  ``peak_rss_mb``
 also gives each side's median per path length (``by_path_length``), so
@@ -25,8 +27,8 @@ experiment`` (the fixed small plan ``EXPERIMENT_PLAN``) on each rung of the
 size ladder (``LADDER``: 20x20 tau=1, 200x50 tau=8, 2000x500 tau=8 and
 tau=64) in the same alternating pairs, one BLAS thread, and writes a
 ``ladder`` section: per rung and command the median wall times of the whole
-command (interpreter start-up included), the pairs the head wins, the
-base's IQR, every run, and each side's exit codes, and ``solve``'s status
+command (interpreter start-up included), the pairs the head wins, each
+side's IQR and its bound (that of ``time_to_solution_s``), every run, and each side's exit codes, and ``solve``'s status
 lines or the sha256 of ``experiment``'s ``summary.json``.
 
     python tools/bench_pairs.py --base REV --head REV [--pairs N] [--seconds S]
@@ -57,6 +59,8 @@ REPO = Path(__file__).resolve().parent.parent
 REPORT_PREFIX = "perfbench-report "
 # The lengths of the trees' directory names, one per pair in turn.
 PATH_LENGTHS = (1, 3, 5, 9)
+# The declared metric whose bound the ladder's wall times take.
+LADDER_BOUND_METRIC = "time_to_solution_s"
 
 # The size ladder: each rung's recipe, sampling, and the ``kaczlab solve``
 # arguments it adds to SOLVE_ARGS.  The 20x20 system does not reach the
@@ -154,9 +158,10 @@ def _experiment(tree: Path, plan: dict) -> tuple[float, int, str]:
     return wall, done.returncode, digest
 
 
-def _ladder(trees: dict[str, Path], pairs: int) -> dict:
+def _ladder(trees: dict[str, Path], pairs: int, bound: float) -> dict:
     """Every rung of ``LADDER``, ``solve`` and ``experiment``, timed in
-    alternating base/head pairs."""
+    alternating base/head pairs; ``bound`` is the relative bound on each
+    side's IQR."""
     out = {}
     for rung, (recipe, sampling, extra) in LADDER.items():
         args = ["--recipe", recipe, "--sampling", sampling, *extra]
@@ -185,7 +190,8 @@ def _ladder(trees: dict[str, Path], pairs: int) -> dict:
                 "unit": "s", "better": "lower",
                 "parent": round(parent, 4), "change": round(change, 4),
                 "change_wins": sum(h < b for b, h in zip(base, head)),
-                "parent_iqr": round(_iqr(base), 4),
+                "parent_iqr": round(_iqr(base), 4), "change_iqr": round(_iqr(head), 4),
+                "iqr_bound": round(bound * parent, 4),
                 "relative_change": round((change - parent) / parent, 4),
                 "parent_runs": [round(v, 4) for v in base],
                 "change_runs": [round(v, 4) for v in head],
@@ -194,6 +200,7 @@ def _ladder(trees: dict[str, Path], pairs: int) -> dict:
                 result: {key: _one_or_all([line for _, _, line in runs[s]])
                          for key, s in (("parent", "base"), ("change", "head"))},
             }
+            _check_spread(f"ladder {rung} {name}", out[rung][name])
     return out
 
 
@@ -202,12 +209,20 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def _check_spread(label: str, entry: dict) -> None:
+    """Report on stderr each side whose runs spread wider than the bound."""
+    for side in ("parent", "change"):
+        if entry[f"{side}_iqr"] > entry["iqr_bound"]:
+            print(f"{label}: the {side}'s runs spread too widely to tell: IQR "
+                  f"{entry[f'{side}_iqr']:.6g} exceeds {entry['iqr_bound']:.6g}", file=sys.stderr)
+
+
 def _path_lengths(pairs: int) -> list[int]:
     """The path length of each pair in turn (``_rotate``)."""
     return [PATH_LENGTHS[i % len(PATH_LENGTHS)] for i in range(pairs)]
 
 
-def _metrics(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
+def _metrics(workload: str, declared: list[dict], runs: dict[str, list[dict]]) -> dict:
     lengths = _path_lengths(len(runs["base"]))
     out = {}
     for metric in declared:
@@ -219,6 +234,7 @@ def _metrics(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
             "unit": metric["unit"], "better": better,
             "parent": round(parent, 6), "change": round(change, 6),
             "change_wins": wins, "parent_iqr": round(_iqr(base), 6),
+            "change_iqr": round(_iqr(head), 6), "iqr_bound": round(metric["bound"] * parent, 6),
             "relative_change": round((change - parent) / parent, 4),
             "parent_runs": [round(v, 6) for v in base], "change_runs": [round(v, 6) for v in head],
         }
@@ -228,6 +244,7 @@ def _metrics(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
                     v for v, at in zip(values, lengths) if at == length), 6)
                     for key, values in (("parent", base), ("change", head))}
                 for length in sorted(set(lengths))}
+        _check_spread(f"{workload} {name}", out[name])
     return out
 
 
@@ -270,9 +287,11 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
                                                     for r in reports[s]])
                                   for key, s in sides.items()},
                 "all_correct": {key: all(r["correct"] for r in runs[s]) for key, s in sides.items()},
-                "metrics": _metrics(declared, runs),
+                "metrics": _metrics(workload, declared, runs),
             }
-        rungs = _ladder(trees, pairs) if ladder else None
+        rungs = (_ladder(trees, pairs, next(m["bound"] for m in declared
+                                            if m["name"] == LADDER_BOUND_METRIC))
+                 if ladder else None)
     equal = [w for w, r in results.items()
              if r["output_digest"]["parent"] == r["output_digest"]["change"]]
     doc = {
@@ -287,9 +306,11 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
                    f"{', '.join(map(str, PATH_LENGTHS))} characters (path_lengths: the length "
                    "of each pair in turn), so that the placement of arrays, which follows the "
                    "path's length, is spread over both sides; medians over the pairs; "
-                   "change_wins counts pairs where the change is better; parent_iqr is the "
-                   "interquartile range of the parent's runs; parent_runs/change_runs list "
-                   "every run in pair order"),
+                   "change_wins counts pairs where the change is better; parent_iqr and "
+                   "change_iqr are the interquartile ranges of each side's runs, iqr_bound "
+                   "the declared bound times the parent's median (the ladder's: that of "
+                   f"{LADDER_BOUND_METRIC}); parent_runs/change_runs list every run in pair "
+                   "order"),
         "path_lengths": _path_lengths(pairs),
         "claimed": None,
         "digests": (f"Output digests equal the parent's on {', '.join(equal) or 'no workload'}; "
