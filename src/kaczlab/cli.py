@@ -262,7 +262,12 @@ def cmd_experiment(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# Explicit weights need per-row values, which only a JSON config carries.
+_WEIGHT_CHOICES = [kind for kind in WEIGHT_KINDS if kind != "explicit"]
+
+
 def _add_system_args(p: argparse.ArgumentParser) -> None:
+    """The flags ``solve`` and ``analyze`` share."""
     p.add_argument("--recipe", help="synthetic system, e.g. gaussian:50x20")
     p.add_argument("--recipe-seed", type=int, default=None,
                    help="generator seed (defaults to --seed)")
@@ -270,10 +275,12 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rhs", help="one-value-per-line text file for b")
     p.add_argument("--normalize", action="store_true", help="row-normalize the loaded system")
     p.add_argument("--seed", type=int, default=0)
-
-
-# Explicit weights need per-row values, which only a JSON config carries.
-_WEIGHT_CHOICES = [kind for kind in WEIGHT_KINDS if kind != "explicit"]
+    p.add_argument("--sampling", default="uniform:1", help=SAMPLING_FORMS)
+    p.add_argument("--partition-probs", default="uniform", choices=PARTITION_PROBS)
+    p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)
+    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--budget", type=int, default=1000,
+                   help="sampled supports for lambda_max^block estimates")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,16 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--config", help="JSON file in the plan-entry schema (overrides flags)")
     p.add_argument("--method", default="rbk", choices=METHODS)
-    p.add_argument("--sampling", default="uniform:1", help=SAMPLING_FORMS)
-    p.add_argument("--partition-probs", default="uniform", choices=PARTITION_PROBS)
-    p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)
     p.add_argument("--stepsize", default="classic", choices=list(STEPSIZE_KINDS))
     p.add_argument("--alpha", type=float, default=1.0, help="classic stepsize")
-    p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--residual-tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=1000,
-                   help="sampled supports for lambda_max^block estimates")
     p.add_argument("--diagnostics", action="store_true",
                    help="record distance to the solution set per iteration")
     p.add_argument("--out", help="trace CSV path")
@@ -303,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="conditioning report and rate predictions")
     _add_system_args(p)
-    p.add_argument("--sampling", default="uniform:1")
-    p.add_argument("--partition-probs", default="uniform", choices=PARTITION_PROBS)
-    p.add_argument("--weights", default="uniform", choices=_WEIGHT_CHOICES)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--paving", type=int, default=None,
                    help="also check a seeded random paving with this many blocks")
     p.add_argument("--out", help="report JSON path")

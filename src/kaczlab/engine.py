@@ -21,7 +21,7 @@ WINDOW_BYTES, so a run steps on past its stop at most min(K, WINDOW_STEPS
 
 A run records each per-step series one window at a time, the window's
 values of its live trials; a trial that has stopped carries its last value
-forward, written once when a column is read (``column``, ``series``).
+forward, written once when a column is read (``column``).
 """
 
 from __future__ import annotations
@@ -105,11 +105,9 @@ class Trials:
     adaptive runs; ``iterates`` at trace level ``iterates``): its first
     step, its live trials (None for all) and their values at each of its
     steps.  After the run, ``iterations``, ``status`` and ``final_x`` hold
-    each trial's K, status and x^K (lists, and a (T, n) array), ``series``
-    gives a column with an entry per step up to the largest K and
-    ``column`` one padded to a width, a trial that has stopped keeping its
-    last value in both; ``blocks`` gives the drawn blocks of a run of one
-    trial.
+    each trial's K, status and x^K (lists, and a (T, n) array), ``column``
+    gives a column padded to a width, a trial that has stopped keeping its
+    last value, and ``blocks`` the drawn blocks of a run of one trial.
     """
 
     def __init__(self, config: SolverConfig, system: LinearSystem, seeds,
@@ -139,12 +137,11 @@ class Trials:
 
         x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n)
         self.T = T = len(seeds)
-        self.single = T == 1
         self.stream = BlockStream(config.sampling, seeds, config.max_iters)
         iterations, codes = np.zeros(T, dtype=int), np.zeros(T, dtype=int)
         self.final_x = np.empty((T, system.n))
         # A one-trial run's draws (from k = 1), for ``blocks``.
-        self.drawn = [] if self.single else None
+        self.drawn = [] if T == 1 else None
         self.columns = {"residual_sq": []}
         if config.diagnostics:
             self.columns["dist_sq"] = []
@@ -155,7 +152,7 @@ class Trials:
         # A diverging trial overflows, and inf - inf gives NaN: its status,
         # DIVERGED, reports that, not numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._run(x if self.single else np.repeat(x[None], T, axis=0), iterations, codes)
+            self._run(x if T == 1 else np.repeat(x[None], T, axis=0), iterations, codes)
         self.iterations, self.status = iterations.tolist(), _STATUSES[codes].tolist()
 
     def _run(self, X: np.ndarray, iterations: np.ndarray, codes: np.ndarray) -> None:
@@ -168,10 +165,10 @@ class Trials:
         live = np.arange(T)
         # The first window is x^0 alone; k is the step of its last iterate.
         window, k, W = X.reshape(1, T, n), 0, 1
-        alpha_w = np.full((1, T), np.nan) if "alpha" in columns else None
-        # Consecutive skips per live trial (None while no trial is skipping),
-        # and per window step in adaptive runs.
-        skips = skips_w = None
+        alpha_w = np.full((1, T), np.nan) if alphas is None else None
+        # Consecutive skips (NaN alphas) per live trial, and per window step
+        # of adaptive runs.
+        skips, skips_w = np.zeros(T, dtype=int), None
         while True:
             flat = window.reshape(-1, n)
             R = system.residual(flat)
@@ -204,41 +201,43 @@ class Trials:
                         del drawn[iterations[0]:]
                     return
                 keep = ~ended
-                live, X = live[keep], X[keep]
-                skips = None if skips is None else skips[keep]
+                live, X, skips = live[keep], X[keep], skips[keep]
                 stream.keep(keep)
             W = min(2 * W, WINDOW_STEPS, max(1, WINDOW_BYTES // (8 * len(live) * width)),
                     max_iters - k)
             window = np.empty((W, len(live), n))
             alpha_w = None if alpha_w is None else np.empty((W, len(live)))
-            skips_w = None if alphas is not None else np.zeros((W, len(live)), dtype=int)
             for w in range(W):
                 k += 1
                 draw = stream.next()
                 if drawn is not None:
                     drawn.append(draw)
-                X, alpha, moved = self._step(X, draw, None if alphas is None else alphas[k - 1])
+                X, alpha = self._step(X, draw, None if alphas is None else alphas[k - 1])
                 window[w] = X
                 if alpha_w is not None:
                     alpha_w[w] = alpha
-                skips = None if moved is None else np.where(moved, 0, 1 if skips is None else skips + 1)
-                if skips is not None:
-                    skips_w[w] = skips
+            if alpha_w is not None:
+                # Each step's consecutive skips: the steps since the window's
+                # last unskipped step, or the count carried in plus the step's.
+                steps = np.arange(1, W + 1)[:, None]
+                last = np.maximum.accumulate(np.where(np.isnan(alpha_w), 0, steps), axis=0)
+                skips_w = np.where(last > 0, steps - last, skips + steps)
+                skips = skips_w[-1]
 
     def _step(self, X: np.ndarray, draw: np.ndarray, alpha):
-        """(iterates, alpha, moved) after every trial's step on its drawn
-        block.  With ``alpha`` None the step is adaptive, and alpha and
-        moved are ``adaptive_step``'s; otherwise alpha is the one given.
-        moved is None when no step is skipped."""
+        """(iterates, alpha) after every trial's step on its drawn block.
+        With ``alpha`` None the step is adaptive and alpha is
+        ``adaptive_step``'s (NaN where a step is skipped); otherwise it is
+        the one given."""
         config, system = self.config, self.system
         step_weights = config.weights.step_weights
         out = None
         for sel, J in self.stream.groups(draw):
             Xg = X if sel is None else X[sel]
-            step_alpha, moved = alpha, None
+            step_alpha = alpha
             if alpha is None:
-                new, step_alpha, moved = adaptive_step(Xg, system, J, step_weights(system, J),
-                                                       config.stepsize.delta)
+                new, step_alpha = adaptive_step(Xg, system, J, step_weights(system, J),
+                                                config.stepsize.delta)
             elif self.pinvs is not None:
                 pinv = self.pinvs.take(draw if sel is None else draw[sel], J.shape[-1])
                 new = factored_projection_step(Xg, system, J, pinv, alpha)
@@ -247,48 +246,31 @@ class Trials:
             else:
                 new = averaged_step(Xg, system, J, step_weights(system, J), alpha)
             if sel is None:
-                return new, step_alpha, (None if moved is None or moved.all() else moved)
+                return new, step_alpha
             if out is None:
                 out, alphas = np.empty_like(X), np.empty(len(X))
-                all_moved = np.ones(len(X), dtype=bool)
             out[sel], alphas[sel] = new, step_alpha
-            if moved is not None:
-                all_moved[sel] = moved
-        return out, alphas, (None if all_moved.all() else all_moved)
+        return out, alphas
 
-    def _fill(self, out: np.ndarray, name: str) -> np.ndarray:
-        """Write column ``name`` into ``out`` (rows, T, ...), rows > every
-        K: each window's values of its live trials, then each trial's value
-        at its K over its later rows."""
-        rows = len(out)
-        for k0, sel, values in self.columns[name]:
+    def column(self, name: str, width: int) -> np.ndarray:
+        """Column ``name`` as a C-contiguous (T, width, ...) stack, width >
+        every K: each window's values of its live trials, then each trial's
+        value at its K over its later entries."""
+        records = self.columns[name]
+        out = np.empty((self.T, width, *records[0][2].shape[2:]))
+        steps = out.swapaxes(0, 1)
+        for k0, sel, values in records:
             if sel is None:
-                out[k0:k0 + len(values)] = values[:rows - k0]
+                steps[k0:k0 + len(values)] = values[:width - k0]
             else:
-                out[k0:k0 + len(values), sel] = values[:rows - k0]
+                steps[k0:k0 + len(values), sel] = values[:width - k0]
         # A set, not np.unique: that imports numpy.ma, 10-40 ms of a command.
         K = np.asarray(self.iterations)
         for k in set(self.iterations):
-            if k < rows - 1:
+            if k < width - 1:
                 t = K == k
-                out[k + 1:, t] = out[k, t]
+                steps[k + 1:, t] = steps[k, t]
         return out
-
-    def _shape(self, name: str) -> tuple:
-        return self.columns[name][0][2].shape[2:]
-
-    def column(self, name: str, width: int) -> np.ndarray:
-        """One column as a C-contiguous (T, width, ...) stack; a trial's
-        entries past its last step repeat its last value."""
-        out = np.empty((self.T, width, *self._shape(name)))
-        self._fill(out.swapaxes(0, 1), name)
-        return out
-
-    def series(self, name: str) -> np.ndarray:
-        """One column as recorded: (K + 1, ...) for a run of one trial,
-        (K + 1, T, ...) for T trials, K being the largest of theirs."""
-        out = self._fill(np.empty((max(self.iterations) + 1, self.T, *self._shape(name))), name)
-        return out[:, 0] if self.single else out
 
     def blocks(self) -> list[np.ndarray | None]:
         """The drawn blocks of a one-trial run, None at k = 0."""

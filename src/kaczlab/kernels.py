@@ -116,9 +116,9 @@ def adaptive_steps(
 
 
 def adaptive_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, delta: float):
-    """(iterates, alpha, moved): ``averaged_step`` with alpha = (2 - delta) L
-    (see ``adaptive_steps``).  Where a block's step is skipped alpha is NaN
-    and the iterate stays."""
+    """(iterates, alpha): ``averaged_step`` with alpha = (2 - delta) L (see
+    ``adaptive_steps``).  Where a block's step is skipped alpha is NaN and
+    the iterate stays; a NaN alpha is how a run counts its skips."""
     AJ = system.A.take(J, axis=0)
     # One gemv per block, like A_J @ x.
     residuals = np.matvec(AJ, X) - system.b.take(J)
@@ -128,7 +128,7 @@ def adaptive_step(X: np.ndarray, system: LinearSystem, J: np.ndarray, weights, d
     new = X - alpha[..., None] * d
     if not moved.all():
         new = np.where(moved[..., None], new, X)
-    return new, alpha, moved
+    return new, alpha
 
 
 def basic_kaczmarz_step(x: np.ndarray, row: np.ndarray, b_i: float, alpha: float) -> np.ndarray:
@@ -182,11 +182,11 @@ class BlockPinvs:
 
     def __init__(self, system: LinearSystem, spec):
         # Drawable block l's factor is self.stacks[|J_l|][self.slot[l]].
-        self.slot = spec._slot
+        self.slot = spec.slot
         self.stacks = {size: (pseudoinverse(*system.svd)[None] if size == system.m
                               else pseudoinverse(*np.linalg.svd(system.A.take(rows, axis=0),
                                                                 full_matrices=False)))
-                       for size, rows in spec._support}
+                       for size, rows in spec.drawable}
 
     def take(self, drawn, size: int) -> np.ndarray:
         """The factors of the drawn blocks ``drawn`` (...), all of ``size``
@@ -198,7 +198,7 @@ def block_pinvs(system: LinearSystem, spec) -> BlockPinvs:
     """``BlockPinvs`` of the partition ``spec``, built once per system, blocks
     and drawable blocks, so laws that draw the same blocks share them: the
     system's cache keeps the latest, m * n factor floats at most."""
-    key = ("block_pinvs", spec.blocks, tuple((size, rows.tobytes()) for size, rows in spec._support))
+    key = ("block_pinvs", spec.blocks, tuple((size, rows.tobytes()) for size, rows in spec.drawable))
     return system.cached(key, lambda: BlockPinvs(system, spec))
 
 

@@ -374,21 +374,18 @@ def _combinations(m: int, k: int) -> np.ndarray:
     """Every k-subset of range(m) as a row of a (C(m, k), k) array, in the
     order of ``itertools.combinations`` (lexicographic), in the smallest
     unsigned type that holds m - 1."""
-    dtype = np.min_scalar_type(m - 1)
-    # Level r holds every r + 1 entry prefix of a subset, in order, as its
-    # last entry and the row of its parent at level r - 1: a prefix ending
-    # in e is followed by each of e + 1 ... m - k + r.
-    last, parents = [np.arange(m - k + 1)], []
+    out = np.arange(m - k + 1, dtype=np.min_scalar_type(m - 1))[:, None]
+    # Level r extends each r-entry prefix, in order, ending in e by each of
+    # e + 1, ..., m - k + r: a new column that steps by 1 within a prefix
+    # and from the previous prefix's m - k + r to e + 1 (a wrapping step).
     for r in range(1, k):
-        count = m - k + r - last[-1]
-        parents.append(np.repeat(np.arange(len(count)), count))
-        last.append(np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - last[-1] - 1, count))
-    out = np.empty((len(last[-1]), k), dtype)
-    rows = np.arange(len(out))
-    for r in range(k - 1, -1, -1):
-        out[:, r] = last[r][rows]
-        if r:
-            rows = parents[r - 1][rows]
+        last, count = out[:, -1], m - k + r - out[:, -1]
+        step = np.ones(count.sum(), out.dtype)
+        step[np.cumsum(count) - count] = last - (m - k + r - 1)
+        step[0] = last[0] + 1
+        out, parents = np.empty((len(step), r + 1), out.dtype), out
+        out[:, :r] = np.repeat(parents, count, axis=0)
+        np.cumsum(step, dtype=out.dtype, out=out[:, r])
     return out
 
 
@@ -489,7 +486,11 @@ class UniformSubset(Kind):
 class Partition(Kind):
     """A partition of [m] into disjoint blocks, block l drawn with
     probability ``probs[l]``.  Each row index and probability is read by
-    ``kinds.number``."""
+    ``kinds.number``.
+
+    ``drawable`` holds the blocks a draw can give (probability > 0) by
+    size, as (s, (L_s, s) rows) pairs in ascending s, and ``slot[l]`` is
+    drawable block l's row among those of its size."""
 
     kind = "partition"
     blocks: tuple[tuple[int, ...], ...]
@@ -519,16 +520,14 @@ class Partition(Kind):
         lookup[flat] = np.repeat(np.arange(len(blocks)), sizes)
         rows = np.zeros((len(blocks), sizes.max()), dtype=int)
         rows[np.arange(sizes.max()) < sizes[:, None]] = flat
-        # The blocks a draw can give (probability > 0) by size: each size's
-        # (L_s, s) rows, and each such block's slot among them.
         drawn = probs > 0
-        support, slot = [], np.zeros(len(blocks), dtype=int)
+        drawable, slot = [], np.zeros(len(blocks), dtype=int)
         for size in sorted(set(sizes[drawn].tolist())):
             of_size = np.flatnonzero(drawn & (sizes == size))
             slot[of_size] = np.arange(of_size.size)
-            support.append((size, rows[of_size, :size]))
-        vars(self).update(_probs=probs, _block_of=lookup, _sizes=sizes, _support=support,
-                          _slot=slot, _rows=rows[:, :support[-1][0]])
+            drawable.append((size, rows[of_size, :size]))
+        vars(self).update(_probs=probs, _block_of=lookup, _sizes=sizes, drawable=drawable,
+                          slot=slot, _rows=rows[:, :drawable[-1][0]])
 
     @property
     def m(self) -> int:
@@ -555,7 +554,7 @@ class Partition(Kind):
         """``BlockStream.groups`` of the block indices ``draw``: one group
         per block size among them."""
         J = self._rows[draw]
-        if len(self._support) == 1:
+        if len(self.drawable) == 1:
             return [(None, J)]
         sizes = self._sizes[draw]
         if sizes.ndim == 0:
@@ -572,7 +571,7 @@ class Partition(Kind):
 
     def mean_block_size(self) -> float:
         """sum_l p_l |J_l|: exactly s when every drawable block has s rows."""
-        s = self._support[0][0]
+        s = self.drawable[0][0]
         return float(s + self._probs @ (self._sizes - s))
 
     def support_count(self) -> int:
@@ -584,11 +583,11 @@ class Partition(Kind):
     def support_groups(self, budget: int, seed: int):
         """Every block of positive probability, one stack per size (no
         budget or seed)."""
-        return [(size, (rows,)) for size, rows in self._support], PARTITION_MAX
+        return [(size, (rows,)) for size, rows in self.drawable], PARTITION_MAX
 
     def weight_bounds(self, base: np.ndarray) -> tuple[float, float]:
         """Exact extremes of base[i]/sum(base[J]) over sampleable (i, J)."""
-        w = [base[rows] / base[rows].sum(axis=1, keepdims=True) for _, rows in self._support]
+        w = [base[rows] / base[rows].sum(axis=1, keepdims=True) for _, rows in self.drawable]
         return float(min(x.min() for x in w)), float(max(x.max() for x in w))
 
 

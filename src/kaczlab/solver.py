@@ -202,14 +202,15 @@ def run_solver(config: SolverConfig, system: LinearSystem,
     """
     run = Trials(config, system, [config.seed], x0)
     K = run.iterations[0]
+    series = {name: run.column(name, K + 1)[0] for name in run.columns}
     return SolverTrace(
         config, run.status[0], run.final_x[0],
-        alpha=(run.series("alpha") if run.alphas is None
+        alpha=(series["alpha"] if run.alphas is None
                else np.concatenate([[np.nan], run.alphas[:K]])),
-        residual=np.sqrt(run.series("residual_sq")),
-        dist_sq=run.series("dist_sq") if config.diagnostics else np.full(K + 1, np.nan),
+        residual=np.sqrt(series["residual_sq"]),
+        dist_sq=series["dist_sq"] if config.diagnostics else np.full(K + 1, np.nan),
         blocks=run.blocks(),
-        iterates=run.series("iterates") if config.trace_level == FULL_ITERATES else None,
+        iterates=series.get("iterates"),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from kaczlab.analysis import (
     paving_quality,
     predict_rates,
 )
-from kaczlab.errors import NotNormalizedError
+from kaczlab.errors import MissingSpectrumError, NotNormalizedError
 from kaczlab.linalg import LinearSystem
 from kaczlab.problems import CoherentRows, GaussianNormalized, generate_problem
 from kaczlab.sampling import (
@@ -366,3 +367,12 @@ class TestPavingQuality:
         quality = paving_quality(system, build_random_paving(3, 8, 2))
         assert quality.bound_log2 == pytest.approx(6 * math.log2(9))
         assert quality.bound < quality.bound_log2
+
+
+@pytest.mark.parametrize("field", ["lambda_max_block", "lambda_max_AAt"])
+def test_predict_rates_refuses_an_incomplete_report(field):
+    system = generate_problem(GaussianNormalized(8, 4, seed=8))
+    spec = UniformSubset(8, 2)
+    report = dataclasses.replace(build_conditioning_report(system, spec), **{field: math.nan})
+    with pytest.raises(MissingSpectrumError, match="incomplete"):
+        predict_rates(report, uniform_weights(spec), 1.0, 2)

@@ -4,7 +4,9 @@ answers for itself: no module dispatches on the kinds of a union with
 Equality and hashing come from ``@dataclass``: no class writes ``__eq__``
 or ``__hash__``, and a dataclass with an array field passes ``eq=False``
 (a generated ``__eq__`` over arrays raises).  One module, ``sampling``,
-names the numpy generator internals whose streams the bits replay."""
+names the numpy generator internals whose streams the bits replay.  No
+module reads an underscore attribute of another object: what a class
+shares it exposes under a public name."""
 
 import ast
 import tokenize
@@ -133,6 +135,17 @@ def stream_sites(path: Path) -> list[str]:
                 if tok.type == tokenize.NAME and tok.string in STREAM_NAMES]
 
 
+def private_sites(path: Path) -> list[str]:
+    """Every underscore attribute (dunders left out) of an object other
+    than ``self`` or ``cls`` in ``path``, as ``file:line owner.attr``."""
+    nodes = [node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+             and not (node.attr.startswith("__") and node.attr.endswith("__"))
+             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    return [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+            for node in sorted(nodes, key=lambda node: (node.lineno, node.col_offset))]
+
+
 def test_no_isinstance_dispatch_over_kind_unions():
     sites = [site for path in sorted(SRC.glob("*.py")) for site in dispatch_sites(path)]
     assert sites == []
@@ -236,3 +249,25 @@ def test_stream_guard_sees_every_form(tmp_path):
     assert stream_sites(path) == ["probe.py:3 bit_generator", "probe.py:3 ISeedSequence",
                                   "probe.py:4 PCG64", "probe.py:7 bit_generator",
                                   "probe.py:7 random_raw", "probe.py:8 SeedSequence"]
+
+
+def test_no_module_reads_another_objects_underscore_attributes():
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in private_sites(path)]
+    assert sites == []
+
+
+def test_private_guard_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "class A:\n"
+        "    def f(self, spec):\n"
+        "        self._x = spec._slot\n"
+        "        return type(self).__name__, spec.table._rows, owner(self)._y\n"
+        "    @classmethod\n"
+        "    def g(cls, other):\n"
+        "        object.__setattr__(other, '_w', cls._z)\n"
+        "        other._v = other.__mangled\n"
+    )
+    assert private_sites(path) == ["probe.py:3 spec._slot", "probe.py:4 spec.table._rows",
+                                   "probe.py:4 owner(self)._y", "probe.py:8 other._v",
+                                   "probe.py:8 other.__mangled"]

@@ -408,3 +408,16 @@ def test_one_svd_serves_a_system(monkeypatch):
     run_solver(config, system)
     assert shapes["svd"].count(system.shape) == 1
     assert shapes["eigvalsh"] and all(s[-2:] != (system.m, system.m) for s in shapes["eigvalsh"])
+
+
+@pytest.mark.parametrize("A", [np.ones(3), np.ones((0, 3)), np.ones((3, 0))],
+                         ids=["1-d", "no-rows", "no-columns"])
+def test_as_matrix_refuses_what_is_not_a_matrix(A):
+    with pytest.raises(ValueError, match="2-d matrix"):
+        linalg.as_matrix(A)
+
+
+@pytest.mark.parametrize("scales", [[1.0, 0.0], [2.0, -1.0]], ids=["zero", "negative"])
+def test_row_scaling_refuses_non_positive_scales(scales):
+    with pytest.raises(ValueError, match="positive"):
+        linalg.RowScaling(np.array(scales))

@@ -92,3 +92,9 @@ def test_parse_recipe_strings():
 )
 def test_recipe_dict_roundtrip(recipe):
     assert recipe_from_dict(recipe_to_dict(recipe)) == recipe
+
+
+@pytest.mark.parametrize("block_size", [3, 0], ids=["not-a-divisor", "zero"])
+def test_aligned_partition_refuses_a_block_size_that_does_not_divide_m(block_size):
+    with pytest.raises(BadDimensionsError, match="divide"):
+        aligned_partition(8, block_size)

@@ -385,3 +385,25 @@ class TestPolicies:
         doc = json.loads(chebyshev_schedule_pd(0.5, 2.0, 4, 5, random_permutation(5, 2)).to_json())
         with pytest.raises(ValueError, match=field):
             ChebyshevSchedule.from_json(json.dumps(doc | {field: value}))
+
+
+class TestRefusals:
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            chebyshev_eval(-1, 0.5)
+
+    def test_roots_of_degree_zero(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            chebyshev_roots(0)
+
+    def test_empty_horizon_permutation(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            stable_permutation(0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: chebyshev_schedule_pd(0.5, 2.0, 4, 0, []),
+        lambda: chebyshev_schedule_singular(2.0, 4, 0, []),
+    ], ids=["pd", "singular"])
+    def test_empty_horizon_schedule(self, build):
+        with pytest.raises(ValueError, match="at least 1"):
+            build()
