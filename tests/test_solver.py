@@ -968,6 +968,23 @@ def _satisfied_block():
             LinearSystem(A, A @ x_star, planted_solution=x_star))
 
 
+def test_skip_count_restarts_on_a_step_that_moves():
+    # Block (0, 1) moves and block (2, 3) is skipped: each trial stalls at
+    # its first run of STALL_LIMIT skips, past moves inside earlier windows,
+    # where a count taken after every step finds it.
+    config, system = _satisfied_block()
+    spec = Partition(((0, 1), (2, 3)), (0.02, 0.98))
+    config = dataclasses.replace(config, sampling=spec, weights=uniform_weights(spec),
+                                 max_iters=3000)
+    seeds = [1, 2, 3, 5, 6]
+    refs = [_stepwise_run(config, system, seed) for seed in seeds]
+    assert {ref[1] for ref in refs} == {STALLED} and len({ref[0] for ref in refs}) == len(seeds)
+    assert min(ref[0] for ref in refs) > STALL_LIMIT
+    run = Trials(config, system, seeds)
+    assert run.iterations == [ref[0] for ref in refs] and run.status == [STALLED] * len(seeds)
+    assert _same_bits(run.final_x, [ref[2] for ref in refs])
+
+
 def _converging(tol, max_iters=120):
     system = normalized_system(30, 10, seed=8)
     spec = UniformSubset(30, 3)
