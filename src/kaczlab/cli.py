@@ -74,15 +74,15 @@ def _with_env_seed(doc):
 
 
 def _load_system(args) -> LinearSystem:
-    if getattr(args, "recipe", None):
+    if args.recipe:
         recipe_seed = args.recipe_seed if args.recipe_seed is not None else args.seed
         return generate_problem(parse_recipe(args.recipe, seed=recipe_seed))
-    if not (getattr(args, "matrix", None) and getattr(args, "rhs", None)):
+    if not (args.matrix and args.rhs):
         raise KaczlabError("provide either --recipe or --matrix/--rhs")
     A = mmio.read_matrix(args.matrix)
     b = mmio.read_vector(args.rhs)
     system = LinearSystem(A, b)
-    if getattr(args, "normalize", False):
+    if args.normalize:
         system, _ = normalize_rows(system)
     return system
 

@@ -39,7 +39,6 @@ from .kernels import (
     averaged_step,
     block_pinvs,
     block_projection_step,
-    factored_projection_step,
 )
 from .linalg import LinearSystem, as_vector
 from .sampling import BlockStream, check_covers
@@ -238,11 +237,10 @@ class Trials:
             if alpha is None:
                 new, step_alpha = adaptive_step(Xg, system, J, step_weights(system, J),
                                                 config.stepsize.delta)
-            elif self.pinvs is not None:
-                pinv = self.pinvs.take(draw if sel is None else draw[sel], J.shape[-1])
-                new = factored_projection_step(Xg, system, J, pinv, alpha)
             elif config.method == BLOCK_PROJECTION:
-                new = block_projection_step(Xg, system, J, alpha)
+                pinv = (None if self.pinvs is None
+                        else self.pinvs.take(draw if sel is None else draw[sel], J.shape[-1]))
+                new = block_projection_step(Xg, system, J, alpha, pinv)
             else:
                 new = averaged_step(Xg, system, J, step_weights(system, J), alpha)
             if sel is None:

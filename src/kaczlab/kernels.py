@@ -1,9 +1,9 @@
 """The iteration kernels: each method's whole step on a drawn block of
 rows.  ``averaged_step`` is the averaged projection that the basic and the
 block (RBK) methods share, ``adaptive_step`` the same update with the
-adaptive stepsize, and ``block_projection_step`` the exact projection
-(``factored_projection_step`` with the block's pseudoinverse given; for
-the blocks of a partition ``block_pinvs`` builds them once per system).
+adaptive stepsize, and ``block_projection_step`` the exact projection,
+which factors each drawn block or takes its pseudoinverse given (for the
+blocks of a partition ``block_pinvs`` builds them once per system).
 
 The averaged steps work on one trial or on a stack of trials: X is
 (..., n), each trial's drawn block J (..., tau), its rows AJ = A[J]
@@ -162,15 +162,19 @@ def rbk_step(
     return averaged_step(np.asarray(x, dtype=float), system, J, weights, alpha)
 
 
-def block_projection_step(
-    x: np.ndarray, system: LinearSystem, J: np.ndarray, alpha: float = 1.0
-) -> np.ndarray:
+def block_projection_step(x: np.ndarray, system: LinearSystem, J: np.ndarray,
+                          alpha: float = 1.0, pinv: np.ndarray | None = None) -> np.ndarray:
     """x - alpha * A_J^+ (A_J x - b_J) (alpha = 1 solves the block, up to rank
-    deficiency) for one trial or a stack (T, n) with blocks (T, tau): the
-    bits of ``factored_projection_step`` with the factor ``BlockPinvs`` builds."""
+    deficiency) for the iterates x (..., n) and their blocks J (..., tau), one
+    gemv per trial for each product.  ``pinv`` gives each block's factor
+    (..., n, tau), as ``BlockPinvs`` builds them; without it each A_J is
+    factored here, with the same bits."""
     J = np.asarray(J, dtype=int)
-    pinv = pseudoinverse(*np.linalg.svd(system.A.take(J, axis=0), full_matrices=False))
-    return factored_projection_step(x, system, J, pinv, alpha)
+    AJ = system.A.take(J, axis=0)
+    if pinv is None:
+        pinv = pseudoinverse(*np.linalg.svd(AJ, full_matrices=False))
+    r = np.matvec(AJ, x) - system.b.take(J)
+    return x - alpha * np.matvec(pinv, r)
 
 
 class BlockPinvs:
@@ -200,13 +204,3 @@ def block_pinvs(system: LinearSystem, spec) -> BlockPinvs:
     system's cache keeps the latest, m * n factor floats at most."""
     key = ("block_pinvs", spec.blocks, tuple((size, rows.tobytes()) for size, rows in spec.drawable))
     return system.cached(key, lambda: BlockPinvs(system, spec))
-
-
-def factored_projection_step(X: np.ndarray, system: LinearSystem, J: np.ndarray,
-                             pinv: np.ndarray, alpha) -> np.ndarray:
-    """``block_projection_step`` with each block's pseudoinverse given:
-    x - alpha * A_J^+ (A_J x - b_J) for the iterates X (..., n), their blocks
-    J (..., tau) and factors ``pinv`` (..., n, tau), one gemv per trial for
-    each product."""
-    r = np.matvec(system.A.take(J, axis=0), X) - system.b.take(J)
-    return X - alpha * np.matvec(pinv, r)

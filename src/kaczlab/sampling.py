@@ -12,7 +12,6 @@ that replays numpy's streams, which NEP 19 does not promise to keep:
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -332,33 +331,15 @@ def _choice_calls(rng: np.random.Generator, m: int, tau: int, out: np.ndarray) -
 
 
 def _floyd_sample(vals: np.ndarray, low: int, tau: int) -> np.ndarray:
-    """Floyd's samples from their draws, one row per call: position p holds
-    its draw, or j = low + p where the draw is already held.  A draw is
-    held iff an earlier position drew the same value, or it is the j of an
-    earlier position q that held j itself; those chains run back to a
-    repeated draw, and a fixed point settles them.  Sorting value * tau +
-    position finds the repeats: O(tau log tau) a row, not O(tau^2)."""
-    if vals.shape[1] < tau:  # j = 0 draws nothing and holds 0
-        vals = np.concatenate([np.zeros((len(vals), 1), dtype=np.int64), vals], axis=1)
-    pos = np.arange(tau)
-    keys = vals * tau
-    keys += pos
-    keys.sort(axis=1)
-    value, at = np.divmod(keys, tau)
-    repeat = np.zeros(value.shape, dtype=bool)
-    np.equal(value[:, 1:], value[:, :-1], out=repeat[:, 1:])
-    held = np.empty_like(repeat)
-    np.put_along_axis(held, at, repeat, axis=1)
-    q = vals - low
-    chained = (q >= 0) & (q < pos)
-    if chained.any():
-        q, repeated = np.where(chained, q, 0), held
-        while True:
-            settled = repeated | (chained & np.take_along_axis(held, q, axis=1))
-            if np.array_equal(settled, held):
-                break
-            held = settled
-    return np.where(held, low + pos, vals)
+    """Floyd's samples from their draws, one row per call: Floyd's loop over
+    the positions, where position p holds its draw, or j = low + p where an
+    earlier position already holds the draw.  The loop runs on a (tau,
+    calls) array, whose positions are contiguous rows."""
+    J = np.zeros((tau, len(vals)), dtype=np.int64)
+    J[tau - vals.shape[1]:] = vals.T  # j = 0 draws nothing and holds 0
+    for p in range(1, tau):
+        J[p, (J[:p] == J[p]).any(axis=0)] = low + p
+    return J.T
 
 
 def _shuffle(J: np.ndarray, draws: np.ndarray) -> None:
@@ -452,8 +433,7 @@ class UniformSubset(Kind):
         total = self.support_count()
         if total > ENUMERATION_CAP:
             raise TooLargeError(f"C({self.m},{self.tau}) = {total} exceeds cap")
-        combos = itertools.combinations(range(self.m), self.tau)
-        return [(np.array(J, dtype=int), 1.0 / total) for J in combos]
+        return [(J, 1.0 / total) for J in _combinations(self.m, self.tau).astype(int)]
 
     def support_groups(self, budget: int, seed: int):
         """The supports ``block_lambda_max`` maximizes over, as (size,

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczlab import sampling
 from kaczlab.analysis import block_lambda_max
@@ -355,6 +357,30 @@ def test_uniform_draws_replay_choice(m, tau, counts, bit_generator):
             # 2 tau - 1 words a call) with ones that did not.
             rejected = [_state(a) != _state(b) for a, b in zip(ref, plain)]
             assert any(rejected) and not all(rejected)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_replay_choice_is_per_call_choice(data):
+    # m on both sides of choice's tail-shuffle split (m > 10,000 and tau >
+    # m // 50), tau on both sides of the per-call cutoff (a pass of fewer
+    # than 40 calls: tau above about 205).  Values and every generator's
+    # final state are those of per-call choice; unshuffled rows hold the
+    # same values.
+    m = data.draw(st.integers(1, 300) | st.integers(10_001, 12_000), label="m")
+    tau = data.draw(st.integers(1, min(m, 40) if m <= 300 else 400), label="tau")
+    count, T = data.draw(st.integers(1, 40), label="count"), data.draw(st.integers(1, 4), label="T")
+    seed, shuffle = data.draw(st.integers(0, 2**32 - 1), label="seed"), data.draw(st.booleans())
+    seeds = [[seed, t] for t in range(T)]
+    ref = [np.random.default_rng(s) for s in seeds]
+    words = WordSource(seeds)
+    got = replay_choice(words, m, tau, count, shuffle=shuffle)
+    expected = np.array([[rng.choice(m, size=tau, replace=False) for rng in ref]
+                         for _ in range(count)])
+    if not shuffle:
+        got, expected = np.sort(got, axis=-1), np.sort(expected, axis=-1)
+    assert got.shape == (count, T, tau) and np.array_equal(got, expected)
+    assert _states(words) == [_state(rng) for rng in ref]
 
 
 @pytest.mark.parametrize("m, tau", [(50, 3), (9, 1), (9, 9), (12, 5), (447, 2)])

@@ -16,7 +16,10 @@ pairs the head wins (ties count for neither), the interquartile range of
 each side's runs, the benchmark's bound on that spread (``iqr_bound``: the
 metric's declared ``bound`` times the base's median; a side over it is
 reported on stderr) and every run in pair order; failed and attempted
-operations, output digests, source line counts, each pair's path length
+operations, with the failed share (failed over attempted, the share the
+benchmark compares) and the operations per round (attempted over the
+rounds of each report: runs last a fixed time, so the raw sums follow the
+host's speed), output digests, source line counts, each pair's path length
 and the machine facts ``perfbench/machine.py`` reports.  ``peak_rss_mb``
 also gives each side's median per path length (``by_path_length``), so
 that a move of a megabyte or two can be told from placement.  ``claimed`` is
@@ -277,11 +280,16 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
                           + ", ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                           file=sys.stderr)
             sides = {"parent": "base", "change": "head"}
+            failed = {key: sum(r["failed"] for r in runs[s]) for key, s in sides.items()}
+            attempted = {key: sum(r["attempted"] for r in runs[s]) for key, s in sides.items()}
+            rounds = {key: sum(sum(r["rounds"].values()) for r in reports[s])
+                      for key, s in sides.items()}
             results[workload] = {
                 "pairs": pairs,
-                "failed_ops": {key: sum(r["failed"] for r in runs[s]) for key, s in sides.items()},
-                "attempted_ops": {key: sum(r["attempted"] for r in runs[s])
-                                  for key, s in sides.items()},
+                "failed_ops": failed,
+                "attempted_ops": attempted,
+                "failed_share": {key: failed[key] / attempted[key] for key in sides},
+                "ops_per_round": {key: round(attempted[key] / rounds[key], 4) for key in sides},
                 "output_digest": {key: _one_or_all([r["digest"] if isinstance(r["digest"], str)
                                                     else json.dumps(r["digest"])
                                                     for r in reports[s]])
