@@ -88,6 +88,13 @@ def _supports_lambda_max(system: LinearSystem, stacks, tau: int) -> float:
     return val
 
 
+def check_budget(budget: int) -> None:
+    """ValueError unless ``budget``, the sampled supports of a Monte-Carlo
+    lambda_max^block, is at least 1."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 sampled support, got {budget}")
+
+
 def block_lambda_max(
     system: LinearSystem,
     spec: SamplingSpec,
@@ -105,8 +112,7 @@ def block_lambda_max(
     stepsize and its conditioning report share one evaluation while a
     loop over many specs holds one spec's arrays, not all of them.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1 sampled support, got {budget}")
+    check_budget(budget)
     system.check_nonzero_rows()
 
     def build():
@@ -156,9 +162,17 @@ def build_conditioning_report(
     budget: int = 1000,
     seed: int = 0,
 ) -> ConditioningReport:
+    """The report of ``system`` under ``spec``.  W and its spectrum depend
+    on the law only through the membership probabilities, so the system's
+    cache keeps the latest W by their bytes: laws that give every row the
+    same probability share one W, read-only."""
     lam_block, mode = block_lambda_max(system, spec, budget, seed)
-    W = build_W(system, spec)
-    spec_W = sym_eigenvalues(W)
+
+    def build():
+        W = build_W(system, spec)
+        W.flags.writeable = False
+        return W, sym_eigenvalues(W)
+    W, spec_W = system.cached(("W", spec.membership_probabilities().tobytes()), build)
     gram = system.gram_spectrum
     return ConditioningReport(
         rows=system.m,
@@ -169,7 +183,7 @@ def build_conditioning_report(
         W=W,
         lambda_min_nz_W=spec_W.lambda_min_nz,
         spectral_sq=gram.lambda_max,
-        frobenius_sq=float(np.sum(system.row_norms_sq)),
+        frobenius_sq=system.frobenius_sq,
         lambda_min_AAt=max(gram.lambda_min, 0.0),
         lambda_max_AAt=gram.lambda_max,
         lambda_min_nz_AAt=gram.lambda_min_nz,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mmio
-from .analysis import build_conditioning_report, paving_quality, predict_rates
+from .analysis import build_conditioning_report, check_budget, paving_quality, predict_rates
 from .errors import KaczlabError
 from .kernels import METHODS
 from .linalg import LinearSystem, normalize_rows
@@ -210,21 +210,20 @@ def cmd_experiment(args) -> int:
     trials = number_field(plan, "trials", int, 1)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    budget = number_field(plan, "budget", int, 1000)
+    check_budget(budget)
     outputs = plan.get("outputs", {})
     outdir = args.outdir or (outputs.get("dir", ".") if isinstance(outputs, dict) else None)
     if not isinstance(outdir, str):
         raise ValueError(f"outputs must be a JSON object with a string dir, got {outputs!r}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    budget = number_field(plan, "budget", int, 1000)
 
     summary = {"trials": trials, "configs": []}
     for name, doc in zip(names, plan["configs"]):
         config = config_from_dict(_with_env_seed(doc) | {"diagnostics": True}, system, budget)
-        report = build_conditioning_report(system, config.sampling, budget=budget,
-                                           seed=config.seed)
-        factor = config.stepsize.theory_factor(report, config.weights,
-                                               config.sampling.mean_block_size())
+        factor = config.stepsize.theory_factor(system, config.sampling, config.weights, budget,
+                                               config.seed)
         if trials == 1:
             trace = run_solver(config, system)
             mean = pad_to(trace.dist_sq, config.max_iters + 1)

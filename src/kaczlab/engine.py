@@ -246,8 +246,11 @@ class Trials:
             if sel is None:
                 return new, step_alpha
             if out is None:
-                out, alphas = np.empty_like(X), np.empty(len(X))
-            out[sel], alphas[sel] = new, step_alpha
+                # Only adaptive steps give each trial its own alpha.
+                out, alphas = np.empty_like(X), np.empty(len(X)) if alpha is None else alpha
+            out[sel] = new
+            if alpha is None:
+                alphas[sel] = step_alpha
         return out, alphas
 
     def column(self, name: str, width: int) -> np.ndarray:

@@ -199,6 +199,11 @@ class LinearSystem:
         return np.vecdot(self.A, self.A)
 
     @cached_property
+    def frobenius_sq(self) -> float:
+        """||A||_F^2, the sum of ``row_norms_sq``."""
+        return float(np.sum(self.row_norms_sq))
+
+    @cached_property
     def has_zero_rows(self) -> bool:
         """Whether some row is zero (``row_norms_sq`` below ZERO_ROW_NORM_SQ)."""
         return bool(self.row_norms_sq.min() < ZERO_ROW_NORM_SQ)

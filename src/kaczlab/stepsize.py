@@ -21,7 +21,7 @@ from .errors import (
     ConfigMismatchError,
     NonPositiveConditioningError,
 )
-from .analysis import ConditioningReport, check_delta, predict_rates
+from .analysis import RatePrediction, build_conditioning_report, check_delta, predict_rates
 from .kernels import adaptive_steps
 from .kinds import Kind, from_kind_dict, number, number_field, registry
 from .linalg import LinearSystem, check_row_norms
@@ -342,10 +342,22 @@ def chebyshev_schedule_singular(lambda_max: float, m: int, k: int, kappa) -> Che
 #
 # ``stepsizes(weights, max_iters)`` gives the stepsize of every iteration of
 # a run, or None when each one is computed from the drawn block.
-# ``theory_factor(report, weights, tau)`` gives the per-iteration factor of
-# the policy's theorem from the conditioning report, the weights and the
-# mean block size tau; 1.0 when no theorem applies.
+# ``theory_factor(system, spec, weights, budget, seed)`` gives the
+# per-iteration factor of the policy's theorem for the system under the
+# sampling law, with a sampled lambda_max^block drawn from ``budget``
+# supports by ``seed``; 1.0 when no theorem applies.  Each policy builds
+# only what its theorem reads: the classic one the spectrum of A A^T and
+# ||A||_F^2, the constant, adaptive and Chebyshev-PD ones the conditioning
+# report, the Chebyshev-singular one nothing.
 # ---------------------------------------------------------------------------
+
+
+def _predicted(system: LinearSystem, spec: SamplingSpec, weights: WeightScheme, delta: float,
+               budget: int, seed: int) -> RatePrediction:
+    """``predict_rates`` of the conditioning report of ``system`` under ``spec``."""
+    report = build_conditioning_report(system, spec, budget, seed)
+    return predict_rates(report, weights, delta, spec.mean_block_size())
+
 
 @dataclass(frozen=True)
 class ClassicConstant(Kind):
@@ -361,10 +373,11 @@ class ClassicConstant(Kind):
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> np.ndarray:
         return np.broadcast_to(self.alpha, max_iters)
 
-    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
-        """1 - alpha (2 - alpha) lambda_min_nz(A A^T) / ||A||_F^2."""
+    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
+                      budget: int, seed: int) -> float:
+        """1 - alpha (2 - alpha) lambda_min_nz(A A^T) / ||A||_F^2 (Needell-Tropp)."""
         a = self.alpha
-        return 1.0 - a * (2.0 - a) * report.lambda_min_nz_AAt / report.frobenius_sq
+        return 1.0 - a * (2.0 - a) * system.gram_spectrum.lambda_min_nz / system.frobenius_sq
 
 
 @dataclass(frozen=True)
@@ -384,8 +397,9 @@ class ExtrapolatedConstant(Kind):
         alpha = constant_extrapolated_alpha(weights, self.lambda_max_block, self.delta)
         return np.broadcast_to(alpha, max_iters)
 
-    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
-        return predict_rates(report, weights, self.delta, tau).rate_constant_stepsize
+    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
+                      budget: int, seed: int) -> float:
+        return _predicted(system, spec, weights, self.delta, budget, seed).rate_constant_stepsize
 
 
 @dataclass(frozen=True)
@@ -401,8 +415,9 @@ class Adaptive(Kind):
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> None:
         return None
 
-    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
-        return predict_rates(report, weights, self.delta, tau).rate_adaptive
+    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
+                      budget: int, seed: int) -> float:
+        return _predicted(system, spec, weights, self.delta, budget, seed).rate_adaptive
 
 
 class _RootSchedule(Kind):
@@ -449,10 +464,11 @@ class ChebyshevPD(_RootSchedule):
     def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_pd(self.lambda_min, self.lambda_max, self.m, self.horizon, kappa)
 
-    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
+    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
+                      budget: int, seed: int) -> float:
         """The squared Chebyshev factor of the weak (expected-iterate)
         criterion: informational only."""
-        return predict_rates(report, weights, 1.0, tau).cheb_factor**2
+        return _predicted(system, spec, weights, 1.0, budget, seed).cheb_factor**2
 
 
 @dataclass(frozen=True)
@@ -468,7 +484,8 @@ class ChebyshevSingular(_RootSchedule):
     def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_singular(self.lambda_max, self.m, self.horizon, kappa)
 
-    def theory_factor(self, report: ConditioningReport, weights: WeightScheme, tau: float) -> float:
+    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
+                      budget: int, seed: int) -> float:
         return 1.0
 
 

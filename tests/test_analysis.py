@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kaczlab.analysis as analysis
 import kaczlab.sampling as sampling
@@ -10,6 +12,7 @@ from kaczlab.analysis import (
     EXACT_ENUMERATION,
     MONTE_CARLO,
     PARTITION_MAX,
+    ConditioningReport,
     block_lambda_max,
     build_W,
     build_conditioning_report,
@@ -24,6 +27,7 @@ from kaczlab.sampling import (
     UniformSubset,
     build_random_paving,
     enumerate_supports,
+    frobenius_partition,
     full_batch,
     partition_spec,
 )
@@ -250,6 +254,44 @@ def test_laws_are_values_and_systems_compare_by_identity():
     assert sum(key[0] == "block_lambda_max" for key in system.cache) == 1
     assert (LinearSystem(system.A, system.b) == LinearSystem(system.A, system.b)) is False
     assert system == system
+
+
+def _drawn_spec(data, system):
+    """A uniform law, a partition of mixed block sizes with one block never
+    drawn, or a frobenius-weighted partition, on the rows of ``system``."""
+    m = system.m
+    form = data.draw(st.sampled_from(["uniform", "partition", "frobenius"]), label="form")
+    if form == "uniform":
+        return UniformSubset(m, data.draw(st.integers(1, m), label="tau"))
+    rows = data.draw(st.permutations(range(m)), label="rows")
+    cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), min_size=1), label="cuts"))
+    blocks = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, m])]
+    if form == "frobenius":
+        return frobenius_partition(system, blocks)
+    w = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(blocks),
+                                    max_size=len(blocks)), label="w"))
+    w[data.draw(st.integers(0, len(blocks) - 1), label="never drawn")] = 0.0
+    return partition_spec(blocks, w / w.sum())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_reports_on_a_shared_system_equal_reports_on_fresh_copies(data):
+    # A system's cache keeps one W and one lambda_max^block at a time; a
+    # report built after other laws' reports has the bits of one built on a
+    # fresh copy of the system.
+    m, n = data.draw(st.integers(2, 30), label="m"), data.draw(st.integers(1, 12), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, size=m)[:, None]
+    system = LinearSystem(A, A @ rng.standard_normal(n))
+    for _ in range(data.draw(st.integers(2, 4), label="specs")):
+        spec = _drawn_spec(data, system)
+        seed = data.draw(st.integers(0, 1), label="lambda seed")
+        shared = build_conditioning_report(system, spec, budget=20, seed=seed)
+        fresh = build_conditioning_report(LinearSystem(A, system.b), spec, budget=20, seed=seed)
+        for field in dataclasses.fields(ConditioningReport):
+            a, b = getattr(shared, field.name), getattr(fresh, field.name)
+            assert np.array_equal(a, b) if field.name == "W" else repr(a) == repr(b), field.name
 
 
 class TestBuildW:

@@ -303,6 +303,19 @@ def test_budget_below_one_is_an_error_line(source, tmp_path, capsys):
     assert err.startswith("error: ValueError: budget")
 
 
+@pytest.mark.parametrize("stepsize", ["classic", "chebyshev-singular"])
+def test_budget_below_one_is_refused_where_no_factor_reads_it(stepsize, tmp_path, capsys):
+    # Neither factor reads lambda_max^block; the plan's budget is still read
+    # and refused.
+    entry = {"method": "rbk", "sampling": "uniform:8", "stepsize": {"kind": stepsize},
+             "max_iters": 5}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"recipe": "gaussian:40x4", "budget": 0, "configs": [entry],
+                                "outputs": {"dir": str(tmp_path / "out")}}))
+    assert run_cli("experiment", str(path)) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: budget")
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_trials_below_one_is_an_error_line(trials, tmp_path, capsys):
     path = tmp_path / "plan.json"
@@ -615,6 +628,44 @@ class TestExperiment:
         plan_path.write_text(json.dumps(plan))
         assert run_cli("experiment", str(plan_path)) == 0
         assert calls == [3, 3]  # uniform:3, then partition:3 (blocks of 3 rows)
+
+    def test_one_W_per_law_and_no_report_for_classic(self, tmp_path, monkeypatch):
+        # uniform:3 and partition:3 give every row of 12 the probability
+        # 0.25, so they share one W; the classic factor reads neither W nor
+        # lambda_max^block, so partition:6 evaluates neither.
+        import kaczlab.analysis
+
+        w_calls, lam_calls = [], []
+        build_W, supports_lambda_max = (kaczlab.analysis.build_W,
+                                        kaczlab.analysis._supports_lambda_max)
+
+        def counted_W(system, spec):
+            w_calls.append(spec)
+            return build_W(system, spec)
+
+        def counted_lambda(*args, **kwargs):
+            lam_calls.append(args[2])
+            return supports_lambda_max(*args, **kwargs)
+
+        monkeypatch.setattr(kaczlab.analysis, "build_W", counted_W)
+        monkeypatch.setattr(kaczlab.analysis, "_supports_lambda_max", counted_lambda)
+        plan = {
+            "recipe": "gaussian:12x5", "trials": 2, "budget": 20,
+            "outputs": {"dir": str(tmp_path / "out")},
+            "configs": [
+                {"name": "constant", "method": "rbk", "sampling": "uniform:3",
+                 "stepsize": {"kind": "constant-extrapolated"}, "max_iters": 5},
+                {"name": "adaptive", "method": "rbk", "sampling": "partition:3",
+                 "stepsize": {"kind": "adaptive"}, "max_iters": 5},
+                {"name": "classic", "method": "rbk", "sampling": "partition:6",
+                 "stepsize": {"kind": "classic"}, "max_iters": 5},
+            ],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run_cli("experiment", str(plan_path)) == 0
+        assert len(w_calls) == 1
+        assert lam_calls == [3, 3]
 
     def test_unknown_partition_probs_is_an_error(self, tmp_path, capsys):
         plan = {

@@ -326,6 +326,30 @@ def test_solve_cli_golden(kind, tmp_path, monkeypatch, capsys):
     assert _digest(out.read_bytes()) == SOLVE_GOLDEN[kind]
 
 
+# ``analyze``'s report JSON on one sampled system: a Monte-Carlo
+# lambda_max^block, a frobenius-weighted partition and a paving check.
+ANALYZE_FLAGS = {
+    "sampled-uniform": ["--sampling", "uniform:8"],
+    "partition-frobenius": ["--sampling", "partition:3", "--partition-probs", "frobenius"],
+    "paving": ["--paving", "3"],
+}
+
+ANALYZE_GOLDEN = {
+    "sampled-uniform": "d5625798e4d51930",
+    "partition-frobenius": "4ace99a4dc3d6c72",
+    "paving": "c54df090175c0ce3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_FLAGS))
+def test_analyze_cli_golden(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("KACZLAB_SEED", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--recipe", "gaussian:40x4", *ANALYZE_FLAGS[case],
+                 "--out", str(out)]) == 0
+    assert _digest(out.read_bytes()) == ANALYZE_GOLDEN[case]
+
+
 # One instance of each recipe kind, coherent at two coherences: the bits of
 # A, b and the planted solution.
 RECIPE_GOLDEN = {
