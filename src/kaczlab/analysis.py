@@ -197,6 +197,13 @@ def check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
 
+def chebyshev_factor(lambda_min: float, lambda_max: float) -> float:
+    """(sqrt(u) - sqrt(l)) / (sqrt(u) + sqrt(l)) for a spectrum of A A^T in
+    [l, u] = [max(lambda_min, 0), lambda_max]: 1 when lambda_min <= 0."""
+    sq_u, sq_l = math.sqrt(lambda_max), math.sqrt(max(lambda_min, 0.0))
+    return (sq_u - sq_l) / (sq_u + sq_l)
+
+
 @dataclass(frozen=True)
 class RatePrediction:
     """Theoretical per-iteration contraction factors (upper bounds on the
@@ -224,8 +231,7 @@ def predict_rates(
     """Contraction factors by direct substitution of the report values.
 
     ``rate_basic`` is the single-row baseline 1 - lmin_nz(A^T A)/||A||_F^2;
-    ``cheb_factor`` is (sqrt(u) - sqrt(l)) / (sqrt(u) + sqrt(l)) on the
-    spectrum of A A^T and degrades to 1 when lambda_min = 0.
+    ``cheb_factor`` is ``chebyshev_factor`` of the spectrum of A A^T.
     """
     check_delta(delta)
     needed = (
@@ -240,14 +246,12 @@ def predict_rates(
     wmin, wmax, lb = weights.omega_min, weights.omega_max, report.lambda_max_block
     m = report.rows
     log_term = 6.0 * math.log(1.0 + m)
-    sq_u = math.sqrt(report.lambda_max_AAt)
-    sq_l = math.sqrt(max(report.lambda_min_AAt, 0.0))
     return RatePrediction(
         rate_constant_stepsize=1.0 - (2.0 - delta) * wmin**2 * report.lambda_min_nz_W / (wmax**2 * lb),
         rate_adaptive=1.0 - delta * (2.0 - delta) * wmin * report.lambda_min_nz_W / (wmax * lb),
         rate_basic=1.0 - report.lambda_min_nz_AAt / report.frobenius_sq,
         rate_paving=1.0 - report.lambda_min_nz_AAt / (log_term * report.spectral_sq),
-        cheb_factor=(sq_u - sq_l) / (sq_u + sq_l),
+        cheb_factor=chebyshev_factor(report.lambda_min_AAt, report.lambda_max_AAt),
         speedup_vs_basic=tau / lb,
         diversity_ok=report.spectral_sq < m / log_term,
         optimistic=report.lambda_max_block_mode == MONTE_CARLO,

@@ -222,8 +222,12 @@ def cmd_experiment(args) -> int:
     summary = {"trials": trials, "configs": []}
     for name, doc in zip(names, plan["configs"]):
         config = config_from_dict(_with_env_seed(doc) | {"diagnostics": True}, system, budget)
-        factor = config.stepsize.theory_factor(system, config.sampling, config.weights, budget,
-                                               config.seed)
+
+        def rates(delta):
+            # The report is built only if the policy's factor calls this.
+            report = build_conditioning_report(system, config.sampling, budget, config.seed)
+            return predict_rates(report, config.weights, delta, config.sampling.mean_block_size())
+        factor = config.stepsize.theory_factor(system, rates)
         if trials == 1:
             trace = run_solver(config, system)
             mean = pad_to(trace.dist_sq, config.max_iters + 1)

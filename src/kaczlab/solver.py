@@ -147,15 +147,6 @@ class SolverTrace:
         iterates = [None] * len(self.blocks) if self.iterates is None else self.iterates
         return [IterationEvent(*row, iterate=it) for row, it in zip(self.rows(), iterates)]
 
-    def residual_norms(self) -> np.ndarray:
-        return self.residual
-
-    def dist_sq_series(self) -> np.ndarray:
-        return self.dist_sq
-
-    def alphas(self) -> list[float | None]:
-        return [None if math.isnan(a) else a for a in self.alpha[1:].tolist()]
-
     def to_csv(self, path) -> None:
         """Columns: k, block_size, alpha, residual_norm, dist_sq.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from .errors import (
     ConfigMismatchError,
     NonPositiveConditioningError,
 )
-from .analysis import RatePrediction, build_conditioning_report, check_delta, predict_rates
+from .analysis import chebyshev_factor, check_delta
 from .kernels import adaptive_steps
 from .kinds import Kind, from_kind_dict, number, number_field, registry
 from .linalg import LinearSystem, check_row_norms
@@ -342,21 +343,13 @@ def chebyshev_schedule_singular(lambda_max: float, m: int, k: int, kappa) -> Che
 #
 # ``stepsizes(weights, max_iters)`` gives the stepsize of every iteration of
 # a run, or None when each one is computed from the drawn block.
-# ``theory_factor(system, spec, weights, budget, seed)`` gives the
-# per-iteration factor of the policy's theorem for the system under the
-# sampling law, with a sampled lambda_max^block drawn from ``budget``
-# supports by ``seed``; 1.0 when no theorem applies.  Each policy builds
-# only what its theorem reads: the classic one the spectrum of A A^T and
-# ||A||_F^2, the constant, adaptive and Chebyshev-PD ones the conditioning
-# report, the Chebyshev-singular one nothing.
+# ``theory_factor(system, rates)`` gives the per-iteration factor of the
+# policy's theorem for the system; 1.0 when no theorem applies.
+# ``rates(delta)`` is the ``RatePrediction`` of the run's conditioning
+# report, which only the constant and adaptive factors call: the classic
+# and Chebyshev-PD ones read the spectrum of A A^T, the Chebyshev-singular
+# one nothing.
 # ---------------------------------------------------------------------------
-
-
-def _predicted(system: LinearSystem, spec: SamplingSpec, weights: WeightScheme, delta: float,
-               budget: int, seed: int) -> RatePrediction:
-    """``predict_rates`` of the conditioning report of ``system`` under ``spec``."""
-    report = build_conditioning_report(system, spec, budget, seed)
-    return predict_rates(report, weights, delta, spec.mean_block_size())
 
 
 @dataclass(frozen=True)
@@ -373,8 +366,7 @@ class ClassicConstant(Kind):
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> np.ndarray:
         return np.broadcast_to(self.alpha, max_iters)
 
-    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
-                      budget: int, seed: int) -> float:
+    def theory_factor(self, system: LinearSystem, rates: Callable) -> float:
         """1 - alpha (2 - alpha) lambda_min_nz(A A^T) / ||A||_F^2 (Needell-Tropp)."""
         a = self.alpha
         return 1.0 - a * (2.0 - a) * system.gram_spectrum.lambda_min_nz / system.frobenius_sq
@@ -397,9 +389,8 @@ class ExtrapolatedConstant(Kind):
         alpha = constant_extrapolated_alpha(weights, self.lambda_max_block, self.delta)
         return np.broadcast_to(alpha, max_iters)
 
-    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
-                      budget: int, seed: int) -> float:
-        return _predicted(system, spec, weights, self.delta, budget, seed).rate_constant_stepsize
+    def theory_factor(self, system: LinearSystem, rates: Callable) -> float:
+        return rates(self.delta).rate_constant_stepsize
 
 
 @dataclass(frozen=True)
@@ -415,9 +406,8 @@ class Adaptive(Kind):
     def stepsizes(self, weights: WeightScheme, max_iters: int) -> None:
         return None
 
-    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
-                      budget: int, seed: int) -> float:
-        return _predicted(system, spec, weights, self.delta, budget, seed).rate_adaptive
+    def theory_factor(self, system: LinearSystem, rates: Callable) -> float:
+        return rates(self.delta).rate_adaptive
 
 
 class _RootSchedule(Kind):
@@ -464,11 +454,11 @@ class ChebyshevPD(_RootSchedule):
     def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_pd(self.lambda_min, self.lambda_max, self.m, self.horizon, kappa)
 
-    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
-                      budget: int, seed: int) -> float:
+    def theory_factor(self, system: LinearSystem, rates: Callable) -> float:
         """The squared Chebyshev factor of the weak (expected-iterate)
         criterion: informational only."""
-        return _predicted(system, spec, weights, 1.0, budget, seed).cheb_factor**2
+        gram = system.gram_spectrum
+        return chebyshev_factor(gram.lambda_min, gram.lambda_max)**2
 
 
 @dataclass(frozen=True)
@@ -484,8 +474,7 @@ class ChebyshevSingular(_RootSchedule):
     def _schedule(self, kappa) -> ChebyshevSchedule:
         return chebyshev_schedule_singular(self.lambda_max, self.m, self.horizon, kappa)
 
-    def theory_factor(self, system: LinearSystem, spec: SamplingSpec, weights: WeightScheme,
-                      budget: int, seed: int) -> float:
+    def theory_factor(self, system: LinearSystem, rates: Callable) -> float:
         return 1.0
 
 

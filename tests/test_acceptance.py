@@ -124,11 +124,11 @@ def test_criterion_03_adaptive_rate_and_stepsize_bounds():
     for t in range(300):
         cfg = dataclasses.replace(config, seed=split_seed(303, t))
         trace = run_solver(cfg, system)
-        d = trace.dist_sq_series()
+        d = trace.dist_sq
         assert d.size == 151  # adaptive never converges to 0 exactly here
         dists.append(d)
         # delta = 1 makes alpha = (2 - delta) L = L.
-        L_values.extend(a for a in trace.alphas() if a is not None)
+        L_values.extend(trace.alpha[1:][~np.isnan(trace.alpha[1:])])
     D = np.stack(dists)
     mean = D.mean(axis=0)
     stderr = D.std(axis=0, ddof=1) / np.sqrt(300)

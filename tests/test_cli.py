@@ -7,7 +7,7 @@ import pytest
 from kaczlab import mmio
 from kaczlab.cli import main
 from kaczlab.kernels import METHODS
-from kaczlab.problems import GaussianNormalized, generate_problem
+from kaczlab.problems import GaussianNormalized, generate_problem, parse_recipe
 from kaczlab.sampling import paving_from_json
 
 
@@ -666,6 +666,47 @@ class TestExperiment:
         assert run_cli("experiment", str(plan_path)) == 0
         assert len(w_calls) == 1
         assert lam_calls == [3, 3]
+
+    def test_chebyshev_pd_factor_builds_no_report(self, tmp_path, monkeypatch):
+        # The Chebyshev factor reads only the spectrum of A A^T, so a
+        # chebyshev-pd config evaluates neither W nor lambda_max^block, and
+        # its factor keeps the bits of the report's.
+        import kaczlab.analysis
+        from kaczlab.analysis import build_conditioning_report, predict_rates
+        from kaczlab.sampling import UniformSubset
+        from kaczlab.stepsize import uniform_weights
+
+        calls = []
+        build_W, supports_lambda_max = (kaczlab.analysis.build_W,
+                                        kaczlab.analysis._supports_lambda_max)
+
+        def counted_W(*args):
+            calls.append("build_W")
+            return build_W(*args)
+
+        def counted_lambda(*args):
+            calls.append("_supports_lambda_max")
+            return supports_lambda_max(*args)
+
+        monkeypatch.setattr(kaczlab.analysis, "build_W", counted_W)
+        monkeypatch.setattr(kaczlab.analysis, "_supports_lambda_max", counted_lambda)
+        plan = {
+            "recipe": "gaussian:10x20", "trials": 2,
+            "outputs": {"dir": str(tmp_path / "out")},
+            "configs": [{"name": "cheb", "method": "rbk", "sampling": "uniform:4",
+                         "stepsize": {"kind": "chebyshev-pd"}, "max_iters": 5}],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run_cli("experiment", str(plan_path)) == 0
+        assert calls == []
+        monkeypatch.undo()
+        factor = json.loads((tmp_path / "out" / "summary.json").read_text())["configs"][0][
+            "theory_factor"]
+        spec = UniformSubset(10, 4)
+        system = generate_problem(parse_recipe("gaussian:10x20", seed=0))
+        report = build_conditioning_report(system, spec)
+        assert factor == predict_rates(report, uniform_weights(spec), 1.0, 4).cheb_factor ** 2
 
     def test_unknown_partition_probs_is_an_error(self, tmp_path, capsys):
         plan = {

@@ -424,7 +424,7 @@ class TestRunSolver:
         trace = run_solver(config, system)
         assert trace.status == CONVERGED
         assert trace.events[-1].residual_norm <= 1e-10
-        assert np.all(np.isfinite(trace.residual_norms()))
+        assert np.all(np.isfinite(trace.residual))
 
 
 def test_non_finite_residual_ends_a_trial_diverged():
@@ -596,7 +596,7 @@ class TestMonteCarlo:
         mc = run_monte_carlo(config, system, trials=4)
         single = run_solver(config, system)
         np.testing.assert_allclose(mc.stderr_dist_sq, 0.0, atol=1e-18)
-        np.testing.assert_allclose(mc.mean_dist_sq, single.dist_sq_series(), rtol=1e-12)
+        np.testing.assert_allclose(mc.mean_dist_sq, single.dist_sq, rtol=1e-12)
         np.testing.assert_allclose(mc.mean_iterate[-1], single.final_x, atol=1e-14)
 
     def test_identical_trials_have_zero_stderr(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kaczlab.analysis import RatePrediction
 from kaczlab.errors import BadIntervalError, BadSpectrumError, NonPositiveConditioningError
 from kaczlab.linalg import LinearSystem
 from kaczlab.sampling import UniformSubset, enumerate_supports, partition_spec, sample_block
@@ -13,6 +14,7 @@ from kaczlab.stepsize import (
     ChebyshevSchedule,
     ChebyshevSingular,
     ClassicConstant,
+    ExtrapolatedConstant,
     adaptive_alpha,
     chebyshev_eval,
     chebyshev_roots,
@@ -370,6 +372,30 @@ class TestPolicies:
             Adaptive(0.0)
         with pytest.raises(ValueError):
             Adaptive(1.5)
+
+    @pytest.mark.parametrize("policy,field", [
+        (ClassicConstant(1.0), None),
+        (ExtrapolatedConstant(lambda_max_block=2.0, delta=0.5), "rate_constant_stepsize"),
+        (Adaptive(delta=0.5), "rate_adaptive"),
+        (ChebyshevPD(horizon=4, lambda_min=0.5, lambda_max=2.0, m=4), None),
+        (ChebyshevSingular(horizon=4, lambda_max=2.0, m=4), None),
+    ], ids=["classic", "constant-extrapolated", "adaptive", "chebyshev-pd", "chebyshev-singular"])
+    def test_theory_factor_asks_for_rates_only_where_its_theorem_reads_them(self, policy, field):
+        # Only the constant and adaptive rates read lambda_max^block and W:
+        # those factors call rates once, with their own delta.
+        prediction = RatePrediction(0.1, 0.2, 0.3, 0.4, 0.5, 6.0, True, False)
+        calls = []
+
+        def rates(delta):
+            calls.append(delta)
+            return prediction
+
+        factor = policy.theory_factor(normalized_system(4, 6, seed=0), rates)
+        if field is None:
+            assert calls == []
+        else:
+            assert calls == [0.5]
+            assert factor == getattr(prediction, field)
 
     def test_schedule_json_roundtrip(self):
         sched = chebyshev_schedule_pd(0.5, 2.0, 4, 5, random_permutation(5, 2))

@@ -105,9 +105,8 @@ def record_cases(out: Path) -> None:
         return wrapper
 
     def trace_columns(trace):
-        alphas = [np.nan if a is None else a for a in trace.alphas()]
-        return {"residual": trace.residual_norms(), "dist_sq": trace.dist_sq_series(),
-                "alpha": np.array(alphas, dtype=float), "final_x": trace.final_x}
+        return {"residual": trace.residual, "dist_sq": trace.dist_sq,
+                "alpha": trace.alpha[1:], "final_x": trace.final_x}
 
     def mc_columns(mc):
         return {name: value for name, value in vars(mc).items()
