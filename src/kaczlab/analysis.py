@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MissingSpectrumError, NotNormalizedError
 from .linalg import LinearSystem, sym_eigenvalues
-from .sampling import EXACT_ENUMERATION, MONTE_CARLO, PARTITION_MAX, Paving, SamplingSpec
+from .sampling import EXACT_ENUMERATION, MONTE_CARLO, PARTITION_MAX, Paving, SamplingSpec, check_covers
 
 if TYPE_CHECKING:
     from .stepsize import WeightScheme
@@ -107,11 +107,12 @@ def block_lambda_max(
     The spec's ``support_groups`` give the supports and the mode:
     PARTITION_MAX for partitions, EXACT_ENUMERATION for uniform specs with
     C(m, tau) under the cap, else MONTE_CARLO, the maximum over ``budget``
-    sampled supports (a lower bound).  A zero row raises ZeroRowError.
-    The system's cache keeps the latest (value, mode), so a config's
+    sampled supports (a lower bound).  A spec over other rows raises
+    ConfigMismatchError, a zero row ZeroRowError.  The system's cache keeps the latest (value, mode), so a config's
     stepsize and its conditioning report share one evaluation while a
     loop over many specs holds one spec's arrays, not all of them.
     """
+    check_covers(spec, system)
     check_budget(budget)
     system.check_nonzero_rows()
 
@@ -123,8 +124,9 @@ def block_lambda_max(
 
 def build_W(system: LinearSystem, spec: SamplingSpec) -> np.ndarray:
     """W = A^T diag(p_i / ||a_i||^2) A, the expectation of the normalized
-    block Gram under the sampling law.  A system with a zero row raises
-    ZeroRowError."""
+    block Gram under the sampling law.  A spec over other rows raises
+    ConfigMismatchError, a zero row ZeroRowError."""
+    check_covers(spec, system)
     system.check_nonzero_rows()
     p = spec.membership_probabilities()
     scaled = system.A * (p / system.row_norms_sq)[:, None]

@@ -71,26 +71,11 @@ def pad_to(series: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([series, np.repeat(series[-1:], length - len(series), axis=0)])
 
 
-def square_threshold(tol: float) -> float:
-    """The largest s with sqrt(s) <= tol.  sqrt rounds correctly, so it is
-    monotone, and ``s <= square_threshold(tol)`` is ``sqrt(s) <= tol``
-    without taking the root (both False for a NaN s)."""
-    tol = float(tol)
-    if not tol < math.inf:
-        return tol
-    s = tol * tol
-    while s > 0.0 and math.sqrt(s) > tol:
-        s = math.nextafter(s, 0.0)
-    while math.sqrt(math.nextafter(s, math.inf)) <= tol:
-        s = math.nextafter(s, math.inf)
-    return s
-
-
-def runs_on(s, tol_sq: float):
-    """Whether a trial at squared residual ``s`` takes another step: while
-    s is above ``tol_sq`` and finite.  At or below it the trial has
-    converged; an inf or NaN s (``not s < inf``) ends it as diverged."""
-    return (s > tol_sq) & (s < math.inf)
+def runs_on(r, tol: float):
+    """Whether a trial at residual norm ``r`` takes another step: while r
+    is above ``tol`` and finite.  At or below it the trial has converged;
+    an inf or NaN r (``not r < inf``) ends it as diverged."""
+    return (r > tol) & (r < math.inf)
 
 
 class Trials:
@@ -99,8 +84,8 @@ class Trials:
     a seed sequence (a Generator raises ``TypeError``: see ``WordSource``);
     a trial that stops leaves the stack.
 
-    Each window of steps appends one entry to every column (``residual_sq``,
-    the squared residual norm; ``dist_sq`` with diagnostics; ``alpha`` of
+    Each window of steps appends one entry to every column (``residual``,
+    the residual norm ||A x - b||; ``dist_sq`` with diagnostics; ``alpha`` of
     adaptive runs; ``iterates`` at trace level ``iterates``): its first
     step, its live trials (None for all) and their values at each of its
     steps.  After the run, ``iterations``, ``status`` and ``final_x`` hold
@@ -129,10 +114,9 @@ class Trials:
         # lies outside range(A).
         self.projector = (system.projector if config.diagnostics or system.planted_solution is None
                           else None)
-        tol = config.residual_tol
-        if tol is None:
-            tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
-        self.tol_sq = square_threshold(tol)
+        self.tol = config.residual_tol
+        if self.tol is None:
+            self.tol = 1e-8 * (1.0 + float(np.linalg.norm(system.b)))
 
         x = np.zeros(system.n) if x0 is None else as_vector(x0, system.n)
         self.T = T = len(seeds)
@@ -141,7 +125,7 @@ class Trials:
         self.final_x = np.empty((T, system.n))
         # A one-trial run's draws (from k = 1), for ``blocks``.
         self.drawn = [] if T == 1 else None
-        self.columns = {"residual_sq": []}
+        self.columns = {"residual": []}
         if config.diagnostics:
             self.columns["dist_sq"] = []
         if self.alphas is None:
@@ -158,8 +142,8 @@ class Trials:
         """Step the trials a window at a time until each stops, writing its
         K, status code (an index of ``_STATUSES``) and x^K as it leaves."""
         system, projector, stream, columns = self.system, self.projector, self.stream, self.columns
-        max_iters, tol_sq, alphas, drawn, T = (self.config.max_iters, self.tol_sq, self.alphas,
-                                               self.drawn, self.T)
+        max_iters, tol, alphas, drawn, T = (self.config.max_iters, self.tol, self.alphas,
+                                            self.drawn, self.T)
         n, width = system.n, max(system.shape)
         live = np.arange(T)
         # The first window is x^0 alone; k is the step of its last iterate.
@@ -171,15 +155,15 @@ class Trials:
         while True:
             flat = window.reshape(-1, n)
             R = system.residual(flat)
-            s = np.vecdot(R, R).reshape(window.shape[:2])
+            r = np.sqrt(np.vecdot(R, R)).reshape(window.shape[:2])
             del R  # freed before the next window is stepped
             k0, sel = k + 1 - len(window), None if len(live) == T else live
-            for name, values in (("residual_sq", s), ("alpha", alpha_w), ("iterates", window)):
+            for name, values in (("residual", r), ("alpha", alpha_w), ("iterates", window)):
                 if name in columns:
                     columns[name].append((k0, sel, values))
             if "dist_sq" in columns:
-                columns["dist_sq"].append((k0, sel, projector.dist_sq(flat).reshape(s.shape)))
-            go = runs_on(s, tol_sq)
+                columns["dist_sq"].append((k0, sel, projector.dist_sq(flat).reshape(r.shape)))
+            go = runs_on(r, tol)
             stalled = None if skips_w is None else skips_w >= STALL_LIMIT
             stop = ~go if stalled is None else ~go | stalled
             if k == max_iters:
@@ -192,7 +176,7 @@ class Trials:
                 at = np.flatnonzero(ended)
                 j = stop.argmax(axis=0)[at]
                 code = np.where(go[j, at], 0 if stalled is None else stalled[j, at],
-                                np.where(s[j, at] <= tol_sq, 2, 3))
+                                np.where(r[j, at] <= tol, 2, 3))
                 who = live[at]
                 iterations[who], codes[who], self.final_x[who] = k0 + j, code, window[j, at]
                 if len(at) == len(live):

@@ -13,8 +13,9 @@ one-trial computation, so T trials in lockstep replay T serial runs:
 - a per-row dot a . x is ``np.vecdot``, one BLAS ddot per pair like
   ``a @ x`` (a stacked (T, tau, n) @ (T, n, 1) rounds differently);
 - a residual A x - b is ``np.matvec``, one gemv per trial like ``A @ x``
-  (``LinearSystem.residual``), and its squared norm a self-``vecdot``, the
-  ddot ``np.linalg.norm`` takes the square root of.  A stack of two or more
+  (``LinearSystem.residual``), and its norm the square root of a
+  self-``vecdot``, as ``np.linalg.norm`` takes it, once per window of steps
+  for the window's stack (``engine.Trials``).  A stack of two or more
   takes A in row blocks of about ``ROW_BLOCK_BYTES``, a multiple of 4 rows
   each (``linalg.row_blocks``), so a block stays in cache for every
   trial's gemv.  That keeps each row's bits only while the BLAS computes a

@@ -198,7 +198,7 @@ def run_solver(config: SolverConfig, system: LinearSystem,
         config, run.status[0], run.final_x[0],
         alpha=(series["alpha"] if run.alphas is None
                else np.concatenate([[np.nan], run.alphas[:K]])),
-        residual=np.sqrt(series["residual_sq"]),
+        residual=series["residual"],
         dist_sq=series["dist_sq"] if config.diagnostics else np.full(K + 1, np.nan),
         blocks=run.blocks(),
         iterates=series.get("iterates"),
@@ -235,11 +235,9 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
     stats = {}
     # A diverged trial's inf (inf - inf is NaN) is reported by its status.
     with np.errstate(over="ignore", invalid="ignore"):
-        for name in ("residual_sq", "dist_sq", "iterates"):
+        for name in ("residual", "dist_sq", "iterates"):
             if name in run.columns:
                 stacked = run.column(name, config.max_iters + 1)
-                if name == "residual_sq":
-                    np.sqrt(stacked, out=stacked)
                 # mean(axis=0) and std(axis=0, ddof=1) in place, by numpy's
                 # own operations, so with their bits.
                 mean = np.add.reduce(stacked, axis=0)
@@ -260,7 +258,7 @@ def run_monte_carlo(config: SolverConfig, system: LinearSystem, trials: int) -> 
         trials,
         *stats.get("dist_sq", (None, None)),
         *stats.get("iterates", (None, None)),
-        mean_residual_norm=stats["residual_sq"][0],
+        mean_residual_norm=stats["residual"][0],
         hit_iteration=np.asarray(hits, dtype=int),
         final_x=run.final_x,
     )

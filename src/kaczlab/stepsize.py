@@ -26,7 +26,7 @@ from .analysis import chebyshev_factor, check_delta
 from .kernels import adaptive_steps
 from .kinds import Kind, from_kind_dict, number, number_field, registry
 from .linalg import LinearSystem, check_row_norms
-from .sampling import SamplingSpec
+from .sampling import SamplingSpec, check_covers
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,9 @@ def uniform_weights(spec: SamplingSpec) -> WeightScheme:
 
 
 def row_norm_sq_weights(spec: SamplingSpec, system: LinearSystem) -> WeightScheme:
-    """omega_i = ||a_i||^2 / sum_{j in J} ||a_j||^2.  A system with a zero
-    row raises ZeroRowError."""
+    """omega_i = ||a_i||^2 / sum_{j in J} ||a_j||^2.  A spec over other
+    rows raises ConfigMismatchError, a zero row ZeroRowError."""
+    check_covers(spec, system)
     system.check_nonzero_rows()
     lo, hi = spec.weight_bounds(system.row_norms_sq)
     return WeightScheme("rownormsq", lo, hi)

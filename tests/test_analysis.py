@@ -19,7 +19,7 @@ from kaczlab.analysis import (
     paving_quality,
     predict_rates,
 )
-from kaczlab.errors import MissingSpectrumError, NotNormalizedError
+from kaczlab.errors import ConfigMismatchError, MissingSpectrumError, NotNormalizedError
 from kaczlab.linalg import LinearSystem
 from kaczlab.problems import CoherentRows, GaussianNormalized, generate_problem
 from kaczlab.sampling import (
@@ -31,7 +31,7 @@ from kaczlab.sampling import (
     full_batch,
     partition_spec,
 )
-from kaczlab.stepsize import uniform_weights
+from kaczlab.stepsize import row_norm_sq_weights, uniform_weights
 
 
 def e_rows_system():
@@ -255,6 +255,20 @@ def test_laws_are_values_and_systems_compare_by_identity():
     assert (LinearSystem(system.A, system.b) == LinearSystem(system.A, system.b)) is False
     assert system == system
 
+
+
+@pytest.mark.parametrize("law", [UniformSubset(5, 2), partition_spec([(0, 1), (2, 3)]),
+                                 UniformSubset(12, 3)], ids=["uniform-5", "partition-4", "uniform-12"])
+@pytest.mark.parametrize("read", [block_lambda_max, build_W,
+                                  lambda system, spec: row_norm_sq_weights(spec, system)],
+                         ids=["block_lambda_max", "build_W", "row_norm_sq_weights"])
+def test_a_law_over_other_rows_is_refused(read, law):
+    # A law drawn from 5, 4 or 12 rows does not describe a 10-row system:
+    # read through it, the system would give a value for other rows, or an
+    # IndexError or a broadcast error.
+    system = generate_problem(GaussianNormalized(10, 4, seed=1))
+    with pytest.raises(ConfigMismatchError, match=f"covers {law.m} rows but the system has 10"):
+        read(system, law)
 
 def _drawn_spec(data, system):
     """A uniform law, a partition of mixed block sizes with one block never

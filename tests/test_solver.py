@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczlab.errors import ConfigMismatchError, ZeroRowError
 from kaczlab.linalg import LinearSystem
@@ -21,7 +23,7 @@ from kaczlab.sampling import (
     sample_block,
     trial_seeds,
 )
-from kaczlab.engine import Trials, square_threshold
+from kaczlab.engine import Trials
 from kaczlab.kernels import adaptive_step, averaged_step, block_pinvs, block_sum
 from kaczlab.solver import (
     BASIC,
@@ -456,25 +458,22 @@ def test_non_finite_residual_ends_a_trial_diverged():
 
 def test_column_is_the_padded_swapped_series():
     # Trials that stop at different k: each column, stacked in one copy,
-    # has the bits of each trial's own run_solver series, padded to width
-    # (the residual column holds the squares of the trace's norms).
+    # has the bits of each trial's own run_solver series, padded to width.
     system = normalized_system(30, 8, seed=4)
     spec = UniformSubset(30, 3)
     config = SolverConfig(RBK, spec, uniform_weights(spec), Adaptive(1.0), max_iters=400,
                           residual_tol=1e-4, seed=2, diagnostics=True, trace_level=FULL_ITERATES)
     run = Trials(config, system, trial_seeds(config.seed, 6))
     assert len(set(run.iterations)) > 1 and max(run.iterations) < config.max_iters
-    assert set(run.columns) == {"residual_sq", "dist_sq", "alpha", "iterates"}
+    assert set(run.columns) == {"residual", "dist_sq", "alpha", "iterates"}
     width = config.max_iters + 1
     traces = [run_solver(dataclasses.replace(config, seed=int(seed)), system)
               for seed in split_seeds(config.seed, 6)]
-    for name, attr in (("residual_sq", "residual"), ("dist_sq", "dist_sq"), ("alpha", "alpha"),
+    for name, attr in (("residual", "residual"), ("dist_sq", "dist_sq"), ("alpha", "alpha"),
                        ("iterates", "iterates")):
         column = run.column(name, width)
         expected = np.stack([pad_to(getattr(trace, attr), width) for trace in traces])
         assert column.flags.c_contiguous and column.shape == expected.shape
-        if name == "residual_sq":
-            column = np.sqrt(column)
         assert column.tobytes() == expected.tobytes()
 
 
@@ -879,20 +878,6 @@ def test_lockstep_skips_and_stalls_match_serial_runs():
     assert [(trace.status, trace.iterations) for trace in traces] == [(STALLED, 100)] * 3
 
 
-def test_square_threshold_tests_the_rooted_residual():
-    # Runs compare squared residual norms with square_threshold(tol); that
-    # must decide as sqrt(s) <= tol does, for every s near the boundary.
-    rng = np.random.default_rng(50)
-    tols = [0.0, 1e-300, 1e-160, 1e-8, 0.3, 1.0, 7.5, 1e150, 1e200, np.inf,
-            *rng.uniform(0.0, 10.0, size=200), *10.0 ** rng.uniform(-170, 170, size=200)]
-    for tol in tols:
-        s0 = square_threshold(tol)
-        with np.errstate(over="ignore"):
-            near = [s0, np.nextafter(s0, np.inf), np.nextafter(s0, 0.0), tol * tol, np.inf, np.nan]
-        for s in near:
-            assert (s <= s0) == (np.sqrt(s) <= tol), (tol, s)
-
-
 # ---------------------------------------------------------------------------
 # The stop rule checked once per window replays a check after every step
 # ---------------------------------------------------------------------------
@@ -904,18 +889,18 @@ def _stepwise_run(config, system, seed):
     list and the blocks."""
     rng = np.random.default_rng(seed)
     alphas = config.stepsize.stepsizes(config.weights, config.max_iters)
-    tol_sq = square_threshold(config.residual_tol)
+    tol = config.residual_tol
     x, k, skips, alpha, blocks = np.zeros(system.n), 0, 0, np.nan, [None]
-    columns = {"residual_sq": [], "dist_sq": [], "alpha": [], "iterates": []}
+    columns = {"residual": [], "dist_sq": [], "alpha": [], "iterates": []}
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             r = system.A @ x - system.b
-            s = np.vecdot(r, r)
-            for name, value in (("residual_sq", s), ("dist_sq", system.projector.dist_sq(x)),
+            norm = np.sqrt(np.vecdot(r, r))
+            for name, value in (("residual", norm), ("dist_sq", system.projector.dist_sq(x)),
                                 ("alpha", alpha), ("iterates", x)):
                 columns[name].append(value)
-            if not s > tol_sq or not s < np.inf or skips >= STALL_LIMIT or k == config.max_iters:
-                status = (CONVERGED if s <= tol_sq else DIVERGED if not s < np.inf
+            if not norm > tol or not norm < np.inf or skips >= STALL_LIMIT or k == config.max_iters:
+                status = (CONVERGED if norm <= tol else DIVERGED if not norm < np.inf
                           else STALLED if skips >= STALL_LIMIT else MAX_ITERS)
                 return k, status, x, columns, blocks
             k += 1
@@ -1032,7 +1017,7 @@ def test_windowed_stop_check_replays_a_check_every_step(case, monkeypatch):
     assert run.iterations == [ref[0] for ref in refs]
     assert run.status == [ref[1] for ref in refs]
     assert _same_bits(run.final_x, [ref[2] for ref in refs])
-    assert set(run.columns) == {"residual_sq", "dist_sq", "iterates"} | (
+    assert set(run.columns) == {"residual", "dist_sq", "iterates"} | (
         set() if run.alphas is not None else {"alpha"})
     for name in run.columns:
         padded = [pad_to(np.array(ref[3][name]), config.max_iters + 1) for ref in refs]
@@ -1044,7 +1029,44 @@ def test_windowed_stop_check_replays_a_check_every_step(case, monkeypatch):
         trace = run_solver(dataclasses.replace(config, seed=seeds[0]), system)
         assert (trace.iterations, trace.status) == (K, status)
         assert _same_bits(trace.final_x, x)
-        assert _same_bits(trace.residual, np.sqrt(columns["residual_sq"]))
+        assert _same_bits(trace.residual, columns["residual"])
         for name in ("dist_sq", "alpha", "iterates"):
             assert _same_bits(getattr(trace, name), columns[name]), name
         assert all(_same_bits(a, b) for a, b in zip(trace.blocks[1:], blocks[1:]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_stop_rule_replays_a_check_every_step_at_any_tolerance(data):
+    # Trials equals the stepwise reference in K, status, x^K and every
+    # column at tolerances 0 and inf, and at a residual norm r_k of a run to
+    # max_iters and its two neighbouring floats, where a trial stops at or
+    # runs past the step that recorded r_k.
+    m, n = data.draw(st.integers(2, 30), label="m"), data.draw(st.integers(1, 12), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="system seed"))
+    A = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, size=m)[:, None]
+    system = LinearSystem(A, A @ rng.standard_normal(n))
+    method = data.draw(st.sampled_from([RBK, BASIC]), label="method")
+    spec = UniformSubset(m, 1 if method == BASIC else data.draw(st.integers(1, m), label="tau"))
+    policy = data.draw(st.one_of(st.builds(ClassicConstant, st.floats(0.1, 1.9)),
+                                 st.builds(ExtrapolatedConstant, st.floats(1.0, 4.0)),
+                                 st.builds(Adaptive, st.floats(0.1, 1.0))), label="stepsize")
+    seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=4), label="seeds")
+    config = SolverConfig(method, spec, uniform_weights(spec), policy,
+                          max_iters=data.draw(st.integers(1, 60), label="max_iters"),
+                          residual_tol=0.0, trace_level=FULL_ITERATES, diagnostics=True)
+    norms = _stepwise_run(config, system, seeds[0])[3]["residual"]
+    r_k = norms[data.draw(st.integers(0, len(norms) - 1), label="k")]
+    width = config.max_iters + 1
+    for tol in (0.0, np.inf, r_k, np.nextafter(r_k, 0.0), np.nextafter(r_k, np.inf)):
+        config = dataclasses.replace(config, residual_tol=float(tol))
+        refs = [_stepwise_run(config, system, seed) for seed in seeds]
+        run = Trials(config, system, seeds)
+        assert run.iterations == [ref[0] for ref in refs], tol
+        assert run.status == [ref[1] for ref in refs], tol
+        assert _same_bits(run.final_x, [ref[2] for ref in refs]), tol
+        assert set(run.columns) == {"residual", "dist_sq", "iterates"} | (
+            set() if run.alphas is not None else {"alpha"})
+        for name in run.columns:
+            padded = [pad_to(np.array(ref[3][name]), width) for ref in refs]
+            assert _same_bits(run.column(name, width), padded), (tol, name)

@@ -28,11 +28,15 @@ left null, for the author to fill in.  It asserts nothing.
 With ``--ladder`` it also times ``kaczlab solve`` and ``kaczlab
 experiment`` (the fixed small plan ``EXPERIMENT_PLAN``) on each rung of the
 size ladder (``LADDER``: 20x20 tau=1, 200x50 tau=8, 2000x500 tau=8 and
-tau=64) in the same alternating pairs, one BLAS thread, and writes a
-``ladder`` section: per rung and command the median wall times of the whole
-command (interpreter start-up included), the pairs the head wins, each
-side's IQR and its bound (that of ``time_to_solution_s``), every run, and each side's exit codes, and ``solve``'s status
-lines or the sha256 of ``experiment``'s ``summary.json``.
+tau=64) in the same alternating pairs, one BLAS thread.  In each pair it
+runs each side's command ``LADDER_TRIES`` times, the sides alternating,
+and keeps the fastest: start-up noise only ever adds time.  It writes a
+``ladder`` section: per rung and command the median over the pairs of
+each side's fastest wall time of the whole command (interpreter start-up
+included), the pairs the head wins, each side's IQR and its bound (that of
+``time_to_solution_s``), each pair's fastest run and every run, each
+side's exit codes, and ``solve``'s status lines or the sha256 of
+``experiment``'s ``summary.json``.
 
     python tools/bench_pairs.py --base REV --head REV [--pairs N] [--seconds S]
                                 [--workload W ...] [--seed SEED] [--ladder]
@@ -64,6 +68,8 @@ REPORT_PREFIX = "perfbench-report "
 PATH_LENGTHS = (1, 3, 5, 9)
 # The declared metric whose bound the ladder's wall times take.
 LADDER_BOUND_METRIC = "time_to_solution_s"
+# The runs of a ladder command per side and pair, of which the fastest counts.
+LADDER_TRIES = 3
 
 # The size ladder: each rung's recipe, sampling, and the ``kaczlab solve``
 # arguments it adds to SOLVE_ARGS.  The 20x20 system does not reach the
@@ -163,8 +169,8 @@ def _experiment(tree: Path, plan: dict) -> tuple[float, int, str]:
 
 def _ladder(trees: dict[str, Path], pairs: int, bound: float) -> dict:
     """Every rung of ``LADDER``, ``solve`` and ``experiment``, timed in
-    alternating base/head pairs; ``bound`` is the relative bound on each
-    side's IQR."""
+    alternating base/head pairs, each side's fastest of ``LADDER_TRIES``
+    runs a pair; ``bound`` is the relative bound on each side's IQR."""
     out = {}
     for rung, (recipe, sampling, extra) in LADDER.items():
         args = ["--recipe", recipe, "--sampling", sampling, *extra]
@@ -178,14 +184,19 @@ def _ladder(trees: dict[str, Path], pairs: int, bound: float) -> dict:
         }
         out[rung] = {}
         for name, (command, result, run) in commands.items():
+            # Each side's runs, LADDER_TRIES a pair.
             runs = {"base": [], "head": []}
             for i in range(pairs):
                 _rotate(trees, i)
-                for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                    runs[side].append(run(trees[side]))
-                    print(f"ladder {rung} {name} pair {i + 1}/{pairs} {side}: "
-                          f"{runs[side][-1][0]:.3f} s", file=sys.stderr)
-            base, head = ([wall for wall, _, _ in runs[side]] for side in ("base", "head"))
+                for _ in range(LADDER_TRIES):
+                    for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                        runs[side].append(run(trees[side]))
+                        print(f"ladder {rung} {name} pair {i + 1}/{pairs} {side}: "
+                              f"{runs[side][-1][0]:.3f} s", file=sys.stderr)
+            tries = {side: [[wall for wall, _, _ in runs[side][i:i + LADDER_TRIES]]
+                            for i in range(0, len(runs[side]), LADDER_TRIES)]
+                     for side in runs}
+            base, head = ([min(walls) for walls in tries[side]] for side in ("base", "head"))
             parent, change = statistics.median(base), statistics.median(head)
             out[rung][name] = {
                 "command": command,
@@ -198,6 +209,8 @@ def _ladder(trees: dict[str, Path], pairs: int, bound: float) -> dict:
                 "relative_change": round((change - parent) / parent, 4),
                 "parent_runs": [round(v, 4) for v in base],
                 "change_runs": [round(v, 4) for v in head],
+                **{f"{key}_tries": [[round(v, 4) for v in walls] for walls in tries[s]]
+                   for key, s in (("parent", "base"), ("change", "head"))},
                 "exit_codes": {key: _one_or_all([code for _, code, _ in runs[s]])
                                for key, s in (("parent", "base"), ("change", "head"))},
                 result: {key: _one_or_all([line for _, _, line in runs[s]])
@@ -318,7 +331,9 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
                    "change_iqr are the interquartile ranges of each side's runs, iqr_bound "
                    "the declared bound times the parent's median (the ladder's: that of "
                    f"{LADDER_BOUND_METRIC}); parent_runs/change_runs list every run in pair "
-                   "order"),
+                   f"order; a ladder command runs {LADDER_TRIES} times per side and pair, the "
+                   "sides alternating, and its parent_runs/change_runs hold each pair's "
+                   "fastest, parent_tries/change_tries every run"),
         "path_lengths": _path_lengths(pairs),
         "claimed": None,
         "digests": (f"Output digests equal the parent's on {', '.join(equal) or 'no workload'}; "
