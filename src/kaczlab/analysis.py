@@ -104,12 +104,12 @@ def block_lambda_max(
     """Worst-case largest eigenvalue of the normalized block Gram over the
     sampleable supports.
 
-    The spec's ``support_groups`` give the supports and the mode:
-    PARTITION_MAX for partitions, EXACT_ENUMERATION for uniform specs with
-    C(m, tau) under the cap, else MONTE_CARLO, the maximum over ``budget``
-    sampled supports (a lower bound).  A spec over other rows raises
-    ConfigMismatchError, a zero row ZeroRowError.  The system's cache keeps the latest (value, mode), so a config's
-    stepsize and its conditioning report share one evaluation while a
+    The spec's ``support_groups`` give the supports and the mode: PARTITION_MAX
+    for partitions, EXACT_ENUMERATION for uniform specs with C(m, tau) under
+    the cap, else MONTE_CARLO, the maximum over ``budget`` sampled supports (a
+    lower bound).  A spec over other rows raises ConfigMismatchError, a zero
+    row ZeroRowError.  The system's cache keeps the latest (value, mode), so a
+    config's stepsize and its conditioning report share one evaluation while a
     loop over many specs holds one spec's arrays, not all of them.
     """
     check_covers(spec, system)

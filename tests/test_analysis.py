@@ -256,9 +256,9 @@ def test_laws_are_values_and_systems_compare_by_identity():
     assert system == system
 
 
-
 @pytest.mark.parametrize("law", [UniformSubset(5, 2), partition_spec([(0, 1), (2, 3)]),
-                                 UniformSubset(12, 3)], ids=["uniform-5", "partition-4", "uniform-12"])
+                                 UniformSubset(12, 3)],
+                         ids=["uniform-5", "partition-4", "uniform-12"])
 @pytest.mark.parametrize("read", [block_lambda_max, build_W,
                                   lambda system, spec: row_norm_sq_weights(spec, system)],
                          ids=["block_lambda_max", "build_W", "row_norm_sq_weights"])
@@ -269,6 +269,7 @@ def test_a_law_over_other_rows_is_refused(read, law):
     system = generate_problem(GaussianNormalized(10, 4, seed=1))
     with pytest.raises(ConfigMismatchError, match=f"covers {law.m} rows but the system has 10"):
         read(system, law)
+
 
 def _drawn_spec(data, system):
     """A uniform law, a partition of mixed block sizes with one block never
