@@ -80,9 +80,11 @@ def runs_on(r, tol: float):
 
 class Trials:
     """T runs of one configuration advanced in lockstep, trial t drawing its
-    blocks from ``np.random.default_rng(seeds[t])``, ``seeds[t]`` an int or
-    a seed sequence (a Generator raises ``TypeError``: see ``WordSource``);
-    a trial that stops leaves the stack.
+    blocks from the raw words of ``PCG64(seeds[t])``, the bit generator of
+    ``np.random.default_rng(seeds[t])``, ``seeds[t]`` an int or a seed
+    sequence (a Generator raises ``TypeError``: see ``WordSource``); a
+    trial's blocks depend on its seed alone, and a trial that stops leaves
+    the stack.
 
     Each window of steps appends one entry to every column (``residual``,
     the residual norm ||A x - b||; ``dist_sq`` with diagnostics; ``alpha`` of

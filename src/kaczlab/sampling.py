@@ -3,15 +3,21 @@
 Two sampling laws are supported: uniform tau-subsets of [m], and a fixed
 partition of [m] drawn with per-block probabilities, read from a JSON dict
 or a spec string such as ``uniform:4``.  Small instances can be enumerated
-exhaustively, which the test oracles rely on.  It is also the one module
-that replays numpy's streams, which NEP 19 does not promise to keep:
-``SeedSequence``'s hash (``trial_seeds``), PCG64's half-buffer
-(``WordSource``), Lemire's bounded draws and Floyd's ``choice``.
+exhaustively, which the test oracles rely on.
+
+It is also the one module that reads numpy's random streams.  A block draw
+is kaczlab's own, defined on PCG64's raw 64-bit words (``WordSource``),
+the one stream NEP 19 promises to keep: Lemire's bounded draws and Floyd's
+sample for uniform subsets, ``choice(p=...)``'s formula for partitions.
+The draws of a run of T trials are those of T one-trial runs, and
+``sample_block`` is a one-step draw.  The trial seeds replay
+``SeedSequence``'s hash (``trial_seeds``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -35,17 +41,6 @@ AHEAD_VALUES = 1 << 18
 EXACT_ENUMERATION = "exact-enumeration"
 PARTITION_MAX = "partition-max"
 MONTE_CARLO = "monte-carlo-estimate"
-
-
-# numpy's Generator.choice(m, tau, replace=False) takes Floyd's algorithm
-# unless m > CHOICE_FLOYD_MAX and tau > m // 50, where it shuffles a tail of
-# arange(m) instead.
-CHOICE_FLOYD_MAX = 10_000
-# Uint32 draws replay_choice makes in one pass, at most: bounds its scratch.
-# A pass holds REPLAY_DRAWS // (2 tau - 1) calls; below 40 (tau above about
-# 200) its fixed cost outweighs per-call choice, so choice draws them
-# (timed at m = 2000: a pass of 41 calls still wins, one of 32 loses).
-REPLAY_DRAWS = 1 << 14
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -169,186 +164,76 @@ def trial_seeds(seed: int, trials: int) -> list[_PresetState]:
 
 
 class WordSource:
-    """The uint32 words a ``Generator`` draws (``next_uint32``: what
-    ``integers(2**32, dtype=uint32)`` returns, and what Lemire's bounded
-    draws take) of generator t = ``Generator(PCG64(seeds[t]))``, the state
-    of ``default_rng(seeds[t])``, for each seed: an int or a seed sequence
-    (a ``Generator`` raises ``TypeError``).
-
-    PCG64 draws a uint32 as the low half of a raw 64-bit word and keeps the
-    high half in its state (``has_uint32``, ``uinteger``) for the next
-    draw.  The generators are the source's own, so their buffers start
-    empty and the source keeps them: a fetch is one ``random_raw`` call per
-    generator.  ``call`` hands a generator, buffer and all, to a direct
-    ``Generator`` call.
-    """
+    """Each trial's raw 64-bit words, the stream that PCG64 keeps across
+    numpy versions (NEP 19): trial t's are ``PCG64(seeds[t]).random_raw``'s,
+    the words of ``default_rng(seeds[t])``'s bit generator.  A seed is an
+    int, a seed sequence, or a bit generator, whose words are taken as they
+    come (``sample_block``'s); a ``Generator`` raises ``TypeError``."""
 
     def __init__(self, seeds):
-        self.rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-        # Each buffer, has_uint32 (0 or 1) and uinteger: its last half.
-        self.has = np.zeros(len(self.rngs), dtype=np.int8)
-        self.held = np.zeros(len(self.rngs), dtype=np.uint32)
+        self.bits = [seed if isinstance(seed, np.random.BitGenerator) else np.random.PCG64(seed)
+                     for seed in seeds]
 
     def __len__(self) -> int:
-        return len(self.rngs)
+        return len(self.bits)
 
-    def words(self, n: int, sel: slice) -> np.ndarray:
-        """The next ``n`` words of the generators in the slice ``sel``,
-        (generators, n)."""
-        has, idx = self.has[sel], range(len(self.rngs))[sel]
-        if (has == has[0]).all():
-            return self._fetch(n, int(has[0]), sel, idx)
-        has = has.copy()  # _fetch moves self.has on
-        out = np.empty((len(has), n), dtype=np.uint32)
-        for kind in (0, 1):
-            at = np.flatnonzero(has == kind)
-            rows = at + idx.start
-            out[at] = self._fetch(n, kind, rows, rows.tolist())
-        return out
-
-    def _fetch(self, n: int, kind: int, rows, idx) -> np.ndarray:
-        """``words`` of the generators ``rows`` (a slice or indices; ``idx``
-        lists them), whose buffers all have ``kind`` halves."""
-        # A held half comes first, then each raw word's low and high halves.
-        # The last high half is held while it is not drawn.
-        count = (n + 1 - kind) // 2
-        block = (np.stack([self.rngs[t].bit_generator.random_raw(count) for t in idx])
-                 .astype("<u8", copy=False).view("<u4")
-                 if count else np.empty((len(idx), 0), dtype=np.uint32))
-        if kind:
-            block = np.concatenate([self.held[rows, None], block], axis=1)
-        if count:
-            self.held[rows] = block[:, -1]
-        self.has[rows] = block.shape[1] > n
-        return block[:, :n]
-
-    def bounded(self, bounds: np.ndarray, thresholds: np.ndarray, sel: slice) -> np.ndarray:
-        """Lemire's bounded draws (u * bound) >> 32 of the generators in the
-        slice ``sel``, (generators, D) for the D ``bounds`` (2 .. 2**32,
-        uint64) in turn.  A draw rejects u while its low word is below its
-        threshold, 2**32 mod bound, and draws again from the next word, as
-        numpy's ``integers`` and ``choice`` do."""
-        words = self.words(len(bounds), sel)
-        prod = words * bounds
-        accepted = prod.astype(np.uint32) >= thresholds
-        prod >>= 32
-        vals = prod.view(np.int64)
-        if not accepted.all():
-            for i in np.flatnonzero(~accepted.all(axis=1)).tolist():
-                t = range(len(self.rngs))[sel][i]
-                vals[i] = self._redraw(t, words[i], bounds, thresholds)
-        return vals
-
-    def _redraw(self, t: int, words: np.ndarray, bounds: np.ndarray,
-                thresholds: np.ndarray) -> np.ndarray:
-        """``bounded``'s draws of generator t, whose first len(bounds)
-        ``words`` reject at least once."""
-        out = np.empty(len(bounds), dtype=np.int64)
-        d = 0  # draws made
-        while True:
-            prod = words * bounds[d:]
-            accepted = prod.astype(np.uint32) >= thresholds[d:]
-            r = len(words) if accepted.all() else int(accepted.argmin())
-            out[d:d + r] = prod[:r] >> 32
-            d += r
-            if d == len(bounds):
-                return out
-            # Word r is rejected: the words after it serve draws d on, and
-            # one more word makes up for it.
-            words = np.concatenate([words[r + 1:], self.words(1, slice(t, t + 1))[0]])
-
-    def call(self, t: int, draw, *args):
-        """``draw(rng, *args)`` on generator t: its buffer is written to its
-        state before and read back after."""
-        bits = self.rngs[t].bit_generator
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = int(self.has[t]), int(self.held[t])
-        bits.state = state
-        out = draw(self.rngs[t], *args)
-        state = bits.state
-        self.has[t], self.held[t] = state["has_uint32"], state["uinteger"]
+    def words(self, n: int) -> np.ndarray:
+        """Each trial's next ``n`` words, (trials, n) uint64."""
+        out = np.empty((len(self.bits), n), dtype=np.uint64)
+        for row, bits in zip(out, self.bits):
+            row[:] = bits.random_raw(n)
         return out
 
     def keep(self, live: np.ndarray) -> None:
-        """Drop the generators where the boolean mask ``live`` is False."""
-        self.rngs = [rng for rng, keep in zip(self.rngs, live) if keep]
-        self.has, self.held = self.has[live], self.held[live]
+        """Drop the trials where the boolean mask ``live`` is False."""
+        self.bits = [bits for bits, keep in zip(self.bits, live) if keep]
 
 
-def replay_choice(words: WordSource, m: int, tau: int, count: int,
-                  shuffle: bool = True) -> np.ndarray:
-    """What ``count`` successive ``rng.choice(m, tau, replace=False)`` calls
-    return for each generator of the source ``words``, as a (count, T, tau)
-    stack, with every generator left in the state those calls leave.  With
-    ``shuffle`` False each row holds the same values in Floyd's order, for
-    callers that sort them; the shuffle's draws are still made.
+def _bounded(words: WordSource, bounds: np.ndarray) -> np.ndarray:
+    """Each trial's draws in [0, bound) for the D ``bounds`` (1 .. 2**32,
+    uint64) in turn, (trials, D) int64, by Lemire's rule: a draw takes the
+    high 32 bits u of the trial's next raw word and gives (u * bound) >> 32,
+    unless the low 32 bits of u * bound are below 2**32 mod bound.  Then
+    the word is rejected, and the trial's next raw word takes its place."""
+    thresholds = (1 << 32) % bounds
+    raw = words.words(len(bounds))
+    prod = raw >> 32
+    prod *= bounds
+    rejected = (prod & 0xFFFFFFFF) < thresholds
+    prod >>= 32
+    vals = prod.view(np.int64)
+    if rejected.any():
+        for t in np.flatnonzero(rejected.any(axis=1)).tolist():
+            vals[t] = _redraw(words.bits[t], raw[t], bounds, thresholds)
+    return vals
 
-    Such a call makes 2 tau - 1 draws, each Lemire's bounded integer
-    (u * bound) >> 32 of one uint32 u of the generator's stream: Floyd's
-    sample takes bound j + 1 for j = m - tau ... m - 1 (j = 0 draws
-    nothing), then its shuffle i + 1 for i = tau - 1 ... 1.  Here each
-    generator makes all its draws of a pass from one fetch of the
-    ``WordSource``, rejected words included.  ``choice`` draws every
-    generator (``WordSource.call``) where it does not take Floyd's
-    algorithm or draws 64-bit words (m > 2**32), or where a pass holds
-    fewer than 40 calls (``REPLAY_DRAWS``).
-    """
-    T = len(words)
-    out = np.empty((count, T, tau), dtype=np.int64)
-    if (m > 1 << 32 or (m > CHOICE_FLOYD_MAX and tau > m // 50)
-            or REPLAY_DRAWS // (2 * tau - 1) < 40):
-        for t in range(T):
-            words.call(t, _choice_calls, m, tau, out[:, t])
-        return out
-    low = m - tau  # Floyd's first j
-    bounds = np.concatenate([np.arange(max(low, 1) + 1, m + 1),
-                             np.arange(tau, 1, -1)]).astype(np.uint64)
-    per_call, floyd = len(bounds), len(bounds) - (tau - 1)
-    # A pass: up to ``steps`` calls of ``group`` generators (choice(1, 1)
-    # draws nothing, counted as one draw).
-    steps = max(1, min(count, REPLAY_DRAWS // max(per_call, 1)))
-    group = max(1, REPLAY_DRAWS // (max(per_call, 1) * steps))
-    bounds = np.tile(bounds, steps)
-    thresholds = ((1 << 32) % bounds).astype(np.uint32)
-    for k in range(0, count, steps):
-        block = out[k:k + steps]
-        draws = len(block) * per_call
-        for t in range(0, T, group):
-            vals = words.bounded(bounds[:draws], thresholds[:draws], slice(t, t + group))
-            batch = len(vals)
-            vals = vals.reshape(batch * len(block), per_call)
-            J = _floyd_sample(vals[:, :floyd], low, tau)
-            if shuffle:
-                _shuffle(J, vals[:, floyd:])
-            block[:, t:t + group] = J.reshape(batch, len(block), tau).swapaxes(0, 1)
+
+def _redraw(bits, raw: np.ndarray, bounds: np.ndarray, thresholds: np.ndarray) -> list[int]:
+    """``_bounded``'s draws of the trial with bit generator ``bits``, whose
+    words ``raw`` reject at least once, one draw at a time: its words are
+    ``raw``, then as many more of ``bits`` as were rejected."""
+    def more():
+        while True:
+            yield int(bits.random_raw())
+
+    words, out = itertools.chain(raw.tolist(), more()), []
+    for bound, threshold in zip(bounds.tolist(), thresholds.tolist()):
+        prod = (next(words) >> 32) * bound
+        while prod & 0xFFFFFFFF < threshold:
+            prod = (next(words) >> 32) * bound
+        out.append(prod >> 32)
     return out
 
 
-def _choice_calls(rng: np.random.Generator, m: int, tau: int, out: np.ndarray) -> None:
-    """Fill each row of ``out`` by one ``rng.choice(m, tau, replace=False)``."""
-    for row in out:
-        row[:] = rng.choice(m, size=tau, replace=False)
-
-
 def _floyd_sample(vals: np.ndarray, low: int, tau: int) -> np.ndarray:
-    """Floyd's samples from their draws, one row per call: Floyd's loop over
-    the positions, where position p holds its draw, or j = low + p where an
-    earlier position already holds the draw.  The loop runs on a (tau,
-    calls) array, whose positions are contiguous rows."""
-    J = np.zeros((tau, len(vals)), dtype=np.int64)
-    J[tau - vals.shape[1]:] = vals.T  # j = 0 draws nothing and holds 0
+    """Floyd's samples from their (calls, tau) draws, one row per call:
+    Floyd's loop over the positions, where position p holds its draw, or
+    j = low + p where an earlier position already holds the draw.  The loop
+    runs on a (tau, calls) array, whose positions are contiguous rows."""
+    J = vals.T.copy()
     for p in range(1, tau):
         J[p, (J[:p] == J[p]).any(axis=0)] = low + p
     return J.T
-
-
-def _shuffle(J: np.ndarray, draws: np.ndarray) -> None:
-    """``choice``'s shuffle of each row of J, in place: for i = tau - 1 ...
-    1, swap entries i and draws[:, tau - 1 - i]."""
-    rows = np.arange(len(J))
-    for c, i in enumerate(range(J.shape[1] - 1, 0, -1)):
-        k = draws[:, c]
-        J[:, i], J[rows, k] = J[rows, k], J[:, i].copy()
 
 
 def _combinations(m: int, k: int) -> np.ndarray:
@@ -384,35 +269,22 @@ class UniformSubset(Kind):
         if not (1 <= self.tau <= self.m):
             raise ValueError(f"need 1 <= tau <= m, got tau={self.tau}, m={self.m}")
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """``sample_block``: one support J as sorted row indices."""
-        if self.tau == 1:
-            return np.array([rng.integers(self.m)])
-        J = rng.choice(self.m, size=self.tau, replace=False)
-        J.sort()
-        return J
-
     def draws(self, words: WordSource, count: int) -> np.ndarray:
-        """``BlockStream``'s next draws from the source ``words``, (steps,
-        trials, tau) sorted rows: ``count`` steps of one row, the values and
-        generator states of a call ``integers(m, size=count)``, Lemire's
-        draws from the source's words (m > 2**32 draws 64-bit words: that
-        call itself); or of tau > 1 rows, ``replay_choice``'s replay of
-        ``choice``, fewer steps where they would hold more than
-        ``AHEAD_VALUES`` indices."""
-        if self.tau > 1:
-            count = min(count, max(1, AHEAD_VALUES // (len(words) * self.tau)))
-            J = replay_choice(words, self.m, self.tau, count, shuffle=False)
-            J.sort(axis=-1)
-            return J
-        if self.m == 1:
-            return np.zeros((count, len(words), 1), dtype=np.int64)
+        """Each trial's next ``count`` supports from the source ``words``,
+        (steps, trials, tau) sorted rows, fewer steps where they would hold
+        more than ``AHEAD_VALUES`` indices.  A support is tau of
+        ``_bounded``'s draws, at bounds m - tau + 1 ... m, taken by Floyd's
+        sample and sorted.  Draws take m <= 2**32 rows, else
+        ``TooLargeError``."""
         if self.m > 1 << 32:
-            return np.stack([words.call(t, np.random.Generator.integers, 0, self.m, (count, 1))
-                             for t in range(len(words))], axis=1)
-        bounds = np.full(count, self.m, dtype=np.uint64)
-        thresholds = np.full(count, (1 << 32) % self.m, dtype=np.uint32)
-        return words.bounded(bounds, thresholds, slice(None)).T.reshape(count, -1, 1)
+            raise TooLargeError(f"uniform draws take at most 2**32 rows, got m={self.m}")
+        count = min(count, max(1, AHEAD_VALUES // (len(words) * self.tau)))
+        low = self.m - self.tau
+        bounds = np.tile(np.arange(low + 1, self.m + 1, dtype=np.uint64), count)
+        J = _floyd_sample(_bounded(words, bounds).reshape(-1, self.tau), low, self.tau)
+        J = np.ascontiguousarray(J.reshape(len(words), count, self.tau).swapaxes(0, 1))
+        J.sort(axis=-1)
+        return J
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
         return [(None, draw)]
@@ -439,13 +311,13 @@ class UniformSubset(Kind):
         """The supports ``block_lambda_max`` maximizes over, as (size,
         stacks) pairs, each stack a (count, size) array of supports, and
         their mode: all C(m, tau) in one stack when they fit under the cap,
-        else ``budget`` drawn from ``seed`` (a lower bound), one stack per
-        ``replay_choice`` call."""
+        else ``budget`` drawn from ``seed`` (a lower bound): a run's first
+        ``budget`` draws at that seed, one stack per ``draws`` call."""
         if self.support_count() <= ENUMERATION_CAP:
             return [(self.tau, (_combinations(self.m, self.tau),))], EXACT_ENUMERATION
         words = WordSource([seed])
         per_call = max(1, AHEAD_VALUES // self.tau)
-        supports = (replay_choice(words, self.m, self.tau, min(per_call, budget - k))[:, 0]
+        supports = (self.draws(words, min(per_call, budget - k))[:, 0]
                     for k in range(0, budget, per_call))
         return [(self.tau, supports)], MONTE_CARLO
 
@@ -506,8 +378,9 @@ class Partition(Kind):
             of_size = np.flatnonzero(drawn & (sizes == size))
             slot[of_size] = np.arange(of_size.size)
             drawable.append((size, rows[of_size, :size]))
-        vars(self).update(_probs=probs, _block_of=lookup, _sizes=sizes, drawable=drawable,
-                          slot=slot, _rows=rows[:, :drawable[-1][0]])
+        cdf = probs.cumsum()
+        vars(self).update(_probs=probs, _cdf=cdf / cdf[-1], _block_of=lookup, _sizes=sizes,
+                          drawable=drawable, slot=slot, _rows=rows[:, :drawable[-1][0]])
 
     @property
     def m(self) -> int:
@@ -517,18 +390,14 @@ class Partition(Kind):
     def ell(self) -> int:
         return len(self.blocks)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """``sample_block``: the rows of one drawn block."""
-        return self.block(rng.choice(self.ell, p=self._probs))
-
     def draws(self, words: WordSource, count: int) -> np.ndarray:
-        """``BlockStream``'s next ``count`` draws from the source ``words``,
-        (steps, trials) block indices: a call with ``size=count`` gives the
-        values of ``count``."""
-        # Doubles take whole raw words: the source's buffered halves stay as
-        # they are.
-        return np.stack([rng.choice(self.ell, size=count, p=self._probs)
-                         for rng in words.rngs], axis=1)
+        """Each trial's next ``count`` block indices from the source
+        ``words``, (steps, trials).  A draw takes u = (raw >> 11) 2**-53 of
+        the trial's next raw word and gives the first l with u < cdf[l], the
+        cumulative probabilities scaled to end at 1: numpy's formula for
+        ``choice(p=...)``, so a block of probability 0 is never drawn."""
+        u = (words.words(count).T >> 11) * 2.0**-53
+        return self._cdf.searchsorted(u, side="right")
 
     def groups(self, draw: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
         """``BlockStream.groups`` of the block indices ``draw``: one group
@@ -641,8 +510,9 @@ def full_batch(m: int) -> Partition:
 
 
 def sample_block(spec: SamplingSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw one support J, returned as sorted row indices."""
-    return spec.sample(rng)
+    """Draw one support J, returned as sorted row indices: the spec's
+    ``draws`` of one step from the raw words of ``rng``'s bit generator."""
+    return spec.block(spec.draws(WordSource([rng.bit_generator]), 1)[0, 0])
 
 
 # Steps of draws a BlockStream makes at once, at most.
@@ -650,21 +520,18 @@ DRAW_AHEAD = 256
 
 
 class BlockStream:
-    """The blocks ``sample_block`` would draw from each of several
-    generators, one per trial, drawn for all trials in lockstep.
+    """Each trial's blocks, drawn for all trials in lockstep: trial t's are
+    those that successive ``sample_block`` calls draw from
+    ``default_rng(seeds[t])``.
 
-    ``next()`` makes every live trial's next draw with the values and the
-    generator use of ``sample_block``, by the spec's ``draws`` up to
-    ``DRAW_AHEAD`` steps ahead (never past ``steps``): Lemire's draws from
-    one ``WordSource`` fetch per generator for one-row draws,
-    ``replay_choice``'s replay of the ``choice`` calls for uniform blocks of
-    tau > 1 rows, one ``choice`` call with ``size`` per generator for
-    partitions.  Trial t's generator is ``default_rng(seeds[t])``'s, built
-    by the stream's ``WordSource``.  The generators serve nothing else, so
-    drawing ahead of a trial that stops early changes nothing it
-    returns.  A draw has a leading trial axis, except in a stream of one
-    generator.  The spec's ``groups(draw)`` gives the drawn rows as
-    (trials, J) pairs, J (L_g, tau_g) (no L_g axis for one generator), one
+    ``next()`` makes every live trial's next draw by the spec's ``draws``,
+    up to ``DRAW_AHEAD`` steps ahead (never past ``steps``), from the
+    stream's ``WordSource``.  A draw takes only its own trial's raw words,
+    in order, so a trial's draws depend on its seed alone, not on the
+    trials beside it or on how far ahead they are drawn, and drawing ahead
+    of a trial that stops early changes nothing it returns.  A draw has a
+    leading trial axis, except in a stream of one trial.  The spec's ``groups(draw)`` gives the drawn rows as
+    (trials, J) pairs, J (L_g, tau_g) (no L_g axis for one trial), one
     per block size, trials None meaning all.
     """
 
@@ -679,7 +546,7 @@ class BlockStream:
 
     def next(self) -> np.ndarray:
         """One draw per live trial: (L, tau) sorted rows for uniform specs,
-        (L,) block indices for partitions (no L axis for one generator)."""
+        (L,) block indices for partitions (no L axis for one trial)."""
         if self._at == len(self._ahead):
             drawn = self.spec.draws(self.words, min(DRAW_AHEAD, self._steps_left))
             self._steps_left -= len(drawn)

@@ -303,7 +303,7 @@ def test_criterion_09_exact_expectation_oracle():
             spec = partition_spec([range(0, m // 2), range(m // 2, m)])
         scheme = uniform_weights(spec)
         words = WordSource([split_seed(909, idx)])
-        x0 = words.call(0, np.random.Generator.standard_normal, n)
+        x0 = np.random.Generator(words.bits[0]).standard_normal(n)
         x_star = system.planted_solution
 
         expected = np.zeros(n)

@@ -30,6 +30,7 @@ from kaczlab.sampling import (
     frobenius_partition,
     full_batch,
     partition_spec,
+    sample_block,
 )
 from kaczlab.stepsize import row_norm_sq_weights, uniform_weights
 
@@ -123,7 +124,7 @@ def test_stacked_block_lambda_max_matches_one_support_loop(case, monkeypatch):
         monkeypatch.setattr(sampling, "ENUMERATION_CAP", 10)
         spec = UniformSubset(30, 4)
         rng = np.random.default_rng(9)
-        supports = [rng.choice(30, size=4, replace=False) for _ in range(300)]
+        supports = [sample_block(spec, rng) for _ in range(300)]
     val, _ = block_lambda_max(system, spec, budget=300, seed=9)
     expected = max(_one_support_lambda_max(system, J) for J in supports)
     if case == "sampled":

@@ -59,7 +59,7 @@ class TestSolve:
 
     def test_diverged_exit_code(self, tmp_path, capsys):
         # A Chebyshev schedule built for [0.5, 0.6] lambda_max: the squared
-        # residual overflows at k = 362.
+        # residual overflows at k = 348.
         system = generate_problem(GaussianNormalized(50, 20, seed=1))
         lambda_max = np.linalg.eigvalsh(system.A @ system.A.T)[-1]
         stepsize = {"kind": "chebyshev-pd", "horizon": 2000, "lambda_min": 0.5 * lambda_max,
@@ -72,7 +72,7 @@ class TestSolve:
             code = run_cli("solve", "--recipe", "gaussian:50x20", "--seed", "1",
                            "--config", str(path))
         assert code == 4
-        assert capsys.readouterr().out.startswith("diverged: k=362 residual=inf")
+        assert capsys.readouterr().out.startswith("diverged: k=348 residual=inf")
 
     def test_stalled_exit_code(self, tmp_path, capsys):
         # The only block ever drawn, row 0, is solved at x0 = 0: every

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 from collections import Counter
@@ -28,14 +29,13 @@ from kaczlab.sampling import (
     partition_spec,
     paving_from_json,
     paving_to_json,
-    replay_choice,
     sample_block,
     sampling_from_dict,
     support_count,
 )
 from kaczlab.engine import Trials
 from kaczlab.problems import GaussianNormalized, generate_problem
-from kaczlab.solver import SolverConfig
+from kaczlab.solver import SolverConfig, run_monte_carlo, run_solver
 from kaczlab.stepsize import ClassicConstant, explicit_weights, uniform_weights, weights_from_dict
 
 
@@ -287,100 +287,125 @@ def test_full_batch_is_single_block():
     assert membership_probability(spec, 2) == pytest.approx(1.0)
 
 
-def _state(rng: np.random.Generator) -> str:
-    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
-
-
-def _states(words: WordSource) -> list[str]:
-    """Every generator's full state, its buffer included, read by ``call``."""
-    return [words.call(t, _state) for t in range(len(words))]
-
-
-def _advanced(seed, draws: int) -> np.random.Generator:
-    """``default_rng(seed)`` after ``draws`` uint32 draws."""
-    rng = np.random.default_rng(seed)
-    rng.integers(1 << 32, size=draws, dtype=np.uint32)
-    return rng
-
-
 def _half(rng: np.random.Generator) -> None:
     """One uint32 draw: a PCG64 generator then holds the other half of its
     64-bit word."""
     rng.integers(1 << 32, dtype=np.uint32)
 
 
-def _source(bit_generator, seeds) -> WordSource:
-    """A word source whose generators are ``Generator(bit_generator(seed))``:
-    its own PCG64 ones, or fresh ones (empty buffers, as the source's own
-    start) put in their place."""
-    words = WordSource(seeds)
-    if bit_generator is not np.random.PCG64:
-        words.rngs = [np.random.Generator(bit_generator(seed)) for seed in seeds]
-    return words
+def _reference_draws(spec, seed, steps: int) -> list:
+    """The documented block draw, one raw word at a time in Python ints,
+    for ``steps`` steps from ``PCG64(seed)``: a partition's block index, or
+    a uniform spec's sorted support."""
+    bits = np.random.PCG64(seed)
+    if isinstance(spec, Partition):
+        cdf = list(itertools.accumulate(spec.probs))
+        cdf = [c / cdf[-1] for c in cdf]
+        return [bisect.bisect_right(cdf, (int(bits.random_raw()) >> 11) * 2.0**-53)
+                for _ in range(steps)]
+
+    def bounded(bound: int) -> int:
+        while True:  # Lemire: reject while the low word is below 2**32 mod bound
+            prod = (int(bits.random_raw()) >> 32) * bound
+            if prod % 2**32 >= 2**32 % bound:
+                return prod >> 32
+
+    out = []
+    for _ in range(steps):
+        support = set()  # Floyd's sample
+        for j in range(spec.m - spec.tau, spec.m):
+            t = bounded(j + 1)
+            support.add(j if t in support else t)
+        out.append(sorted(support))
+    return out
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64])
-@pytest.mark.parametrize("m,tau,counts", [
-    (50, 3, (3, 40)),
-    (2000, 8, (3, 40)),
-    (2000, 64, (3, 40)),
-    (5, 5, (3, 40)),  # tau = m: Floyd's j = 0 draws nothing
-    (64, 64, (3, 40)),
-    (2**31, 3, (3, 40)),
-    (12000, 3, (3, 40)),  # m > 10000 but tau <= m // 50: still Floyd's
-    (10001, 300, (2, 3)),  # tau > m // 50: a tail shuffle, drawn by choice
-    # Two of Floyd's three bounds just above 2**31: Lemire rejects about
-    # half their draws, and a generator that rejects draws a further word
-    # for each rejection.
-    (2**31 + 2, 3, (1, 6)),
-    # A pass holds fewer than 40 calls: drawn by choice.
-    (2000, 300, (3, 40)),
-    (2000, 1000, (3, 40)),
-    (2**33 + 1, 3, (1, 4)),  # m > 2**32: 64-bit words, drawn by choice
-], ids=["50-3", "2000-8", "2000-64", "5-5", "64-64", "2^31-3", "12000-3", "tail-shuffle",
-        "rejecting", "2000-300", "2000-1000", "2^33+1-3"])
-def test_uniform_draws_replay_choice(m, tau, counts, bit_generator):
-    # Two consecutive batches: every value, in choice's order, and every
-    # generator's state afterwards are those of per-call choice.
-    seeds = [[7, t] for t in range(6)]
-    ref = [np.random.Generator(bit_generator(seed)) for seed in seeds]
-    words = _source(bit_generator, seeds)
-    plain = [_advanced(seed, counts[0] * (2 * tau - 1 - (tau == m))) for seed in seeds]
-    for batch, count in enumerate(counts):
-        expected = np.array([[rng.choice(m, size=tau, replace=False) for rng in ref]
-                             for _ in range(count)])
-        got = replay_choice(words, m, tau, count)
-        assert got.shape == (count, 6, tau) and np.array_equal(got, expected)
-        assert _states(words) == [_state(rng) for rng in ref]
-        if batch == 0 and m == 2**31 + 2:
-            # The stack mixes generators that rejected (drew more than
-            # 2 tau - 1 words a call) with ones that did not.
-            rejected = [_state(a) != _state(b) for a, b in zip(ref, plain)]
-            assert any(rejected) and not all(rejected)
+def _partitions(m: int):
+    """Partitions of range(m) into contiguous blocks, some of probability 0."""
+    return st.lists(st.integers(1, 4), min_size=1, max_size=m).flatmap(lambda sizes: st.tuples(
+        st.just(sizes), st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=len(sizes),
+                                 max_size=len(sizes)).filter(any)))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(data=st.data())
-def test_replay_choice_is_per_call_choice(data):
-    # m on both sides of choice's tail-shuffle split (m > 10,000 and tau >
-    # m // 50), tau on both sides of the per-call cutoff (a pass of fewer
-    # than 40 calls: tau above about 205).  Values and every generator's
-    # final state are those of per-call choice; unshuffled rows hold the
-    # same values.
-    m = data.draw(st.integers(1, 300) | st.integers(10_001, 12_000), label="m")
-    tau = data.draw(st.integers(1, min(m, 40) if m <= 300 else 400), label="tau")
-    count, T = data.draw(st.integers(1, 40), label="count"), data.draw(st.integers(1, 4), label="T")
-    seed, shuffle = data.draw(st.integers(0, 2**32 - 1), label="seed"), data.draw(st.booleans())
-    seeds = [[seed, t] for t in range(T)]
-    ref = [np.random.default_rng(s) for s in seeds]
-    words = WordSource(seeds)
-    got = replay_choice(words, m, tau, count, shuffle=shuffle)
-    expected = np.array([[rng.choice(m, size=tau, replace=False) for rng in ref]
-                         for _ in range(count)])
-    if not shuffle:
-        got, expected = np.sort(got, axis=-1), np.sort(expected, axis=-1)
-    assert got.shape == (count, T, tau) and np.array_equal(got, expected)
-    assert _states(words) == [_state(rng) for rng in ref]
+def test_block_draws_follow_the_documented_rule(data):
+    # BlockStream's draws for T trials, each leaving the stack at its own
+    # step, and successive sample_block draws from default_rng(seed) equal
+    # the scalar reference of the rule, for any DRAW_AHEAD and AHEAD_VALUES.
+    # m = 2**31 + 1 rejects about half the words.
+    if data.draw(st.booleans(), label="partition"):
+        sizes, weights = data.draw(_partitions(12), label="partition")
+        cuts = np.cumsum([0, *sizes]).tolist()
+        spec = partition_spec([range(a, b) for a, b in zip(cuts, cuts[1:])],
+                              np.array(weights) / sum(weights))
+    else:
+        m = data.draw(st.integers(1, 300) | st.just(2**31 + 1), label="m")
+        spec = UniformSubset(m, data.draw(st.integers(1, min(m, 300 if m <= 30 else 40)), label="tau"))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4), label="seeds")
+    steps = data.draw(st.integers(1, 12), label="steps")
+    leave = [data.draw(st.integers(1, steps), label="leaves after") for _ in seeds]
+    odd = st.integers(0, 6).map(lambda k: 2 * k + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "DRAW_AHEAD", data.draw(odd, label="DRAW_AHEAD"))
+        patch.setattr(sampling, "AHEAD_VALUES", data.draw(odd, label="AHEAD_VALUES"))
+        expected = [_reference_draws(spec, seed, steps) for seed in seeds]
+        stream, live = BlockStream(spec, seeds, steps), list(range(len(seeds)))
+        for k in range(steps):
+            draw = stream.next()
+            if stream.single:
+                draw = draw[None]
+            assert [np.asarray(d).tolist() for d in draw] == [expected[t][k] for t in live], k
+            stay = np.array([leave[t] > k + 1 for t in live])
+            live = [t for t, keep in zip(live, stay) if keep]
+            if not live:
+                break
+            if not stay.all():
+                stream.keep(stay)
+        rng = np.random.default_rng(seeds[0])
+        drawn = [sample_block(spec, rng).tolist() for _ in range(steps)]
+        assert drawn == [np.asarray(spec.block(d)).tolist() for d in expected[0]]
+
+
+def test_uniform_draws_take_at_most_2_32_rows():
+    # A 32-bit Lemire draw of a larger bound would overflow its uint64
+    # product: refused, on a bare spec.  At m = 2**32 nothing is rejected,
+    # and a one-row draw is the high word itself.
+    with pytest.raises(TooLargeError, match="2\\*\\*32"):
+        UniformSubset(2**33 + 1, 3).draws(WordSource([1]), 4)
+    with pytest.raises(TooLargeError):
+        sample_block(UniformSubset(2**32 + 1, 1), np.random.default_rng(1))
+    drawn = UniformSubset(2**32, 1).draws(WordSource([5]), 3)
+    assert drawn.shape == (3, 1, 1)
+    assert drawn[:, 0, 0].tolist() == (np.random.PCG64(5).random_raw(3) >> 32).tolist()
+
+
+class _MethodsRefused(np.random.Generator):
+    """A Generator whose ``choice``, ``integers`` and ``random`` raise."""
+
+    def _refused(self, *args, **kwargs):
+        raise AssertionError("a Generator method drew a block")
+
+    choice = integers = random = _refused
+
+
+def test_block_draws_call_no_generator_method(monkeypatch):
+    # Every Generator that kaczlab builds, and the one sample_block is
+    # handed, refuses choice, integers and random: runs, Monte-Carlo runs,
+    # sample_block and sampled supports take raw words only.
+    system = generate_problem(GaussianNormalized(30, 8, seed=4))
+    monkeypatch.setattr(np.random, "Generator", _MethodsRefused)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _MethodsRefused(
+        np.random.PCG64(seed)))
+    monkeypatch.setattr(sampling, "ENUMERATION_CAP", 10)
+    specs = [UniformSubset(30, 1), UniformSubset(30, 3),
+             partition_spec([range(i, i + 5) for i in range(0, 30, 5)])]
+    for spec in specs:
+        config = SolverConfig("rbk", spec, uniform_weights(spec), ClassicConstant(1.0), max_iters=20)
+        assert run_solver(config, system).iterations == 20
+        assert run_monte_carlo(config, system, trials=3).trials == 3
+        assert len(sample_block(spec, np.random.default_rng(2))) == spec.mean_block_size()
+    assert block_lambda_max(system, UniformSubset(30, 4), budget=50, seed=3)[1] == sampling.MONTE_CARLO
 
 
 @pytest.mark.parametrize("m, tau", [(50, 3), (9, 1), (9, 9), (12, 5), (447, 2)])
@@ -393,18 +418,19 @@ def test_exact_supports_are_the_combinations_in_order(m, tau):
     assert stack.shape == expected.shape and np.array_equal(stack, expected)
 
 
-def test_sampled_supports_replay_choice(monkeypatch):
+def test_sampled_supports_are_sample_block_draws(monkeypatch):
     # block_lambda_max's sampled supports, drawn 7 a call, one stack a
-    # call: choice's values in choice's (unsorted) order.
+    # call: the supports successive sample_block calls draw at the seed.
     monkeypatch.setattr(sampling, "ENUMERATION_CAP", 10)
     monkeypatch.setattr(sampling, "AHEAD_VALUES", 7 * 4)
-    ((size, stacks),), mode = UniformSubset(30, 4).support_groups(20, seed=9)
+    spec = UniformSubset(30, 4)
+    ((size, stacks),), mode = spec.support_groups(20, seed=9)
     stacks = list(stacks)
     rng = np.random.default_rng(9)
     assert size == 4 and mode == sampling.MONTE_CARLO
     assert [J.shape for J in stacks] == [(7, 4), (7, 4), (6, 4)]
     assert [J.tolist() for stack in stacks for J in stack] == [
-        rng.choice(30, size=4, replace=False).tolist() for _ in range(20)]
+        sample_block(spec, rng).tolist() for _ in range(20)]
 
 
 @pytest.mark.parametrize("spec", [
@@ -470,52 +496,6 @@ def test_uniform_stream_draws_fewer_steps_under_the_value_cap(monkeypatch):
         assert np.array_equal(stream.next(), [sample_block(spec, rng) for rng in refs])
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64])
-@pytest.mark.parametrize("m", [1, 2, 20, 2000, 2**31 + 2, 3 * 2**30 + 7, 2**32, 2**32 + 5])
-def test_word_source_draws_what_integers_draws(m, bit_generator):
-    # One-row draws from a word source: three generators that hold a
-    # buffered half and three that do not, chained calls of odd and even
-    # counts.  Every value, and every full generator state (read by
-    # ``call``, which the next call's draws continue from), is that of
-    # per-call integers(m, size=count).  Above 2**31 Lemire rejects about a
-    # quarter (3 2**30 + 7) or half (2**31 + 2) of the words; above 2**32
-    # integers draws 64-bit words, called through ``call``.
-    spec = UniformSubset(m, 1)
-    for counts in [(3, 8), (8, 5), (1, 1), (256, 33), (5, 2, 7)]:
-        seeds = [[3, t] for t in range(6)]
-        ref = [np.random.Generator(bit_generator(seed)) for seed in seeds]
-        words = _source(bit_generator, seeds)
-        for t in range(3):
-            _half(ref[t])
-            words.call(t, _half)
-        for count in counts:
-            got = spec.draws(words, count)
-            expected = np.stack([rng.integers(m, size=count) for rng in ref], axis=1)
-            assert got.shape == (count, 6, 1) and np.array_equal(got[..., 0], expected)
-            assert _states(words) == [_state(rng) for rng in ref]
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
-@pytest.mark.parametrize("m", [20, 3 * 2**30 + 7, 2**32])
-def test_call_hands_the_buffer_to_the_generator(m, bit_generator):
-    # The source keeps each generator's buffered half itself while it
-    # draws; ``call`` writes it to the generator's state, which then is that
-    # of per-call integers, and the source's draws carry on from there.
-    # Philox buffers its uint32 halves as PCG64 does (has_uint32,
-    # uinteger): a source on Philox generators shows that the draws use no
-    # more of PCG64 than that buffer and its raw words.
-    spec = UniformSubset(m, 1)
-    seeds = [[4, t] for t in range(4)]
-    ref = [np.random.Generator(bit_generator(seed)) for seed in seeds]
-    words = _source(bit_generator, seeds)
-    for count in (5, 2, 7):
-        expected = np.stack([rng.integers(m, size=count) for rng in ref], axis=1)
-        assert np.array_equal(spec.draws(words, count)[..., 0], expected)
-    assert _states(words) == [_state(rng) for rng in ref]
-    assert np.array_equal(spec.draws(words, 3)[..., 0],
-                          np.stack([rng.integers(m, size=3) for rng in ref], axis=1))
-
-
 @pytest.mark.parametrize("spec,cap", [
     (UniformSubset(9, 1), None),
     (UniformSubset(3 * 2**30 + 7, 1), None),  # rejections shift a trial's words
@@ -524,10 +504,10 @@ def test_call_hands_the_buffer_to_the_generator(m, bit_generator):
 ], ids=["tau1", "tau1-rejecting", "tau3", "tau3-rejecting"])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_block_stream_with_odd_chunks_replays_sample_block(monkeypatch, spec, cap, buffered):
-    # Chunks of an odd number of words leave a half buffered between
-    # chunks: 7 steps a chunk for one-row draws, 5 or 3 calls of 2 tau - 1
-    # draws for tau = 3.  From generators that start with a half buffered
-    # or not, every draw is sample_block's.
+    # Chunks of an odd number of steps: 7 steps a chunk for one-row draws,
+    # 5 or 3 for tau = 3.  From generators that start with a uint32 half
+    # buffered or not, every draw is sample_block's: draws take whole raw
+    # words and leave the buffer alone.
     monkeypatch.setattr(sampling, "DRAW_AHEAD", 7)
     if cap is not None:
         monkeypatch.setattr(sampling, "AHEAD_VALUES", cap)
@@ -536,20 +516,18 @@ def test_block_stream_with_odd_chunks_replays_sample_block(monkeypatch, spec, ca
     refs = [np.random.default_rng(seed) for seed in seeds]
     stream = BlockStream(spec, seeds, steps)
     if buffered:
-        for t, ref in enumerate(refs):
+        for ref, bits in zip(refs, stream.words.bits):
             _half(ref)
-            stream.words.call(t, _half)
+            _half(np.random.Generator(bits))
     for k in range(steps):
         draw = stream.next()
         assert np.array_equal(draw, [sample_block(spec, rng) for rng in refs])
 
 
 @pytest.mark.parametrize("spec", [UniformSubset(30, 1), UniformSubset(30, 3)], ids=["tau1", "tau3"])
-def test_trials_from_a_generator_with_a_buffered_half(monkeypatch, spec):
-    # Chunks of 7 steps draw an odd number of words (7 one-row draws, 7
-    # calls of 5), so each generator holds a buffered half between chunks:
-    # the run draws the blocks sample_block draws from default_rng(seed),
-    # and a stack of such generators ends each trial with the bits of its
+def test_trials_with_odd_chunks_draw_sample_block_blocks(monkeypatch, spec):
+    # Chunks of 7 steps: the run draws the blocks sample_block draws from
+    # default_rng(seed), and a stack ends each trial with the bits of its
     # own run.
     monkeypatch.setattr(sampling, "DRAW_AHEAD", 7)
     system = generate_problem(GaussianNormalized(30, 8, seed=4))
@@ -564,8 +542,8 @@ def test_trials_from_a_generator_with_a_buffered_half(monkeypatch, spec):
 
 
 def test_a_generator_is_no_seed():
-    # A Generator's buffered half is not known to the source that would
-    # draw from it: the source, and a run, refuse it.
+    # A seed is an int or a seed sequence: the source, and a run, refuse a
+    # Generator.
     spec = UniformSubset(30, 1)
     system = generate_problem(GaussianNormalized(30, 8, seed=4))
     config = SolverConfig("rbk", spec, uniform_weights(spec), ClassicConstant(1.0), max_iters=5)

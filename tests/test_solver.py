@@ -432,7 +432,7 @@ class TestRunSolver:
 def test_non_finite_residual_ends_a_trial_diverged():
     # Basic Kaczmarz with a Chebyshev schedule built for [0.5, 0.6]
     # lambda_max: the squared residual of the run at seed 1 overflows at
-    # k = 362.
+    # k = 348.
     system = normalized_system(50, 20, seed=1)
     lambda_max = np.linalg.eigvalsh(system.A @ system.A.T)[-1]
     spec = UniformSubset(50, 1)
@@ -443,7 +443,7 @@ def test_non_finite_residual_ends_a_trial_diverged():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         trace = run_solver(config, system)
-        assert (trace.status, trace.iterations) == (DIVERGED, 362)
+        assert (trace.status, trace.iterations) == (DIVERGED, 348)
         assert np.isinf(trace.residual[-1]) and np.isfinite(trace.residual[:-1]).all()
         # In a stack, each diverged trial leaves as it would stop on its own.
         seeds = [1, 2, 3, 4]
@@ -570,15 +570,14 @@ class TestMonteCarlo:
             assert split_seeds(seed, trials).tolist() == expected, seed
 
     def test_trial_generators_have_the_split_seed_states(self):
-        # The generators a Monte-Carlo run's stream builds on its trial seeds.
+        # The bit generators a Monte-Carlo run's stream builds on its trial
+        # seeds: their states, and the raw words they then draw.
         for seed in _SEEDS:
             words = WordSource(trial_seeds(seed, 200))
-            for t in range(200):
-                expected = np.random.default_rng(split_seed(seed, t))
-                assert (words.call(t, lambda rng: rng.bit_generator.state)
-                        == expected.bit_generator.state), (seed, t)
-                assert (words.call(t, lambda rng: rng.integers(2**63, size=3).tolist())
-                        == expected.integers(2**63, size=3).tolist())
+            expected = [np.random.default_rng(split_seed(seed, t)).bit_generator for t in range(200)]
+            for t, bits in enumerate(expected):
+                assert words.bits[t].state == bits.state, (seed, t)
+            assert np.array_equal(words.words(3), [bits.random_raw(3) for bits in expected])
 
     def test_negative_seed_is_refused_as_split_seed_refuses_it(self):
         for split in (split_seed, split_seeds, trial_seeds):
@@ -819,7 +818,7 @@ _LOCKSTEP_CASES = {
     "rbk-tolerance": (RBK, "uniform3", "constant-extrapolated", "uniform", 1.0),
     "adaptive-tolerance": (RBK, "ragged", "adaptive", "rownormsq", 0.7),
     # Trials stop on both sides of step DRAW_AHEAD, where draws are refilled.
-    "rbk-long-tolerance": (RBK, "uniform1", "classic", "uniform", 1e-2, 600),
+    "rbk-long-tolerance": (RBK, "uniform1", "classic", "uniform", 3e-2, 600),
     "adaptive-long-tolerance": (RBK, "ragged", "adaptive", "rownormsq", 3e-5, 600),
 }
 
@@ -932,7 +931,7 @@ def _same_bits(a, b):
 
 
 def _basic_chebyshev():
-    # Built for [0.5, 0.6] lambda_max: every trial overflows (seed 1 at k = 362).
+    # Built for [0.5, 0.6] lambda_max: every trial overflows (seed 1 at k = 348).
     system = normalized_system(50, 20, seed=1)
     lambda_max = np.linalg.eigvalsh(system.A @ system.A.T)[-1]
     spec = UniformSubset(50, 1)
@@ -980,23 +979,23 @@ def _converging(tol, max_iters=120):
 # name: (config and system, seeds, each trial's (K, status), where it stops)
 # in a window: its position, "last" for the window's last step.
 _WINDOW_CASES = {
-    "converged-position-0": (lambda: _converging(1.8), [1], [(15, CONVERGED)], [0]),
-    "converged-position-1": (lambda: _converging(1.65), [1], [(16, CONVERGED)], [1]),
-    "converged-last": (lambda: _converging(1.06), [1], [(30, CONVERGED)], ["last"]),
+    "converged-position-0": (lambda: _converging(1.55), [1], [(15, CONVERGED)], [0]),
+    "converged-position-1": (lambda: _converging(1.54), [1], [(16, CONVERGED)], [1]),
+    "converged-last": (lambda: _converging(1.0), [1], [(30, CONVERGED)], ["last"]),
     # max_iters = 20 cuts the window of steps 15..30 to six steps.
     "max-iters": (lambda: _converging(0.0, max_iters=20), [1], [(20, MAX_ITERS)], ["last"]),
     "max-iters-3": (lambda: _converging(0.0, max_iters=20), [1, 2, 3], [(20, MAX_ITERS)] * 3,
                     ["last"] * 3),
-    "diverged": (_basic_chebyshev, [1], [(362, DIVERGED)], [11]),
+    "diverged": (_basic_chebyshev, [1], [(348, DIVERGED)], [29]),
     "diverged-3": (_basic_chebyshev, [1, 2, 3], None, None),
     "stalled": (_satisfied_block, [3], [(STALL_LIMIT, STALLED)], [5]),
     "stalled-3": (_satisfied_block, [3, 4, 5], [(STALL_LIMIT, STALLED)] * 3, [5] * 3),
     # Three trials that leave in one window, and two that leave in one and
     # the third in the next.
-    "one-window-3": (lambda: _converging(1.0), [1, 2, 3], [(34, CONVERGED), (38, CONVERGED),
-                                                        (40, CONVERGED)], [3, 7, 9]),
-    "two-windows-3": (lambda: _converging(1.3), [1, 2, 3], [(19, CONVERGED), (25, CONVERGED),
-                                                         (31, CONVERGED)], [4, 10, 0]),
+    "one-window-3": (lambda: _converging(0.8), [1, 2, 3], [(43, CONVERGED), (32, CONVERGED),
+                                                        (41, CONVERGED)], [12, 1, 10]),
+    "two-windows-3": (lambda: _converging(1.0), [1, 2, 3], [(30, CONVERGED), (21, CONVERGED),
+                                                         (31, CONVERGED)], ["last", 6, 0]),
 }
 
 
