@@ -38,9 +38,18 @@ included), the pairs the head wins, each side's IQR and its bound (that of
 side's exit codes, and ``solve``'s status lines or the sha256 of
 ``experiment``'s ``summary.json``.
 
+Beside those fields, each metric and ladder command holds each pair's
+change/parent ratio (``pair_ratios``), their median and IQR, and two
+verdicts: ``verdict`` from the side medians and IQRs, ``paired_verdict``
+from the ratios (see ``_verdicts``).  Load on the host slows both sides of
+a pair together, which widens the side IQRs but not the ratios'.
+``--verdicts`` prints both verdicts of stored BENCH files, computed from
+their runs, and runs nothing.
+
     python tools/bench_pairs.py --base REV --head REV [--pairs N] [--seconds S]
                                 [--workload W ...] [--seed SEED] [--ladder]
                                 [--out PATH]
+    python tools/bench_pairs.py --verdicts BENCH_30.json [...]
 
 The default output is ``BENCH_<n>.json`` at the root of the repository,
 n one more than the highest there.
@@ -209,6 +218,7 @@ def _ladder(trees: dict[str, Path], pairs: int, bound: float) -> dict:
                 "relative_change": round((change - parent) / parent, 4),
                 "parent_runs": [round(v, 4) for v in base],
                 "change_runs": [round(v, 4) for v in head],
+                **_verdicts(base, head, "lower", bound),
                 **{f"{key}_tries": [[round(v, 4) for v in walls] for walls in tries[s]]
                    for key, s in (("parent", "base"), ("change", "head"))},
                 "exit_codes": {key: _one_or_all([code for _, code, _ in runs[s]])
@@ -223,6 +233,41 @@ def _ladder(trees: dict[str, Path], pairs: int, bound: float) -> dict:
 def _iqr(values: list[float]) -> float:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3 - q1
+
+
+def _verdict(gain: float, spread: float, unresolved: bool, wins: int, pairs: int,
+             bound: float) -> str:
+    """``unresolved`` when the runs spread too widely; else ``worse`` when
+    the relative ``gain`` (positive: the change is better) falls below
+    -``bound``; ``better`` when the change wins at least 9 pairs in 10 and
+    ``gain`` exceeds the relative ``spread``; else ``level``."""
+    if unresolved:
+        return "unresolved"
+    if gain < -bound:
+        return "worse"
+    return "better" if wins >= 0.9 * pairs and gain > spread else "level"
+
+
+def _verdicts(base: list[float], head: list[float], better: str, bound: float) -> dict:
+    """Each pair's change/parent ratio, their median and IQR, and two
+    verdicts under the relative ``bound``: ``verdict`` from the side
+    medians (unresolved when either side's IQR exceeds ``bound`` times the
+    parent's median; the spread is the parent's IQR over its median) and
+    ``paired_verdict`` from the ratios (unresolved when their IQR exceeds
+    ``bound``; the spread is their IQR)."""
+    sign = 1 if better == "higher" else -1
+    parent, change = statistics.median(base), statistics.median(head)
+    ratios = [h / b for b, h in zip(base, head)]
+    ratio, ratio_iqr = statistics.median(ratios), _iqr(ratios)
+    wins = sum(sign * (r - 1) > 0 for r in ratios)
+    return {
+        "pair_ratios": [round(r, 4) for r in ratios],
+        "pair_ratio_median": round(ratio, 4), "pair_ratio_iqr": round(ratio_iqr, 4),
+        "verdict": _verdict(sign * (change - parent) / parent, _iqr(base) / parent,
+                            max(_iqr(base), _iqr(head)) > bound * parent, wins, len(ratios), bound),
+        "paired_verdict": _verdict(sign * (ratio - 1), ratio_iqr, ratio_iqr > bound, wins,
+                                   len(ratios), bound),
+    }
 
 
 def _check_spread(label: str, entry: dict) -> None:
@@ -253,6 +298,7 @@ def _metrics(workload: str, declared: list[dict], runs: dict[str, list[dict]]) -
             "change_iqr": round(_iqr(head), 6), "iqr_bound": round(metric["bound"] * parent, 6),
             "relative_change": round((change - parent) / parent, 4),
             "parent_runs": [round(v, 6) for v in base], "change_runs": [round(v, 6) for v in head],
+            **_verdicts(base, head, better, metric["bound"]),
         }
         if name == "peak_rss_mb":
             out[name]["by_path_length"] = {
@@ -333,7 +379,9 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
                    f"{LADDER_BOUND_METRIC}); parent_runs/change_runs list every run in pair "
                    f"order; a ladder command runs {LADDER_TRIES} times per side and pair, the "
                    "sides alternating, and its parent_runs/change_runs hold each pair's "
-                   "fastest, parent_tries/change_tries every run"),
+                   "fastest, parent_tries/change_tries every run; pair_ratios holds each "
+                   "pair's change/parent ratio, with their median and IQR; verdict judges the "
+                   "side medians and paired_verdict the ratios (see tools/bench_pairs.py)"),
         "path_lengths": _path_lengths(pairs),
         "claimed": None,
         "digests": (f"Output digests equal the parent's on {', '.join(equal) or 'no workload'}; "
@@ -349,6 +397,28 @@ def bench(base: str, head: str, pairs: int, seconds: float, workloads: list[str]
     return doc
 
 
+def stored_verdicts(path: Path) -> list[str]:
+    """Both verdicts of every metric and ladder command of the BENCH file
+    ``path``, computed from its stored runs under the bounds BENCHMARK.json
+    declares, one line each; a line where the two differ ends in ``differ``."""
+    doc = json.loads(path.read_text())
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    entries = [(f"{workload} {name}", entry, bounds[name])
+               for workload, result in doc["workloads"].items()
+               for name, entry in result["metrics"].items()]
+    entries += [(f"ladder {rung} {name}", entry, bounds[LADDER_BOUND_METRIC])
+                for rung, commands in doc.get("ladder", {}).items()
+                for name, entry in commands.items()]
+    lines = []
+    for label, entry, bound in entries:
+        v = _verdicts(entry["parent_runs"], entry["change_runs"], entry["better"], bound)
+        lines.append(f"{path.name} {label}: {v['verdict']}, paired {v['paired_verdict']} "
+                     f"(ratio median {v['pair_ratio_median']}, IQR {v['pair_ratio_iqr']})"
+                     + ("  differ" if v["verdict"] != v["paired_verdict"] else ""))
+    return lines
+
+
 def _next_bench_path() -> Path:
     numbers = [int(m.group(1)) for p in REPO.glob("BENCH_*.json")
                if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
@@ -357,8 +427,8 @@ def _next_bench_path() -> Path:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="git revision of the parent")
-    parser.add_argument("--head", required=True, help="git revision of the change")
+    parser.add_argument("--base", help="git revision of the parent")
+    parser.add_argument("--head", help="git revision of the change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0, help="run length of each side")
     parser.add_argument("--workload", action="append",
@@ -369,7 +439,15 @@ def main(argv=None) -> None:
                              "size ladder")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default: the next BENCH_<n>.json in the repository)")
+    parser.add_argument("--verdicts", type=Path, nargs="+", metavar="BENCH",
+                        help="print both verdicts of stored BENCH files and run nothing")
     args = parser.parse_args(argv)
+    if args.verdicts:
+        for path in args.verdicts:
+            print("\n".join(stored_verdicts(path)))
+        return
+    if not (args.base and args.head):
+        parser.error("--base and --head are required")
     if args.pairs < 2 or args.seconds <= 0:
         parser.error("--pairs must be at least 2 (for the quartiles) and --seconds positive")
     workloads = args.workload or [w["name"] for w in
