@@ -341,7 +341,7 @@ def test_block_draws_follow_the_documented_rule(data):
                               np.array(weights) / sum(weights))
     else:
         m = data.draw(st.integers(1, 300) | st.just(2**31 + 1), label="m")
-        spec = UniformSubset(m, data.draw(st.integers(1, min(m, 300 if m <= 30 else 40)), label="tau"))
+        spec = UniformSubset(m, data.draw(st.integers(1, min(m, 300)), label="tau"))
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4), label="seeds")
     steps = data.draw(st.integers(1, 12), label="steps")
     leave = [data.draw(st.integers(1, steps), label="leaves after") for _ in seeds]
